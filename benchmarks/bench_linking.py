@@ -15,7 +15,6 @@ Usage::
     python benchmarks/bench_linking.py --trace-overhead     # tracing cost
     python benchmarks/bench_linking.py --profile-overhead   # profiler cost
     python benchmarks/bench_linking.py --smoke --gate BENCH_linking.json
-    python benchmarks/bench_linking.py --smoke --paging-check  # paged-map gate
 
 Not a pytest file on purpose: the shape-asserted benchmark suite lives
 in the ``test_*.py`` files; this is the JSON-emitting trajectory
@@ -39,7 +38,6 @@ from repro.obs.bench import (  # noqa: E402
     BenchParams,
     check_regression,
     measure_metrics_overhead,
-    measure_paging,
     measure_profile_overhead,
     measure_tracing_overhead,
     run_linking_bench,
@@ -74,11 +72,6 @@ def main(argv: list[str] | None = None) -> int:
                              "stack profile (flamegraph input) to PATH")
     parser.add_argument("--gate", type=str, metavar="PATH", default="",
                         help="fail if the run's steer share regresses vs this baseline report")
-    parser.add_argument("--paging-check", action="store_true",
-                        help="run only the paged-concept-map section and fail "
-                             "unless the bounded run's renderings are byte-"
-                             "identical to the unbounded run and residency "
-                             "stays within the cache bound")
     args = parser.parse_args(argv)
 
     if args.validate:
@@ -101,26 +94,6 @@ def main(argv: list[str] | None = None) -> int:
         overhead = measure_metrics_overhead(params)
         print(json.dumps(overhead, indent=2))
         return 0
-
-    if args.paging_check:
-        paging = measure_paging(params)
-        print(json.dumps(paging, indent=2))
-        failed = False
-        if not paging["renderings_identical"]:
-            print("paging check: bounded-cache renderings differ from the "
-                  "unbounded run — paging must not change output bytes",
-                  file=sys.stderr)
-            failed = True
-        if not paging["peak_within_bound"]:
-            print("paging check: resident segments exceeded the configured "
-                  f"bound ({paging['peak_resident_segments']} > "
-                  f"{paging['cache_segments']})", file=sys.stderr)
-            failed = True
-        if not failed:
-            print(f"paging check: pass ({paging['segments_used']} segments "
-                  f"used, cache {paging['cache_segments']}, hit rate "
-                  f"{paging['hit_rate']:.3f})")
-        return 1 if failed else 0
 
     if args.trace_overhead:
         overhead = measure_tracing_overhead(params)
@@ -181,16 +154,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"cold start {durability['cold_start_sec']:.3f}s, "
                 f"WAL overhead {durability['wal_overhead_ratio']:.2f}x ingest, "
                 f"{durability['wal_bytes']:,} WAL bytes"
-            )
-        if report["paging"]:
-            paging = report["paging"]
-            print(
-                f"paging ({paging['backend']}): {paging['segments_used']} segments "
-                f"used, cache {paging['cache_segments']} "
-                f"({paging['corpus_to_cache_ratio']:.1f}x), "
-                f"hit rate {paging['hit_rate']:.3f}, "
-                f"identical={paging['renderings_identical']}, "
-                f"peak RSS {paging['peak_rss_kb']:,} KiB"
             )
         if report["resources"]:
             resources = report["resources"]

@@ -10,24 +10,17 @@ For each label the map records every object that defines it — homonymous
 labels therefore chain multiple candidate targets, which classification
 steering later disambiguates.
 
-Two implementations share the probing logic:
-
-* :class:`ConceptMap` — fully memory-resident (the default);
-* :class:`PagedConceptMap` — chains partitioned into
-  :data:`LABEL_SEGMENT_COUNT` first-word hash segments backed by a
-  durable storage backend's ``labels`` table, faulted in on demand
-  through a bounded LRU so the *working set*, not the corpus, bounds
-  memory.
+The map is memory-resident, as in the paper.  It is rebuilt from the
+stored objects' ``defines`` on every cold start, so no backend persists
+it separately.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
-import zlib
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.core.models import ConceptLabel
 from repro.core.morphology import canonicalize_phrase
@@ -40,34 +33,9 @@ from repro.obs.memory import (
     estimate_strs,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.persistence.api import CorpusStorage
-
-__all__ = [
-    "ConceptChain",
-    "ConceptMap",
-    "PagedConceptMap",
-    "LABEL_SEGMENT_COUNT",
-    "label_segment",
-]
+__all__ = ["ConceptChain", "ConceptMap"]
 
 _T = TypeVar("_T")
-
-#: Number of first-word hash segments a corpus's chains partition into.
-#: Part of the durable ``labels`` table contract: changing it requires a
-#: label-table rebuild (the cold-start backfill does this automatically
-#: when the table is empty, so wiping the rows is a valid migration).
-LABEL_SEGMENT_COUNT = 64
-
-
-def label_segment(first_word: str) -> int:
-    """Stable segment id owning the chain headed by ``first_word``.
-
-    crc32 is platform- and version-stable, so segment assignment — and
-    with it the on-disk ``labels`` table layout — is deterministic.
-    """
-    return zlib.crc32(first_word.encode("utf-8")) % LABEL_SEGMENT_COUNT
-
 
 # -- incremental byte-accounting costs (memory accountant) -------------
 #
@@ -93,20 +61,6 @@ def _label_cost(words: tuple[str, ...]) -> int:
         + estimate_dict_entry()  # chain.labels slot
         + estimate_dict_entry()  # by_length/_length_counts amortized
     )
-
-
-def _chains_cost(chains: dict[str, "ConceptChain"]) -> int:
-    """Byte estimate of one resident segment's chain dict.
-
-    Runs once per segment fault, in the same O(segment) pass the fault
-    already paid to load the rows — never on the probe path.
-    """
-    total = 64  # the segment's chain dict shell
-    for first_word, chain in chains.items():
-        total += _CHAIN_COST + estimate_str(first_word)
-        for words, owners in chain.labels.items():
-            total += _label_cost(words) + len(owners) * estimate_set_entry()
-    return total
 
 
 @dataclass
@@ -172,25 +126,9 @@ class ConceptMap:
         # Reverse index: object id -> canonical labels it was checked in
         # under, so objects can be removed/updated in O(own labels).
         self._object_labels: dict[int, set[tuple[str, ...]]] = defaultdict(set)
-        # Chain lookup used by every probe.  Bound to ``dict.get`` here
-        # so the memory-resident hot path pays no extra indirection; the
-        # paged subclass swaps in a segment-faulting lookup.
-        self._probe_lookup: Callable[[str], ConceptChain | None] = self._chains.get
-        # Incremental byte estimate of the resident chains, maintained
-        # on mutation only; the paged subclass tracks resident segments
-        # instead (see PagedConceptMap.estimated_bytes).
+        # Incremental byte estimate of the chains, maintained on
+        # mutation only.
         self._est_bytes = 0
-
-    def __getstate__(self) -> dict[str, Any]:
-        # The bound ``dict.get`` probe hook is not picklable (process-
-        # mode batch workers ship the map); rebind it on restore.
-        state = self.__dict__.copy()
-        state.pop("_probe_lookup", None)
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._probe_lookup = self._chains.get
 
     # ------------------------------------------------------------------
     # Mutation
@@ -263,7 +201,7 @@ class ConceptMap:
     # ------------------------------------------------------------------
     def chain_for(self, first_word: str) -> ConceptChain | None:
         """The chain of labels starting with ``first_word``, if any."""
-        return self._probe_lookup(first_word)
+        return self._chains.get(first_word)
 
     def probe_longest(
         self,
@@ -282,7 +220,7 @@ class ConceptMap:
         moves on to the next-shorter label (how the matcher skips
         already-linked or fully-excluded labels).
         """
-        chain = self._probe_lookup(words[position])
+        chain = self._chains.get(words[position])
         if chain is None:
             return None
         remaining = len(words) - position
@@ -314,7 +252,7 @@ class ConceptMap:
         words = canonicalize_phrase(phrase)
         if not words:
             return frozenset()
-        chain = self._probe_lookup(words[0])
+        chain = self._chains.get(words[0])
         if chain is None:
             return frozenset()
         return frozenset(chain.labels.get(words, set()))
@@ -376,239 +314,3 @@ class ConceptMap:
         """Index many ``(phrase, object_id)`` pairs."""
         for phrase, object_id in phrases:
             self.add_phrase(phrase, object_id)
-
-
-class PagedConceptMap(ConceptMap):
-    """Out-of-core concept map: lazily paged first-word hash segments.
-
-    Chains are partitioned by :func:`label_segment` into
-    :data:`LABEL_SEGMENT_COUNT` segments, each backed by the durable
-    ``labels`` table of a :class:`~repro.persistence.api.CorpusStorage`
-    backend.  ``probe_longest`` faults in only the segments the probed
-    tokens actually touch; residency is bounded by an LRU of
-    ``max_resident`` segments (``0`` = unbounded), so corpus size is
-    capped by the backing store, not RAM.
-
-    Coherence model: mutations write-allocate (the owning segment is
-    faulted in and mutated in place) and the linker journals the same
-    mutation to the ``labels`` table, so an evicted segment re-faults to
-    an identical copy.  Like the memory-resident map, concurrent
-    *mutations* must be serialized against reads by the caller (the
-    server's readers-writer lock does this); concurrent reads — which
-    fault and evict segments — are safe, guarded by an internal lock.
-
-    The per-object reverse index lives in the ``labels`` table too:
-    ``labels_for_object`` and the whole-map introspection walk storage
-    instead of memory.
-    """
-
-    def __init__(self, storage: "CorpusStorage", max_resident: int = 0) -> None:
-        super().__init__()
-        if max_resident < 0:
-            raise ValueError("max_resident must be >= 0 (0 = unbounded)")
-        self._storage = storage
-        self._max_resident = max_resident
-        #: segment id -> {first_word: ConceptChain}, LRU order (oldest first).
-        self._resident: "OrderedDict[int, dict[str, ConceptChain]]" = OrderedDict()
-        self._paging_lock = threading.RLock()
-        # Plain-int counters (RenderCache convention): zero overhead on
-        # the probe path, folded into metrics snapshots at scrape time.
-        self._faults = 0
-        self._hits = 0
-        self._evictions = 0
-        self._peak_resident = 0
-        # Byte estimate per resident segment (computed once at fault
-        # time, adjusted in place by mutations, dropped on eviction) and
-        # the running total across segments.
-        self._segment_bytes: dict[int, int] = {}
-        self._resident_bytes = 0
-        self._peak_resident_bytes = 0
-        self._probe_lookup = self._paged_lookup
-
-    def __getstate__(self) -> dict[str, Any]:
-        raise TypeError(
-            "PagedConceptMap cannot be pickled: its segments live in the "
-            "storage backend; use an unpaged linker (or thread-mode batch) "
-            "for process fan-out"
-        )
-
-    # ------------------------------------------------------------------
-    # Segment cache
-    # ------------------------------------------------------------------
-    def _paged_lookup(self, first_word: str) -> ConceptChain | None:
-        return self._segment_chains(label_segment(first_word)).get(first_word)
-
-    def _segment_chains(self, segment: int) -> dict[str, ConceptChain]:
-        """The resident chain dict of ``segment``, faulting it in if needed."""
-        with self._paging_lock:
-            chains = self._resident.get(segment)
-            if chains is not None:
-                self._resident.move_to_end(segment)
-                self._hits += 1
-                return chains
-            # Evict before inserting so residency never exceeds the bound.
-            while self._max_resident and len(self._resident) >= self._max_resident:
-                evicted, _ = self._resident.popitem(last=False)
-                self._resident_bytes -= self._segment_bytes.pop(evicted, 0)
-                self._evictions += 1
-            chains = self._load_segment(segment)
-            self._resident[segment] = chains
-            cost = _chains_cost(chains)
-            self._segment_bytes[segment] = cost
-            self._resident_bytes += cost
-            self._faults += 1
-            self._peak_resident = max(self._peak_resident, len(self._resident))
-            self._peak_resident_bytes = max(
-                self._peak_resident_bytes, self._resident_bytes
-            )
-            return chains
-
-    def _load_segment(self, segment: int) -> dict[str, ConceptChain]:
-        chains: dict[str, ConceptChain] = {}
-        for words, object_id in self._storage.load_label_segment(segment):
-            chain = chains.get(words[0])
-            if chain is None:
-                chain = chains[words[0]] = ConceptChain()
-            owners = chain.labels.get(words)
-            if owners is None:
-                chain.labels[words] = {object_id}
-                chain._note_label_added(len(words))
-            else:
-                owners.add(object_id)
-        return chains
-
-    def _account_segment(self, segment: int, delta: int) -> None:
-        """Apply a mutation's byte delta to a resident segment's estimate.
-
-        Caller holds ``_paging_lock``.  The segment is always resident
-        when a mutation touches it (write-allocate), but guard anyway:
-        an unaccounted segment swallows the delta rather than drifting
-        the total.
-        """
-        if delta and segment in self._segment_bytes:
-            self._segment_bytes[segment] += delta
-            self._resident_bytes += delta
-            self._peak_resident_bytes = max(
-                self._peak_resident_bytes, self._resident_bytes
-            )
-
-    def estimated_bytes(self) -> int:
-        """Bytes held by the *resident* segments (the paged working set)."""
-        with self._paging_lock:
-            return self._resident_bytes
-
-    def memory_roots(self) -> tuple[object, ...]:
-        # Snapshot the LRU shell so the deep walk never iterates a dict
-        # being mutated by a concurrent fault; the chain dicts inside
-        # are shared (mutations to them are serialized by the caller's
-        # writer lock).
-        with self._paging_lock:
-            return (dict(self._resident),)
-
-    def paging_snapshot(self) -> dict[str, int | float]:
-        """Fault/hit/eviction counters and residency of the segment cache."""
-        with self._paging_lock:
-            lookups = self._hits + self._faults
-            return {
-                "faults": self._faults,
-                "hits": self._hits,
-                "evictions": self._evictions,
-                "hit_rate": (self._hits / lookups) if lookups else 0.0,
-                "resident": len(self._resident),
-                "peak_resident": self._peak_resident,
-                "max_resident": self._max_resident,
-                "resident_bytes": self._resident_bytes,
-                "peak_resident_bytes": self._peak_resident_bytes,
-            }
-
-    # ------------------------------------------------------------------
-    # Mutation (write-allocate: fault the owning segment, mutate in place)
-    # ------------------------------------------------------------------
-    def add_canonical(self, words: tuple[str, ...], object_id: int) -> None:
-        with self._paging_lock:
-            segment = label_segment(words[0])
-            chains = self._segment_chains(segment)
-            delta = 0
-            chain = chains.get(words[0])
-            if chain is None:
-                chain = chains[words[0]] = ConceptChain()
-                delta += _CHAIN_COST + estimate_str(words[0])
-            owners = chain.labels.get(words)
-            if owners is None:
-                chain.labels[words] = {object_id}
-                chain._note_label_added(len(words))
-                delta += _label_cost(words) + estimate_set_entry()
-            elif object_id not in owners:
-                owners.add(object_id)
-                delta += estimate_set_entry()
-            self._account_segment(segment, delta)
-
-    def remove_object(self, object_id: int) -> set[tuple[str, ...]]:
-        removed_entirely: set[tuple[str, ...]] = set()
-        with self._paging_lock:
-            for words in self._storage.load_object_labels(object_id):
-                segment = label_segment(words[0])
-                chains = self._segment_chains(segment)
-                delta = 0
-                chain = chains.get(words[0])
-                if chain is None:
-                    continue
-                owners = chain.labels.get(words)
-                if owners is None:
-                    continue
-                if object_id in owners:
-                    owners.discard(object_id)
-                    delta -= estimate_set_entry()
-                if not owners:
-                    del chain.labels[words]
-                    chain._note_label_removed(len(words))
-                    removed_entirely.add(words)
-                    delta -= _label_cost(words)
-                if not chain.labels:
-                    del chains[words[0]]
-                    delta -= _CHAIN_COST + estimate_str(words[0])
-                self._account_segment(segment, delta)
-        return removed_entirely
-
-    # ------------------------------------------------------------------
-    # Storage-backed introspection
-    # ------------------------------------------------------------------
-    def labels_for_object(self, object_id: int) -> frozenset[tuple[str, ...]]:
-        return frozenset(self._storage.load_object_labels(object_id))
-
-    def concept_labels(self) -> Iterator[ConceptLabel]:
-        for words, object_id in self._storage.iter_labels():
-            yield ConceptLabel(words=words, raw=" ".join(words), object_id=object_id)
-
-    def __len__(self) -> int:
-        return int(self._storage.label_stats()["labels"])
-
-    @property
-    def first_word_count(self) -> int:
-        return int(self._storage.label_stats()["buckets"])
-
-    @property
-    def object_count(self) -> int:
-        return int(self._storage.label_stats()["objects"])
-
-    def stats(self) -> dict[str, int | float]:
-        chain_sizes: dict[str, int] = defaultdict(int)
-        seen: set[tuple[str, ...]] = set()
-        objects: set[int] = set()
-        max_label_len = 0
-        for words, object_id in self._storage.iter_labels():
-            objects.add(object_id)
-            if words in seen:
-                continue
-            seen.add(words)
-            chain_sizes[words[0]] += 1
-            max_label_len = max(max_label_len, len(words))
-        label_count = len(seen)
-        return {
-            "labels": label_count,
-            "buckets": len(chain_sizes),
-            "objects": len(objects),
-            "max_chain": max(chain_sizes.values(), default=0),
-            "mean_chain": (label_count / len(chain_sizes)) if chain_sizes else 0.0,
-            "max_label_len": max_label_len,
-        }

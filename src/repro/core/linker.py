@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.cache import RenderCache
 from repro.core.classification import ClassificationGraph, ClassificationSteering
-from repro.core.concept_map import ConceptMap, PagedConceptMap
+from repro.core.concept_map import ConceptMap
 from repro.core.config import NNexusConfig
 from repro.core.errors import (
     DuplicateObjectError,
@@ -41,7 +41,6 @@ from repro.core.errors import (
 from repro.core.invalidation import InvalidationIndex
 from repro.core.matching import find_matches
 from repro.core.models import CorpusObject, Link, LinkedDocument, Match
-from repro.core.morphology import canonicalize_phrase
 from repro.core.policies import LinkingPolicyTable
 from repro.core.render import render_annotations, render_html, render_markdown
 from repro.core.tokenizer import Tokenizer
@@ -154,15 +153,6 @@ class NNexus:
         of restored renderings verified) and every later mutation is
         journaled through it.  A journaling failure degrades the linker
         to read-only instead of crashing or silently diverging.
-    map_cache_segments:
-        ``None`` (default) keeps the whole concept map memory-resident.
-        An integer switches to the lazily paged
-        :class:`~repro.core.concept_map.PagedConceptMap` over the
-        storage backend's ``labels`` table, bounding residency to that
-        many first-word hash segments (``0`` = paged but unbounded).
-        Requires a durable backend with ``supports_labels``; the cold
-        start then restores objects *without* materializing their
-        labels — segments fault in as probes touch them.
     memory_reconcile_sec:
         ``None`` (default) deep-reconciles the per-component memory
         estimates only on demand (``resource_stats(deep=True)``, i.e.
@@ -182,7 +172,6 @@ class NNexus:
         metrics: NullRecorder | None = None,
         tracer: NullTracer | None = None,
         storage: CorpusStorage | None = None,
-        map_cache_segments: int | None = None,
         memory_reconcile_sec: float | None = None,
     ) -> None:
         self.config = config or NNexusConfig()
@@ -203,8 +192,6 @@ class NNexus:
 
         #: Durable journal + cold-start source; the default memory
         #: backend makes every journal site a no-op attribute check.
-        #: Assigned before the concept map: the paged map reads its
-        #: segments through this backend.
         self.storage = storage if storage is not None else MemoryBackend()
         #: Set after storage corruption or a journaling failure: reads
         #: keep serving, mutations raise :class:`ReadOnlyError`.
@@ -214,12 +201,6 @@ class NNexus:
         #: What the last cold start restored (None for memory backends).
         self.last_restore: dict[str, Any] | None = None
         self._restoring = False
-        #: True only inside :meth:`_cold_start`'s replay loop (unlike
-        #: ``_restoring``, which ``update_object`` also raises to
-        #: suppress its inner journals).
-        self._cold_restoring = False
-        #: Segment bound of the paged concept map (None = unpaged).
-        self.map_cache_segments = map_cache_segments
 
         if self.config.extra_escape_patterns:
             import re
@@ -233,18 +214,7 @@ class NNexus:
             self._tokenizer = Tokenizer(escape_rules=extra + DEFAULT_ESCAPE_RULES)
         else:
             self._tokenizer = Tokenizer()
-        if map_cache_segments is None:
-            self._concept_map: ConceptMap = ConceptMap()
-        else:
-            if not self.storage.supports_labels:
-                raise NNexusError(
-                    "map_cache_segments requires a durable storage backend "
-                    "with a labels table (engine or sqlite); "
-                    f"got {self.storage.backend_name!r}"
-                )
-            self._concept_map = PagedConceptMap(
-                self.storage, max_resident=map_cache_segments
-            )
+        self._concept_map = ConceptMap()
         self._objects: dict[int, CorpusObject] = {}
         self._policies = LinkingPolicyTable(scheme=scheme)
         self._invalidation = InvalidationIndex(
@@ -274,12 +244,12 @@ class NNexus:
         #: Incremental byte estimate of the private object store, kept
         #: symmetric in add/remove_object so it cannot drift.
         self._objects_bytes = 0
-        #: Per-component memory accountant (objects store, concept-map
-        #: resident segments, invalidation index, render cache, trace
-        #: ring, metrics registry).  Components report cheap plain-int
-        #: estimates; ``resource_stats(deep=True)`` or the optional
-        #: reconciler thread deep-samples the same graphs and reports
-        #: the estimate/deep ratio the bench gates at 2x.
+        #: Per-component memory accountant (objects store, concept map
+        #: under the historical key ``map_segments``, invalidation index,
+        #: render cache, trace ring, metrics registry).  Components
+        #: report cheap plain-int estimates; ``resource_stats(deep=True)``
+        #: or the optional reconciler thread deep-samples the same graphs
+        #: and reports the estimate/deep ratio the bench gates at 2x.
         self.accountant = MemoryAccountant(
             reconcile_interval_sec=memory_reconcile_sec
         )
@@ -327,30 +297,10 @@ class NNexus:
         re-rendered from scratch and compared byte-for-byte; a mismatch
         (stale disk state, changed config) evicts the cached copy so it
         is recomputed on demand rather than served wrong.
-
-        With a paged concept map the replay does **not** materialize
-        any concept labels: the durable ``labels`` table already holds
-        them, and segments fault in as probes touch them.  A data
-        directory written before the labels table existed is migrated
-        in place — the rows are backfilled from the restored objects
-        once, before the replay.
         """
         started = perf_counter()
         snapshot = self.storage.load()
-        paged = isinstance(self._concept_map, PagedConceptMap)
-        backfilled = 0
-        if paged and snapshot.objects and self.storage.label_stats()["labels"] == 0:
-            for obj in snapshot.objects:
-                # Pre-serving migration backfill: the linker is not
-                # accepting requests yet, so there is no degraded mode
-                # to route through — a failure here must abort the cold
-                # start, not be swallowed by _journal().  replace_labels
-                # is transactional inside the backend.
-                # lint: disable=REP102
-                self.storage.replace_labels(obj.object_id, _canonical_labels(obj))
-                backfilled += 1
         self._restoring = True
-        self._cold_restoring = True
         try:
             for obj in snapshot.objects:
                 self.add_object(obj)
@@ -364,7 +314,6 @@ class NNexus:
                     )
         finally:
             self._restoring = False
-            self._cold_restoring = False
         verified = mismatches = 0
         for rendering in snapshot.renderings:
             if verified >= verify_sample:
@@ -383,7 +332,6 @@ class NNexus:
             "renderings": len(snapshot.renderings),
             "verified": verified,
             "mismatches": mismatches,
-            "label_backfill": backfilled,
             "elapsed_sec": perf_counter() - started,
             "recovery": self.storage.recovery_stats(),
         }
@@ -432,13 +380,6 @@ class NNexus:
         counts belong to the parent); worker snapshots run with the null
         recorder and report timings back through the batch layer.
         """
-        if isinstance(self._concept_map, PagedConceptMap):
-            raise NNexusError(
-                "a linker with a paged concept map cannot be pickled for "
-                "process-mode batch workers: the map is a window over the "
-                "storage backend's labels table; use thread mode or an "
-                "unpaged linker (map_cache_segments=None)"
-            )
         state = self.__dict__.copy()
         if getattr(state.get("metrics"), "enabled", False):
             state["metrics"] = NULL_RECORDER
@@ -487,29 +428,17 @@ class NNexus:
         self._objects[obj.object_id] = obj
         self._objects_bytes += _object_cost(obj)
         new_labels: list[tuple[str, ...]] = []
-        if self._cold_restoring and isinstance(self._concept_map, PagedConceptMap):
-            # Cold start with a paged map: the labels are already in the
-            # durable ``labels`` table, so nothing is materialized here —
-            # segments fault in lazily when probes touch them.  Skipping
-            # invalidation is safe too: the render cache is populated
-            # only after the replay loop.
-            pass
-        else:
-            for phrase in obj.concept_phrases():
-                words = self._concept_map.add_phrase(phrase, obj.object_id)
-                if words is not None:
-                    new_labels.append(words)
+        for phrase in obj.concept_phrases():
+            words = self._concept_map.add_phrase(phrase, obj.object_id)
+            if words is not None:
+                new_labels.append(words)
         if obj.linking_policy:
             self._policies.set_policy(obj.object_id, obj.linking_policy)
         self._invalidation.index_object(obj.object_id, obj.text)
         invalidated = self._invalidation.invalidate_many(new_labels)
         invalidated.discard(obj.object_id)
         self._cache.invalidate(invalidated)
-        self._journal(
-            lambda: self.storage.record_add(
-                obj, invalidated, labels=_canonical_labels(obj)
-            )
-        )
+        self._journal(lambda: self.storage.record_add(obj, invalidated))
         return invalidated
 
     def add_objects(self, objects: Iterable[CorpusObject]) -> None:
@@ -558,11 +487,7 @@ class NNexus:
         finally:
             self._restoring = restoring
         stored = self.get_object(obj.object_id)
-        self._journal(
-            lambda: self.storage.record_update(
-                stored, invalidated, labels=_canonical_labels(stored)
-            )
-        )
+        self._journal(lambda: self.storage.record_update(stored, invalidated))
         return invalidated
 
     def set_linking_policy(self, object_id: int, policy_text: str) -> None:
@@ -581,11 +506,7 @@ class NNexus:
         )
         invalidated.discard(object_id)
         self._cache.invalidate(invalidated)
-        self._journal(
-            lambda: self.storage.record_update(
-                obj, invalidated, labels=_canonical_labels(obj)
-            )
-        )
+        self._journal(lambda: self.storage.record_update(obj, invalidated))
 
     def get_object(self, object_id: int) -> CorpusObject:
         """Fetch a stored entry; raises UnknownObjectError when absent."""
@@ -1057,7 +978,6 @@ class NNexus:
             "steering": self.enable_steering,
             "policies_enabled": self.enable_policies,
             "storage": self.storage.backend_name,
-            "map_cache_segments": self.map_cache_segments,
             "read_only": self.read_only,
             "version": _repro_version(),
             "uptime_seconds": round(self.uptime_seconds(), 3),
@@ -1078,16 +998,13 @@ class NNexus:
         """
         if deep:
             self.accountant.reconcile()
-        out: dict[str, Any] = {
+        return {
             "version": _repro_version(),
             "uptime_seconds": self.uptime_seconds(),
             "objects": len(self._objects),
             "concepts": self.concept_count(),
             "memory": self.accountant.snapshot(),
         }
-        if isinstance(self._concept_map, PagedConceptMap):
-            out["paging"] = self._concept_map.paging_snapshot()
-        return out
 
     def metrics_snapshot(self) -> dict[str, list[dict[str, Any]]]:
         """Unified metrics view: recorder series + cache and corpus series.
@@ -1134,18 +1051,6 @@ class NNexus:
             gauges.append(
                 ("nnexus_steer_signature_cache_entries", {}, signature["entries"])
             )
-        if isinstance(self._concept_map, PagedConceptMap):
-            paging = self._concept_map.paging_snapshot()
-            counters += [
-                ("nnexus_map_segment_faults_total", {}, paging["faults"]),
-                ("nnexus_map_segment_hits_total", {}, paging["hits"]),
-                ("nnexus_map_segment_evictions_total", {}, paging["evictions"]),
-            ]
-            gauges += [
-                ("nnexus_map_resident_segments", {}, paging["resident"]),
-                ("nnexus_map_peak_resident_segments", {}, paging["peak_resident"]),
-                ("nnexus_map_cache_segments", {}, paging["max_resident"]),
-            ]
         memory = self.accountant.sample()
         peaks = self.accountant.peaks()
         for component in sorted(memory):
@@ -1204,23 +1109,6 @@ def _object_cost(obj: CorpusObject) -> int:
         + estimate_container(len(obj.classes), base=56)
         + estimate_dict_entry(28)
     )
-
-
-def _canonical_labels(obj: CorpusObject) -> list[tuple[str, ...]]:
-    """Deduplicated canonical labels an object defines, in phrase order.
-
-    This recomputes from the object rather than asking the concept map:
-    the paged map's ``labels_for_object`` reads storage, which is stale
-    at journal time (the journal record being built is what updates it).
-    """
-    seen: set[tuple[str, ...]] = set()
-    out: list[tuple[str, ...]] = []
-    for phrase in obj.concept_phrases():
-        words = canonicalize_phrase(phrase)
-        if words and words not in seen:
-            seen.add(words)
-            out.append(words)
-    return out
 
 
 _RENDERERS = {

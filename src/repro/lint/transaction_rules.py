@@ -13,12 +13,12 @@ Two convention violations have already cost debugging time:
 The rule therefore has two halves:
 
 **Backend half** (``persistence`` modules): inside any method named
-``record_*`` or ``replace_labels`` of a class that sets
-``durable = True``, every database mutation (``upsert``/``insert``/
-``update``/``delete`` on the engine, ``execute``/``executemany`` with
-INSERT/UPDATE/DELETE/REPLACE SQL on sqlite) must be lexically inside a
-``with`` block whose context is a ``transaction()`` call or the sqlite
-connection itself (``with self._conn`` opens a transaction).  A helper
+``record_*`` of a class that sets ``durable = True``, every database
+mutation (``upsert``/``insert``/``update``/``delete`` on the engine,
+``execute``/``executemany`` with INSERT/UPDATE/DELETE/REPLACE SQL on
+sqlite) must be lexically inside a ``with`` block whose context is a
+``transaction()`` call or the sqlite connection itself (``with
+self._conn`` opens a transaction).  A helper
 whose docstring states its transactional contract (the word
 "transaction" appears in it) is exempt — the contract is then
 machine-visible at the definition site and this rule checks its
@@ -26,7 +26,7 @@ machine-visible at the definition site and this rule checks its
 
 **Caller half** (``core`` modules): direct calls to
 ``storage.record_add/record_update/record_remove/record_rendering/
-record_cache_clear/replace_labels`` must sit inside a lambda passed to
+record_cache_clear`` must sit inside a lambda passed to
 ``*._journal(...)`` (the linker's degradation wrapper), or in a
 function whose docstring declares the contract.
 """
@@ -49,7 +49,6 @@ _JOURNAL_METHODS = (
     "record_remove",
     "record_rendering",
     "record_cache_clear",
-    "replace_labels",
 )
 
 

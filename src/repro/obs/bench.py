@@ -17,7 +17,6 @@ it on every emitted artifact.
 from __future__ import annotations
 
 import hashlib
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,6 @@ from time import perf_counter
 from typing import Any
 
 from repro.core.batch import BatchLinker
-from repro.core.concept_map import LABEL_SEGMENT_COUNT
 from repro.core.linker import NNexus
 from repro.corpus.generator import GeneratorParams, load_or_generate
 from repro.obs.memory import within_ratio
@@ -41,7 +39,6 @@ __all__ = [
     "measure_tracing_overhead",
     "measure_profile_overhead",
     "measure_persistence",
-    "measure_paging",
     "validate_report",
     "check_regression",
     "SCHEMA_VERSION",
@@ -54,7 +51,7 @@ __all__ = [
     "STEER_SHARE_ABSOLUTE_TOLERANCE",
 ]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Pipeline stages the report must cover when metrics are enabled.
 STAGES = ("tokenize", "match", "policy", "steer", "render")
@@ -105,11 +102,6 @@ class BenchParams:
     #: and the cold-start restore time of the engine backend; disabled
     #: by the overhead comparison runs.
     persistence: bool = True
-    #: Measure the paged concept map: render the corpus with residency
-    #: bounded to a quarter of its used segments and assert the output
-    #: is byte-identical to the unbounded run; disabled by the overhead
-    #: comparison runs.
-    paging: bool = True
     #: Measure per-component memory accounting (incremental estimates
     #: reconciled against a deep getsizeof walk, gated within 2x) and
     #: smoke the sampling profiler over a render pass; disabled by the
@@ -203,10 +195,6 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
     if params.persistence:
         persistence = measure_persistence(params)
 
-    paging: dict[str, Any] = {}
-    if params.paging:
-        paging = measure_paging(params)
-
     stages: dict[str, dict[str, float]] = {}
     if params.metrics:
         for stage in STAGES:
@@ -239,7 +227,6 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
             "metrics": params.metrics,
             "scaling": params.scaling,
             "persistence": params.persistence,
-            "paging": params.paging,
             "resources": params.resources,
         },
         "corpus": {
@@ -267,7 +254,6 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
         "steering": steering_summary,
         "batch_scaling": batch_scaling,
         "persistence": persistence,
-        "paging": paging,
         "resources": resources,
         "stages": stages,
     }
@@ -390,113 +376,6 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
     }
 
 
-def _peak_rss_kb() -> int:
-    """Lifetime peak RSS of this process in KiB (0 when unavailable)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-unix platform
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS bytes; normalize to KiB.
-    if sys.platform == "darwin":  # pragma: no cover - platform specific
-        peak //= 1024
-    return int(peak)
-
-
-def measure_paging(params: BenchParams | None = None) -> dict[str, Any]:
-    """Paged-concept-map correctness and cost on the deterministic corpus.
-
-    Ingests the corpus once into a durable engine directory, then
-    renders every entry twice from cold starts: first through an
-    *unbounded* paged map (segments fault once, never evict) to learn
-    how many segments the corpus uses and establish the golden output
-    hash, then through a map bounded to a quarter of those segments —
-    so the corpus is >=4x the cache and renders churn the LRU.
-
-    The two hashes MUST match (``renderings_identical``) and the
-    bounded run's peak residency MUST stay within the bound
-    (``peak_within_bound``): paging is a memory policy and may never
-    change output bytes.  CI fails the run otherwise (``--paging-check``
-    or a ``validate_report`` pass on a paging-enabled report).
-
-    ``peak_rss_kb`` is the process-lifetime peak (``ru_maxrss``), so
-    single-process comparisons between the two passes are indicative
-    only; the resident-segment counters are the precise memory story.
-    """
-    params = params or BenchParams.smoke_params()
-    corpus = load_or_generate(
-        GeneratorParams(n_entries=params.entries, seed=params.seed)
-    )
-    object_ids = [obj.object_id for obj in corpus.objects]
-
-    def cold_render_pass(
-        data_dir: Path, cache_segments: int
-    ) -> tuple[float, float, str, dict[str, Any]]:
-        storage = open_storage(
-            "engine", data_dir, sync="off", persist_renderings=False
-        )
-        try:
-            start = perf_counter()
-            linker = NNexus(
-                scheme=corpus.scheme,
-                storage=storage,
-                map_cache_segments=cache_segments,
-            )
-            cold_start_sec = perf_counter() - start
-            digest = hashlib.sha256()
-            start = perf_counter()
-            for object_id in object_ids:
-                digest.update(linker.render_object(object_id).encode("utf-8"))
-            render_sec = perf_counter() - start
-            snapshot = linker.concept_map.paging_snapshot()
-        finally:
-            storage.close()
-        return cold_start_sec, render_sec, digest.hexdigest(), snapshot
-
-    with tempfile.TemporaryDirectory(prefix="bench-paging-") as tmp:
-        data_dir = Path(tmp) / "data"
-        storage = open_storage(
-            "engine", data_dir, sync="off", persist_renderings=False
-        )
-        try:
-            ingest = NNexus(scheme=corpus.scheme, storage=storage)
-            ingest.add_objects(corpus.objects)
-        finally:
-            storage.close()
-
-        unbounded = cold_render_pass(data_dir, cache_segments=0)
-        segments_used = int(unbounded[3]["resident"])
-        cache_segments = max(1, segments_used // 4)
-        bounded = cold_render_pass(data_dir, cache_segments=cache_segments)
-
-    bounded_snapshot = bounded[3]
-    lookups = bounded_snapshot["faults"] + bounded_snapshot["hits"]
-    return {
-        "backend": "engine",
-        "entries": len(corpus.objects),
-        "segments_total": LABEL_SEGMENT_COUNT,
-        "segments_used": segments_used,
-        "cache_segments": cache_segments,
-        "corpus_to_cache_ratio": (
-            segments_used / cache_segments if cache_segments else 0.0
-        ),
-        "unbounded_cold_start_sec": unbounded[0],
-        "unbounded_render_sec": unbounded[1],
-        "bounded_cold_start_sec": bounded[0],
-        "bounded_render_sec": bounded[1],
-        "faults": int(bounded_snapshot["faults"]),
-        "hits": int(bounded_snapshot["hits"]),
-        "evictions": int(bounded_snapshot["evictions"]),
-        "hit_rate": (bounded_snapshot["hits"] / lookups) if lookups else 0.0,
-        "peak_resident_segments": int(bounded_snapshot["peak_resident"]),
-        "peak_within_bound": bounded_snapshot["peak_resident"] <= cache_segments,
-        "unbounded_sha256": unbounded[2],
-        "bounded_sha256": bounded[2],
-        "renderings_identical": unbounded[2] == bounded[2],
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-
-
 def measure_metrics_overhead(params: BenchParams | None = None) -> dict[str, float]:
     """Cold-pass wall time with metrics off vs. on (the <=2% budget check).
 
@@ -507,12 +386,12 @@ def measure_metrics_overhead(params: BenchParams | None = None) -> dict[str, flo
     params = params or BenchParams.smoke_params()
     baseline = run_linking_bench(
         BenchParams(entries=params.entries, seed=params.seed, smoke=params.smoke,
-                    metrics=False, scaling=False, persistence=False, paging=False,
+                    metrics=False, scaling=False, persistence=False,
                     resources=False)
     )
     instrumented = run_linking_bench(
         BenchParams(entries=params.entries, seed=params.seed, smoke=params.smoke,
-                    metrics=True, scaling=False, persistence=False, paging=False,
+                    metrics=True, scaling=False, persistence=False,
                     resources=False)
     )
     base = baseline["throughput"]["cold_elapsed_sec"]
@@ -628,7 +507,6 @@ _SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
         "metrics": bool,
         "scaling": bool,
         "persistence": bool,
-        "paging": bool,
         "resources": bool,
     },
     "corpus": {"objects": int, "concepts": int, "tokens": int},
@@ -659,29 +537,6 @@ _PERSISTENCE_FIELDS: dict[str, type | tuple[type, ...]] = {
     "wal_bytes": int,
     "cold_start_sec": _NUMBER,
     "restored_objects": int,
-}
-
-_PAGING_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "backend": str,
-    "entries": int,
-    "segments_total": int,
-    "segments_used": int,
-    "cache_segments": int,
-    "corpus_to_cache_ratio": _NUMBER,
-    "unbounded_cold_start_sec": _NUMBER,
-    "unbounded_render_sec": _NUMBER,
-    "bounded_cold_start_sec": _NUMBER,
-    "bounded_render_sec": _NUMBER,
-    "faults": int,
-    "hits": int,
-    "evictions": int,
-    "hit_rate": _NUMBER,
-    "peak_resident_segments": int,
-    "peak_within_bound": bool,
-    "unbounded_sha256": str,
-    "bounded_sha256": str,
-    "renderings_identical": bool,
-    "peak_rss_kb": int,
 }
 
 _STAGE_FIELDS: dict[str, type | tuple[type, ...]] = {
@@ -760,26 +615,6 @@ def validate_report(report: Any) -> list[str]:
             problems.append(
                 "persistence.restored_objects must equal persistence.entries "
                 "— the cold start lost corpus objects"
-            )
-
-    paging_on = isinstance(report.get("params"), dict) and report["params"].get("paging")
-    paging = report.get("paging")
-    if not isinstance(paging, dict):
-        problems.append("missing or non-object section 'paging'")
-    elif paging_on:
-        for name, kinds in _PAGING_FIELDS.items():
-            value = paging.get(name)
-            if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
-                problems.append(f"paging.{name} must be {kinds}, got {value!r}")
-        if paging.get("renderings_identical") is False:
-            problems.append(
-                "paging.renderings_identical is false — the bounded paged run "
-                "changed output bytes vs the unbounded run"
-            )
-        if paging.get("peak_within_bound") is False:
-            problems.append(
-                "paging.peak_within_bound is false — resident segments "
-                "exceeded the configured cache bound"
             )
 
     resources_on = isinstance(report.get("params"), dict) and report["params"].get(

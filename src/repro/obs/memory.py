@@ -1,16 +1,15 @@
 """Per-component memory accounting: cheap estimates, deep reconciler.
 
-ROADMAP item 1 wants the remaining resident structures paged or
-bounded, and item 2's shard router needs per-node capacity signals.
-Both start with the same question this module answers: *how many bytes
-does each component actually hold?*
+Sizing a structure to its job, and any future capacity planning, start
+with the same question this module answers: *how many bytes does each
+component actually hold?*
 
 Two measurement tiers, deliberately separate:
 
 * **Incremental estimates** — each component (objects store, concept
-  map resident segments, invalidation index, render cache, trace
-  ring) maintains a plain-int byte counter updated only on mutation,
-  using the ``estimate_*`` helpers below.  Reads cost nothing; the
+  map, invalidation index, render cache, trace ring) maintains a
+  plain-int byte counter updated only on mutation, using the
+  ``estimate_*`` helpers below.  Reads cost nothing; the
   linker folds the counters into ``metrics_snapshot()`` as
   ``nnexus_memory_bytes{component=...}`` gauges at scrape time, the
   same zero-hot-path-overhead convention the render cache uses for

@@ -11,13 +11,9 @@ rendering stored with ``valid=False`` is exactly a cache entry awaiting
 ``relink_invalidated()``, so restoring rows with their flags reproduces
 the pre-crash dirty-set without a separate table.
 
-Durable backends additionally maintain a ``labels`` table — one row per
-``(object, canonical label)`` pair, tagged with its first-word hash
-segment (see :func:`repro.core.concept_map.label_segment`) — which the
-paged concept map range-reads one segment at a time.  The label rows
-are written in the same transaction as the object change they belong
-to, so a crash can never persist an object without its index entries.
-Backends that implement the table answer ``supports_labels = True``.
+Backends store objects and renderings only.  The concept map is derived
+from the objects' ``defines`` and is rebuilt on every cold start, so it
+has no table of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.errors import NNexusError
 from repro.core.models import CorpusObject
@@ -103,9 +99,6 @@ class CorpusStorage(ABC):
     durable: bool = False
     #: When False, ``record_rendering`` is skipped by the linker.
     persist_renderings: bool = True
-    #: True when the backend maintains the ``labels`` table the paged
-    #: concept map needs (both durable backends do).
-    supports_labels: bool = False
 
     # ------------------------------------------------------------------
     # Cold start
@@ -118,31 +111,16 @@ class CorpusStorage(ABC):
     # Journal — one atomic record per linker mutation
     # ------------------------------------------------------------------
     @abstractmethod
-    def record_add(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
-        """Journal an object registration plus its invalidation fallout.
-
-        ``labels`` carries the object's canonical concept labels; a
-        label-aware backend replaces the object's ``labels`` rows in
-        the same transaction.
-        """
+    def record_add(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
+        """Journal an object registration plus its invalidation fallout."""
 
     @abstractmethod
-    def record_update(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
+    def record_update(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         """Journal an in-place object replacement (also policy changes)."""
 
     @abstractmethod
     def record_remove(self, object_id: int, invalidated: Iterable[int]) -> None:
-        """Journal an object removal; drops its renderings and labels too."""
+        """Journal an object removal; drops its renderings too."""
 
     @abstractmethod
     def record_rendering(self, object_id: int, fmt: str, body: str) -> None:
@@ -151,30 +129,6 @@ class CorpusStorage(ABC):
     @abstractmethod
     def record_cache_clear(self) -> None:
         """Journal a full render-cache wipe (ranker/weight changes)."""
-
-    # ------------------------------------------------------------------
-    # Label segments (the paged concept map's backing store)
-    # ------------------------------------------------------------------
-    def load_label_segment(self, segment: int) -> list[tuple[tuple[str, ...], int]]:
-        """All ``(label_words, object_id)`` rows in one hash segment."""
-        return []
-
-    def load_object_labels(self, object_id: int) -> list[tuple[str, ...]]:
-        """Canonical labels one object defines (the reverse index)."""
-        return []
-
-    def replace_labels(
-        self, object_id: int, labels: Iterable[tuple[str, ...]]
-    ) -> None:
-        """Replace one object's label rows (cold-start backfill path)."""
-
-    def iter_labels(self) -> Iterator[tuple[tuple[str, ...], int]]:
-        """Every ``(label_words, object_id)`` row (introspection only)."""
-        return iter(())
-
-    def label_stats(self) -> dict[str, int]:
-        """Label-table shape: distinct labels / objects / first words."""
-        return {"labels": 0, "objects": 0, "buckets": 0}
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,28 +1,26 @@
 """Corpus persistence on the embedded storage engine (snapshot + WAL).
 
-Three tables:
+Two tables:
 
 * ``objects`` — one JSON payload per corpus object (the policy text
   travels inside the payload, mirroring ``CorpusObject``);
 * ``renderings`` — one row per ``(object, format)`` cached rendering,
   keyed ``"<object_id>:<fmt>"``, with a ``valid`` flag that doubles as
-  the invalidation dirty-set;
-* ``labels`` — one row per ``(object, canonical label)`` pair, keyed
-  ``"<object_id>:<label>"`` and indexed by ``object_id`` and by the
-  first-word hash ``segment`` the paged concept map range-reads.
+  the invalidation dirty-set.
 
 Every ``record_*`` call is one engine transaction, which the hardened
 engine journals as ONE framed WAL record — so a crash can never
-persist an object change without its invalidation side-effects or its
-label-index rows.
+persist an object change without its invalidation side-effects.
+
+Opening a data directory drops the ``labels`` table that older versions
+kept for a paged concept map; nothing maintains its rows any more.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
-from repro.core.concept_map import label_segment
 from repro.core.models import CorpusObject
 from repro.persistence.api import (
     CorpusSnapshot,
@@ -51,23 +49,11 @@ _RENDERINGS_SCHEMA = Schema(
     primary_key="key",
 )
 
-_LABELS_SCHEMA = Schema(
-    columns=(
-        Column("key", "str"),
-        Column("object_id", "int"),
-        Column("words", "json"),
-        Column("segment", "int"),
-    ),
-    primary_key="key",
-)
-
-
 class EngineBackend(CorpusStorage):
     """Durable backend on :class:`repro.storage.engine.Database`."""
 
     backend_name = "engine"
     durable = True
-    supports_labels = True
 
     def __init__(
         self,
@@ -83,10 +69,8 @@ class EngineBackend(CorpusStorage):
             self._db.create_table("objects", _OBJECTS_SCHEMA)
         if not self._db.has_table("renderings"):
             self._db.create_table("renderings", _RENDERINGS_SCHEMA, indexes=("object_id",))
-        if not self._db.has_table("labels"):
-            self._db.create_table(
-                "labels", _LABELS_SCHEMA, indexes=("object_id", "segment")
-            )
+        if self._db.has_table("labels"):
+            self._db.drop_table("labels")
 
     @property
     def database(self) -> Database:
@@ -112,25 +96,14 @@ class EngineBackend(CorpusStorage):
     # ------------------------------------------------------------------
     # Journal
     # ------------------------------------------------------------------
-    def record_add(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
+    def record_add(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         with self._db.transaction():
             self._db.upsert(
                 "objects", {"object_id": obj.object_id, "payload": object_to_payload(obj)}
             )
-            self._replace_labels(obj.object_id, labels)
             self._mark_invalid(invalidated)
 
-    def record_update(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
+    def record_update(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         with self._db.transaction():
             self._db.upsert(
                 "objects", {"object_id": obj.object_id, "payload": object_to_payload(obj)}
@@ -139,7 +112,6 @@ class EngineBackend(CorpusStorage):
             # drop them so a cold start cannot serve them as valid.
             for row in self._db.table("renderings").select(object_id=obj.object_id):
                 self._db.delete("renderings", row["key"])
-            self._replace_labels(obj.object_id, labels)
             self._mark_invalid(invalidated)
 
     def record_remove(self, object_id: int, invalidated: Iterable[int]) -> None:
@@ -148,7 +120,6 @@ class EngineBackend(CorpusStorage):
                 self._db.delete("objects", object_id)
             for row in self._db.table("renderings").select(object_id=object_id):
                 self._db.delete("renderings", row["key"])
-            self._replace_labels(object_id, ())
             self._mark_invalid(invalidated)
 
     def record_rendering(self, object_id: int, fmt: str, body: str) -> None:
@@ -175,58 +146,6 @@ class EngineBackend(CorpusStorage):
             for row in table.select(object_id=object_id):
                 if row["valid"]:
                     self._db.update("renderings", row["key"], {"valid": False})
-
-    def _replace_labels(
-        self, object_id: int, labels: Iterable[tuple[str, ...]]
-    ) -> None:
-        table = self._db.table("labels")
-        for row in table.select(object_id=object_id):
-            self._db.delete("labels", row["key"])
-        for words in labels:
-            label = " ".join(words)
-            self._db.upsert(
-                "labels",
-                {
-                    "key": f"{object_id}:{label}",
-                    "object_id": object_id,
-                    "words": list(words),
-                    "segment": label_segment(words[0]),
-                },
-            )
-
-    # ------------------------------------------------------------------
-    # Label segments
-    # ------------------------------------------------------------------
-    def load_label_segment(self, segment: int) -> list[tuple[tuple[str, ...], int]]:
-        rows = self._db.table("labels").select(segment=segment)
-        pairs = [(tuple(row["words"]), row["object_id"]) for row in rows]
-        pairs.sort()
-        return pairs
-
-    def load_object_labels(self, object_id: int) -> list[tuple[str, ...]]:
-        rows = self._db.table("labels").select(object_id=object_id)
-        return sorted(tuple(row["words"]) for row in rows)
-
-    def replace_labels(
-        self, object_id: int, labels: Iterable[tuple[str, ...]]
-    ) -> None:
-        with self._db.transaction():
-            self._replace_labels(object_id, labels)
-
-    def iter_labels(self) -> Iterator[tuple[tuple[str, ...], int]]:
-        for row in self._db.table("labels").scan():
-            yield tuple(row["words"]), row["object_id"]
-
-    def label_stats(self) -> dict[str, int]:
-        seen: set[tuple[str, ...]] = set()
-        objects: set[int] = set()
-        buckets: set[str] = set()
-        for row in self._db.table("labels").scan():
-            words = tuple(row["words"])
-            seen.add(words)
-            objects.add(row["object_id"])
-            buckets.add(words[0])
-        return {"labels": len(seen), "objects": len(objects), "buckets": len(buckets)}
 
     # ------------------------------------------------------------------
     # Lifecycle

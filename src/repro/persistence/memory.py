@@ -26,20 +26,10 @@ class MemoryBackend(CorpusStorage):
     def load(self) -> CorpusSnapshot:
         return CorpusSnapshot()
 
-    def record_add(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
+    def record_add(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         pass
 
-    def record_update(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
+    def record_update(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         pass
 
     def record_remove(self, object_id: int, invalidated: Iterable[int]) -> None:

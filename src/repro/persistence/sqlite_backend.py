@@ -1,15 +1,16 @@
 """Corpus persistence on stdlib ``sqlite3`` (WAL mode).
 
 The schema mirrors :mod:`repro.persistence.engine_backend` — an
-``objects`` table of JSON payloads, a ``renderings`` table whose
-``valid`` flag is the invalidation dirty-set, and a ``labels`` table
-holding one row per ``(object, canonical label)`` pair tagged with its
-first-word hash segment (the paged concept map's backing store) — but
-durability is delegated to sqlite: ``journal_mode=WAL`` plus a
+``objects`` table of JSON payloads and a ``renderings`` table whose
+``valid`` flag is the invalidation dirty-set — but durability is
+delegated to sqlite: ``journal_mode=WAL`` plus a
 ``synchronous`` level mapped from the shared sync policy
 (``always``→FULL, ``batch``→NORMAL, ``off``→OFF).  A failed integrity
 ``quick_check`` on open raises :class:`StorageCorruptionError` like the
 engine backend does.
+
+Opening a database drops the ``labels`` table that older versions kept
+for a paged concept map; nothing maintains its rows any more.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
-from repro.core.concept_map import label_segment
 from repro.core.errors import StorageCorruptionError, StorageError
 from repro.core.models import CorpusObject
 from repro.persistence.api import (
@@ -54,14 +54,7 @@ _DDL = (
         valid     INTEGER NOT NULL
     )""",
     "CREATE INDEX IF NOT EXISTS renderings_object ON renderings(object_id)",
-    """CREATE TABLE IF NOT EXISTS labels (
-        object_id  INTEGER NOT NULL,
-        label      TEXT NOT NULL,
-        first_word TEXT NOT NULL,
-        segment    INTEGER NOT NULL,
-        PRIMARY KEY (object_id, label)
-    )""",
-    "CREATE INDEX IF NOT EXISTS labels_segment ON labels(segment)",
+    "DROP TABLE IF EXISTS labels",
 )
 
 
@@ -84,7 +77,6 @@ class SqliteBackend(CorpusStorage):
 
     backend_name = "sqlite"
     durable = True
-    supports_labels = True
 
     def __init__(
         self,
@@ -144,12 +136,7 @@ class SqliteBackend(CorpusStorage):
     # ------------------------------------------------------------------
     # Journal
     # ------------------------------------------------------------------
-    def record_add(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
+    def record_add(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         payload = json.dumps(object_to_payload(obj))
         with self._lock, self._conn:
             self._conn.execute(
@@ -157,15 +144,9 @@ class SqliteBackend(CorpusStorage):
                 "ON CONFLICT(object_id) DO UPDATE SET payload=excluded.payload",
                 (obj.object_id, payload),
             )
-            self._replace_labels(obj.object_id, labels)
             self._mark_invalid(invalidated)
 
-    def record_update(
-        self,
-        obj: CorpusObject,
-        invalidated: Iterable[int],
-        labels: Iterable[tuple[str, ...]] = (),
-    ) -> None:
+    def record_update(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         payload = json.dumps(object_to_payload(obj))
         with self._lock, self._conn:
             self._conn.execute(
@@ -176,14 +157,12 @@ class SqliteBackend(CorpusStorage):
             self._conn.execute(
                 "DELETE FROM renderings WHERE object_id=?", (obj.object_id,)
             )
-            self._replace_labels(obj.object_id, labels)
             self._mark_invalid(invalidated)
 
     def record_remove(self, object_id: int, invalidated: Iterable[int]) -> None:
         with self._lock, self._conn:
             self._conn.execute("DELETE FROM objects WHERE object_id=?", (object_id,))
             self._conn.execute("DELETE FROM renderings WHERE object_id=?", (object_id,))
-            self._conn.execute("DELETE FROM labels WHERE object_id=?", (object_id,))
             self._mark_invalid(invalidated)
 
     def record_rendering(self, object_id: int, fmt: str, body: str) -> None:
@@ -207,63 +186,6 @@ class SqliteBackend(CorpusStorage):
             self._conn.execute(
                 f"UPDATE renderings SET valid=0 WHERE object_id IN ({marks})", chunk
             )
-
-    def _replace_labels(
-        self, object_id: int, labels: Iterable[tuple[str, ...]]
-    ) -> None:
-        self._conn.execute("DELETE FROM labels WHERE object_id=?", (object_id,))
-        rows = [
-            (object_id, " ".join(words), words[0], label_segment(words[0]))
-            for words in labels
-        ]
-        if rows:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO labels(object_id, label, first_word, segment) "
-                "VALUES(?, ?, ?, ?)",
-                rows,
-            )
-
-    # ------------------------------------------------------------------
-    # Label segments
-    # ------------------------------------------------------------------
-    def load_label_segment(self, segment: int) -> list[tuple[tuple[str, ...], int]]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT label, object_id FROM labels WHERE segment=? "
-                "ORDER BY label, object_id",
-                (segment,),
-            ).fetchall()
-        return [(tuple(row[0].split(" ")), row[1]) for row in rows]
-
-    def load_object_labels(self, object_id: int) -> list[tuple[str, ...]]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT label FROM labels WHERE object_id=? ORDER BY label",
-                (object_id,),
-            ).fetchall()
-        return [tuple(row[0].split(" ")) for row in rows]
-
-    def replace_labels(
-        self, object_id: int, labels: Iterable[tuple[str, ...]]
-    ) -> None:
-        with self._lock, self._conn:
-            self._replace_labels(object_id, labels)
-
-    def iter_labels(self) -> Iterator[tuple[tuple[str, ...], int]]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT label, object_id FROM labels ORDER BY label, object_id"
-            ).fetchall()
-        for label, object_id in rows:
-            yield tuple(label.split(" ")), object_id
-
-    def label_stats(self) -> dict[str, int]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(DISTINCT label), COUNT(DISTINCT object_id), "
-                "COUNT(DISTINCT first_word) FROM labels"
-            ).fetchone()
-        return {"labels": row[0], "objects": row[1], "buckets": row[2]}
 
     # ------------------------------------------------------------------
     # Lifecycle

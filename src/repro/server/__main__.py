@@ -24,10 +24,10 @@ estimates (always available on demand via ``getResourceStats`` with
 ``deep=1``).  All output goes through the structured logger
 (``--log-level``, ``--log-json``).
 
-With a durable ``--backend``, ``--map-cache-segments N`` pages the
-concept map lazily out of the labels table instead of holding every
-chain in memory: at most N first-word hash segments stay resident
-(LRU), so memory tracks the working set rather than the corpus.
+With a durable ``--backend`` the server cold-starts from ``--data-dir``:
+the stored objects are replayed through the normal add path, which
+rebuilds the in-memory concept map, and the stored renderings refill
+the render cache.
 """
 
 from __future__ import annotations
@@ -129,23 +129,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="WAL durability: fsync every commit ('always'), "
                              "only at checkpoint/close ('batch'), or never "
                              "('off')")
-    parser.add_argument("--map-cache-segments", type=int, default=None,
-                        metavar="N",
-                        help="page the concept map lazily out of the durable "
-                             "labels table, keeping at most N first-word hash "
-                             "segments resident (0 = paged but unbounded); "
-                             "requires a durable --backend. Default: whole "
-                             "map memory-resident")
     args = parser.parse_args(argv)
 
     if args.backend != "memory" and not args.data_dir:
         parser.error(f"--backend {args.backend} requires --data-dir")
-    if args.map_cache_segments is not None:
-        if args.backend == "memory":
-            parser.error("--map-cache-segments requires a durable --backend "
-                         "(engine or sqlite)")
-        if args.map_cache_segments < 0:
-            parser.error("--map-cache-segments must be >= 0 (0 = unbounded)")
     if args.pipeline_workers is not None and args.pipeline_workers < 1:
         parser.error("--pipeline-workers must be >= 1")
     if args.profile_interval_ms <= 0:
@@ -205,7 +192,6 @@ def main(argv: list[str] | None = None) -> int:
             metrics=metrics,
             tracer=tracer,
             storage=storage,
-            map_cache_segments=args.map_cache_segments,
             memory_reconcile_sec=args.memory_reconcile_sec,
         )
         if len(linker):

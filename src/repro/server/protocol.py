@@ -272,6 +272,12 @@ def links_payload(document: LinkedDocument) -> list[dict[str, Any]]:
 
 
 def _parse(xml_text: str) -> ET.Element:
+    # A document type declaration is the only place entities can be
+    # declared, and the protocol never needs either.  The encoders above
+    # escape every ``<`` in text and write no comments or CDATA, so the
+    # literal marker can only come from a hand-built hostile frame.
+    if "<!DOCTYPE" in xml_text:
+        raise ProtocolError("bad XML: DOCTYPE declarations are not allowed")
     try:
         return ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -308,7 +314,10 @@ def read_frame(recv: Any) -> str | None:
     payload = _read_exact(recv, length)
     if payload is None:
         raise ProtocolError("connection closed mid-frame")
-    return payload.decode("utf-8")
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"frame payload is not UTF-8: {exc}") from exc
 
 
 def _read_exact(recv: Any, count: int) -> bytes | None:

@@ -9,6 +9,7 @@ read-only instead of crashing or silently diverging.
 
 import pickle
 import shutil
+import sqlite3
 
 import pytest
 
@@ -17,7 +18,9 @@ from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
+from repro.core.morphology import canonicalize_phrase
 from repro.persistence import open_storage
+from repro.storage.engine import Column, Database, Schema
 from repro.storage.faults import StorageFaultInjector
 from tests.core.test_golden_render import _FORMATS, GOLDEN_SHA256, corpus_digest
 
@@ -80,6 +83,99 @@ class TestGoldenRoundTrip:
         assert restarted.last_restore["recovery"]["snapshot_loaded"]
         assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
         restarted.storage.close()
+
+
+def _write_leftover_labels(backend, data_dir) -> None:
+    """Add a populated ``labels`` table the way older versions laid it out.
+
+    Written through the raw database, not the backend, so the test keeps
+    working without any label API on the backends.
+    """
+    rows = [
+        (obj.object_id, words)
+        for obj in sample_corpus()
+        for words in {canonicalize_phrase(p) for p in obj.concept_phrases()}
+        if words
+    ]
+    if backend == "sqlite":
+        conn = sqlite3.connect(data_dir / "corpus.sqlite3")
+        try:
+            with conn:
+                conn.execute(
+                    "CREATE TABLE labels (object_id INTEGER NOT NULL, "
+                    "label TEXT NOT NULL, first_word TEXT NOT NULL, "
+                    "segment INTEGER NOT NULL, PRIMARY KEY (object_id, label))"
+                )
+                conn.executemany(
+                    "INSERT INTO labels VALUES (?, ?, ?, 0)",
+                    [(oid, " ".join(words), words[0]) for oid, words in rows],
+                )
+        finally:
+            conn.close()
+        return
+    db = Database(data_dir)
+    try:
+        db.create_table(
+            "labels",
+            Schema(
+                columns=(
+                    Column("key", "str"),
+                    Column("object_id", "int"),
+                    Column("words", "json"),
+                    Column("segment", "int"),
+                ),
+                primary_key="key",
+            ),
+            indexes=("object_id", "segment"),
+        )
+        with db.transaction():
+            for oid, words in rows:
+                db.insert(
+                    "labels",
+                    {
+                        "key": f"{oid}:{' '.join(words)}",
+                        "object_id": oid,
+                        "words": list(words),
+                        "segment": 0,
+                    },
+                )
+    finally:
+        db.close()
+
+
+def _has_labels_table(backend, data_dir) -> bool:
+    if backend == "sqlite":
+        conn = sqlite3.connect(data_dir / "corpus.sqlite3")
+        try:
+            return bool(
+                conn.execute(
+                    "SELECT 1 FROM sqlite_master WHERE type='table' AND name='labels'"
+                ).fetchall()
+            )
+        finally:
+            conn.close()
+    db = Database(data_dir)
+    try:
+        return db.has_table("labels")
+    finally:
+        db.close()
+
+
+class TestLeftoverLabelsTable:
+    @pytest.mark.parametrize("backend", DURABLE_BACKENDS)
+    def test_restart_drops_leftover_labels_table(self, tmp_path, backend) -> None:
+        data_dir = tmp_path / "data"
+        linker = build_durable_linker(backend, data_dir)
+        linker.add_objects(sample_corpus())
+        render_all(linker)
+        linker.storage.close()
+        _write_leftover_labels(backend, data_dir)
+        assert _has_labels_table(backend, data_dir)
+
+        restarted = build_durable_linker(backend, data_dir)
+        assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
+        restarted.storage.close()
+        assert not _has_labels_table(backend, data_dir)
 
 
 class TestDirtySetSurvival:

@@ -8,10 +8,9 @@ class Linker:
     def add_object(self, obj, invalidated):
         self._journal(lambda: self.storage.record_add(obj, invalidated))
 
-    def backfill(self, objects):
-        """Pre-serving migration; transactional inside the backend."""
-        for obj in objects:
-            self.storage.replace_labels(obj.object_id, ())
+    def reset_renderings(self):
+        """Pre-serving cache wipe; transactional inside the backend."""
+        self.storage.record_cache_clear()
 
     def suppressed_direct_call(self, obj):
         # Sanctioned one-off with an inline waiver.

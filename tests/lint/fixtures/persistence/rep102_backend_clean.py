@@ -13,12 +13,12 @@ class EngineBackend:
             for object_id in invalidated:
                 self._db.delete("renderings", object_id)
 
-    def replace_labels(self, object_id, labels):
-        """Swap an object's label rows in one transaction of its own.
+    def record_cache_clear(self):
+        """Drop every rendering row in one transaction of its own.
 
         Callers get atomicity without opening their own scope.
         """
-        self._db.upsert("labels", {"object_id": object_id, "labels": labels})
+        self._db.delete("renderings", None)
 
 
 class SqliteBackend:

@@ -206,7 +206,7 @@ def test_profile_overhead_keeps_renderings_identical() -> None:
 
     overhead = measure_profile_overhead(
         BenchParams(entries=40, seed=7, smoke=True, metrics=False,
-                    scaling=False, persistence=False, paging=False,
+                    scaling=False, persistence=False,
                     resources=False)
     )
     assert overhead["renderings_identical"] is True
@@ -217,7 +217,7 @@ def test_profile_overhead_keeps_renderings_identical() -> None:
 def test_resources_off_still_validates() -> None:
     report = run_linking_bench(
         BenchParams(entries=40, seed=7, smoke=True, metrics=True,
-                    scaling=False, persistence=False, paging=False,
+                    scaling=False, persistence=False,
                     resources=False)
     )
     assert report["resources"] == {}

@@ -189,6 +189,28 @@ class TestProtocolRobustness:
             assert reply.ok
             assert reply.fields["pong"] == "1"
 
+    def test_doctype_request_is_bad_request(self, server) -> None:
+        host, port = server.address
+        hostile = (
+            '<!DOCTYPE r [<!ENTITY a "AAAA">]>'
+            '<request method="linkEntry"><text>&a;&a;</text></request>'
+        )
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(protocol.frame(hostile))
+            reply = protocol.decode_response(protocol.read_frame(sock.recv))
+            assert reply.status == "error"
+            assert reply.code == "bad-request"
+            assert "DOCTYPE" in reply.error
+
+    def test_non_utf8_frame_closes_without_traceback(self, server, capfd) -> None:
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"0000000002\xff\xfe")
+            assert sock.recv(65536) == b""
+        with NNexusClient(host, port) as client:
+            assert client.ping()
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_missing_objectid_is_bad_request(self, server) -> None:
         host, port = server.address
         with socket.create_connection((host, port), timeout=5) as sock:

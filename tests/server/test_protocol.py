@@ -128,6 +128,31 @@ class TestResponseRoundTrip:
         assert "retryable" not in encoded
 
 
+class TestHostileXml:
+    ENTITY_BOMB = (
+        '<!DOCTYPE r [<!ENTITY a "AAAA">]>'
+        '<request method="linkEntry"><text>&a;&a;</text></request>'
+    )
+
+    def test_request_with_doctype_is_rejected(self) -> None:
+        with pytest.raises(ProtocolError, match="DOCTYPE"):
+            decode_request(self.ENTITY_BOMB)
+
+    def test_response_with_doctype_is_rejected(self) -> None:
+        hostile = (
+            '<!DOCTYPE r [<!ENTITY a "AAAA">]>'
+            '<response status="ok" method="ping"><pong>&a;</pong></response>'
+        )
+        with pytest.raises(ProtocolError, match="DOCTYPE"):
+            decode_response(hostile)
+
+    def test_doctype_text_in_a_field_still_round_trips(self) -> None:
+        request = Request("linkEntry", fields={"text": "<!DOCTYPE html> page"})
+        assert decode_request(encode_request(request)).fields["text"] == (
+            "<!DOCTYPE html> page"
+        )
+
+
 class TestFraming:
     def test_frame_read_frame(self) -> None:
         payload = frame("hello ünïcode")
@@ -147,6 +172,11 @@ class TestFraming:
     def test_bad_header_raises(self) -> None:
         stream = io.BytesIO(b"helloworld" + b"x" * 5)
         with pytest.raises(ProtocolError):
+            read_frame(stream.read)
+
+    def test_non_utf8_payload_raises_protocol_error(self) -> None:
+        stream = io.BytesIO(b"0000000002\xff\xfe")
+        with pytest.raises(ProtocolError, match="UTF-8"):
             read_frame(stream.read)
 
     def test_multiple_frames_sequential(self) -> None:

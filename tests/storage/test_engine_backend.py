@@ -49,8 +49,8 @@ class TestJournalAtomicity:
         storage = open_storage("engine", tmp_path)
         try:
             before = len(_wal_ops(tmp_path))
-            storage.record_add(_obj(1), invalidated=(), labels=(("term", "1"),))
-            storage.record_update(_obj(1), invalidated=(1,), labels=())
+            storage.record_add(_obj(1), invalidated=())
+            storage.record_update(_obj(1), invalidated=(1,))
             storage.record_rendering(1, "html", "<p>1</p>")
             storage.record_remove(1, invalidated=())
             storage.record_cache_clear()

@@ -1,5 +1,5 @@
 """SqliteBackend regressions: host-parameter limits, open-failure
-hygiene, quick_check parsing, and the labels table round trip.
+hygiene and quick_check parsing.
 """
 
 import gc
@@ -17,11 +17,10 @@ from repro.persistence.sqlite_backend import (
 )
 
 
-def make_object(object_id: int, defines=()) -> CorpusObject:
+def make_object(object_id: int) -> CorpusObject:
     return CorpusObject(
         object_id=object_id,
         title=f"entry {object_id}",
-        defines=list(defines),
         text=f"body of {object_id}",
     )
 
@@ -40,7 +39,7 @@ class TestMarkInvalidChunking:
         for object_id in range(total):
             backend.record_add(make_object(object_id), ())
             backend.record_rendering(object_id, "html", f"<p>{object_id}</p>")
-        backend.record_add(make_object(total), (), labels=())
+        backend.record_add(make_object(total), ())
         # One journal record invalidates every other entry at once —
         # the homonym-heavy-removal shape that used to overflow.
         backend.record_remove(total, range(total))
@@ -95,28 +94,3 @@ class TestOpenFailureHygiene:
         reopened = SqliteBackend(tmp_path)
         assert [obj.object_id for obj in reopened.load().objects] == [1]
         reopened.close()
-
-
-class TestLabelsTable:
-    def test_labels_round_trip_by_segment_and_object(self, tmp_path) -> None:
-        backend = SqliteBackend(tmp_path)
-        labels = [("abelian", "group"), ("group",), ("zeta", "function")]
-        backend.record_add(make_object(7), (), labels=labels)
-        assert backend.supports_labels
-        assert backend.load_object_labels(7) == sorted(labels)
-        from repro.core.concept_map import label_segment
-
-        segment = label_segment("group")
-        rows = backend.load_label_segment(segment)
-        assert (("group",), 7) in rows
-        assert all(label_segment(words[0]) == segment for words, _ in rows)
-        stats = backend.label_stats()
-        assert stats == {"labels": 3, "objects": 1, "buckets": 3}
-
-        # record_update replaces the rows; record_remove drops them.
-        backend.record_update(make_object(7), (), labels=[("torsion",)])
-        assert backend.load_object_labels(7) == [("torsion",)]
-        backend.record_remove(7, ())
-        assert backend.load_object_labels(7) == []
-        assert backend.label_stats()["labels"] == 0
-        backend.close()
