@@ -152,8 +152,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"persistence ({durability['backend']}, sync={durability['sync']}): "
                 f"cold start {durability['cold_start_sec']:.3f}s, "
-                f"WAL overhead {durability['wal_overhead_ratio']:.2f}x ingest, "
-                f"{durability['wal_bytes']:,} WAL bytes"
+                f"journal overhead {durability['wal_overhead_ratio']:.2f}x ingest, "
+                f"{durability['disk_bytes']:,} bytes on disk"
             )
         if report["resources"]:
             resources = report["resources"]

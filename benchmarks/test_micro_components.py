@@ -10,7 +10,6 @@ from repro.core.classification import ClassificationGraph
 from repro.core.invalidation import InvalidationIndex
 from repro.core.morphology import canonicalize_phrase
 from repro.core.tokenizer import Tokenizer
-from repro.storage.engine import Column, Database, Schema
 
 
 def test_bench_tokenize_entry(small_corpus, benchmark):
@@ -98,48 +97,3 @@ def test_bench_invalidation_index_build(small_corpus, benchmark):
         return index.object_count
 
     assert benchmark(build) == 100
-
-
-def test_bench_btree_insert_range(benchmark):
-    from repro.storage.btree import BTree
-
-    def run():
-        tree = BTree()
-        for value in range(2000):
-            tree.insert((value * 7919) % 4093)  # scrambled order
-        return sum(1 for __ in tree.range_scan(100, 500))
-
-    assert benchmark(run) > 0
-
-
-def test_bench_range_select_via_ordered_index(benchmark):
-    schema = Schema(
-        (Column("id", "int"), Column("score", "float")),
-        "id",
-    )
-    db = Database()
-    db.create_table("t", schema, ordered_indexes=("score",))
-    for i in range(2000):
-        db.insert("t", {"id": i, "score": float((i * 31) % 997)})
-    table = db.table("t")
-
-    def probe():
-        return len(table.range_select("score", 100.0, 200.0))
-
-    assert benchmark(probe) > 0
-
-
-def test_bench_storage_insert_select(benchmark):
-    schema = Schema(
-        (Column("id", "int"), Column("label", "str"), Column("object_id", "int")),
-        "id",
-    )
-
-    def run():
-        db = Database()
-        db.create_table("concepts", schema, indexes=("label",))
-        for i in range(300):
-            db.insert("concepts", {"id": i, "label": f"l{i % 50}", "object_id": i})
-        return len(db.table("concepts").select(label="l7"))
-
-    assert benchmark(run) == 6

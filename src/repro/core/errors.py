@@ -93,33 +93,7 @@ class ReadOnlyError(NNexusError):
 
 
 class StorageError(NNexusError):
-    """Base class for errors raised by the embedded storage engine."""
-
-
-class SchemaError(StorageError):
-    """A row or query does not match the declared table schema."""
-
-
-class DuplicateKeyError(StorageError):
-    """A primary-key or unique-index constraint was violated."""
-
-    def __init__(self, table: str, key: object) -> None:
-        super().__init__(f"duplicate key {key!r} in table {table!r}")
-        self.table = table
-        self.key = key
-
-
-class MissingKeyError(StorageError):
-    """A lookup referenced a primary key that does not exist."""
-
-    def __init__(self, table: str, key: object) -> None:
-        super().__init__(f"key {key!r} not found in table {table!r}")
-        self.table = table
-        self.key = key
-
-
-class TransactionError(StorageError):
-    """A transaction was used incorrectly (e.g. commit without begin)."""
+    """A durable storage backend failed to read or journal corpus state."""
 
 
 class StorageCorruptionError(StorageError):

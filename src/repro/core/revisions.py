@@ -12,9 +12,8 @@ with Noosphere-style revision bookkeeping:
 * any revision can be restored, which is itself recorded as a revision;
 * a word-level diff between revisions supports review.
 
-The history is in-memory by analogy with the cache table; persisting it
-is a matter of writing the snapshots through
-:class:`repro.storage.NNexusStore`.
+The history is in-memory by analogy with the cache table; no
+revision is written to durable storage.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ __all__ = [
     "STEER_SHARE_ABSOLUTE_TOLERANCE",
 ]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Pipeline stages the report must cover when metrics are enabled.
 STAGES = ("tokenize", "match", "policy", "steer", "render")
@@ -98,8 +98,8 @@ class BenchParams:
     #: Measure process-mode batch relink scaling (adds three extra
     #: corpus passes); disabled by the overhead comparison runs.
     scaling: bool = True
-    #: Measure the durability cost (WAL-journaled ingest vs. in-memory)
-    #: and the cold-start restore time of the engine backend; disabled
+    #: Measure the durability cost (journaled ingest vs. in-memory)
+    #: and the cold-start restore time of the sqlite backend; disabled
     #: by the overhead comparison runs.
     persistence: bool = True
     #: Measure per-component memory accounting (incremental estimates
@@ -321,16 +321,18 @@ def _measure_resources(linker: NNexus, object_ids: list[int]) -> dict[str, Any]:
 
 
 def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
-    """Durability cost and cold-start time of the engine backend.
+    """Durability cost and cold-start time of the sqlite backend.
 
     Ingests the deterministic corpus twice — once into a memory-backed
-    linker, once into an engine-backed linker that fsyncs every commit
+    linker, once into a sqlite-backed linker that syncs every commit
     (``sync="always"``, the production default) — then reopens the
-    durable directory and times the cold start (WAL replay plus
+    durable directory and times the cold start (loading plus
     relinking).  ``wal_overhead_ratio`` is journaled/memory ingest wall
     time: the full price of crash safety on the mutation path.
-    Renderings are not persisted so the measurement isolates the
-    journaling cost from the render cache.
+    ``disk_bytes`` is the data directory's size after close; sqlite
+    checkpoints its ``-wal`` file on its own, so that file's size is
+    not the journal volume.  Renderings are not persisted so the
+    measurement isolates the journaling cost from the render cache.
     """
     params = params or BenchParams.smoke_params()
     corpus = load_or_generate(
@@ -344,7 +346,7 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
 
     with tempfile.TemporaryDirectory(prefix="bench-persistence-") as tmp:
         data_dir = Path(tmp) / "data"
-        storage = open_storage("engine", data_dir, persist_renderings=False)
+        storage = open_storage("sqlite", data_dir, persist_renderings=False)
         try:
             start = perf_counter()
             durable = NNexus(scheme=corpus.scheme, storage=storage)
@@ -352,9 +354,9 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
             journaled_sec = perf_counter() - start
         finally:
             storage.close()
-        wal_bytes = (data_dir / "wal.jsonl").stat().st_size
+        disk_bytes = sum(path.stat().st_size for path in data_dir.iterdir())
 
-        storage = open_storage("engine", data_dir, persist_renderings=False)
+        storage = open_storage("sqlite", data_dir, persist_renderings=False)
         try:
             start = perf_counter()
             restarted = NNexus(scheme=corpus.scheme, storage=storage)
@@ -364,13 +366,13 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
             storage.close()
 
     return {
-        "backend": "engine",
+        "backend": "sqlite",
         "sync": "always",
         "entries": len(corpus.objects),
         "ingest_memory_sec": memory_sec,
         "ingest_journaled_sec": journaled_sec,
         "wal_overhead_ratio": (journaled_sec / memory_sec) if memory_sec else 0.0,
-        "wal_bytes": wal_bytes,
+        "disk_bytes": disk_bytes,
         "cold_start_sec": cold_start_sec,
         "restored_objects": restored_objects,
     }
@@ -534,7 +536,7 @@ _PERSISTENCE_FIELDS: dict[str, type | tuple[type, ...]] = {
     "ingest_memory_sec": _NUMBER,
     "ingest_journaled_sec": _NUMBER,
     "wal_overhead_ratio": _NUMBER,
-    "wal_bytes": int,
+    "disk_bytes": int,
     "cold_start_sec": _NUMBER,
     "restored_objects": int,
 }

@@ -4,12 +4,11 @@ The production system kept its concept map, linking policies and
 invalidation index in MySQL (PAPER §3.1); its successor moved to a
 pluggable store.  This package is that seam for the reproduction: a
 :class:`CorpusStorage` interface the linker journals every mutation
-through, with three interchangeable backends —
+through, with two backends —
 
-* :class:`MemoryBackend` — no persistence, today's default behavior;
-* :class:`EngineBackend` — snapshot + checksummed WAL on the embedded
-  :class:`repro.storage.engine.Database`;
-* :class:`SqliteBackend` — stdlib ``sqlite3`` in WAL mode.
+* :class:`MemoryBackend` — no persistence, the default behavior;
+* :class:`SqliteBackend` — stdlib ``sqlite3`` in WAL mode, the one
+  durable backend (sqlite stands in for the paper's MySQL).
 
 ``open_storage()`` is the factory the CLI flags map onto.
 """
@@ -22,21 +21,7 @@ from repro.persistence.api import (
     open_storage,
 )
 from repro.persistence.memory import MemoryBackend
-
-
-def __getattr__(name: str):
-    # The durable backends import repro.storage, whose package __init__
-    # reaches back into repro.core.linker; loading them lazily keeps
-    # ``linker -> persistence`` import-cycle free.
-    if name == "EngineBackend":
-        from repro.persistence.engine_backend import EngineBackend
-
-        return EngineBackend
-    if name == "SqliteBackend":
-        from repro.persistence.sqlite_backend import SqliteBackend
-
-        return SqliteBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.persistence.sqlite_backend import SqliteBackend
 
 __all__ = [
     "BACKENDS",
@@ -45,6 +30,5 @@ __all__ = [
     "StoredRendering",
     "open_storage",
     "MemoryBackend",
-    "EngineBackend",
     "SqliteBackend",
 ]

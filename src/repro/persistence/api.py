@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: Backend names accepted by :func:`open_storage` and the server CLI.
-BACKENDS = ("memory", "engine", "sqlite")
+BACKENDS = ("memory", "sqlite")
 
 
 def object_to_payload(obj: CorpusObject) -> dict[str, Any]:
@@ -93,7 +93,7 @@ class CorpusSnapshot:
 class CorpusStorage(ABC):
     """Journal + cold-start source for the linker's corpus state."""
 
-    #: Factory name of this backend (``memory``/``engine``/``sqlite``).
+    #: Factory name of this backend (``memory``/``sqlite``).
     backend_name: str = "abstract"
     #: False for backends whose ``record_*`` calls are no-ops.
     durable: bool = False
@@ -150,15 +150,11 @@ def open_storage(
     *,
     sync: str = "always",
     persist_renderings: bool = True,
-    faults: Any | None = None,
 ) -> CorpusStorage:
     """Build a backend from CLI-shaped options.
 
-    ``memory`` ignores ``data_dir``; the durable backends require it.
-    ``faults`` is only honoured by the engine backend (the sqlite one
-    delegates durability to sqlite itself).
+    ``memory`` ignores ``data_dir``; ``sqlite`` requires it.
     """
-    from repro.persistence.engine_backend import EngineBackend
     from repro.persistence.memory import MemoryBackend
     from repro.persistence.sqlite_backend import SqliteBackend
 
@@ -166,10 +162,6 @@ def open_storage(
         return MemoryBackend()
     if data_dir is None:
         raise NNexusError(f"backend {backend!r} requires a data directory")
-    if backend == "engine":
-        return EngineBackend(
-            data_dir, sync=sync, persist_renderings=persist_renderings, faults=faults
-        )
     if backend == "sqlite":
         return SqliteBackend(data_dir, sync=sync, persist_renderings=persist_renderings)
     raise NNexusError(f"unknown storage backend {backend!r}; expected one of {BACKENDS}")

@@ -1,13 +1,18 @@
 """Corpus persistence on stdlib ``sqlite3`` (WAL mode).
 
-The schema mirrors :mod:`repro.persistence.engine_backend` — an
-``objects`` table of JSON payloads and a ``renderings`` table whose
-``valid`` flag is the invalidation dirty-set — but durability is
-delegated to sqlite: ``journal_mode=WAL`` plus a
-``synchronous`` level mapped from the shared sync policy
-(``always``→FULL, ``batch``→NORMAL, ``off``→OFF).  A failed integrity
-``quick_check`` on open raises :class:`StorageCorruptionError` like the
-engine backend does.
+Two tables: ``objects`` holds one JSON payload per corpus object, and
+``renderings`` holds one row per ``(object, format)`` cached rendering
+whose ``valid`` flag is the invalidation dirty-set.  Every ``record_*``
+call is one sqlite transaction, so a crash never persists an object
+change without its invalidation side-effects.  Durability is delegated
+to sqlite: ``journal_mode=WAL`` plus a ``synchronous`` level mapped
+from the sync policy (``always``→FULL, ``batch``→NORMAL, ``off``→OFF).
+A failed integrity ``quick_check`` on open raises
+:class:`StorageCorruptionError`, and so does a directory that holds the
+files of the removed engine backend (``wal.jsonl``/``snapshot.json``)
+but no database, rather than starting an empty corpus beside them.
+Any other ``sqlite3.Error`` surfaces as :class:`StorageError`, which
+the linker turns into read-only degradation.
 
 Opening a database drops the ``labels`` table that older versions kept
 for a paged concept map; nothing maintains its rows any more.
@@ -18,8 +23,9 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.core.errors import StorageCorruptionError, StorageError
 from repro.core.models import CorpusObject
@@ -34,6 +40,9 @@ from repro.persistence.api import (
 __all__ = ["SqliteBackend"]
 
 _SYNC_LEVELS = {"always": "FULL", "batch": "NORMAL", "off": "OFF"}
+
+#: Files the removed engine backend kept in its data directory.
+_ENGINE_FILES = ("wal.jsonl", "snapshot.json")
 
 #: Bound variables per statement when expanding ``IN (...)`` lists.
 #: SQLite's host-parameter limit is 999 on builds older than 3.32, so
@@ -72,6 +81,20 @@ def _quick_check_problems(conn: sqlite3.Connection) -> list[str]:
     return verdicts or ["quick_check returned no rows"]
 
 
+@contextmanager
+def _storage_errors() -> Iterator[None]:
+    """Re-raise ``sqlite3.Error`` as :class:`StorageError`.
+
+    The linker degrades to read-only on ``StorageError``; a raw sqlite
+    error would instead escape to the caller after the in-memory
+    mutation already happened.
+    """
+    try:
+        yield
+    except sqlite3.Error as exc:
+        raise StorageError(f"{type(exc).__name__}: {exc}") from exc
+
+
 class SqliteBackend(CorpusStorage):
     """Durable backend on a single sqlite database file."""
 
@@ -92,6 +115,13 @@ class SqliteBackend(CorpusStorage):
         directory = Path(data_dir)
         directory.mkdir(parents=True, exist_ok=True)
         self._path = directory / "corpus.sqlite3"
+        engine_files = [name for name in _ENGINE_FILES if (directory / name).exists()]
+        if engine_files and not self._path.exists():
+            raise StorageCorruptionError(
+                directory,
+                f"holds {', '.join(engine_files)} of the removed engine backend "
+                "and no corpus.sqlite3; reload the corpus into a fresh directory",
+            )
         self._lock = threading.RLock()
         conn = sqlite3.connect(self._path, check_same_thread=False)
         try:
@@ -120,7 +150,7 @@ class SqliteBackend(CorpusStorage):
     # Cold start
     # ------------------------------------------------------------------
     def load(self) -> CorpusSnapshot:
-        with self._lock:
+        with self._lock, _storage_errors():
             object_rows = self._conn.execute(
                 "SELECT payload FROM objects ORDER BY object_id"
             ).fetchall()
@@ -138,7 +168,7 @@ class SqliteBackend(CorpusStorage):
     # ------------------------------------------------------------------
     def record_add(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         payload = json.dumps(object_to_payload(obj))
-        with self._lock, self._conn:
+        with self._lock, _storage_errors(), self._conn:
             self._conn.execute(
                 "INSERT INTO objects(object_id, payload) VALUES(?, ?) "
                 "ON CONFLICT(object_id) DO UPDATE SET payload=excluded.payload",
@@ -148,7 +178,7 @@ class SqliteBackend(CorpusStorage):
 
     def record_update(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         payload = json.dumps(object_to_payload(obj))
-        with self._lock, self._conn:
+        with self._lock, _storage_errors(), self._conn:
             self._conn.execute(
                 "INSERT INTO objects(object_id, payload) VALUES(?, ?) "
                 "ON CONFLICT(object_id) DO UPDATE SET payload=excluded.payload",
@@ -160,13 +190,13 @@ class SqliteBackend(CorpusStorage):
             self._mark_invalid(invalidated)
 
     def record_remove(self, object_id: int, invalidated: Iterable[int]) -> None:
-        with self._lock, self._conn:
+        with self._lock, _storage_errors(), self._conn:
             self._conn.execute("DELETE FROM objects WHERE object_id=?", (object_id,))
             self._conn.execute("DELETE FROM renderings WHERE object_id=?", (object_id,))
             self._mark_invalid(invalidated)
 
     def record_rendering(self, object_id: int, fmt: str, body: str) -> None:
-        with self._lock, self._conn:
+        with self._lock, _storage_errors(), self._conn:
             self._conn.execute(
                 "INSERT INTO renderings(key, object_id, fmt, body, valid) "
                 "VALUES(?, ?, ?, ?, 1) ON CONFLICT(key) DO UPDATE SET "
@@ -175,7 +205,7 @@ class SqliteBackend(CorpusStorage):
             )
 
     def record_cache_clear(self) -> None:
-        with self._lock, self._conn:
+        with self._lock, _storage_errors(), self._conn:
             self._conn.execute("DELETE FROM renderings")
 
     def _mark_invalid(self, invalidated: Iterable[int]) -> None:
@@ -191,7 +221,7 @@ class SqliteBackend(CorpusStorage):
     # Lifecycle
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        with self._lock:
+        with self._lock, _storage_errors():
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:

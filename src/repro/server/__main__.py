@@ -44,8 +44,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import JsonlExporter, Tracer
 from repro.ontology.msc import build_small_msc
 from repro.persistence import BACKENDS, open_storage
+from repro.persistence.sqlite_backend import _SYNC_LEVELS
 from repro.server.server import NNexusServer
-from repro.storage.engine import SYNC_POLICIES
 
 
 def _close_startup(gateway, exporter, storage, profiler=None) -> None:
@@ -121,14 +121,12 @@ def main(argv: list[str] | None = None) -> int:
                              "cold-starts from it and journals every mutation")
     parser.add_argument("--backend", default="memory",
                         choices=BACKENDS,
-                        help="storage backend: 'memory' (no persistence), "
-                             "'engine' (snapshot + checksummed WAL) or "
+                        help="storage backend: 'memory' (no persistence) or "
                              "'sqlite' (stdlib sqlite3, WAL mode)")
     parser.add_argument("--sync", default="always",
-                        choices=SYNC_POLICIES,
-                        help="WAL durability: fsync every commit ('always'), "
-                             "only at checkpoint/close ('batch'), or never "
-                             "('off')")
+                        choices=tuple(_SYNC_LEVELS),
+                        help="sqlite synchronous level: FULL ('always'), "
+                             "NORMAL ('batch') or OFF ('off')")
     args = parser.parse_args(argv)
 
     if args.backend != "memory" and not args.data_dir:

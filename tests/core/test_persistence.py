@@ -1,4 +1,4 @@
-"""Linker round trips through durable storage backends.
+"""Linker round trips through the durable sqlite backend.
 
 The acceptance bar: a cold-started linker must reproduce the golden
 renderings byte-identically (the same digest as
@@ -20,11 +20,10 @@ from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
 from repro.core.morphology import canonicalize_phrase
 from repro.persistence import open_storage
-from repro.storage.engine import Column, Database, Schema
-from repro.storage.faults import StorageFaultInjector
 from tests.core.test_golden_render import _FORMATS, GOLDEN_SHA256, corpus_digest
+from tests.storage.sqlite_faults import FailingConnection
 
-DURABLE_BACKENDS = ("engine", "sqlite")
+DURABLE_BACKENDS = ("sqlite",)
 
 
 def build_durable_linker(backend, data_dir, **kwargs) -> NNexus:
@@ -70,26 +69,28 @@ class TestGoldenRoundTrip:
         assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
         restarted.storage.close()
 
-    def test_checkpointed_engine_restarts_from_snapshot(self, tmp_path) -> None:
-        linker = build_durable_linker("engine", tmp_path / "data")
+    def test_checkpointed_database_restarts(self, tmp_path) -> None:
+        linker = build_durable_linker("sqlite", tmp_path / "data")
         linker.add_objects(sample_corpus())
         render_all(linker)
         linker.checkpoint_storage()
+        # wal_checkpoint(TRUNCATE) folds every commit into the database
+        # file and empties the write-ahead log.
+        assert (tmp_path / "data" / "corpus.sqlite3-wal").stat().st_size == 0
+        assert not linker.read_only
         linker.storage.close()
-        assert (tmp_path / "data" / "snapshot.json").exists()
-        assert (tmp_path / "data" / "wal.jsonl").read_bytes() == b""
 
-        restarted = build_durable_linker("engine", tmp_path / "data")
-        assert restarted.last_restore["recovery"]["snapshot_loaded"]
+        restarted = build_durable_linker("sqlite", tmp_path / "data")
+        assert len(restarted) == 30
         assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
         restarted.storage.close()
 
 
-def _write_leftover_labels(backend, data_dir) -> None:
+def _write_leftover_labels(data_dir) -> None:
     """Add a populated ``labels`` table the way older versions laid it out.
 
-    Written through the raw database, not the backend, so the test keeps
-    working without any label API on the backends.
+    Written through raw ``sqlite3``, not the backend, so the test keeps
+    working without any label API on the backend.
     """
     rows = [
         (obj.object_id, words)
@@ -97,68 +98,32 @@ def _write_leftover_labels(backend, data_dir) -> None:
         for words in {canonicalize_phrase(p) for p in obj.concept_phrases()}
         if words
     ]
-    if backend == "sqlite":
-        conn = sqlite3.connect(data_dir / "corpus.sqlite3")
-        try:
-            with conn:
-                conn.execute(
-                    "CREATE TABLE labels (object_id INTEGER NOT NULL, "
-                    "label TEXT NOT NULL, first_word TEXT NOT NULL, "
-                    "segment INTEGER NOT NULL, PRIMARY KEY (object_id, label))"
-                )
-                conn.executemany(
-                    "INSERT INTO labels VALUES (?, ?, ?, 0)",
-                    [(oid, " ".join(words), words[0]) for oid, words in rows],
-                )
-        finally:
-            conn.close()
-        return
-    db = Database(data_dir)
+    conn = sqlite3.connect(data_dir / "corpus.sqlite3")
     try:
-        db.create_table(
-            "labels",
-            Schema(
-                columns=(
-                    Column("key", "str"),
-                    Column("object_id", "int"),
-                    Column("words", "json"),
-                    Column("segment", "int"),
-                ),
-                primary_key="key",
-            ),
-            indexes=("object_id", "segment"),
-        )
-        with db.transaction():
-            for oid, words in rows:
-                db.insert(
-                    "labels",
-                    {
-                        "key": f"{oid}:{' '.join(words)}",
-                        "object_id": oid,
-                        "words": list(words),
-                        "segment": 0,
-                    },
-                )
-    finally:
-        db.close()
-
-
-def _has_labels_table(backend, data_dir) -> bool:
-    if backend == "sqlite":
-        conn = sqlite3.connect(data_dir / "corpus.sqlite3")
-        try:
-            return bool(
-                conn.execute(
-                    "SELECT 1 FROM sqlite_master WHERE type='table' AND name='labels'"
-                ).fetchall()
+        with conn:
+            conn.execute(
+                "CREATE TABLE labels (object_id INTEGER NOT NULL, "
+                "label TEXT NOT NULL, first_word TEXT NOT NULL, "
+                "segment INTEGER NOT NULL, PRIMARY KEY (object_id, label))"
             )
-        finally:
-            conn.close()
-    db = Database(data_dir)
-    try:
-        return db.has_table("labels")
+            conn.executemany(
+                "INSERT INTO labels VALUES (?, ?, ?, 0)",
+                [(oid, " ".join(words), words[0]) for oid, words in rows],
+            )
     finally:
-        db.close()
+        conn.close()
+
+
+def _has_labels_table(data_dir) -> bool:
+    conn = sqlite3.connect(data_dir / "corpus.sqlite3")
+    try:
+        return bool(
+            conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type='table' AND name='labels'"
+            ).fetchall()
+        )
+    finally:
+        conn.close()
 
 
 class TestLeftoverLabelsTable:
@@ -169,13 +134,13 @@ class TestLeftoverLabelsTable:
         linker.add_objects(sample_corpus())
         render_all(linker)
         linker.storage.close()
-        _write_leftover_labels(backend, data_dir)
-        assert _has_labels_table(backend, data_dir)
+        _write_leftover_labels(data_dir)
+        assert _has_labels_table(data_dir)
 
         restarted = build_durable_linker(backend, data_dir)
         assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
         restarted.storage.close()
-        assert not _has_labels_table(backend, data_dir)
+        assert not _has_labels_table(data_dir)
 
 
 class TestDirtySetSurvival:
@@ -238,18 +203,20 @@ class TestMutationJournaling:
     def test_update_journals_one_transaction(self, tmp_path) -> None:
         """A crash between update's remove and add halves must never
         persist a corpus with the entry missing."""
-        faults = StorageFaultInjector()
-        storage = open_storage("engine", tmp_path / "data", faults=faults)
+        storage = open_storage("sqlite", tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         linker.add_objects(sample_corpus())
         before_text = linker.get_object(2).text
-        faults.short_write(on_call=1, keep_bytes=30)  # tear the update frame
+        # Statement 1 upserts the object row; statement 2 (dropping its
+        # renderings) fails, so sqlite must roll statement 1 back.
+        faults = FailingConnection.install(storage, fail_on=2)
         linker.update_object(CorpusObject(2, "planar graph", text="replaced"))
-        # The torn journal write degraded the linker, not the caller.
+        assert faults.calls == 2
+        # The failed journal write degraded the linker, not the caller.
         assert linker.read_only
         storage.close()
 
-        restarted = build_durable_linker("engine", tmp_path / "data")
+        restarted = build_durable_linker("sqlite", tmp_path / "data")
         assert restarted.has_object(2), "update tore into a remove-without-add"
         assert restarted.get_object(2).text == before_text
         restarted.storage.close()
@@ -257,16 +224,15 @@ class TestMutationJournaling:
 
 class TestReadOnlyDegradation:
     def test_journal_failure_degrades_to_read_only(self, tmp_path) -> None:
-        faults = StorageFaultInjector()
-        storage = open_storage("engine", tmp_path / "data", faults=faults)
+        storage = open_storage("sqlite", tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         linker.add_objects(sample_corpus())
         assert not linker.read_only
 
-        faults.fail_fsync(1)
+        FailingConnection.install(storage, fail_on=1)
         linker.add_object(CorpusObject(901, "chromatic number", classes=["05C15"]))
         assert linker.read_only
-        assert "FaultInjectedError" in linker.storage_error
+        assert "OperationalError" in linker.storage_error
         assert linker.describe()["read_only"] is True
 
         # Reads keep serving; writes are refused with the typed error.
@@ -279,8 +245,24 @@ class TestReadOnlyDegradation:
             linker.set_linking_policy(1, "forbid *\n")
         storage.close()
 
+        # The failed add rolled back: only the journaled corpus is on disk.
+        restarted = build_durable_linker("sqlite", tmp_path / "data")
+        assert len(restarted) == 30
+        assert not restarted.has_object(901)
+        restarted.storage.close()
+
+    def test_checkpoint_failure_degrades_to_read_only(self, tmp_path) -> None:
+        storage = open_storage("sqlite", tmp_path / "data")
+        linker = NNexus(scheme=build_small_msc(), storage=storage)
+        linker.add_objects(sample_corpus()[:3])
+        FailingConnection.install(storage, fail_on=1)
+        linker.checkpoint_storage()
+        assert linker.read_only
+        assert "OperationalError" in linker.storage_error
+        storage.close()
+
     def test_read_only_flag_exported_in_metrics(self, tmp_path) -> None:
-        storage = open_storage("engine", tmp_path / "data")
+        storage = open_storage("sqlite", tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         gauges = {g["name"]: g["value"] for g in linker.metrics_snapshot()["gauges"]}
         assert gauges["nnexus_storage_read_only"] == 0
@@ -290,16 +272,25 @@ class TestReadOnlyDegradation:
 
 class TestRestoreVerification:
     def test_tampered_rendering_is_evicted_on_cold_start(self, tmp_path) -> None:
-        linker = build_durable_linker("engine", tmp_path / "data")
+        data_dir = tmp_path / "data"
+        linker = build_durable_linker("sqlite", data_dir)
         linker.add_objects(sample_corpus())
         render_all(linker)
-        # Tamper with a persisted rendering body behind the linker's back.
-        db = linker.storage.database
         key = f"{linker.object_ids()[0]}:html"
-        db.update("renderings", key, {"body": "<p>stale bytes</p>"})
         linker.storage.close()
+        # Tamper with a persisted rendering body behind the linker's back.
+        conn = sqlite3.connect(data_dir / "corpus.sqlite3")
+        try:
+            with conn:
+                changed = conn.execute(
+                    "UPDATE renderings SET body=? WHERE key=?",
+                    ("<p>stale bytes</p>", key),
+                ).rowcount
+        finally:
+            conn.close()
+        assert changed == 1
 
-        restarted = build_durable_linker("engine", tmp_path / "data")
+        restarted = build_durable_linker("sqlite", data_dir)
         assert restarted.last_restore["mismatches"] >= 1
         # The evicted entry re-renders to the correct bytes on demand.
         assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
@@ -308,44 +299,53 @@ class TestRestoreVerification:
 
 class TestKillPointsThroughTheLinker:
     def test_sampled_wal_truncations_recover_renderable_prefixes(self, tmp_path) -> None:
-        """Chop the WAL of a linked corpus at sampled offsets; every cut
-        must cold-start cleanly and render byte-identically to a fresh
-        memory-only linker over the same recovered object set."""
+        """Cut sqlite's write-ahead log of a linked corpus at sampled
+        offsets; every cut must cold-start cleanly and render
+        byte-identically to a fresh memory-only linker over the same
+        recovered object set."""
         origin = tmp_path / "origin"
-        storage = open_storage("engine", origin, persist_renderings=False)
+        storage = open_storage("sqlite", origin, persist_renderings=False)
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         corpus = sample_corpus()
         linker.add_objects(corpus)
+        # Copy while the connection is open: closing would checkpoint
+        # the log into the database file and delete it.
+        crash = tmp_path / "crash"
+        shutil.copytree(origin, crash)
         storage.close()
-        wal = (origin / "wal.jsonl").read_bytes()
+        wal = (crash / "corpus.sqlite3-wal").read_bytes()
 
-        cuts = list(range(0, len(wal) + 1, max(1, len(wal) // 24)))
-        if len(wal) not in cuts:
-            cuts.append(len(wal))
+        cuts = list(range(0, len(wal), max(1, len(wal) // 48))) + [len(wal)]
+        assert len(cuts) >= 49
+        reference_digests: dict[int, str] = {}
         seen_sizes = set()
         for cut in cuts:
             trial = tmp_path / "trial"
             if trial.exists():
                 shutil.rmtree(trial)
-            shutil.copytree(origin, trial)
-            (trial / "wal.jsonl").write_bytes(wal[:cut])
-            recovered = build_durable_linker("engine", trial)
+            shutil.copytree(crash, trial)
+            (trial / "corpus.sqlite3-wal").write_bytes(wal[:cut])
+            # The shared-memory index describes the uncut log; sqlite
+            # rebuilds it from the log on open, as after a power loss.
+            (trial / "corpus.sqlite3-shm").unlink(missing_ok=True)
+            recovered = build_durable_linker("sqlite", trial)
             recovered_ids = recovered.object_ids()
-            seen_sizes.add(len(recovered_ids))
+            size = len(recovered_ids)
+            seen_sizes.add(size)
             # Committed prefix: add_objects journals in id order.
-            assert recovered_ids == [obj.object_id for obj in corpus[: len(recovered_ids)]]
-            reference = NNexus(scheme=build_small_msc())
-            reference.add_objects(corpus[: len(recovered_ids)])
-            assert corpus_digest(render_all(recovered)) == corpus_digest(
-                render_all(reference)
-            )
+            assert recovered_ids == [obj.object_id for obj in corpus[:size]]
+            if size not in reference_digests:
+                reference = NNexus(scheme=build_small_msc())
+                reference.add_objects(corpus[:size])
+                reference_digests[size] = corpus_digest(render_all(reference))
+            assert corpus_digest(render_all(recovered)) == reference_digests[size]
             recovered.storage.close()
         assert 0 in seen_sizes and len(corpus) in seen_sizes
 
 
 class TestProcessModeCompatibility:
     def test_pickled_linker_swaps_durable_storage_out(self, tmp_path) -> None:
-        linker = build_durable_linker("engine", tmp_path / "data")
+        linker = build_durable_linker("sqlite", tmp_path / "data")
         linker.add_objects(sample_corpus()[:5])
         clone = pickle.loads(pickle.dumps(linker))
         assert clone.storage.durable is False

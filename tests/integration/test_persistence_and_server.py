@@ -1,26 +1,33 @@
-"""Integration: storage engine + linker + server, the full deployment."""
+"""Integration: sqlite storage + linker + server, the full deployment."""
 
+from repro.core.linker import NNexus
+from repro.core.models import CorpusObject
 from repro.corpus.generator import GeneratorParams, generate_corpus
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
+from repro.persistence import open_storage
 from repro.server.client import NNexusClient
 from repro.server.server import serve_forever
-from repro.storage.tables import NNexusStore
+
+
+def durable_linker(data_dir, scheme=None) -> NNexus:
+    return NNexus(
+        scheme=scheme or build_small_msc(), storage=open_storage("sqlite", data_dir)
+    )
 
 
 class TestStoreBackedServer:
     def test_persist_restart_serve(self, tmp_path) -> None:
         # Phase 1: ingest a corpus and persist it.
         path = tmp_path / "db"
-        store = NNexusStore(path)
-        store.save_corpus(sample_corpus())
-        store.checkpoint()
-        store.close()
+        linker = durable_linker(path)
+        linker.add_objects(sample_corpus())
+        linker.checkpoint_storage()
+        linker.storage.close()
 
-        # Phase 2: "restart" — rebuild the linker from disk and serve it.
-        reopened = NNexusStore(path)
-        linker = reopened.build_linker(scheme=build_small_msc())
-        server = serve_forever(linker)
+        # Phase 2: "restart" — cold-start the linker from disk and serve it.
+        reopened = durable_linker(path)
+        server = serve_forever(reopened)
         try:
             with NNexusClient(*server.address) as client:
                 assert client.describe()["objects"] == 30
@@ -34,30 +41,29 @@ class TestStoreBackedServer:
         finally:
             server.shutdown()
             server.server_close()
-            reopened.close()
+            reopened.storage.close()
 
     def test_synthetic_corpus_via_store(self, tmp_path) -> None:
         corpus = generate_corpus(GeneratorParams(n_entries=60, seed=4))
-        store = NNexusStore(tmp_path / "db")
-        store.save_corpus(corpus.objects)
-        linker = store.build_linker(scheme=corpus.scheme)
-        assert len(linker) == 60
-        # Spot check: linking a stored object still finds its invocations.
+        linker = durable_linker(tmp_path / "db", scheme=corpus.scheme)
+        linker.add_objects(corpus.objects)
+        linker.storage.close()
+
+        restarted = durable_linker(tmp_path / "db", scheme=corpus.scheme)
+        assert len(restarted) == 60
+        # Spot check: linking a restored object still finds its invocations.
         first = corpus.objects[0]
-        document = linker.link_object(first.object_id)
+        document = restarted.link_object(first.object_id)
         defined = [
             inv for inv in corpus.ground_truth[first.object_id]
             if inv.target_id is not None
         ]
         assert document.link_count >= len(defined)
-        store.close()
+        restarted.storage.close()
 
     def test_server_mutations_can_be_written_back(self, tmp_path) -> None:
-        from repro.core.models import CorpusObject
-
-        store = NNexusStore(tmp_path / "db")
-        store.save_corpus(sample_corpus())
-        linker = store.build_linker(scheme=build_small_msc())
+        linker = durable_linker(tmp_path / "db")
+        linker.add_objects(sample_corpus())
         server = serve_forever(linker)
         try:
             with NNexusClient(*server.address) as client:
@@ -65,10 +71,12 @@ class TestStoreBackedServer:
                     CorpusObject(777, "girth", defines=["girth"],
                                  classes=["05C38"], text="Shortest cycle length.")
                 )
-            # Application-level write-back: persist what the linker holds.
-            store.save_object(linker.get_object(777))
-            assert store.load_object(777).title == "girth"
         finally:
             server.shutdown()
             server.server_close()
-            store.close()
+            linker.storage.close()
+
+        # The wire mutation reached disk through the linker's journal.
+        restarted = durable_linker(tmp_path / "db")
+        assert restarted.get_object(777).title == "girth"
+        restarted.storage.close()

@@ -1,7 +1,7 @@
 """REP102 clean fixture: transactions, contracts, sqlite conn scope."""
 
 
-class EngineBackend:
+class TransactionalBackend:
     durable = True
 
     def __init__(self, db):

@@ -64,10 +64,10 @@ def test_persistence_run_reports_durability_section() -> None:
                     persistence=True)
     )
     durability = report["persistence"]
-    assert durability["backend"] == "engine"
+    assert durability["backend"] == "sqlite"
     assert durability["sync"] == "always"
     assert durability["restored_objects"] == durability["entries"] == 30
-    assert durability["wal_bytes"] > 0
+    assert durability["disk_bytes"] > 0
     assert durability["cold_start_sec"] > 0.0
     assert durability["wal_overhead_ratio"] > 0.0
     assert validate_report(report) == []
@@ -147,9 +147,9 @@ def test_validate_rejects_broken_reports() -> None:
     lossy_restore = copy.deepcopy(good)
     lossy_restore["params"]["persistence"] = True
     lossy_restore["persistence"] = {
-        "backend": "engine", "sync": "always", "entries": 40,
+        "backend": "sqlite", "sync": "always", "entries": 40,
         "ingest_memory_sec": 0.1, "ingest_journaled_sec": 0.2,
-        "wal_overhead_ratio": 2.0, "wal_bytes": 1024,
+        "wal_overhead_ratio": 2.0, "disk_bytes": 1024,
         "cold_start_sec": 0.1, "restored_objects": 39,
     }
     assert any("lost corpus objects" in p for p in validate_report(lossy_restore))

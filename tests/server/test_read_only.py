@@ -19,15 +19,14 @@ from repro.persistence import open_storage
 from repro.server.client import NNexusClient, RemoteError
 from repro.server.http_gateway import serve_http
 from repro.server.server import serve_forever
-from repro.storage.faults import StorageFaultInjector
+from tests.storage.sqlite_faults import FailingConnection
 
 
 def degraded_linker(tmp_path) -> NNexus:
-    faults = StorageFaultInjector()
-    storage = open_storage("engine", tmp_path / "data", faults=faults)
+    storage = open_storage("sqlite", tmp_path / "data")
     linker = NNexus(scheme=build_small_msc(), storage=storage)
     linker.add_objects(sample_corpus())
-    faults.fail_fsync(1)
+    FailingConnection.install(storage, fail_on=1)
     # This mutation succeeds in memory but its journal write fails,
     # flipping the linker to read-only.
     linker.add_object(CorpusObject(901, "chromatic number", classes=["05C15"]))
@@ -73,14 +72,14 @@ class TestHttpGateway:
             assert status == 200
             assert payload["status"] == "ready"
             assert payload["mode"] == "read-only"
-            assert "FaultInjectedError" in payload["reason"]
+            assert "OperationalError" in payload["reason"]
         finally:
             gateway.shutdown()
             gateway.server_close()
             linker.storage.close()
 
     def test_ready_reports_serving_mode_when_healthy(self, tmp_path) -> None:
-        storage = open_storage("engine", tmp_path / "data")
+        storage = open_storage("sqlite", tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         gateway = serve_http(linker)
         try:

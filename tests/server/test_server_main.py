@@ -74,7 +74,7 @@ class TestStartupFailureHygiene:
                     "--port",
                     str(port),
                     "--backend",
-                    "engine",
+                    "sqlite",
                     "--data-dir",
                     str(tmp_path / "data"),
                     "--trace-jsonl",
@@ -88,7 +88,7 @@ class TestStartupFailureHygiene:
         assert "exporter" in recorder.closed
 
     def test_storage_reopens_cleanly_after_bind_failure(self, tmp_path) -> None:
-        """The WAL handle must actually be released, not just flagged."""
+        """The database handle must actually be released, not just flagged."""
         data_dir = tmp_path / "data"
         blocker, port = _occupied_port()
         try:
@@ -100,7 +100,7 @@ class TestStartupFailureHygiene:
                         "--port",
                         str(port),
                         "--backend",
-                        "engine",
+                        "sqlite",
                         "--data-dir",
                         str(data_dir),
                     ]
@@ -109,7 +109,11 @@ class TestStartupFailureHygiene:
             )
         finally:
             blocker.close()
-        storage = server_main.open_storage("engine", data_dir)
+        # sqlite deletes the write-ahead log when its last connection
+        # closes, so a leftover log means the handle leaked.
+        assert (data_dir / "corpus.sqlite3").exists()
+        assert not (data_dir / "corpus.sqlite3-wal").exists()
+        storage = server_main.open_storage("sqlite", data_dir)
         try:
             assert storage.load().objects == []
         finally:
@@ -126,7 +130,7 @@ class TestStartupFailureHygiene:
                 "--port",
                 "0",
                 "--backend",
-                "engine",
+                "sqlite",
                 "--data-dir",
                 str(tmp_path / "data"),
                 "--corpus",
@@ -153,7 +157,7 @@ class TestStartupFailureHygiene:
                     "--port",
                     "0",
                     "--backend",
-                    "engine",
+                    "sqlite",
                     "--data-dir",
                     str(tmp_path / "data"),
                     "--corpus",
@@ -161,3 +165,31 @@ class TestStartupFailureHygiene:
                 ]
             )
         assert "storage" in recorder.closed
+
+
+class TestEngineEraDataDir:
+    @pytest.mark.parametrize("leftover", ["wal.jsonl", "snapshot.json"])
+    def test_refuses_directory_of_the_removed_engine_backend(
+        self, tmp_path, recorder, leftover
+    ) -> None:
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / leftover).write_text("{}\n")
+        rc = server_main.main(
+            [
+                "--host",
+                "127.0.0.1",
+                "--port",
+                "0",
+                "--backend",
+                "sqlite",
+                "--data-dir",
+                str(data_dir),
+                "--trace-jsonl",
+                str(tmp_path / "trace.jsonl"),
+            ]
+        )
+        assert rc == 1
+        # No empty corpus was started beside the old files.
+        assert not (data_dir / "corpus.sqlite3").exists()
+        assert "exporter" in recorder.closed

@@ -1,89 +1,110 @@
-"""Crash-recovery torture tests for the storage engine.
+"""Crash-recovery torture tests for the sqlite corpus store.
 
-The invariant under test: whatever kill point is injected — the WAL
-truncated at ANY byte offset, an fsync or rename failing mid-checkpoint,
-a torn write mid-commit — reopening the database recovers exactly a
-*prefix of committed transactions*.  Never part of a transaction, never
-a later transaction without an earlier one, never silent loss of state
-that a checkpoint or fsync already made durable.
+The invariant under test: whatever kill point is injected — the
+write-ahead log cut at any offset, a torn or bit-flipped tail, a failed
+checkpoint, a statement failing mid-transaction — reopening the data
+directory recovers exactly a *prefix of committed journal records*.
+Never part of a record, never a later record without an earlier one,
+never silent loss of state that a commit already made durable.
 """
 
-import json
-import shutil
+import struct
 
 import pytest
 
 from repro.core.errors import StorageCorruptionError, StorageError
-from repro.storage.engine import Column, Database, Schema
-from repro.storage.faults import FaultInjectedError, StorageFaultInjector
+from repro.core.models import CorpusObject
+from repro.persistence.sqlite_backend import SqliteBackend
+from tests.storage.sqlite_faults import (
+    SHM_NAME,
+    WAL_NAME,
+    FailingConnection,
+    crash_image,
+)
+
+#: sqlite's WAL header and per-frame header sizes, in bytes.
+WAL_HEADER = 32
+FRAME_HEADER = 24
 
 
-def kv_schema() -> Schema:
-    return Schema(
-        columns=(Column("id", "int"), Column("v", "str", nullable=True)),
-        primary_key="id",
+def entry(object_id: int, text: str) -> CorpusObject:
+    return CorpusObject(object_id=object_id, title=f"entry {object_id}", text=text)
+
+
+def state(backend: SqliteBackend) -> tuple[dict, dict]:
+    """Object texts and rendering validity, as one comparable value."""
+    snapshot = backend.load()
+    return (
+        {obj.object_id: obj.text for obj in snapshot.objects},
+        {(r.object_id, r.fmt): r.valid for r in snapshot.renderings},
     )
 
 
-def table_state(db: Database, table: str = "t") -> dict:
-    if not db.has_table(table):
-        return {}
-    return {pk: db.table(table).get(pk) for pk in db.table(table).keys()}
+def reopened_state(data_dir) -> tuple[dict, dict]:
+    backend = SqliteBackend(data_dir)
+    try:
+        return state(backend)
+    finally:
+        backend.close()
 
 
-def build_committed_history(path) -> list[dict]:
-    """Run a scripted op sequence; return the state after each commit.
+def build_committed_history(backend: SqliteBackend) -> list[tuple[dict, dict]]:
+    """Run a scripted journal; return the state after each commit.
 
-    Mixes single-op auto-commits and multi-op transactions so the WAL
-    holds both framed record shapes.
+    Mixes adds, renderings, invalidating adds, updates and removes so
+    the log holds every record shape the linker writes.
     """
-    db = Database(path)
-    states = [table_state(db)]
-
-    db.create_table("t", kv_schema(), indexes=("v",))
-    states.append(table_state(db))
-
-    db.insert("t", {"id": 1, "v": "one"})
-    states.append(table_state(db))
-
-    with db.transaction():
-        db.insert("t", {"id": 2, "v": "two"})
-        db.insert("t", {"id": 3, "v": "three"})
-        db.update("t", 1, {"v": "one-revised"})
-    states.append(table_state(db))
-
-    db.delete("t", 2)
-    states.append(table_state(db))
-
-    with db.transaction():
-        db.insert("t", {"id": 4, "v": "four"})
-        db.delete("t", 3)
-    states.append(table_state(db))
-
-    db.close()
+    states = [state(backend)]
+    backend.record_add(entry(1, "one"), ())
+    states.append(state(backend))
+    backend.record_rendering(1, "html", "<p>one</p>")
+    states.append(state(backend))
+    backend.record_add(entry(2, "two"), invalidated=(1,))
+    states.append(state(backend))
+    backend.record_update(entry(1, "one-revised"), invalidated=(2,))
+    states.append(state(backend))
+    backend.record_remove(2, ())
+    states.append(state(backend))
+    backend.record_add(entry(4, "four"), ())
+    states.append(state(backend))
     return states
+
+
+def frame_boundary_cuts(wal: bytes) -> list[int]:
+    """Every offset class of a cut through ``wal``.
+
+    sqlite replays only whole frames whose checksum chain holds, so the
+    recovered state can change only where a frame starts or ends.
+    Cutting on and beside every boundary covers every distinct outcome.
+    """
+    page_size = struct.unpack(">I", wal[8:12])[0]
+    frame = FRAME_HEADER + page_size
+    boundaries = [0, WAL_HEADER] + list(range(WAL_HEADER + frame, len(wal) + 1, frame))
+    cuts = {c + d for c in boundaries for d in (-1, 0, 1)}
+    return sorted(c for c in cuts if 0 <= c <= len(wal))
+
+
+def crashed_history(tmp_path):
+    origin = tmp_path / "origin"
+    backend = SqliteBackend(origin)
+    states = build_committed_history(backend)
+    crash = crash_image(origin, tmp_path / "crash")
+    backend.close()
+    return states, crash, (crash / WAL_NAME).read_bytes()
 
 
 class TestEveryByteOffset:
     def test_wal_truncated_at_every_offset_recovers_a_committed_prefix(
         self, tmp_path
     ) -> None:
-        origin = tmp_path / "origin"
-        states = build_committed_history(origin)
-        wal = (origin / "wal.jsonl").read_bytes()
-        assert len(wal) > 0
+        states, crash, wal = crashed_history(tmp_path)
+        assert len(wal) > WAL_HEADER
 
         reached: set[int] = set()
-        for cut in range(len(wal) + 1):
-            trial = tmp_path / "trial"
-            if trial.exists():
-                shutil.rmtree(trial)
-            shutil.copytree(origin, trial)
-            (trial / "wal.jsonl").write_bytes(wal[:cut])
-            db = Database(trial)
-            recovered = table_state(db)
-            db.close()
-            matching = [i for i, state in enumerate(states) if state == recovered]
+        for cut in frame_boundary_cuts(wal):
+            trial = crash_image(crash, tmp_path / "trial", wal=wal[:cut])
+            recovered = reopened_state(trial)
+            matching = [i for i, s in enumerate(states) if s == recovered]
             assert matching, (
                 f"cut at byte {cut} recovered a state that was never "
                 f"committed: {recovered!r}"
@@ -96,206 +117,194 @@ class TestEveryByteOffset:
         assert len(reached) >= 4
 
     def test_recovery_is_monotone_in_cut_offset(self, tmp_path) -> None:
-        """Longer surviving WAL prefixes never recover *older* states."""
-        origin = tmp_path / "origin"
-        states = build_committed_history(origin)
-        wal = (origin / "wal.jsonl").read_bytes()
+        """Longer surviving log prefixes never recover *older* states."""
+        states, crash, wal = crashed_history(tmp_path)
         last_index = 0
-        for cut in range(0, len(wal) + 1, 7):
-            trial = tmp_path / "trial"
-            if trial.exists():
-                shutil.rmtree(trial)
-            shutil.copytree(origin, trial)
-            (trial / "wal.jsonl").write_bytes(wal[:cut])
-            db = Database(trial)
-            recovered = table_state(db)
-            db.close()
-            index = states.index(recovered)
+        for cut in frame_boundary_cuts(wal):
+            trial = crash_image(crash, tmp_path / "trial", wal=wal[:cut])
+            index = states.index(reopened_state(trial))
             assert index >= last_index
             last_index = index
 
 
+def torn_tail(wal: bytes) -> bytes:
+    """The log plus the first half of a copy of its last frame."""
+    page_size = struct.unpack(">I", wal[8:12])[0]
+    last_frame = wal[-(FRAME_HEADER + page_size):]
+    return wal + last_frame[: len(last_frame) // 2]
+
+
 class TestTornTailAppend:
     def test_append_after_torn_tail_survives_the_next_recovery(self, tmp_path) -> None:
-        """Regression: the WAL must be truncated to the last valid record
-        before reopening for append, or the first post-recovery commit is
-        glued onto the partial line and destroyed by the *next* recovery."""
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("t", kv_schema())
-        db.insert("t", {"id": 1, "v": "a"})
-        db.close()
-        with open(path / "wal.jsonl", "ab") as handle:
-            handle.write(b'17 deadbeef {"op": "ins')  # torn frame, no newline
+        """A commit made after recovering from a torn log must survive
+        the *next* recovery too."""
+        origin = tmp_path / "origin"
+        backend = SqliteBackend(origin)
+        backend.record_add(entry(1, "a"), ())
+        crash = crash_image(origin, tmp_path / "crash")
+        backend.close()
+        wal_path = crash / WAL_NAME
+        wal_path.write_bytes(torn_tail(wal_path.read_bytes()))
 
-        survivor = Database(path)
-        assert survivor.table("t").get(1) is not None
-        survivor.insert("t", {"id": 2, "v": "b"})
+        survivor = SqliteBackend(crash)
+        assert state(survivor)[0] == {1: "a"}
+        survivor.record_add(entry(2, "b"), ())
         survivor.close()
 
-        reopened = Database(path)
-        assert reopened.table("t").get(1) is not None
-        assert reopened.table("t").get(2) is not None, (
+        assert reopened_state(crash)[0] == {1: "a", 2: "b"}, (
             "commit after torn-tail recovery was lost on the next recovery"
         )
-        reopened.close()
 
     def test_torn_tail_is_truncated_on_disk(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("t", kv_schema())
-        db.close()
-        clean_size = (path / "wal.jsonl").stat().st_size
-        with open(path / "wal.jsonl", "ab") as handle:
-            handle.write(b"999 00000000 {tor")
-        db = Database(path)
-        assert db.last_recovery.torn_bytes_dropped == 17
-        assert (path / "wal.jsonl").stat().st_size == clean_size
-        db.close()
+        origin = tmp_path / "origin"
+        backend = SqliteBackend(origin)
+        backend.record_add(entry(1, "a"), ())
+        crash = crash_image(origin, tmp_path / "crash")
+        backend.close()
+        wal_path = crash / WAL_NAME
+        wal_path.write_bytes(torn_tail(wal_path.read_bytes()))
+
+        survivor = SqliteBackend(crash)
+        survivor.checkpoint()
+        assert (crash / WAL_NAME).stat().st_size == 0
+        assert state(survivor)[0] == {1: "a"}
+        survivor.close()
 
     def test_bit_flip_mid_wal_stops_replay_before_it(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("t", kv_schema())
-        db.insert("t", {"id": 1, "v": "a"})
-        db.insert("t", {"id": 2, "v": "b"})
-        db.close()
-        wal = bytearray((path / "wal.jsonl").read_bytes())
-        # Corrupt one byte inside the SECOND insert's JSON body.
-        lines = bytes(wal).split(b"\n")
-        offset = len(lines[0]) + 1 + len(lines[1]) + 1 + len(lines[2]) // 2
-        wal[offset] ^= 0xFF
-        (path / "wal.jsonl").write_bytes(bytes(wal))
-        db = Database(path)
-        assert db.table("t").get(1) is not None
-        assert db.table("t").get(2) is None  # CRC rejected the flipped record
-        db.close()
+        origin = tmp_path / "origin"
+        backend = SqliteBackend(origin)
+        wal_sizes = []
+        for object_id in (1, 2, 3):
+            backend.record_add(entry(object_id, f"v{object_id}"), ())
+            wal_sizes.append((origin / WAL_NAME).stat().st_size)
+        crash = crash_image(origin, tmp_path / "crash")
+        backend.close()
+        wal = bytearray((crash / WAL_NAME).read_bytes())
+        # Corrupt one byte inside the SECOND add's frames.
+        wal[(wal_sizes[0] + wal_sizes[1]) // 2] ^= 0xFF
+        (crash / WAL_NAME).write_bytes(bytes(wal))
+        # The checksum chain rejects the flipped frame and every later one.
+        assert reopened_state(crash)[0] == {1: "v1"}
 
 
 class TestCheckpointFaults:
-    def populated(self, path, faults=None) -> Database:
-        db = Database(path, faults=faults)
-        db.create_table("t", kv_schema())
-        db.insert("t", {"id": 1, "v": "a"})
-        db.insert("t", {"id": 2, "v": "b"})
-        return db
+    def populated(self, path) -> SqliteBackend:
+        backend = SqliteBackend(path)
+        backend.record_add(entry(1, "a"), ())
+        backend.record_add(entry(2, "b"), ())
+        return backend
+
+    def failing_checkpoint(self, backend: SqliteBackend) -> None:
+        real_conn = backend._conn
+        FailingConnection.install(backend, fail_on=1)
+        with pytest.raises(StorageError):
+            backend.checkpoint()
+        backend._conn = real_conn
 
     def test_failed_tmp_fsync_preserves_previous_state(self, tmp_path) -> None:
-        faults = StorageFaultInjector()
-        db = self.populated(tmp_path / "db", faults=faults)
-        faults.fail_fsync(1)
-        with pytest.raises(FaultInjectedError):
-            db.checkpoint()
-        db.close()
-        reopened = Database(tmp_path / "db")
-        assert table_state(reopened) == {1: {"id": 1, "v": "a"}, 2: {"id": 2, "v": "b"}}
-        assert not (tmp_path / "db" / "snapshot.tmp").exists()
-        reopened.close()
+        """A checkpoint that fails before folding the log into the
+        database file loses nothing the log already holds."""
+        backend = self.populated(tmp_path / "db")
+        self.failing_checkpoint(backend)
+        crash = crash_image(tmp_path / "db", tmp_path / "crash")
+        backend.close()
+        assert reopened_state(crash)[0] == {1: "a", 2: "b"}
 
     def test_failed_rename_preserves_previous_state(self, tmp_path) -> None:
-        faults = StorageFaultInjector()
-        db = self.populated(tmp_path / "db", faults=faults)
-        db.checkpoint()  # first snapshot succeeds
-        db.insert("t", {"id": 3, "v": "c"})
-        faults.fail_replace(1)
-        with pytest.raises(FaultInjectedError):
-            db.checkpoint()
-        db.close()
-        reopened = Database(tmp_path / "db")
-        # Previous snapshot + post-snapshot WAL: nothing lost.
-        assert table_state(reopened) == {
-            1: {"id": 1, "v": "a"},
-            2: {"id": 2, "v": "b"},
-            3: {"id": 3, "v": "c"},
-        }
-        reopened.close()
+        """A failed second checkpoint keeps the first one plus every
+        commit logged after it."""
+        backend = self.populated(tmp_path / "db")
+        backend.checkpoint()  # first checkpoint succeeds
+        backend.record_add(entry(3, "c"), ())
+        self.failing_checkpoint(backend)
+        crash = crash_image(tmp_path / "db", tmp_path / "crash")
+        backend.close()
+        assert reopened_state(crash)[0] == {1: "a", 2: "b", 3: "c"}
 
     def test_stale_snapshot_tmp_is_ignored_and_cleaned(self, tmp_path) -> None:
-        db = self.populated(tmp_path / "db")
-        db.checkpoint()
-        db.close()
-        tmp_file = tmp_path / "db" / "snapshot.tmp"
-        tmp_file.write_text('{"torn": ')
-        reopened = Database(tmp_path / "db")
-        assert table_state(reopened) == {1: {"id": 1, "v": "a"}, 2: {"id": 2, "v": "b"}}
-        assert not tmp_file.exists()
-        reopened.close()
+        """A shared-memory index left by a crashed process is rebuilt
+        from the log, not trusted, and removed on a clean close."""
+        backend = self.populated(tmp_path / "db")
+        crash = crash_image(tmp_path / "db", tmp_path / "crash")
+        backend.close()
+        (crash / SHM_NAME).write_bytes(b"\xff" * 32768)
+        assert reopened_state(crash)[0] == {1: "a", 2: "b"}
+        assert not (crash / SHM_NAME).exists()
 
 
 class TestTornCommit:
     def test_short_write_tears_the_whole_transaction(self, tmp_path) -> None:
-        faults = StorageFaultInjector()
-        db = Database(tmp_path / "db", faults=faults)
-        db.create_table("t", kv_schema())
-        db.insert("t", {"id": 1, "v": "before"})
-        faults.short_write(on_call=1, keep_bytes=25)  # tear the next (txn) frame
-        with pytest.raises(FaultInjectedError):
-            with db.transaction():
-                db.insert("t", {"id": 2, "v": "x"})
-                db.update("t", 1, {"v": "mutated"})
-        db.close()
-        reopened = Database(tmp_path / "db")
-        # All-or-nothing: neither half of the transaction survived.
-        assert table_state(reopened) == {1: {"id": 1, "v": "before"}}
-        reopened.close()
+        backend = SqliteBackend(tmp_path / "db")
+        backend.record_add(entry(1, "before"), ())
+        backend.record_add(entry(2, "other"), ())
+        backend.record_rendering(2, "html", "<p>other</p>")
+        # Statement 1 rewrites the object row, statement 2 (dropping its
+        # renderings) fails before the invalidation of entry 2 runs.
+        FailingConnection.install(backend, fail_on=2)
+        with pytest.raises(StorageError):
+            backend.record_update(entry(1, "mutated"), invalidated=(2,))
+        crash = crash_image(tmp_path / "db", tmp_path / "crash")
+        backend._conn._conn.close()
+        # All-or-nothing: neither half of the record survived.
+        assert reopened_state(crash) == ({1: "before", 2: "other"}, {(2, "html"): True})
 
 
 class TestSnapshotCorruption:
+    def checkpointed(self, path) -> bytearray:
+        backend = SqliteBackend(path)
+        backend.record_add(entry(1, "a"), ())
+        backend.checkpoint()
+        backend.close()
+        return bytearray((path / "corpus.sqlite3").read_bytes())
+
     def test_checksum_mismatch_raises_corruption_error(self, tmp_path) -> None:
         path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("t", kv_schema())
-        db.insert("t", {"id": 1, "v": "a"})
-        db.checkpoint()
-        db.close()
-        snapshot_path = path / "snapshot.json"
-        payload = json.loads(snapshot_path.read_text())
-        payload["tables"]["t"]["rows"][0]["v"] = "tampered"
-        snapshot_path.write_text(json.dumps(payload))
-        with pytest.raises(StorageCorruptionError):
-            Database(path)
+        image = self.checkpointed(path)
+        page_size = struct.unpack(">H", image[16:18])[0]
+        # Page 2 is the root of the first table created (``objects``);
+        # clobber its b-tree page header.
+        image[page_size : page_size + 8] = b"\x00" + b"\xff" * 7
+        (path / "corpus.sqlite3").write_bytes(bytes(image))
+        with pytest.raises(StorageCorruptionError, match="malformed"):
+            SqliteBackend(path)
 
     def test_unparseable_snapshot_raises_corruption_error(self, tmp_path) -> None:
         path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("t", kv_schema())
-        db.checkpoint()
-        db.close()
-        (path / "snapshot.json").write_text('{"format": 2, "checksum": "00"')
-        with pytest.raises(StorageCorruptionError):
-            Database(path)
+        image = self.checkpointed(path)
+        image[0:16] = b"not a database!\x00"
+        (path / "corpus.sqlite3").write_bytes(bytes(image))
+        with pytest.raises(StorageCorruptionError, match="not a database"):
+            SqliteBackend(path)
 
 
 class TestSyncPolicies:
     @pytest.mark.parametrize("sync", ["always", "batch", "off"])
     def test_round_trip_under_every_policy(self, tmp_path, sync) -> None:
-        db = Database(tmp_path / "db", sync=sync)
-        db.create_table("t", kv_schema())
-        with db.transaction():
-            db.insert("t", {"id": 1, "v": "a"})
-        db.checkpoint()
-        db.insert("t", {"id": 2, "v": "b"})
-        db.close()
-        reopened = Database(tmp_path / "db", sync=sync)
-        assert len(reopened.table("t")) == 2
+        backend = SqliteBackend(tmp_path, sync=sync)
+        backend.record_add(entry(3, "three"), ())
+        backend.checkpoint()
+        backend.record_rendering(3, "html", "<p>restored</p>")
+        backend.close()
+        reopened = SqliteBackend(tmp_path, sync=sync)
+        snapshot = reopened.load()
         reopened.close()
+        assert [obj.object_id for obj in snapshot.objects] == [3]
+        assert [(r.object_id, r.fmt, r.body, r.valid) for r in snapshot.renderings] == [
+            (3, "html", "<p>restored</p>", True)
+        ]
 
     def test_unknown_policy_rejected(self, tmp_path) -> None:
-        with pytest.raises(StorageError):
-            Database(tmp_path / "db", sync="sometimes")
+        with pytest.raises(StorageError, match="unknown sync policy"):
+            SqliteBackend(tmp_path, sync="sometimes")
 
     def test_recovery_stats_counts_replay(self, tmp_path) -> None:
-        db = Database(tmp_path / "db")
-        db.create_table("t", kv_schema())
-        db.insert("t", {"id": 1, "v": "a"})
-        with db.transaction():
-            db.insert("t", {"id": 2, "v": "b"})
-            db.insert("t", {"id": 3, "v": "c"})
-        db.close()
-        reopened = Database(tmp_path / "db")
-        stats = reopened.last_recovery
-        assert not stats.snapshot_loaded
-        assert stats.wal_transactions == 1
-        assert stats.wal_records == 4  # create_table + insert + 2 txn records
-        assert stats.torn_bytes_dropped == 0
+        states, crash, _ = crashed_history(tmp_path)
+        reopened = SqliteBackend(crash, sync="batch")
+        assert reopened.recovery_stats() == {
+            "backend": "sqlite",
+            "sync": "batch",
+            "path": str(crash / "corpus.sqlite3"),
+        }
+        # Every committed record was replayed from the uncheckpointed log.
+        assert state(reopened) == states[-1]
         reopened.close()

@@ -1,364 +1,236 @@
-"""Tests for the embedded storage engine."""
+"""Tests for the embedded storage engine: stdlib ``sqlite3`` as
+``SqliteBackend`` drives it (schema, row operations, index use,
+transactions and write-ahead-log replay)."""
 
 import json
+import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import (
-    DuplicateKeyError,
-    MissingKeyError,
-    SchemaError,
-    StorageError,
-    TransactionError,
-)
-from repro.storage.engine import Column, Database, Schema
+from repro.core.errors import StorageError
+from repro.core.models import CorpusObject
+from repro.persistence.api import object_from_payload
+from repro.persistence.sqlite_backend import SqliteBackend
+from tests.storage.sqlite_faults import WAL_NAME, FailingConnection, crash_image
 
 
-def people_schema() -> Schema:
-    return Schema(
-        columns=(
-            Column("id", "int"),
-            Column("name", "str"),
-            Column("age", "int", nullable=True),
-            Column("tags", "json", nullable=True),
-        ),
-        primary_key="id",
-    )
+def entry(object_id: int, text: str = "", **fields) -> CorpusObject:
+    return CorpusObject(object_id=object_id, title=f"entry {object_id}", text=text, **fields)
 
 
-def fresh_db() -> Database:
-    db = Database()
-    db.create_table("people", people_schema(), indexes=("name",))
-    return db
+def objects(backend: SqliteBackend) -> dict[int, CorpusObject]:
+    return {obj.object_id: obj for obj in backend.load().objects}
+
+
+def reopened_objects(data_dir) -> dict[int, CorpusObject]:
+    backend = SqliteBackend(data_dir)
+    try:
+        return objects(backend)
+    finally:
+        backend.close()
 
 
 class TestSchema:
-    def test_unknown_column_type_rejected(self) -> None:
-        with pytest.raises(SchemaError):
-            Column("x", "blob")
+    def test_schema_round_trip(self, tmp_path) -> None:
+        full = CorpusObject(
+            object_id=11,
+            title="spanning tree",
+            defines=["spanning tree"],
+            synonyms=["spanning forest"],
+            classes=["05C05"],
+            text="A tree containing every vertex.",
+            domain="planetmath",
+            linking_policy="permit tree 05\n",
+        )
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(full, ())
+        backend.close()
+        assert reopened_objects(tmp_path) == {11: full}
 
-    def test_duplicate_columns_rejected(self) -> None:
-        with pytest.raises(SchemaError):
-            Schema(columns=(Column("a"), Column("a")), primary_key="a")
-
-    def test_primary_key_must_exist(self) -> None:
-        with pytest.raises(SchemaError):
-            Schema(columns=(Column("a"),), primary_key="b")
-
-    def test_type_validation(self) -> None:
-        schema = people_schema()
-        with pytest.raises(SchemaError):
-            schema.validate_row({"id": "not-int", "name": "x"})
-        with pytest.raises(SchemaError):
-            schema.validate_row({"id": 1, "name": 5})
-
-    def test_bool_is_not_int(self) -> None:
-        with pytest.raises(SchemaError):
-            people_schema().validate_row({"id": True, "name": "x"})
-
-    def test_nullable_defaults(self) -> None:
-        row = people_schema().validate_row({"id": 1, "name": "a"})
-        assert row["age"] is None
-
-    def test_not_nullable_enforced(self) -> None:
-        with pytest.raises(SchemaError):
-            people_schema().validate_row({"id": 1})
-
-    def test_unknown_column_rejected(self) -> None:
-        with pytest.raises(SchemaError):
-            people_schema().validate_row({"id": 1, "name": "x", "oops": 2})
-
-    def test_schema_round_trip(self) -> None:
-        schema = people_schema()
-        assert Schema.from_dict(schema.to_dict()) == schema
+    def test_nullable_defaults(self, tmp_path) -> None:
+        # A payload row that predates the optional fields still loads.
+        assert object_from_payload({"object_id": 5}) == CorpusObject(5, "")
+        backend = SqliteBackend(tmp_path)
+        with backend._conn:
+            backend._conn.execute(
+                "INSERT INTO objects(object_id, payload) VALUES(?, ?)",
+                (5, json.dumps({"object_id": 5, "title": "old"})),
+            )
+        backend.close()
+        loaded = reopened_objects(tmp_path)[5]
+        assert (loaded.title, loaded.defines, loaded.domain) == ("old", [], "default")
 
 
 class TestCrud:
-    def test_insert_get(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada"})
-        assert db.table("people").get(1)["name"] == "ada"
+    def test_insert_get(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada"), ())
+        assert objects(backend)[1].text == "ada"
+        backend.close()
 
-    def test_duplicate_pk_rejected(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada"})
-        with pytest.raises(DuplicateKeyError):
-            db.insert("people", {"id": 1, "name": "bob"})
+    def test_update(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada"), ())
+        backend.record_rendering(1, "html", "<p>ada</p>")
+        backend.record_update(entry(1, "ada lovelace"), ())
+        assert objects(backend)[1].text == "ada lovelace"
+        # An update drops the entry's own cached renderings.
+        assert backend.load().renderings == []
+        backend.close()
 
-    def test_null_pk_rejected(self) -> None:
-        db = fresh_db()
-        with pytest.raises(SchemaError):
-            db.insert("people", {"name": "ada"})
+    def test_delete(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada"), ())
+        backend.record_add(entry(2, "bob"), ())
+        backend.record_remove(1, ())
+        assert list(objects(backend)) == [2]
+        backend.record_remove(1, ())  # removing an absent entry is a no-op
+        assert list(objects(backend)) == [2]
+        backend.close()
 
-    def test_update(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.update("people", 1, {"age": 36})
-        assert db.table("people").get(1)["age"] == 36
+    def test_upsert(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "first"), ())
+        backend.record_add(entry(1, "second"), ())
+        assert {k: v.text for k, v in objects(backend).items()} == {1: "second"}
+        backend.close()
 
-    def test_update_missing_raises(self) -> None:
-        with pytest.raises(MissingKeyError):
-            fresh_db().update("people", 9, {"age": 1})
-
-    def test_update_changing_pk(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.update("people", 1, {"id": 2})
-        assert db.table("people").get(1) is None
-        assert db.table("people").get(2)["name"] == "ada"
-
-    def test_update_pk_collision_rejected(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.insert("people", {"id": 2, "name": "bob"})
-        with pytest.raises(DuplicateKeyError):
-            db.update("people", 1, {"id": 2})
-
-    def test_delete(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.delete("people", 1)
-        assert 1 not in db.table("people")
-        with pytest.raises(MissingKeyError):
-            db.delete("people", 1)
-
-    def test_upsert(self) -> None:
-        db = fresh_db()
-        db.upsert("people", {"id": 1, "name": "ada"})
-        db.upsert("people", {"id": 1, "name": "ada lovelace"})
-        assert db.table("people").get(1)["name"] == "ada lovelace"
-        assert len(db.table("people")) == 1
-
-    def test_rows_returned_are_copies(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada", "tags": ["x"]})
-        row = db.table("people").get(1)
-        row["name"] = "mutated"
-        assert db.table("people").get(1)["name"] == "ada"
+    def test_rows_returned_are_copies(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada", defines=["ada"]), ())
+        loaded = objects(backend)[1]
+        loaded.defines.append("mutated")
+        assert objects(backend)[1].defines == ["ada"]
+        backend.close()
 
 
 class TestQueries:
-    def build(self) -> Database:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada", "age": 36})
-        db.insert("people", {"id": 2, "name": "bob", "age": 36})
-        db.insert("people", {"id": 3, "name": "ada", "age": 99})
-        return db
-
-    def test_select_on_indexed_column(self) -> None:
-        rows = self.build().table("people").select(name="ada")
-        assert sorted(r["id"] for r in rows) == [1, 3]
-
-    def test_select_on_unindexed_column(self) -> None:
-        rows = self.build().table("people").select(age=36)
-        assert sorted(r["id"] for r in rows) == [1, 2]
-
-    def test_select_combined(self) -> None:
-        rows = self.build().table("people").select(name="ada", age=36)
-        assert [r["id"] for r in rows] == [1]
-
-    def test_scan_with_predicate(self) -> None:
-        db = self.build()
-        rows = list(db.table("people").scan(lambda r: r["age"] > 50))
-        assert [r["id"] for r in rows] == [3]
-
-    def test_index_created_after_rows_exist(self) -> None:
-        db = self.build()
-        db.table("people").create_index("age")
-        assert "age" in db.table("people").indexes()
-        rows = db.table("people").select(age=99)
-        assert [r["id"] for r in rows] == [3]
-
-    def test_index_maintained_on_delete(self) -> None:
-        db = self.build()
-        db.delete("people", 1)
-        rows = db.table("people").select(name="ada")
-        assert [r["id"] for r in rows] == [3]
-
-    def test_json_column_indexable(self) -> None:
-        db = fresh_db()
-        db.table("people").create_index("tags")
-        db.insert("people", {"id": 1, "name": "x", "tags": ["a", "b"]})
-        rows = db.table("people").select(tags=["a", "b"])
-        assert [r["id"] for r in rows] == [1]
+    def test_select_on_indexed_column(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        plan = backend._conn.execute(
+            "EXPLAIN QUERY PLAN DELETE FROM renderings WHERE object_id=?", (1,)
+        ).fetchall()
+        backend.close()
+        # Per-entry rendering deletes use the index, not a table scan.
+        assert any("USING INDEX renderings_object" in row[-1] for row in plan)
 
 
 class TestTables:
-    def test_duplicate_table_rejected(self) -> None:
-        db = fresh_db()
-        with pytest.raises(StorageError):
-            db.create_table("people", people_schema())
-
-    def test_unknown_table_raises(self) -> None:
-        with pytest.raises(StorageError):
-            fresh_db().table("nope")
-
-    def test_tables_listing(self) -> None:
-        assert fresh_db().tables() == ["people"]
+    def test_tables_listing(self, tmp_path) -> None:
+        SqliteBackend(tmp_path).close()
+        conn = sqlite3.connect(tmp_path / "corpus.sqlite3")
+        try:
+            names = conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table' ORDER BY name"
+            ).fetchall()
+        finally:
+            conn.close()
+        assert names == [("objects",), ("renderings",)]
 
 
 class TestTransactions:
-    def test_commit_keeps_changes(self) -> None:
-        db = fresh_db()
-        with db.transaction():
-            db.insert("people", {"id": 1, "name": "ada"})
-        assert db.table("people").get(1) is not None
+    def test_commit_keeps_changes(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada"), ())
+        # A second connection sees the row while the first stays open.
+        conn = sqlite3.connect(tmp_path / "corpus.sqlite3")
+        try:
+            assert conn.execute("SELECT object_id FROM objects").fetchall() == [(1,)]
+        finally:
+            conn.close()
+        backend.close()
 
-    def test_rollback_on_exception(self) -> None:
-        db = fresh_db()
-        db.insert("people", {"id": 1, "name": "ada"})
-        with pytest.raises(RuntimeError):
-            with db.transaction():
-                db.insert("people", {"id": 2, "name": "bob"})
-                db.update("people", 1, {"name": "mutated"})
-                db.delete("people", 1)
-                raise RuntimeError("boom")
-        assert db.table("people").get(1)["name"] == "ada"
-        assert db.table("people").get(2) is None
-
-    def test_nested_begin_rejected(self) -> None:
-        db = fresh_db()
-        db.begin()
-        with pytest.raises(TransactionError):
-            db.begin()
-        db.rollback()
-
-    def test_commit_without_begin(self) -> None:
-        with pytest.raises(TransactionError):
-            fresh_db().commit()
-
-    def test_rollback_without_begin(self) -> None:
-        with pytest.raises(TransactionError):
-            fresh_db().rollback()
+    def test_rollback_on_exception(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada"), ())
+        backend.record_rendering(1, "html", "<p>ada</p>")
+        real_conn = backend._conn
+        # Statement 1 inserts entry 2; statement 2 (invalidating 1) fails.
+        FailingConnection.install(backend, fail_on=2)
+        with pytest.raises(StorageError):
+            backend.record_add(entry(2, "bob"), invalidated=(1,))
+        backend._conn = real_conn
+        assert list(objects(backend)) == [1]
+        assert [r.valid for r in backend.load().renderings] == [True]
+        backend.close()
 
 
 class TestPersistence:
     def test_wal_replay(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("people", people_schema(), indexes=("name",))
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.update("people", 1, {"age": 36})
-        db.insert("people", {"id": 2, "name": "bob"})
-        db.delete("people", 2)
-        db.close()
-
-        reopened = Database(path)
-        assert reopened.table("people").get(1)["age"] == 36
-        assert reopened.table("people").get(2) is None
-        assert reopened.table("people").select(name="ada")
-        reopened.close()
+        origin = tmp_path / "db"
+        backend = SqliteBackend(origin)
+        backend.record_add(entry(1, "ada"), ())
+        backend.record_update(entry(1, "ada, 36"), ())
+        backend.record_add(entry(2, "bob"), ())
+        backend.record_remove(2, ())
+        crash = crash_image(origin, tmp_path / "crash")
+        backend.close()
+        assert (crash / WAL_NAME).stat().st_size > 0
+        assert {k: v.text for k, v in reopened_objects(crash).items()} == {1: "ada, 36"}
 
     def test_checkpoint_truncates_wal(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("people", people_schema())
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.checkpoint()
-        assert (path / "snapshot.json").exists()
-        assert (path / "wal.jsonl").read_text() == ""
-        db.insert("people", {"id": 2, "name": "bob"})
-        db.close()
-
-        reopened = Database(path)
-        assert len(reopened.table("people")) == 2
-        reopened.close()
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada"), ())
+        assert (tmp_path / WAL_NAME).stat().st_size > 0
+        backend.checkpoint()
+        assert (tmp_path / WAL_NAME).stat().st_size == 0
+        backend.record_add(entry(2, "bob"), ())
+        backend.close()
+        assert list(reopened_objects(tmp_path)) == [1, 2]
 
     def test_torn_wal_tail_ignored(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("people", people_schema())
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.close()
-        with open(path / "wal.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"op": "insert", "table": "people", "row": {"id"')
-        reopened = Database(path)
-        assert reopened.table("people").get(1) is not None
-        reopened.close()
+        backend = SqliteBackend(tmp_path / "db")
+        backend.record_add(entry(1, "ada"), ())
+        crash = crash_image(tmp_path / "db", tmp_path / "crash")
+        backend.close()
+        with open(crash / WAL_NAME, "ab") as handle:
+            handle.write(b"\x00\x00\x00\x02 torn frame header")
+        assert list(reopened_objects(crash)) == [1]
 
     def test_rolled_back_transaction_not_in_wal(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("people", people_schema())
-        db.begin()
-        db.insert("people", {"id": 7, "name": "ghost"})
-        db.rollback()
-        db.close()
-        wal_text = (path / "wal.jsonl").read_text()
-        assert "ghost" not in wal_text
-
-    def test_snapshot_is_valid_json(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("people", people_schema())
-        db.insert("people", {"id": 1, "name": "ada", "tags": [1, 2]})
-        db.checkpoint()
-        db.close()
-        payload = json.loads((path / "snapshot.json").read_text())
-        assert payload["format"] == 2
-        assert payload["tables"]["people"]["rows"][0]["tags"] == [1, 2]
-
-    def test_legacy_snapshot_still_loads(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("people", people_schema())
-        db.insert("people", {"id": 1, "name": "ada"})
-        db.checkpoint()
-        db.close()
-        # Rewrite the snapshot in the pre-checksum format (bare tables).
-        snapshot_path = path / "snapshot.json"
-        payload = json.loads(snapshot_path.read_text())
-        snapshot_path.write_text(json.dumps(payload["tables"]))
-        reopened = Database(path)
-        assert reopened.table("people").get(1)["name"] == "ada"
-        reopened.close()
-
-    def test_legacy_unframed_wal_still_replays(self, tmp_path) -> None:
-        path = tmp_path / "db"
-        db = Database(path)
-        db.create_table("people", people_schema())
-        db.close()
-        with open(path / "wal.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"op": "insert", "table": "people", "row": '
-                         '{"id": 9, "name": "old", "age": null, "tags": null}}\n')
-        reopened = Database(path)
-        assert reopened.table("people").get(9)["name"] == "old"
-        reopened.close()
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(entry(1, "ada"), ())
+        real_conn = backend._conn
+        FailingConnection.install(backend, fail_on=2)
+        with pytest.raises(StorageError):
+            backend.record_add(entry(7, "ghost"), invalidated=(1,))
+        backend._conn = real_conn
+        wal = (tmp_path / WAL_NAME).read_bytes()
+        database = (tmp_path / "corpus.sqlite3").read_bytes()
+        backend.close()
+        assert b"ghost" not in wal and b"ghost" not in database
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["insert", "delete", "update"]), st.integers(0, 5)),
+        st.tuples(st.sampled_from(["add", "remove", "update"]), st.integers(0, 5)),
         max_size=25,
     )
 )
 def test_wal_replay_reaches_identical_state(ops) -> None:
-    """Whatever op sequence runs, reopening from WAL rebuilds the same rows."""
-    import tempfile
-
+    """Whatever op sequence runs, reopening from the log rebuilds the same rows."""
     with tempfile.TemporaryDirectory() as tmp:
-        _check_wal_replay(ops, f"{tmp}/db")
+        _check_wal_replay(ops, Path(tmp))
 
 
-def _check_wal_replay(ops, path) -> None:
-    db = Database(path)
-    db.create_table("t", Schema((Column("id", "int"), Column("v", "int", nullable=True)), "id"))
-    table = db.table("t")
-    for op, key in ops:
-        try:
-            if op == "insert":
-                db.insert("t", {"id": key, "v": key * 10})
-            elif op == "delete":
-                db.delete("t", key)
-            else:
-                db.update("t", key, {"v": key + 1})
-        except StorageError:
-            pass
-    expected = {pk: table.get(pk) for pk in table.keys()}
-    db.close()
-    reopened = Database(path)
-    actual = {pk: reopened.table("t").get(pk) for pk in reopened.table("t").keys()}
-    assert actual == expected
-    reopened.close()
+def _check_wal_replay(ops, root: Path) -> None:
+    backend = SqliteBackend(root / "db")
+    for step, (op, key) in enumerate(ops):
+        if op == "add":
+            backend.record_add(entry(key, f"v{step}"), ())
+        elif op == "remove":
+            backend.record_remove(key, ())
+        else:
+            backend.record_update(entry(key, f"u{step}"), invalidated=(key + 1,))
+    expected = backend.load()
+    crash = crash_image(root / "db", root / "crash")
+    backend.close()
+    replayed = SqliteBackend(crash)
+    try:
+        assert replayed.load() == expected
+    finally:
+        replayed.close()

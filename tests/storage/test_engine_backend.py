@@ -1,25 +1,25 @@
-"""EngineBackend journal atomicity (REP102 regression).
+"""Journal atomicity of the durable backend (REP102 regression).
 
-``record_rendering`` used to issue a bare ``upsert`` — one unframed WAL
-record outside any transaction.  All journal methods must commit as a
-single framed ``txn`` record so a crash can never tear them.
+``record_rendering`` once wrote outside any transaction.  Every journal
+method must commit as exactly one sqlite transaction, so a crash can
+never tear it.  A trace callback on the connection shows the statements
+each call sends.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.core.models import CorpusObject
 from repro.persistence import open_storage
 
 
-def _wal_ops(data_dir: Path) -> list[dict]:
-    ops = []
-    for line in (data_dir / "wal.jsonl").read_text().splitlines():
-        # Frame format: "<length> <crc> <json payload>".
-        ops.append(json.loads(line.split(" ", 2)[2]))
-    return ops
+def _traced(storage, call) -> list[str]:
+    statements: list[str] = []
+    storage._conn.set_trace_callback(statements.append)
+    try:
+        call()
+    finally:
+        storage._conn.set_trace_callback(None)
+    return [s.split()[0].upper() for s in statements]
 
 
 def _obj(object_id: int = 1) -> CorpusObject:
@@ -33,41 +33,41 @@ def _obj(object_id: int = 1) -> CorpusObject:
 
 class TestJournalAtomicity:
     def test_record_rendering_commits_one_txn_record(self, tmp_path) -> None:
-        storage = open_storage("engine", tmp_path)
+        storage = open_storage("sqlite", tmp_path)
         try:
-            before = len(_wal_ops(tmp_path))
-            storage.record_rendering(7, "html", "<p>x</p>")
+            verbs = _traced(
+                storage, lambda: storage.record_rendering(7, "html", "<p>x</p>")
+            )
         finally:
             storage.close()
-        appended = _wal_ops(tmp_path)[before:]
-        assert [op["op"] for op in appended] == ["txn"]
-        inner = appended[0]["records"]
-        assert {r["op"] for r in inner} <= {"insert", "update", "upsert"}
-        assert inner[0]["table"] == "renderings"
+        assert verbs == ["BEGIN", "INSERT", "COMMIT"]
 
     def test_every_journal_method_appends_only_txn_records(self, tmp_path) -> None:
-        storage = open_storage("engine", tmp_path)
+        storage = open_storage("sqlite", tmp_path)
+        calls = [
+            lambda: storage.record_add(_obj(1), invalidated=(2,)),
+            lambda: storage.record_update(_obj(1), invalidated=(1,)),
+            lambda: storage.record_rendering(1, "html", "<p>1</p>"),
+            lambda: storage.record_remove(1, invalidated=(2, 3)),
+            storage.record_cache_clear,
+        ]
         try:
-            before = len(_wal_ops(tmp_path))
-            storage.record_add(_obj(1), invalidated=())
-            storage.record_update(_obj(1), invalidated=(1,))
-            storage.record_rendering(1, "html", "<p>1</p>")
-            storage.record_remove(1, invalidated=())
-            storage.record_cache_clear()
+            traces = [_traced(storage, call) for call in calls]
         finally:
             storage.close()
-        appended = _wal_ops(tmp_path)[before:]
-        assert appended, "journal methods must write WAL records"
-        assert {op["op"] for op in appended} == {"txn"}
+        for verbs in traces:
+            assert len(verbs) >= 3, "journal methods must write"
+            assert verbs[0] == "BEGIN" and verbs[-1] == "COMMIT"
+            assert not {"BEGIN", "COMMIT", "ROLLBACK"} & set(verbs[1:-1])
 
     def test_rendering_survives_restart(self, tmp_path) -> None:
-        storage = open_storage("engine", tmp_path)
+        storage = open_storage("sqlite", tmp_path)
         try:
             storage.record_add(_obj(3), invalidated=())
             storage.record_rendering(3, "html", "<p>restored</p>")
         finally:
             storage.close()
-        reopened = open_storage("engine", tmp_path)
+        reopened = open_storage("sqlite", tmp_path)
         try:
             snapshot = reopened.load()
         finally:

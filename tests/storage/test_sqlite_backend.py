@@ -1,5 +1,6 @@
 """SqliteBackend regressions: host-parameter limits, open-failure
-hygiene and quick_check parsing.
+hygiene, quick_check parsing, engine-era directories and error
+translation.
 """
 
 import gc
@@ -8,13 +9,14 @@ import warnings
 
 import pytest
 
-from repro.core.errors import StorageCorruptionError
+from repro.core.errors import StorageCorruptionError, StorageError
 from repro.core.models import CorpusObject
 from repro.persistence.sqlite_backend import (
     _SQLITE_MAX_VARS,
     SqliteBackend,
     _quick_check_problems,
 )
+from tests.storage.sqlite_faults import FailingConnection
 
 
 def make_object(object_id: int) -> CorpusObject:
@@ -94,3 +96,47 @@ class TestOpenFailureHygiene:
         reopened = SqliteBackend(tmp_path)
         assert [obj.object_id for obj in reopened.load().objects] == [1]
         reopened.close()
+
+    @pytest.mark.parametrize("leftover", ["wal.jsonl", "snapshot.json"])
+    def test_refuses_engine_era_directory(self, tmp_path, leftover) -> None:
+        (tmp_path / leftover).write_text("{}\n")
+        with pytest.raises(StorageCorruptionError, match=leftover):
+            SqliteBackend(tmp_path)
+        assert not (tmp_path / "corpus.sqlite3").exists()
+
+    def test_engine_files_beside_a_database_are_ignored(self, tmp_path) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(make_object(1), ())
+        backend.close()
+        (tmp_path / "wal.jsonl").write_text("{}\n")
+        reopened = SqliteBackend(tmp_path)
+        assert [obj.object_id for obj in reopened.load().objects] == [1]
+        reopened.close()
+
+
+class TestErrorTranslation:
+    def test_failed_journal_write_raises_storage_error_and_rolls_back(
+        self, tmp_path
+    ) -> None:
+        backend = SqliteBackend(tmp_path)
+        backend.record_add(make_object(1), ())
+        backend.record_rendering(1, "html", "<p>1</p>")
+        real_conn = backend._conn
+        # Statement 1 deletes the object row, statement 2 its renderings.
+        FailingConnection.install(backend, fail_on=2)
+        with pytest.raises(StorageError, match="OperationalError") as excinfo:
+            backend.record_remove(1, ())
+        assert isinstance(excinfo.value.__cause__, sqlite3.OperationalError)
+        backend._conn = real_conn
+        snapshot = backend.load()
+        assert [obj.object_id for obj in snapshot.objects] == [1]
+        assert len(snapshot.renderings) == 1
+        backend.close()
+
+    @pytest.mark.parametrize("method", ["load", "checkpoint"])
+    def test_reads_and_checkpoints_raise_storage_error(self, tmp_path, method) -> None:
+        backend = SqliteBackend(tmp_path)
+        FailingConnection.install(backend, fail_on=1)
+        with pytest.raises(StorageError, match="OperationalError"):
+            getattr(backend, method)()
+        backend.close()
