@@ -3,8 +3,8 @@
 Section 1.2 warns that keeping an evolving corpus fully linked manually
 is an O(n^2) re-inspection problem.  This example shows NNexus's answer
 (Section 2.5): entries are rendered and cached; when a *new* concept is
-defined, the invalidation index pinpoints the minimal superset of
-entries that might invoke it, marks exactly those dirty, and they get
+defined, the invalidation index pinpoints exactly the entries whose
+text contains its label, marks those dirty, and they get
 fresh links on their next view — no corpus-wide rescan.
 
 Run:  python examples/growing_wiki.py
@@ -27,7 +27,7 @@ def main() -> None:
 
     # A contributor defines a brand-new concept: "Euler characteristic".
     # The plane-graph and Euler-path entries mention related phrasing;
-    # the invalidation index finds which cached entries *may* need links.
+    # the invalidation index finds which cached entries contain the label.
     new_entry = CorpusObject(
         object_id=500,
         title="face",

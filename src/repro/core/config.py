@@ -64,8 +64,6 @@ class NNexusConfig:
     base_weight: float = 10.0
     link_first_occurrence_only: bool = True
     allow_self_links: bool = False
-    max_phrase_length: int = 4
-    phrase_threshold: int = 2
     extra_escape_patterns: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -100,6 +98,9 @@ class NNexusConfig:
               <domain name="mathworld" priority="2" scheme="msc"
                       urltemplate="https://mathworld.wolfram.com/{title}.html"/>
             </nnexus>
+
+        Unknown attributes are ignored, so documents that still carry the
+        retired ``maxphraselength`` / ``phrasethreshold`` settings load.
         """
         try:
             root = ET.fromstring(xml_text)
@@ -132,8 +133,6 @@ class NNexusConfig:
             base_weight=float(root.get("baseweight", "10")),
             link_first_occurrence_only=root.get("firstoccurrence", "1") != "0",
             allow_self_links=root.get("selflinks", "0") == "1",
-            max_phrase_length=int(root.get("maxphraselength", "4")),
-            phrase_threshold=int(root.get("phrasethreshold", "2")),
             extra_escape_patterns=escapes,
         )
 
@@ -146,8 +145,6 @@ class NNexusConfig:
                 "baseweight": repr(self.base_weight),
                 "firstoccurrence": "1" if self.link_first_occurrence_only else "0",
                 "selflinks": "1" if self.allow_self_links else "0",
-                "maxphraselength": str(self.max_phrase_length),
-                "phrasethreshold": str(self.phrase_threshold),
             },
         )
         for name, pattern in self.extra_escape_patterns:

@@ -3,127 +3,78 @@
 When a new concept is defined (or a concept label changes), every entry
 that *might* invoke it must be re-linked.  Rescanning the whole corpus on
 each update is the O(n²) trap the paper warns about; instead NNexus keeps
-an *adaptive inverted index* over entry text:
+an inverted index over entry text and re-links only the entries it names.
 
-* keyed on single words **and** phrases (word n-grams);
-* longer phrases are indexed only when they occur frequently enough
-  (occurrence counts follow a Zipf fall-off, so the index stays ~2x the
-  size of a word-only inverted index);
-* **prefix-closure property**: whenever a phrase is indexed, every
-  shorter prefix of it is indexed for every occurrence of the longer
-  phrase, guaranteeing that a lookup by any prefix never misses.
+The paper's index is *adaptive*: it keys single words and, once they are
+frequent enough, phrases, and answers a label with the postings of its
+longest indexed prefix — a superset of the entries containing the label.
+This module keeps two smaller structures and answers exactly:
 
-A lookup for a new concept label walks from the full phrase down to the
-longest indexed prefix and returns that postings list — a minimal
-superset of the entries that can contain the phrase (never a false
-negative; few false positives).
+* ``word -> set of object ids`` postings;
+* each entry's canonical word sequence, stored once as one string.
+
+:meth:`InvalidationIndex.invalidate` intersects the label words'
+postings, rarest first, then keeps the candidates whose sequence holds
+the label contiguously.  The result is exactly the set of entries
+containing the label: never larger than the paper's superset, and never
+missing an entry whose rendering can change, because the sequence is the
+same canonical word array the matcher scans, from the same tokenizer.
+The paper's structure survives as an offline model for the Fig. 6
+ablation (:class:`repro.eval.experiments.AdaptivePhraseIndexModel`).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.morphology import canonicalize_phrase
 from repro.core.tokenizer import Tokenizer
 from repro.obs.memory import (
-    estimate_container,
     estimate_dict_entry,
+    estimate_int,
     estimate_set_entry,
     estimate_str,
 )
 
-__all__ = ["InvalidationIndex", "IndexStats"]
+__all__ = ["InvalidationIndex", "canonical_words"]
 
-def _per_posting_cost() -> int:
-    """One slot in a gram's postings set plus the gram's slot in the
-    owning object's phrase Counter (count ints are mostly interned
-    small ints, folded into the slot constants)."""
-    return estimate_set_entry() + estimate_dict_entry()
+#: Joins an entry's canonical words into its stored sequence.  Tokens
+#: never contain whitespace (neither the scanner's word pattern nor the
+#: morphology fold can produce it), so a label occurs contiguously in an
+#: entry exactly when its space-framed form is a substring of the
+#: space-framed sequence.
+_SEPARATOR = " "
 
-
-#: Cost of a brand-new corpus-wide gram key: its ``_postings`` and
-#: ``_occurrences`` slots plus an empty postings-set shell.  The key
-#: tuple itself is charged per object (see :func:`_per_gram_cost`) —
-#: the corpus tables just reference the first contributor's tuple.
-_NEW_KEY_COST = 2 * estimate_dict_entry() + 216
+#: Shell of an empty postings set, charged with each new word key.
+_EMPTY_SET_BYTES = 216
 
 
-def _per_gram_cost(gram: tuple[str, ...], count: int) -> int:
-    """Cost of one distinct gram *within one object's* phrase Counter.
-
-    Tokenization materializes a fresh string per word position and a
-    fresh tuple per distinct gram, none of them interned, so every
-    object pays for its own copies even when the text repeats across
-    the corpus.  Word-position strings are charged on 1-grams (each
-    position contributes exactly one 1-gram occurrence, so ``count``
-    equals the number of position strings); longer grams share the
-    position strings and add only their tuple shell.
-    """
-    cost = estimate_container(len(gram))
-    if len(gram) == 1:
-        cost += count * estimate_str(gram[0])
-    return cost
+def _word_key_cost(word: str) -> int:
+    """A word key: its ``_postings`` slot, the key string, a set shell."""
+    return estimate_dict_entry(estimate_str(word) + _EMPTY_SET_BYTES)
 
 
-@dataclass(frozen=True)
-class IndexStats:
-    """Shape of the index, for the size comparison in the paper."""
-
-    word_keys: int
-    phrase_keys: int
-    postings: int
-
-    @property
-    def total_keys(self) -> int:
-        return self.word_keys + self.phrase_keys
-
-    @property
-    def size_ratio_vs_word_index(self) -> float:
-        """Total keys relative to a word-only inverted index."""
-        if self.word_keys == 0:
-            return 0.0
-        return self.total_keys / self.word_keys
+def _sequence_cost(sequence: str) -> int:
+    """An entry: its ``_sequences`` slot, the sequence string, its id."""
+    return estimate_dict_entry(estimate_str(sequence) + estimate_int())
 
 
 class InvalidationIndex:
-    """Adaptive word-and-phrase inverted index over entry text.
+    """Exact word index over entry text.
 
     Parameters
     ----------
-    max_phrase_length:
-        Longest n-gram considered for indexing.  The paper notes there is
-        no hard limit but very long phrases are vanishingly rare; 4 keeps
-        the index compact while covering realistic concept labels.
-    phrase_threshold:
-        Minimum corpus-wide occurrence count before an n-gram (n >= 2)
-        earns its own key — the "adaptive" rule.  Single words are always
-        indexed.
     tokenizer:
         Scanner used to canonicalize entry text; defaults to the linker's
         tokenizer so index terms agree with concept-map terms.
     """
 
-    def __init__(
-        self,
-        max_phrase_length: int = 4,
-        phrase_threshold: int = 2,
-        tokenizer: Tokenizer | None = None,
-    ) -> None:
-        if max_phrase_length < 1:
-            raise ValueError("max_phrase_length must be >= 1")
-        if phrase_threshold < 1:
-            raise ValueError("phrase_threshold must be >= 1")
-        self.max_phrase_length = max_phrase_length
-        self.phrase_threshold = phrase_threshold
+    def __init__(self, tokenizer: Tokenizer | None = None) -> None:
         self._tokenizer = tokenizer or Tokenizer()
-        # postings: phrase tuple -> object ids containing it.
-        self._postings: dict[tuple[str, ...], set[int]] = defaultdict(set)
-        # corpus-wide occurrence counts driving the adaptive rule.
-        self._occurrences: Counter[tuple[str, ...]] = Counter()
-        # per-object phrase sets for O(own text) removal.
-        self._object_phrases: dict[int, Counter[tuple[str, ...]]] = {}
+        # postings: canonical word -> object ids containing it.
+        self._postings: dict[str, set[int]] = {}
+        # object id -> " w1 w2 ... wn " (its canonical words, space-framed).
+        self._sequences: dict[int, str] = {}
         # observers notified whenever an object is (re-)indexed or
         # removed — the linker hangs per-object derived caches (class
         # signatures) off these events so reclassification can never
@@ -152,70 +103,64 @@ class InvalidationIndex:
     # ------------------------------------------------------------------
     def index_object(self, object_id: int, text: str) -> None:
         """(Re-)index the text of ``object_id``."""
-        if object_id in self._object_phrases:
+        if object_id in self._sequences:
             self.remove_object(object_id)
         words = self._tokenizer.tokenize(text).canonical_words()
-        grams = _ngrams(words, self.max_phrase_length)
-        self._object_phrases[object_id] = grams
-        added = estimate_dict_entry(96)  # _object_phrases slot + Counter shell
-        per_posting = _per_posting_cost()
-        for gram, count in grams.items():
-            added += _per_gram_cost(gram, count)
-            if gram not in self._postings:
-                added += _NEW_KEY_COST
-            self._postings[gram].add(object_id)
-            self._occurrences[gram] += count
-            added += per_posting
+        sequence = _frame(words)
+        self._sequences[object_id] = sequence
+        added = _sequence_cost(sequence)
+        for word in set(words):
+            posting = self._postings.get(word)
+            if posting is None:
+                posting = self._postings[word] = set()
+                added += _word_key_cost(word)
+            posting.add(object_id)
+            added += estimate_set_entry()
         self.estimated_bytes += added
         self._notify(object_id)
 
     def remove_object(self, object_id: int) -> None:
         """Drop ``object_id`` from every postings list it appears in."""
-        grams = self._object_phrases.pop(object_id, None)
-        if grams is None:
+        sequence = self._sequences.pop(object_id, None)
+        if sequence is None:
             return
-        removed = estimate_dict_entry(96)
-        per_posting = _per_posting_cost()
-        for gram, count in grams.items():
-            removed += _per_gram_cost(gram, count)
-            posting = self._postings.get(gram)
-            if posting is not None:
-                posting.discard(object_id)
-                if not posting:
-                    del self._postings[gram]
-                    removed += _NEW_KEY_COST
-            self._occurrences[gram] -= count
-            if self._occurrences[gram] <= 0:
-                del self._occurrences[gram]
-            removed += per_posting
+        removed = _sequence_cost(sequence)
+        for word in set(sequence.split()):
+            posting = self._postings[word]
+            posting.discard(object_id)
+            removed += estimate_set_entry()
+            if not posting:
+                del self._postings[word]
+                removed += _word_key_cost(word)
         self.estimated_bytes -= removed
         self._notify(object_id)
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _is_indexed(self, gram: tuple[str, ...]) -> bool:
-        """Adaptive rule: words always; phrases once frequent enough."""
-        if len(gram) == 1:
-            return gram in self._postings
-        return self._occurrences.get(gram, 0) >= self.phrase_threshold
-
     def invalidate(self, phrase: str | Sequence[str]) -> set[int]:
-        """Objects that may invoke ``phrase`` — the minimal superset.
+        """Objects whose text contains ``phrase`` — the exact set.
 
-        Walks from the full canonical phrase down through its prefixes
-        until an indexed key is found (the prefix-closure property makes
-        the first hit a superset of all longer-phrase occurrences).
+        Intersects the phrase words' postings starting from the rarest
+        word, then keeps the candidates whose stored word sequence holds
+        the phrase contiguously.
         """
-        words = _canonical_words(phrase)
+        words = canonical_words(phrase)
         if not words:
             return set()
-        probe = words[: self.max_phrase_length]
-        for length in range(len(probe), 0, -1):
-            gram = probe[:length]
-            if self._is_indexed(gram):
-                return set(self._postings.get(gram, set()))
-        return set()
+        postings: list[set[int]] = []
+        for word in set(words):
+            posting = self._postings.get(word)
+            if posting is None:
+                return set()
+            postings.append(posting)
+        postings.sort(key=len)
+        candidates = postings[0].intersection(*postings[1:])
+        if len(words) == 1:
+            return candidates
+        needle = _frame(words)
+        sequences = self._sequences
+        return {oid for oid in candidates if needle in sequences[oid]}
 
     def invalidate_many(self, phrases: Iterable[str | Sequence[str]]) -> set[int]:
         """Union of :meth:`invalidate` over several new/changed labels."""
@@ -224,56 +169,25 @@ class InvalidationIndex:
             invalidated |= self.invalidate(phrase)
         return invalidated
 
-    def postings_for(self, phrase: str | Sequence[str]) -> set[int]:
-        """Exact postings list for a phrase key (no prefix walk)."""
-        words = _canonical_words(phrase)
-        return set(self._postings.get(words, set()))
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def object_count(self) -> int:
-        return len(self._object_phrases)
+        return len(self._sequences)
 
     def memory_roots(self) -> tuple[object, ...]:
         """Live structures for the memory accountant's deep sampler."""
-        return (self._postings, self._occurrences, self._object_phrases)
-
-    def stats(self) -> IndexStats:
-        """Index-shape statistics (key counts, posting totals)."""
-        word_keys = 0
-        phrase_keys = 0
-        postings = 0
-        for gram, posting in self._postings.items():
-            if len(gram) == 1:
-                word_keys += 1
-            elif self._is_indexed(gram):
-                phrase_keys += 1
-            else:
-                continue
-            postings += len(posting)
-        return IndexStats(word_keys=word_keys, phrase_keys=phrase_keys, postings=postings)
+        return (self._postings, self._sequences)
 
 
-def _canonical_words(phrase: str | Sequence[str]) -> tuple[str, ...]:
+def canonical_words(phrase: str | Sequence[str]) -> tuple[str, ...]:
+    """A label as canonical words; a word sequence is taken as given."""
     if isinstance(phrase, str):
         return canonicalize_phrase(phrase)
     return tuple(phrase)
 
 
-def _ngrams(words: list[str], max_length: int) -> Counter[tuple[str, ...]]:
-    """All n-grams of ``words`` up to ``max_length``, with counts.
-
-    Indexing every n-gram (and exposing long ones lazily through the
-    frequency rule) automatically satisfies the prefix-closure property:
-    any occurrence of a long phrase contributes occurrences of all its
-    prefixes as well.
-    """
-    grams: Counter[tuple[str, ...]] = Counter()
-    total = len(words)
-    for start in range(total):
-        limit = min(max_length, total - start)
-        for length in range(1, limit + 1):
-            grams[tuple(words[start : start + length])] += 1
-    return grams
+def _frame(words: Sequence[str]) -> str:
+    """``words`` joined and framed by the separator: `` w1 w2 ``."""
+    return _SEPARATOR + _SEPARATOR.join(words) + _SEPARATOR

@@ -217,11 +217,7 @@ class NNexus:
         self._concept_map = ConceptMap()
         self._objects: dict[int, CorpusObject] = {}
         self._policies = LinkingPolicyTable(scheme=scheme)
-        self._invalidation = InvalidationIndex(
-            max_phrase_length=self.config.max_phrase_length,
-            phrase_threshold=self.config.phrase_threshold,
-            tokenizer=self._tokenizer,
-        )
+        self._invalidation = InvalidationIndex(tokenizer=self._tokenizer)
         self._cache = RenderCache()
         self._steering: ClassificationSteering | None = None
         if scheme is not None:
@@ -408,8 +404,8 @@ class NNexus:
     def add_object(self, obj: CorpusObject) -> set[int]:
         """Register an entry and index its concept labels and text.
 
-        Returns the ids of previously stored entries that may invoke the
-        newly defined concepts — the minimal superset computed through
+        Returns the ids of previously stored entries that contain one of
+        the newly defined concept labels — the exact set computed through
         the invalidation index — after marking them dirty in the render
         cache.
         """
@@ -490,8 +486,12 @@ class NNexus:
         self._journal(lambda: self.storage.record_update(stored, invalidated))
         return invalidated
 
-    def set_linking_policy(self, object_id: int, policy_text: str) -> None:
-        """Attach a linking policy to a stored entry (Section 2.4)."""
+    def set_linking_policy(self, object_id: int, policy_text: str) -> set[int]:
+        """Attach a linking policy to a stored entry (Section 2.4).
+
+        Returns the ids of the entries invalidated because they may link
+        to this entry's concepts.
+        """
         self._check_writable()
         obj = self.get_object(object_id)
         self._objects_bytes += estimate_str(policy_text) - estimate_str(
@@ -507,6 +507,7 @@ class NNexus:
         invalidated.discard(object_id)
         self._cache.invalidate(invalidated)
         self._journal(lambda: self.storage.record_update(obj, invalidated))
+        return invalidated
 
     def get_object(self, object_id: int) -> CorpusObject:
         """Fetch a stored entry; raises UnknownObjectError when absent."""

@@ -18,8 +18,10 @@ Index (see DESIGN.md for the full mapping):
 * :func:`run_baseline_comparison` — NNexus vs. TF-IDF / random /
   semiautomatic baselines (Section 1.2 discussion, quantified).
 * :func:`run_ablation_weighting` — weighted vs. non-weighted steering.
-* :func:`run_ablation_invalidation` — invalidation-index superset size
-  vs. full rescan and vs. a word-only inverted index.
+* :func:`run_ablation_invalidation` — the live exact invalidation set
+  vs. the paper's adaptive phrase index (modelled offline by
+  :class:`AdaptivePhraseIndexModel`), a word-only inverted index and a
+  full rescan.
 * :func:`run_ablation_concept_map` — concept-map scan vs. naive
   per-label scanning.
 """
@@ -30,12 +32,16 @@ import random
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from collections import Counter
+from typing import Iterable, Sequence
 
 from repro.baselines.random_pick import RandomPickLinker
 from repro.baselines.semiauto import SemiAutoLinker
 from repro.baselines.tfidf import TfIdfLinker
+from repro.core.invalidation import InvalidationIndex, canonical_words
 from repro.core.linker import NNexus
+from repro.core.morphology import canonicalize_phrase
+from repro.core.tokenizer import Tokenizer
 from repro.corpus.generator import SyntheticCorpus
 from repro.eval.metrics import QualityReport, score_corpus
 from repro.eval.report import format_percent, format_seconds, format_table
@@ -48,6 +54,10 @@ __all__ = [
     "BaselineComparisonResult",
     "WeightingAblationResult",
     "InvalidationAblationResult",
+    "IndexStats",
+    "AdaptivePhraseIndexModel",
+    "multiword_probes",
+    "corpus_labels",
     "ConceptMapAblationResult",
     "build_linker",
     "run_table1",
@@ -519,20 +529,122 @@ def run_ablation_weighting(
     return WeightingAblationResult(rows=rows)
 
 
+#: Longest n-gram the paper's adaptive index keys.
+MAX_GRAM_LENGTH = 4
+
+
+@dataclass(frozen=True)
+class IndexStats:
+    """Key counts of the paper's adaptive index, for the Fig. 6 size claim."""
+
+    word_keys: int
+    phrase_keys: int
+
+    @property
+    def total_keys(self) -> int:
+        return self.word_keys + self.phrase_keys
+
+    @property
+    def size_ratio_vs_word_index(self) -> float:
+        """Total keys relative to a word-only inverted index."""
+        if self.word_keys == 0:
+            return 0.0
+        return self.total_keys / self.word_keys
+
+
+class AdaptivePhraseIndexModel:
+    """Offline model of the paper's adaptive phrase index (§2.5, Fig. 6).
+
+    The paper keys single words and every n-gram (n >= 2, up to
+    :data:`MAX_GRAM_LENGTH`) that occurs at least ``threshold`` times
+    in the corpus, and answers a label with the postings of its longest
+    indexed prefix.  Every n-gram occurrence also counts toward its
+    prefixes (the prefix-closure property), so that answer is a superset
+    of the entries containing the label.
+
+    The live linker answers exactly instead
+    (:class:`~repro.core.invalidation.InvalidationIndex`); this model is
+    built from the corpus only when the ablation runs.  It stores the
+    n-gram occurrence counts the adaptive rule needs.  An n-gram's
+    postings list is by definition the exact set of entries containing
+    it, so the model reads it from an exact index rather than storing it.
+    """
+
+    def __init__(self, texts: Iterable[tuple[int, str]], threshold: int = 2) -> None:
+        if threshold < 1:
+            raise ValueError("threshold must be >= 1")
+        self.threshold = threshold
+        tokenizer = Tokenizer()
+        self.exact_index = InvalidationIndex(tokenizer)
+        self._gram_counts: Counter[tuple[str, ...]] = Counter()
+        for object_id, text in texts:
+            self.exact_index.index_object(object_id, text)
+            words = tokenizer.tokenize(text).canonical_words()
+            for start in range(len(words)):
+                stop = min(start + MAX_GRAM_LENGTH, len(words))
+                for end in range(start + 1, stop + 1):
+                    self._gram_counts[tuple(words[start:end])] += 1
+
+    def _is_indexed(self, gram: tuple[str, ...]) -> bool:
+        """Adaptive rule: words always; phrases once frequent enough."""
+        count = self._gram_counts.get(gram, 0)
+        return count >= (1 if len(gram) == 1 else self.threshold)
+
+    def indexed_prefix(self, phrase: str | Sequence[str]) -> tuple[str, ...]:
+        """Longest prefix of ``phrase`` the paper's index holds a key for."""
+        words = canonical_words(phrase)[:MAX_GRAM_LENGTH]
+        for length in range(len(words), 0, -1):
+            if self._is_indexed(words[:length]):
+                return words[:length]
+        return ()
+
+    def superset(self, phrase: str | Sequence[str]) -> set[int]:
+        """The paper's answer: postings of the longest indexed prefix."""
+        prefix = self.indexed_prefix(phrase)
+        return self.exact_index.invalidate(prefix) if prefix else set()
+
+    def word_superset(self, phrase: str | Sequence[str]) -> set[int]:
+        """A word-only inverted index's answer: the first word's postings."""
+        return self.exact_index.invalidate(canonical_words(phrase)[:1])
+
+    def stats(self) -> IndexStats:
+        """Key counts of the index the paper would store."""
+        word_keys = 0
+        phrase_keys = 0
+        for gram in self._gram_counts:
+            if len(gram) == 1:
+                word_keys += 1
+            elif self._is_indexed(gram):
+                phrase_keys += 1
+        return IndexStats(word_keys=word_keys, phrase_keys=phrase_keys)
+
+
 @dataclass
 class InvalidationAblationResult:
     corpus_size: int
     probes: int
+    mean_exact: float
     mean_phrase_superset: float
     mean_word_superset: float
     index_size_ratio: float
+    #: Every concept label of the corpus, not only planted multi-word
+    #: invocations: rare labels are where the paper's superset and the
+    #: exact set part.
+    labels: int
+    mean_exact_all_labels: float
+    mean_phrase_all_labels: float
 
     def format(self) -> str:
         """Render the paper-style ASCII table."""
         rows = [
             ("corpus entries (full rescan cost)", self.corpus_size),
-            ("mean invalidated, phrase index", f"{self.mean_phrase_superset:.1f}"),
+            (f"{self.probes} planted multi-word probes:", ""),
+            ("mean invalidated, exact word index (live)", f"{self.mean_exact:.1f}"),
+            ("mean invalidated, paper's phrase index", f"{self.mean_phrase_superset:.1f}"),
             ("mean invalidated, word-only index", f"{self.mean_word_superset:.1f}"),
+            (f"all {self.labels} concept labels:", ""),
+            ("mean invalidated, exact word index (live)", f"{self.mean_exact_all_labels:.1f}"),
+            ("mean invalidated, paper's phrase index", f"{self.mean_phrase_all_labels:.1f}"),
             (
                 "phrase-index keys / word-index keys",
                 f"{self.index_size_ratio:.2f}x",
@@ -546,33 +658,64 @@ class InvalidationAblationResult:
         )
 
 
+def multiword_probes(
+    corpus: SyntheticCorpus, probes: int, seed: int = 41
+) -> list[tuple[str, ...]]:
+    """A seeded sample of the corpus's planted multi-word invocations."""
+    multiword = [
+        invocation.canonical
+        for invocations in corpus.ground_truth.values()
+        for invocation in invocations
+        if len(invocation.canonical) >= 2
+    ]
+    random.Random(seed).shuffle(multiword)
+    return multiword[:probes]
+
+
+def corpus_labels(corpus: SyntheticCorpus) -> set[tuple[str, ...]]:
+    """Every concept label of the corpus, as canonical words."""
+    labels = {
+        canonicalize_phrase(phrase)
+        for obj in corpus.objects
+        for phrase in obj.concept_phrases()
+    }
+    labels.discard(())
+    return labels
+
+
 def run_ablation_invalidation(
     corpus: SyntheticCorpus, probes: int = 50, seed: int = 41
 ) -> InvalidationAblationResult:
-    """Measure invalidation supersets vs. word-index and full rescan."""
-    rng = random.Random(seed)
-    linker = build_linker(corpus)
-    index = linker.invalidation_index
-    multiword: list[tuple[str, ...]] = []
-    for invocations in corpus.ground_truth.values():
-        for invocation in invocations:
-            if len(invocation.canonical) >= 2:
-                multiword.append(invocation.canonical)
-    rng.shuffle(multiword)
-    chosen = multiword[:probes] or multiword
+    """Measure the exact set vs. the paper's superset, a word index and a rescan."""
+    model = AdaptivePhraseIndexModel(
+        (obj.object_id, obj.text) for obj in corpus.objects
+    )
+    chosen = multiword_probes(corpus, probes, seed)
+    exact_sizes: list[int] = []
     phrase_sizes: list[int] = []
     word_sizes: list[int] = []
     for canonical in chosen:
-        phrase_sizes.append(len(index.invalidate(canonical)))
-        word_sizes.append(len(index.invalidate(canonical[:1])))
-    stats = index.stats()
+        exact_sizes.append(len(model.exact_index.invalidate(canonical)))
+        phrase_sizes.append(len(model.superset(canonical)))
+        word_sizes.append(len(model.word_superset(canonical)))
+    labels = corpus_labels(corpus)
     return InvalidationAblationResult(
         corpus_size=len(corpus.objects),
         probes=len(chosen),
-        mean_phrase_superset=sum(phrase_sizes) / len(phrase_sizes) if phrase_sizes else 0.0,
-        mean_word_superset=sum(word_sizes) / len(word_sizes) if word_sizes else 0.0,
-        index_size_ratio=stats.size_ratio_vs_word_index,
+        mean_exact=_mean(exact_sizes),
+        mean_phrase_superset=_mean(phrase_sizes),
+        mean_word_superset=_mean(word_sizes),
+        index_size_ratio=model.stats().size_ratio_vs_word_index,
+        labels=len(labels),
+        mean_exact_all_labels=_mean(
+            [len(model.exact_index.invalidate(label)) for label in labels]
+        ),
+        mean_phrase_all_labels=_mean([len(model.superset(label)) for label in labels]),
     )
+
+
+def _mean(values: Sequence[int]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 @dataclass
@@ -651,8 +794,8 @@ class GrowthStudyResult:
 
     As entries are added one by one, a system without an invalidation
     index must re-inspect every existing entry per addition (quadratic
-    total work); the invalidation index re-links only the minimal
-    superset of entries that may invoke the new concepts.
+    total work); the invalidation index re-links only the entries that
+    contain one of the new concept labels.
     """
 
     checkpoints: list[tuple[int, int, int]] = field(default_factory=list)

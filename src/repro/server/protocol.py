@@ -98,6 +98,13 @@ METHODS = (
 
 FRAME_HEADER_BYTES = 10
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: Most ``<`` characters a request may carry.  The encoders escape every
+#: ``<`` in text, so each one starts a tag, and an element with content
+#: costs two (open and close): the cap bounds what ``ET.fromstring``
+#: builds to about 5,000 elements.  A frame of 4 MB of ``<f/>`` costs
+#: ~94 MB of RSS to parse.  An ``addObject`` request fits 4,996 concept,
+#: synonym and class entries in total.
+MAX_REQUEST_TAGS = 10_000
 
 
 @dataclass
@@ -191,6 +198,12 @@ def encode_request(request: Request) -> str:
 
 
 def decode_request(xml_text: str) -> Request:
+    tags = xml_text.count("<")
+    if tags > MAX_REQUEST_TAGS:
+        raise ProtocolError(
+            f"request has {tags} '<' characters (tags), "
+            f"more than the {MAX_REQUEST_TAGS} allowed"
+        )
     root = _parse(xml_text)
     if root.tag != "request":
         raise ProtocolError(f"expected <request>, got <{root.tag}>")

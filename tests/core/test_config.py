@@ -94,6 +94,21 @@ class TestXmlRoundTrip:
         parsed = NNexusConfig.from_xml(config.to_xml())
         assert parsed.extra_escape_patterns == [("template", r"\{\{[^}]*\}\}")]
 
+    def test_retired_phrase_index_attributes_ignored(self) -> None:
+        xml = (
+            '<nnexus defaultdomain="planetmath" baseweight="7" '
+            'maxphraselength="3" phrasethreshold="5">'
+            '<domain name="planetmath"/></nnexus>'
+        )
+        config = NNexusConfig.from_xml(xml)
+        assert config.default_domain == "planetmath"
+        assert config.base_weight == 7.0
+        assert not hasattr(config, "max_phrase_length")
+        assert not hasattr(config, "phrase_threshold")
+        written = config.to_xml()
+        assert "maxphraselength" not in written
+        assert "phrasethreshold" not in written
+
     def test_escape_without_pattern_raises(self) -> None:
         with pytest.raises(ProtocolError):
             NNexusConfig.from_xml("<nnexus><escape name='x'/></nnexus>")

@@ -1,71 +1,127 @@
-"""Tests for the adaptive invalidation index (Section 2.5, Fig. 6)."""
+"""Tests for the invalidation index (Section 2.5, Fig. 6).
+
+The live index answers exactly: the entries whose canonical word array
+contains a label.  The paper's adaptive phrase index, which answers
+with a superset, is checked through its offline model
+(:class:`repro.eval.experiments.AdaptivePhraseIndexModel`).
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.invalidation import InvalidationIndex
+from repro.core.tokenizer import Tokenizer
+from repro.corpus.generator import GeneratorParams, generate_corpus
+from repro.eval.experiments import (
+    MAX_GRAM_LENGTH,
+    AdaptivePhraseIndexModel,
+    corpus_labels,
+)
+
+FIG6_TEXTS = {
+    # Objects 123 and 456 mention 'conjugacy' in other contexts; object
+    # 789 contains the full phrase.  The phrase bigram/trigram appears
+    # twice (789 uses it twice) so it clears the model's threshold.
+    123: "the conjugacy relation holds here",
+    456: "a conjugacy argument shows the result",
+    789: "the conjugacy class formula states much; this conjugacy "
+    "class formula is central",
+}
+
+
+def _index(texts: dict[int, str]) -> InvalidationIndex:
+    index = InvalidationIndex()
+    for object_id, text in texts.items():
+        index.index_object(object_id, text)
+    return index
+
+
+def _model(texts: dict[int, str], threshold: int = 2) -> AdaptivePhraseIndexModel:
+    return AdaptivePhraseIndexModel(texts.items(), threshold)
 
 
 class TestFig6Example:
     """The paper's worked example: 'conjugacy class formula'."""
 
-    def build(self) -> InvalidationIndex:
-        index = InvalidationIndex(max_phrase_length=4, phrase_threshold=2)
-        # Objects 123 and 456 mention 'conjugacy' in other contexts;
-        # object 789 contains the full phrase.  The phrase bigram/trigram
-        # appears twice (789 uses it twice) so it clears the threshold.
-        index.index_object(123, "the conjugacy relation holds here")
-        index.index_object(456, "a conjugacy argument shows the result")
-        index.index_object(
-            789,
-            "the conjugacy class formula states much; this conjugacy "
-            "class formula is central",
-        )
-        return index
-
     def test_phrase_lookup_hits_only_true_container(self) -> None:
-        index = self.build()
-        assert index.invalidate("conjugacy class formula") == {789}
+        assert _index(FIG6_TEXTS).invalidate("conjugacy class formula") == {789}
+        model = _model(FIG6_TEXTS, threshold=2)
+        assert model.superset("conjugacy class formula") == {789}
 
     def test_word_lookup_would_overinvalidate(self) -> None:
-        index = self.build()
-        assert index.invalidate("conjugacy") == {123, 456, 789}
+        assert _index(FIG6_TEXTS).invalidate("conjugacy") == {123, 456, 789}
+        model = _model(FIG6_TEXTS)
+        assert model.word_superset("conjugacy class formula") == {123, 456, 789}
 
     def test_unknown_phrase_falls_back_to_prefix(self) -> None:
-        index = self.build()
-        # 4-gram never indexed; falls back to the indexed 3-gram.
-        assert index.invalidate("conjugacy class formula theorem") == {789}
+        # The paper's index never saw the 4-gram and falls back to the
+        # indexed 3-gram; the exact index knows no entry contains it.
+        model = _model(FIG6_TEXTS, threshold=2)
+        assert model.indexed_prefix("conjugacy class formula theorem") == (
+            "conjugacy", "class", "formula",
+        )
+        assert model.superset("conjugacy class formula theorem") == {789}
+        assert _index(FIG6_TEXTS).invalidate("conjugacy class formula theorem") == set()
 
 
 class TestAdaptiveRule:
+    """The paper's frequency rule, on the offline model."""
+
     def test_rare_phrase_not_promoted(self) -> None:
-        index = InvalidationIndex(phrase_threshold=3)
-        index.index_object(1, "rare phrase here")
+        texts = {1: "rare phrase here", 2: "rare stuff elsewhere"}
         # Bigram count 1 < 3: lookup falls back to the single word.
-        index.index_object(2, "rare stuff elsewhere")
-        assert index.invalidate("rare phrase") == {1, 2}
+        assert _model(texts, threshold=3).superset("rare phrase") == {1, 2}
+        assert _index(texts).invalidate("rare phrase") == {1}
 
     def test_frequent_phrase_promoted(self) -> None:
-        index = InvalidationIndex(phrase_threshold=2)
-        index.index_object(1, "magic lattice magic lattice")
-        index.index_object(2, "magic elsewhere")
-        assert index.invalidate("magic lattice") == {1}
+        texts = {1: "magic lattice magic lattice", 2: "magic elsewhere"}
+        assert _model(texts, threshold=2).superset("magic lattice") == {1}
 
     def test_single_words_always_indexed(self) -> None:
-        index = InvalidationIndex(phrase_threshold=100)
-        index.index_object(1, "unique token")
-        assert index.invalidate("unique") == {1}
+        model = _model({1: "unique token"}, threshold=100)
+        assert model.superset("unique") == {1}
 
     def test_max_phrase_length_caps_probe(self) -> None:
-        index = InvalidationIndex(max_phrase_length=2, phrase_threshold=1)
-        index.index_object(1, "alpha beta gamma delta")
-        assert index.invalidate("alpha beta gamma") == {1}
+        words = ("alpha", "beta", "gamma", "delta", "epsilon")
+        assert len(words) == MAX_GRAM_LENGTH + 1
+        model = _model({1: " ".join(words)}, threshold=1)
+        assert model.indexed_prefix(words) == words[:MAX_GRAM_LENGTH]
+        assert model.superset(words) == {1}
 
     def test_invalid_parameters(self) -> None:
         with pytest.raises(ValueError):
-            InvalidationIndex(max_phrase_length=0)
-        with pytest.raises(ValueError):
-            InvalidationIndex(phrase_threshold=0)
+            AdaptivePhraseIndexModel([], threshold=0)
+
+
+class TestExactSemantics:
+    def test_words_must_be_adjacent(self) -> None:
+        index = _index({1: "class of formula", 2: "the class formula"})
+        assert index.invalidate("class formula") == {2}
+
+    def test_word_boundaries_respected(self) -> None:
+        index = _index({1: "ab c", 2: "a bc", 3: "xa b"})
+        assert index.invalidate("a b") == set()
+        assert index.invalidate("ab c") == {1}
+
+    def test_repeated_word_phrase(self) -> None:
+        index = _index({1: "very very large", 2: "very large"})
+        assert index.invalidate("very very") == {1}
+        assert index.invalidate("very large") == {1, 2}
+
+    def test_escaped_region_joins_neighbours(self) -> None:
+        # The matcher scans the canonical array with the math removed,
+        # so 'conjugacy class' is a match there and must be invalidated.
+        index = _index({1: "conjugacy $x$ class"})
+        assert index.invalidate("conjugacy class") == {1}
+
+    def test_unknown_word_is_empty(self) -> None:
+        index = _index({1: "alpha beta"})
+        assert index.invalidate("alpha zeta") == set()
+        assert index.invalidate("") == set()
+
+    def test_word_sequence_probe(self) -> None:
+        index = _index({1: "planar graph theory"})
+        assert index.invalidate(("planar", "graph")) == {1}
 
 
 class TestMaintenance:
@@ -106,57 +162,92 @@ class TestMaintenance:
         assert index.invalidate("hidden") == set()
         assert index.invalidate("outside") == {1}
 
+    def test_estimate_returns_to_zero(self) -> None:
+        index = _index({1: "alpha beta", 2: "beta gamma"})
+        assert index.estimated_bytes > 0
+        index.index_object(1, "delta")
+        index.remove_object(1)
+        index.remove_object(2)
+        assert index.estimated_bytes == 0
+
 
 class TestStats:
+    """The paper's size claim, on the offline model."""
+
     def test_size_ratio_bounded(self) -> None:
-        index = InvalidationIndex(phrase_threshold=2)
-        texts = [
-            "planar graph theory is fun",
-            "planar graph coloring is fun",
-            "planar graph theory again",
-        ]
-        for object_id, text in enumerate(texts):
-            index.index_object(object_id, text)
-        stats = index.stats()
+        texts = {
+            0: "planar graph theory is fun",
+            1: "planar graph coloring is fun",
+            2: "planar graph theory again",
+        }
+        stats = _model(texts, threshold=2).stats()
         assert stats.word_keys > 0
         assert stats.total_keys >= stats.word_keys
         # The Zipf fall-off claim: phrase keys stay within a small factor.
         assert stats.size_ratio_vs_word_index < 4.0
 
     def test_empty_index_stats(self) -> None:
-        stats = InvalidationIndex().stats()
+        stats = AdaptivePhraseIndexModel([]).stats()
         assert stats.total_keys == 0
         assert stats.size_ratio_vs_word_index == 0.0
 
 
-words = st.lists(st.sampled_from("alpha beta gamma delta epsilon".split()), min_size=1, max_size=30)
+VOCABULARY = "alpha beta gamma delta epsilon".split()
+words = st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=30)
+phrases = st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=4)
+
+
+def _contains(tokens: list[str], gram: list[str]) -> bool:
+    return any(
+        tokens[start : start + len(gram)] == gram
+        for start in range(len(tokens) - len(gram) + 1)
+    )
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.dictionaries(st.integers(0, 8), words, min_size=1, max_size=8))
 def test_prefix_closure_never_misses(texts: dict[int, list[str]]) -> None:
-    """The index's guarantee: every object containing a phrase is returned.
+    """No entry containing a phrase is ever missed.
 
-    For any n-gram actually present in some object's text, `invalidate`
-    must return a superset of the objects containing that n-gram.
+    For any n-gram actually present in some object's text, the live
+    index and the paper's prefix superset must both return the object.
     """
-    index = InvalidationIndex(max_phrase_length=3, phrase_threshold=2)
-    for object_id, tokens in texts.items():
-        index.index_object(object_id, " ".join(tokens))
+    joined = {object_id: " ".join(tokens) for object_id, tokens in texts.items()}
+    index = _index(joined)
+    model = _model(joined, threshold=2)
     for object_id, tokens in texts.items():
         for start in range(len(tokens)):
-            for length in (1, 2, 3):
+            for length in (1, 2, 3, 4):
                 if start + length > len(tokens):
                     continue
-                gram = tokens[start : start + length]
-                result = index.invalidate(" ".join(gram))
-                assert object_id in result
+                gram = " ".join(tokens[start : start + length])
+                assert object_id in index.invalidate(gram)
+                assert object_id in model.superset(gram)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 8), words, min_size=1, max_size=8),
+    st.lists(phrases, min_size=1, max_size=10),
+)
+def test_invalidate_is_exact(
+    texts: dict[int, list[str]], probes: list[list[str]]
+) -> None:
+    """Live result == brute-force containment, and within the paper's superset."""
+    joined = {object_id: " ".join(tokens) for object_id, tokens in texts.items()}
+    index = _index(joined)
+    model = _model(joined)
+    for probe in probes:
+        expected = {oid for oid, tokens in texts.items() if _contains(tokens, probe)}
+        result = index.invalidate(" ".join(probe))
+        assert result == expected
+        assert result <= model.superset(probe)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(st.integers(0, 5), words, min_size=2, max_size=6))
 def test_remove_then_lookup_excludes_object(texts: dict[int, list[str]]) -> None:
-    index = InvalidationIndex(max_phrase_length=3)
+    index = InvalidationIndex()
     for object_id, tokens in texts.items():
         index.index_object(object_id, " ".join(tokens))
     victim = next(iter(texts))
@@ -164,3 +255,30 @@ def test_remove_then_lookup_excludes_object(texts: dict[int, list[str]]) -> None
     for tokens in texts.values():
         for token in tokens:
             assert victim not in index.invalidate(token)
+
+
+def test_generated_corpus_labels_between_scan_and_paper_superset() -> None:
+    """Every label of a 1,500-entry corpus: scan ⊆ live ⊆ paper superset."""
+    corpus = generate_corpus(GeneratorParams(n_entries=1500, seed=20090612))
+    texts = [(obj.object_id, obj.text) for obj in corpus.objects]
+    model = AdaptivePhraseIndexModel(texts)
+    live = InvalidationIndex()
+    for object_id, text in texts:
+        live.index_object(object_id, text)
+    labels = corpus_labels(corpus)
+    # Brute force: slide every label length over every entry's words.
+    lengths = {len(label) for label in labels}
+    scanned: dict[tuple[str, ...], set[int]] = {label: set() for label in labels}
+    tokenizer = Tokenizer()
+    for object_id, text in texts:
+        words = tokenizer.tokenize(text).canonical_words()
+        for length in lengths:
+            for start in range(len(words) - length + 1):
+                window = tuple(words[start : start + length])
+                if window in scanned:
+                    scanned[window].add(object_id)
+    assert any(len(label) >= 2 and owners for label, owners in scanned.items())
+    for label, expected in scanned.items():
+        result = live.invalidate(label)
+        assert expected <= result, label
+        assert result <= model.superset(label), label

@@ -104,3 +104,34 @@ def test_pickled_linker_rebuilds_its_accountant() -> None:
     clone.remove_object(clone.object_ids()[0])
     assert clone.accountant.sample()["objects"] < parent_objects
     assert linker.accountant.sample()["objects"] == parent_objects
+
+
+def _invalidation_ratio(linker: NNexus) -> float:
+    reconcile = linker.resource_stats(deep=True)["memory"]["reconcile"]
+    return reconcile["invalidation"]["ratio"]
+
+
+def test_invalidation_estimate_within_2x_after_build_and_churn() -> None:
+    from dataclasses import replace
+
+    from repro.core.invalidation import InvalidationIndex
+    from repro.corpus.generator import GeneratorParams, generate_corpus
+
+    corpus = generate_corpus(GeneratorParams(n_entries=300, seed=5))
+    linker = NNexus(scheme=corpus.scheme)
+    linker.add_objects(corpus.objects)
+    assert 0.5 <= _invalidation_ratio(linker) <= 2.0
+    objects = corpus.objects
+    for obj in objects[:60]:
+        linker.update_object(replace(obj, text=obj.text[: len(obj.text) // 2]))
+    for obj in objects[60:120]:
+        linker.remove_object(obj.object_id)
+    for obj in objects[60:90]:
+        linker.add_object(obj)
+    assert 0.5 <= _invalidation_ratio(linker) <= 2.0
+    # No drift: the incrementally maintained estimate equals the estimate
+    # of an index built from scratch over the surviving texts.
+    fresh = InvalidationIndex()
+    for object_id in linker.object_ids():
+        fresh.index_object(object_id, linker.get_object(object_id).text)
+    assert linker.invalidation_index.estimated_bytes == fresh.estimated_bytes

@@ -120,6 +120,8 @@ class TestAblations:
 
     def test_invalidation_superset_smaller_than_rescan(self, corpus) -> None:
         result = experiments.run_ablation_invalidation(corpus, probes=20)
+        assert result.mean_exact <= result.mean_phrase_superset
+        assert result.mean_exact_all_labels <= result.mean_phrase_all_labels
         assert result.mean_phrase_superset <= result.mean_word_superset
         assert result.mean_word_superset <= result.corpus_size
         # The headline economy: phrase lookups touch far fewer entries

@@ -202,6 +202,26 @@ class TestProtocolRobustness:
             assert reply.code == "bad-request"
             assert "DOCTYPE" in reply.error
 
+    def test_tag_flood_is_bad_request_and_server_keeps_serving(self, server) -> None:
+        host, port = server.address
+        flood = (
+            '<request method="linkEntry"><text>'
+            + "<f/>" * (protocol.MAX_REQUEST_TAGS + 1)
+            + "</text></request>"
+        )
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(protocol.frame(flood))
+            reply = protocol.decode_response(protocol.read_frame(sock.recv))
+            assert reply.status == "error"
+            assert reply.code == "bad-request"
+            assert "tags" in reply.error
+            sock.sendall(protocol.frame('<request method="ping"/>'))
+            reply = protocol.decode_response(protocol.read_frame(sock.recv))
+            assert reply.ok
+        with NNexusClient(host, port) as client:
+            __, links = client.link_entry("every planar graph is sparse")
+            assert links
+
     def test_non_utf8_frame_closes_without_traceback(self, server, capfd) -> None:
         host, port = server.address
         with socket.create_connection((host, port), timeout=5) as sock:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.core.errors import ProtocolError
 from repro.core.models import CorpusObject
 from repro.server.protocol import (
+    MAX_REQUEST_TAGS,
     Request,
     Response,
     decode_request,
@@ -145,6 +146,38 @@ class TestHostileXml:
         )
         with pytest.raises(ProtocolError, match="DOCTYPE"):
             decode_response(hostile)
+
+    def test_request_with_too_many_tags_is_rejected(self) -> None:
+        flood = '<request method="ping">' + "<f/>" * MAX_REQUEST_TAGS + "</request>"
+        with pytest.raises(ProtocolError, match="tags"):
+            decode_request(flood)
+
+    def test_large_legitimate_request_is_under_the_tag_cap(self) -> None:
+        # 8 '<' for the envelope, <object>, <title> and <body>, then 2 per
+        # concept, synonym and class: the documented 4,996 entries fill
+        # the cap exactly, and one more is refused.
+        entries = (MAX_REQUEST_TAGS - 8) // 2
+        assert entries == 4996
+
+        def add_object(total: int) -> Request:
+            return Request(
+                "addObject",
+                obj=CorpusObject(
+                    object_id=1,
+                    title="t",
+                    defines=[f"concept {i}" for i in range(2000)],
+                    synonyms=[f"synonym {i}" for i in range(2000)],
+                    classes=[f"05C{i:04d}" for i in range(total - 4000)],
+                    text="<" * 100_000,
+                ),
+            )
+
+        at_cap = add_object(entries)
+        encoded = encode_request(at_cap)
+        assert encoded.count("<") == MAX_REQUEST_TAGS
+        assert decode_request(encoded).obj == at_cap.obj
+        with pytest.raises(ProtocolError, match="tags"):
+            decode_request(encode_request(add_object(entries + 1)))
 
     def test_doctype_text_in_a_field_still_round_trips(self) -> None:
         request = Request("linkEntry", fields={"text": "<!DOCTYPE html> page"})
