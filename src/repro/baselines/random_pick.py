@@ -44,15 +44,13 @@ class RandomPickLinker:
         document = LinkedDocument(source_text=text, matches=matches)
         for match in matches:
             target_id = self._rng.choice(list(match.candidates))
-            first = tokenized.tokens[match.start]
-            last = tokenized.tokens[match.end - 1]
             document.links.append(
                 Link(
                     source_phrase=match.surface,
                     target_id=target_id,
                     target_domain=self._objects[target_id].domain,
-                    char_start=first.char_start,
-                    char_end=last.char_end,
+                    char_start=tokenized.starts[match.start],
+                    char_end=tokenized.ends[match.end - 1],
                 )
             )
         return document

@@ -134,15 +134,13 @@ class TfIdfLinker:
             target_id = self._best_candidate(match.candidates, source_id)
             if target_id is None:
                 continue
-            first = tokenized.tokens[match.start]
-            last = tokenized.tokens[match.end - 1]
             document.links.append(
                 Link(
                     source_phrase=match.surface,
                     target_id=target_id,
                     target_domain=self._objects[target_id].domain,
-                    char_start=first.char_start,
-                    char_end=last.char_end,
+                    char_start=tokenized.starts[match.start],
+                    char_end=tokenized.ends[match.end - 1],
                 )
             )
         return document

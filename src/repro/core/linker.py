@@ -608,8 +608,7 @@ class NNexus:
         timing = rec.enabled or trc.enabled
         stage_acc: dict[str, float] | None = None
         if timing:
-            stage_acc = {"policy": 0.0, "steer": 0.0}
-            stage_start = perf_counter()
+            signature_start = perf_counter()
         # The source signature is shared by every match in the document:
         # intern it once instead of re-normalizing per candidate.
         source_signature: tuple[int, ...] = ()
@@ -618,11 +617,15 @@ class NNexus:
         sig_before: dict[str, Any] | None = None
         if trc.enabled and self._steering is not None:
             sig_before = self._steering.signature_cache_snapshot()
+        if timing:
+            # Signature work is steering; the tokenize stage starts here.
+            stage_start = perf_counter()
+            stage_acc = {"policy": 0.0, "steer": stage_start - signature_start}
         tokenized = self._tokenizer.tokenize(text)
         if timing:
             now = perf_counter()
             self._observe_stage(
-                "tokenize", now - stage_start, rec, trc, tokens=len(tokenized.tokens)
+                "tokenize", now - stage_start, rec, trc, tokens=len(tokenized)
             )
             stage_start = now
         matches = find_matches(
@@ -649,15 +652,13 @@ class NNexus:
             target = self._objects[target_id]
             domain = self.config.domains.get(target.domain)
             url = domain.url_for(target_id, target.title) if domain else ""
-            first_token = tokenized.tokens[match.start]
-            last_token = tokenized.tokens[match.end - 1]
             document.links.append(
                 Link(
                     source_phrase=match.surface,
                     target_id=target_id,
                     target_domain=target.domain,
-                    char_start=first_token.char_start,
-                    char_end=last_token.char_end,
+                    char_start=tokenized.starts[match.start],
+                    char_end=tokenized.ends[match.end - 1],
                     url=url,
                 )
             )

@@ -5,14 +5,16 @@ out unlinkable portions of text that need to be escaped (equations and the
 like), replaces them with special tokens, and then breaks the remaining
 text into a word/token array to iterate through.
 
-The tokenizer keeps character offsets for every token so that the renderer
+The tokenizer keeps character offsets for every word so that the renderer
 can substitute winning link candidates back into the *original* text
-without a second scan.
+without a second scan.  One pass fills three parallel arrays (canonical
+words, start offsets, end offsets); no per-word object is built.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -25,9 +27,10 @@ __all__ = ["Token", "TokenizedText", "EscapeRule", "Tokenizer", "DEFAULT_ESCAPE_
 class Token:
     """One word occurrence in the source text.
 
-    ``canonical`` is the morphology-folded form used for concept-map
-    lookups; ``surface`` is the exact source spelling between
-    ``char_start`` and ``char_end``.
+    A view built on demand by :attr:`TokenizedText.tokens`; the scanner
+    itself stores parallel arrays.  ``canonical`` is the
+    morphology-folded form used for concept-map lookups; ``surface`` is
+    the exact source spelling between ``char_start`` and ``char_end``.
     """
 
     surface: str
@@ -53,8 +56,9 @@ def _rule(name: str, pattern: str, flags: int = 0) -> EscapeRule:
 
 
 #: Regions NNexus must never link inside: math, verbatim code, raw HTML
-#: anchors (already-linked text) and URLs.  Order matters — earlier rules
-#: claim their spans first.
+#: anchors (already-linked text) and URLs.  Every match of every rule is
+#: escaped: the escaped regions are the merged union of all matches, so
+#: the order of the rules does not matter.
 DEFAULT_ESCAPE_RULES: tuple[EscapeRule, ...] = (
     _rule("display_math", r"\$\$.+?\$\$", re.DOTALL),
     _rule("inline_math", r"\$[^$\n]+\$"),
@@ -70,31 +74,50 @@ DEFAULT_ESCAPE_RULES: tuple[EscapeRule, ...] = (
 _WORD_RE = re.compile(r"[A-Za-zÀ-ɏ][A-Za-zÀ-ɏ0-9'’-]*")
 
 
+#: Stands in for the region after the last escaped one: it starts and
+#: ends past any text offset, so no word is inside it.
+_PAST_LAST_REGION = (sys.maxsize, sys.maxsize)
+
+
 @dataclass
 class TokenizedText:
-    """Result of scanning one entry: token array plus escaped spans."""
+    """Result of scanning one entry: parallel word/offset arrays plus the
+    escaped spans.
+
+    Word ``i`` has canonical form ``words[i]`` and spans
+    ``source[starts[i]:ends[i]]``.
+    """
 
     source: str
-    tokens: list[Token] = field(default_factory=list)
+    words: list[str] = field(default_factory=list)
+    starts: list[int] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
     escaped_regions: list[tuple[int, int]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.words)
 
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
+    @property
+    def tokens(self) -> list[Token]:
+        """The words as :class:`Token` objects, built on each access."""
+        source = self.source
+        return [
+            Token(source[start:end], word, start, end)
+            for word, start, end in zip(self.words, self.starts, self.ends)
+        ]
+
     def canonical_words(self) -> list[str]:
-        """The canonical word array the matcher iterates over."""
-        return [token.canonical for token in self.tokens]
+        """The canonical word array the matcher iterates over (not a copy)."""
+        return self.words
 
     def surface_between(self, start: int, end: int) -> str:
-        """Original text spanned by tokens ``start``..``end`` (exclusive)."""
+        """Original text spanned by words ``start``..``end`` (exclusive)."""
         if start >= end:
             return ""
-        first = self.tokens[start]
-        last = self.tokens[end - 1]
-        return self.source[first.char_start : last.char_end]
+        return self.source[self.starts[start] : self.ends[end - 1]]
 
 
 class Tokenizer:
@@ -103,8 +126,8 @@ class Tokenizer:
     Parameters
     ----------
     escape_rules:
-        Ordered rules whose matches are excluded from linking.  Defaults
-        to :data:`DEFAULT_ESCAPE_RULES`.
+        Rules whose matches are excluded from linking.  Defaults to
+        :data:`DEFAULT_ESCAPE_RULES`.
     """
 
     def __init__(self, escape_rules: tuple[EscapeRule, ...] = DEFAULT_ESCAPE_RULES) -> None:
@@ -112,39 +135,43 @@ class Tokenizer:
 
     def escape_spans(self, text: str) -> list[tuple[int, int]]:
         """Character spans claimed by escape rules, merged and sorted."""
-        claimed: list[tuple[int, int]] = []
-        for rule in self._escape_rules:
-            for match in rule.pattern.finditer(text):
-                span = match.span()
-                if not any(_contains(existing, span) for existing in claimed):
-                    claimed.append(span)
-        return _merge_spans(claimed)
+        return _merge_spans(
+            [match.span() for rule in self._escape_rules for match in rule.pattern.finditer(text)]
+        )
 
     def tokenize(self, text: str) -> TokenizedText:
-        """Scan ``text`` into the token array used by the matcher."""
+        """Scan ``text`` into the word arrays used by the matcher.
+
+        A word overlapping an escaped region is dropped.  Words and the
+        sorted, disjoint regions both advance left to right, so one
+        forward-only pointer into the regions tests every word.
+        """
         escaped = self.escape_spans(text)
-        tokens: list[Token] = []
+        words: list[str] = []
+        starts: list[int] = []
+        ends: list[int] = []
+        regions = iter(escaped)
+        region_start, region_end = next(regions, _PAST_LAST_REGION)
         for match in _WORD_RE.finditer(text):
-            span = match.span()
-            if _inside_any(span, escaped):
+            start, end = match.span()
+            # A region ending at or before this word's start overlaps
+            # neither this word nor any later one.
+            while region_end <= start:
+                region_start, region_end = next(regions, _PAST_LAST_REGION)
+            if region_start < end:
                 continue
-            surface = match.group()
-            canonical = canonicalize_token(surface)
+            canonical = canonicalize_token(match.group())
             if canonical:
-                tokens.append(Token(surface, canonical, span[0], span[1]))
-        return TokenizedText(source=text, tokens=tokens, escaped_regions=escaped)
-
-
-def _contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
-
-
-def _inside_any(span: tuple[int, int], regions: list[tuple[int, int]]) -> bool:
-    return any(region[0] < span[1] and span[0] < region[1] for region in regions)
+                words.append(canonical)
+                starts.append(start)
+                ends.append(end)
+        return TokenizedText(
+            source=text, words=words, starts=starts, ends=ends, escaped_regions=escaped
+        )
 
 
 def _merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge overlapping spans into a sorted, disjoint list."""
+    """Merge overlapping or touching spans into a sorted, disjoint list."""
     if not spans:
         return []
     ordered = sorted(spans)

@@ -1,11 +1,14 @@
 """Tests for the NNexus façade: the full pipeline of Fig. 2."""
 
+import time
+
 import pytest
 
 from repro.core.config import DomainConfig, NNexusConfig
 from repro.core.errors import DuplicateObjectError, NNexusError, UnknownObjectError
 from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
+from repro.obs.metrics import MetricsRegistry
 from repro.ontology.msc import build_small_msc
 
 
@@ -314,6 +317,30 @@ class TestRendering:
         hits_before = linker.cache.hits
         linker.render_object(9)
         assert linker.cache.hits == hits_before + 1
+
+
+class TestStageTimers:
+    def test_signature_time_lands_in_steer_not_tokenize(self, monkeypatch) -> None:
+        registry = MetricsRegistry()
+        linker = fig1_linker(metrics=registry)
+        steering = linker._steering
+        interned = steering.signature
+
+        def slow_signature(classes):
+            time.sleep(0.1)
+            return interned(classes)
+
+        monkeypatch.setattr(steering, "signature", slow_signature)
+        doc = linker.link_text("a planar graph", source_classes=["05C10"])
+        assert doc.link_count == 1
+
+        def stage_sum(stage: str) -> float:
+            return registry.histogram_summary(
+                "nnexus_pipeline_stage_seconds", stage=stage
+            ).sum
+
+        assert stage_sum("tokenize") < 0.1
+        assert stage_sum("steer") >= 0.1
 
 
 class TestBaseWeight:

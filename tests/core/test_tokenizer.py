@@ -1,8 +1,12 @@
 """Tests for text scanning: escaping and tokenization."""
 
-from hypothesis import given, strategies as st
+import os
+import time
 
-from repro.core.tokenizer import Tokenizer
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.morphology import canonicalize_token
+from repro.core.tokenizer import _WORD_RE, DEFAULT_ESCAPE_RULES, Tokenizer
 
 
 def tokenize(text: str):
@@ -107,3 +111,90 @@ def test_word_count_stable_under_spacing(parts: list[str]) -> None:
     single = Tokenizer().tokenize(" ".join(parts))
     double = Tokenizer().tokenize("  ".join(parts))
     assert single.canonical_words() == double.canonical_words()
+
+
+class TestLinearEscapeScan:
+    def test_many_escaped_regions_scan_in_linear_time(self) -> None:
+        # 16,000 regions took ~45 s when every match was checked against
+        # every span already claimed; a linear merge takes milliseconds.
+        text = "word $x$ " * 16_000
+        started = time.perf_counter()
+        result = tokenize(text)
+        elapsed = time.perf_counter() - started
+        assert len(result) == 16_000
+        assert len(result.escaped_regions) == 16_000
+        assert elapsed < 2.0
+
+
+# ---------------------------------------------------------------------------
+# Differential property: the array scanner against the per-token scanner it
+# replaced.  ``reference_scan`` is that scanner, kept here as the oracle: it
+# claims spans rule by rule, skipping a match contained in a claimed span,
+# and tests each word against every escaped region.  It runs the live
+# escape rules and word pattern, so the property pins the scan, not the
+# patterns.
+# ---------------------------------------------------------------------------
+
+
+def reference_scan(text: str) -> tuple[list[tuple[str, str, int, int]], list[tuple[int, int]]]:
+    """(surface, canonical, start, end) per word, plus the escaped regions."""
+    claimed: list[tuple[int, int]] = []
+    for rule in DEFAULT_ESCAPE_RULES:
+        for match in rule.pattern.finditer(text):
+            span = match.span()
+            if not any(outer[0] <= span[0] and span[1] <= outer[1] for outer in claimed):
+                claimed.append(span)
+    escaped: list[tuple[int, int]] = []
+    for start, end in sorted(claimed):
+        if escaped and start <= escaped[-1][1]:
+            escaped[-1] = (escaped[-1][0], max(escaped[-1][1], end))
+        else:
+            escaped.append((start, end))
+    tokens = []
+    for match in _WORD_RE.finditer(text):
+        start, end = match.span()
+        if any(region[0] < end and start < region[1] for region in escaped):
+            continue
+        canonical = canonicalize_token(match.group())
+        if canonical:
+            tokens.append((match.group(), canonical, start, end))
+    return tokens, escaped
+
+
+#: Pieces dense in escape delimiters, so random joins open, close, nest
+#: and overlap regions of every rule.
+ESCAPE_DENSE_PIECES = (
+    "$", "$$", "$x$", "$$y$$",
+    "\\begin{align}", "\\end{align}", "\\begin{eq*}", "\\end{eq*}",
+    "\\frac{a}{b}", "\\alpha", "\\", "{", "}",
+    '<a href="x">', "<A>", "</a>", "<em>", "</em>", "<br/>", "<", ">",
+    "`", "```", "http://", "https://x.org/graphs", "'", "\u2019", "-",
+    "graph", "Graphs", "planar", "vertices", "euler's", "x", "a",
+    "M\u00f6bius", "\u00e9", "\u00df", "\u0245", "\u03a9", "7",
+    " ", "  ", "\n", ".",
+)
+
+escape_dense_texts = st.lists(
+    st.one_of(st.sampled_from(ESCAPE_DENSE_PIECES), st.text(max_size=3)),
+    max_size=40,
+).map("".join)
+
+#: The large-budget CI step sets ``NNEXUS_MODEL_PROFILE=ci``.
+DIFFERENTIAL_EXAMPLES = 10_000 if os.environ.get("NNEXUS_MODEL_PROFILE") == "ci" else 300
+
+
+@settings(
+    max_examples=DIFFERENTIAL_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(escape_dense_texts)
+def test_array_scanner_matches_reference_scanner(text: str) -> None:
+    expected_tokens, expected_regions = reference_scan(text)
+    result = tokenize(text)
+    assert result.escaped_regions == expected_regions
+    assert result.canonical_words() == [canonical for _, canonical, _, _ in expected_tokens]
+    assert list(zip(result.starts, result.ends)) == [
+        (start, end) for _, _, start, end in expected_tokens
+    ]
+    assert [(t.surface, t.canonical, t.char_start, t.char_end) for t in result] == expected_tokens

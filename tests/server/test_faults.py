@@ -222,6 +222,16 @@ class TestProtocolRobustness:
             __, links = client.link_entry("every planar graph is sparse")
             assert links
 
+    def test_escape_dense_link_entry_is_answered(self, server) -> None:
+        # 16,000 escaped regions once cost ~45 s of quadratic scanning,
+        # past the client's 10 s socket timeout.
+        text = "every planar graph is sparse " + "word $x$ " * 16_000
+        host, port = server.address
+        with NNexusClient(host, port, retry=RetryPolicy.none()) as client:
+            __, links = client.link_entry(text)
+            assert links
+            assert client.ping()
+
     def test_non_utf8_frame_closes_without_traceback(self, server, capfd) -> None:
         host, port = server.address
         with socket.create_connection((host, port), timeout=5) as sock:
