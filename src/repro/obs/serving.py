@@ -6,9 +6,9 @@ job).  Two transport shapes are compared end to end against one live
 server:
 
 * **serial**: the pre-pipelining worst case — one request per fresh
-  TCP connection (connect, one framed exchange, close);
-* **pipelined**: one connection carrying many ``reqid``-tagged
-  requests in flight through the multiplexing client.
+  client and TCP connection (connect, one framed exchange, close);
+* **pipelined**: one shared client whose connection carries many
+  ``reqid``-tagged requests in flight.
 
 The load generator is **open-loop**: arrivals follow a fixed schedule
 (``i / rps``) regardless of how fast responses come back, and each
@@ -286,7 +286,7 @@ def run_serving_bench(params: ServingParams) -> dict[str, Any]:
             )
 
         pipelined_client = NNexusClient(
-            *address, timeout=30, retry=RetryPolicy.none(), pipeline=True
+            *address, timeout=30, retry=RetryPolicy.none()
         )
 
         def pipelined_one(i: int) -> None:

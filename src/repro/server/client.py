@@ -1,12 +1,26 @@
 """Python client for the NNexus XML socket protocol.
 
+Every :class:`NNexusClient` multiplexes its connection: each request is
+tagged with a unique ``reqid`` field, and a background reader thread
+matches the server's (possibly out-of-order) tagged responses back to
+their waiters.  A serial caller is a multiplexer with one call in
+flight; many threads may share one client and keep many requests in
+flight over its single connection.  The server must echo ``reqid``;
+untagged one-in-one-out FIFO stays the wire contract for other clients
+(see ``docs/wire-protocol.md``, "Pipelining").
+
 The client reconnects and retries: transient failures (connection
 drops, truncated frames, server-advertised retryable errors such as
 ``overloaded``) are retried under a configurable
 :class:`~repro.server.resilience.RetryPolicy` — exponential backoff
 with jitter, bounded by an optional total deadline.  Non-retryable
 server errors (``bad-request``, domain errors) surface immediately as
-:class:`RemoteError`.
+:class:`RemoteError`.  A call that outlives its per-call timeout raises
+:class:`~repro.core.errors.DeadlineExceededError` without a retry; only
+that request's budget is spent, and the connection stays up.  A
+request the server could not decode (more than ``MAX_REQUEST_TAGS``
+tags, characters XML cannot carry) fails locally with
+:class:`~repro.core.errors.ProtocolError` before anything is sent.
 
 With a :class:`~repro.obs.trace.Tracer` installed, every API call runs
 inside a ``client.<method>`` span and each network attempt becomes a
@@ -15,35 +29,22 @@ request as a ``traceparent`` field — so a retried request shows up as
 ONE trace with one attempt span per try, and a tracing-aware server
 continues the same trace.
 
-Two concurrency shapes are available on top of the blocking client:
-
-* ``NNexusClient(..., pipeline=True)`` multiplexes many in-flight
-  requests over ONE connection: each request is tagged with a unique
-  ``reqid`` field, a background reader thread matches the server's
-  (possibly out-of-order) tagged responses back to their waiters, and
-  the client becomes safe to call from many threads at once.  Requires
-  a ``reqid``-echoing server; the default single-flight mode keeps
-  working against servers that predate the field.
-* :class:`NNexusClientPool` keeps a bounded pool of independent
-  clients for callers that want concurrency through many connections
-  (or must talk to a legacy server).
-
 Every transport failure path — a failed ``sendall``, a truncated or
-undecodable frame, a reader-thread death — closes the socket before
-the retry loop reconnects, so no failure mode leaks a file descriptor
-or reuses a desynchronized frame stream.
+undecodable frame, a reader-thread death, :meth:`NNexusClient.close` —
+shuts the socket down and closes it before the retry loop reconnects,
+so no failure mode leaks a file descriptor or a reader thread, or
+reuses a desynchronized frame stream.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import socket
 import threading
 import time
 from types import TracebackType
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.core.errors import DeadlineExceededError, NNexusError, ProtocolError
 from repro.core.models import CorpusObject
@@ -51,7 +52,7 @@ from repro.obs.trace import NULL_TRACER, NullTracer
 from repro.server import protocol
 from repro.server.resilience import Deadline, RetryPolicy
 
-__all__ = ["NNexusClient", "NNexusClientPool", "RemoteError"]
+__all__ = ["NNexusClient", "RemoteError"]
 
 #: Response fields stamped by the transport/tracing layers, not data.
 _TRANSPORT_FIELDS = frozenset({"traceid", "reqid"})
@@ -73,7 +74,7 @@ class RemoteError(NNexusError):
 
 
 class _Waiter:
-    """One pending pipelined request: an event plus its outcome slot."""
+    """One pending request: an event plus its outcome slot."""
 
     __slots__ = ("event", "response", "error")
 
@@ -84,7 +85,7 @@ class _Waiter:
 
 
 class _Multiplexer:
-    """Reader-thread demultiplexer for one pipelined connection.
+    """Reader-thread demultiplexer for one client connection.
 
     Many caller threads park in :meth:`call`; a single background
     reader decodes frames and routes each response to the waiter whose
@@ -123,7 +124,7 @@ class _Multiplexer:
         try:
             with self._lock:
                 if self._closed:
-                    raise ConnectionError("pipelined connection is closed")
+                    raise ConnectionError("client connection is closed")
                 self._waiters[reqid] = waiter
                 # This lock exists precisely to serialize this send: it
                 # guards only the waiter table and the socket's write
@@ -185,11 +186,13 @@ class _Multiplexer:
             self._waiters.clear()
         # Close before waking anyone: a waiter that goes on to retry
         # must never race against a half-dead socket still holding the
-        # old file descriptor.
+        # old file descriptor.  close() alone does not wake a reader
+        # blocked in recv on Linux; shutdown() does, at once.
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # the peer already hung up
+        self._sock.close()
         for waiter in waiters:
             waiter.error = exc
             waiter.event.set()
@@ -197,16 +200,16 @@ class _Multiplexer:
     def close(self) -> None:
         """Fail outstanding waiters, close the socket, reap the reader."""
         self._fail_all(ConnectionError("client closed the connection"))
-        # Closing the socket kicks the reader out of recv; reap it so a
-        # closed client leaves no thread behind (the reader calls
-        # _fail_all itself when it is the one who noticed the error, in
-        # which case it must not try to join itself).
+        # The shutdown kicks the reader out of recv; reap it so a closed
+        # client leaves no thread behind (the reader calls _fail_all
+        # itself when it is the one who noticed the error, in which
+        # case it must not try to join itself).
         if threading.current_thread() is not self._reader:
             self._reader.join(timeout=5.0)
 
 
 class NNexusClient:
-    """Blocking, reconnecting client; usable as a context manager.
+    """Blocking, reconnecting, thread-safe client; usable as a context manager.
 
     >>> with NNexusClient(host, port) as client:          # doctest: +SKIP
     ...     client.link_entry("every planar graph ...", classes=["05C10"])
@@ -214,7 +217,8 @@ class NNexusClient:
     Parameters
     ----------
     host / port / timeout:
-        Server address and per-socket-operation timeout.
+        Server address; ``timeout`` bounds the connect and each call's
+        wait for its response.
     retry:
         Retry policy for transient failures.  The default retries twice
         (three attempts total); pass ``RetryPolicy.none()`` to fail
@@ -224,14 +228,6 @@ class NNexusClient:
         Tracer recording call/attempt spans and injecting
         ``traceparent`` into outgoing requests (default: the inert
         null tracer — zero overhead, no field added).
-    pipeline:
-        When true, multiplex requests over one connection: every
-        request carries a fresh ``reqid``, a background reader matches
-        responses (which may arrive out of order) back to callers, and
-        the client becomes safe to use from many threads at once.
-        Requires a ``reqid``-echoing server.  The default (false) is
-        the legacy single-flight mode — one request on the wire at a
-        time, NOT thread-safe, works against any server.
     """
 
     def __init__(
@@ -243,7 +239,6 @@ class NNexusClient:
         *,
         sleep: Callable[[float], None] = time.sleep,
         tracer: NullTracer | None = None,
-        pipeline: bool = False,
     ) -> None:
         self._host = host
         self._port = port
@@ -251,71 +246,57 @@ class NNexusClient:
         self._retry = retry if retry is not None else RetryPolicy()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._sleep = sleep
-        self._pipeline = pipeline
-        self._sock: socket.socket | None = None
         self._mux: _Multiplexer | None = None
-        # Serializes connect/teardown across the caller threads a
-        # pipelined client is allowed to have.
+        # Serializes connect/teardown across caller threads.
         self._conn_lock = threading.Lock()
         # next(itertools.count) is atomic under the GIL, so concurrent
-        # pipelined callers always draw distinct reqids.
+        # callers always draw distinct reqids.
         self._reqid_counter = itertools.count(1)
         self._unknown_responses = 0
         # Connect eagerly so constructing against a dead address fails
         # loudly, as the non-reconnecting client always did.
-        self._connect(Deadline(None))
+        with self._conn_lock:
+            self._connect_locked()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _connect(self, deadline: Deadline) -> socket.socket:
-        timeout = self._timeout
-        remaining = deadline.remaining()
-        if remaining is not None:
-            if remaining <= 0:
-                raise DeadlineExceededError("client deadline exhausted")
-            timeout = min(timeout, remaining)
-        sock = socket.create_connection((self._host, self._port), timeout=timeout)
+    def _connect_locked(self) -> _Multiplexer:
+        """Replace any dead connection with a fresh one (caller holds
+        ``_conn_lock``)."""
+        self._teardown_locked()
+        sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
         try:
             # Frames are small and latency-bound; Nagle + delayed ACK
             # can stall a pipelined connection for tens of milliseconds.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._pipeline:
-                self._mux = _Multiplexer(sock)
+            self._mux = _Multiplexer(sock)
+            return self._mux
         except Exception:
             sock.close()  # nothing took ownership yet; don't leak
             raise
-        self._sock = sock
-        return sock
 
     def _teardown_locked(self) -> None:
-        """Close whatever transport exists (caller holds ``_conn_lock``)."""
+        """Close the connection, if any (caller holds ``_conn_lock``)."""
         mux, self._mux = self._mux, None
-        sock, self._sock = self._sock, None
         if mux is not None:
             # Fold the dead connection's unmatched-response count into
             # the client-lifetime total before the mux is dropped.
             self._unknown_responses += mux.unknown_responses
             mux.close()
-        elif sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _mark_broken(self) -> None:
-        """Drop a desynchronized connection so the next call reconnects."""
-        with self._conn_lock:
-            self._teardown_locked()
 
     def _call(self, request: protocol.Request) -> protocol.Response:
         trc = self._tracer
-        # Validate-encode before the first attempt so encoding failures
-        # (caller bugs, not transport faults) raise eagerly, before the
-        # socket is touched, and are never retried.
+        # Validate-encode before the first attempt, with placeholders for
+        # the fields every attempt stamps, so encoding failures (caller
+        # bugs, not transport faults) raise eagerly, before the socket
+        # is touched, and are never retried.
+        request.fields["reqid"] = "r0"
+        if trc.enabled:
+            request.fields["traceparent"] = "00"
         protocol.frame(protocol.encode_request(request))
         if not trc.enabled:
-            return self._retry_loop(lambda attempt: self._attempt_request(request))
+            return self._retry_loop(lambda attempt: self._attempt(request))
         with trc.span(f"client.{request.method}", method=request.method) as call_span:
             def one_attempt(attempt: int) -> protocol.Response:
                 # Each try gets its own child span, and its id is what
@@ -325,7 +306,7 @@ class NNexusClient:
                     "client.attempt", parent=call_span, attempt=attempt
                 ) as attempt_span:
                     request.fields["traceparent"] = attempt_span.traceparent()
-                    return self._attempt_request(request)
+                    return self._attempt(request)
 
             response = self._retry_loop(one_attempt)
             call_span.set_attribute("server_trace_id", response.fields.get("traceid", ""))
@@ -350,7 +331,8 @@ class NNexusClient:
                 if not exc.retryable or attempt >= self._retry.max_attempts:
                     raise
             except (ConnectionError, ProtocolError, OSError):
-                self._mark_broken()
+                # The connection already failed every waiter and closed
+                # its socket; the next attempt reconnects.
                 if attempt >= self._retry.max_attempts:
                     raise
             delay = self._retry.backoff(attempt)
@@ -360,52 +342,18 @@ class NNexusClient:
                 )
             self._sleep(delay)
 
-    def _attempt_request(self, request: protocol.Request) -> protocol.Response:
-        """Encode and run one attempt on whichever transport is active."""
-        if not self._pipeline:
-            request.fields.pop("reqid", None)
-            payload = protocol.frame(protocol.encode_request(request))
-            return self._attempt(payload)
+    def _attempt(self, request: protocol.Request) -> protocol.Response:
+        """Encode and run one attempt, reconnecting a dead connection."""
         # A fresh reqid per attempt: a retry must never be matched
         # against a late response to the attempt it replaced.
         reqid = f"r{next(self._reqid_counter)}"
         request.fields["reqid"] = reqid
         payload = protocol.frame(protocol.encode_request(request))
-        return self._attempt_pipelined(reqid, payload)
-
-    def _attempt_pipelined(self, reqid: str, payload: bytes) -> protocol.Response:
         with self._conn_lock:
             mux = self._mux
             if mux is None or not mux.alive:
-                self._teardown_locked()
-                self._connect(Deadline(None))
-                mux = self._mux
-        if mux is None:  # pragma: no cover — _connect sets it or raises
-            raise ConnectionError("pipelined transport unavailable")
+                mux = self._connect_locked()
         return self._raise_for_status(mux.call(reqid, payload, self._timeout))
-
-    def _attempt(self, payload: bytes) -> protocol.Response:
-        sock = self._sock
-        if sock is None:
-            sock = self._connect(Deadline(None))
-        try:
-            sock.sendall(payload)
-            message = protocol.read_frame(sock.recv)
-        except Exception:
-            # Any transport error mid-call — a failed sendall as much as
-            # a truncated read — leaves the frame stream in an unknown
-            # state; close this socket before anyone reconnects.
-            self._mark_broken()
-            raise
-        if message is None:
-            self._mark_broken()
-            raise ProtocolError("server closed the connection")
-        try:
-            response = protocol.decode_response(message)
-        except ProtocolError:
-            self._mark_broken()
-            raise
-        return self._raise_for_status(response)
 
     @staticmethod
     def _raise_for_status(response: protocol.Response) -> protocol.Response:
@@ -421,9 +369,8 @@ class NNexusClient:
     def unknown_responses(self) -> int:
         """Lifetime count of responses that matched no pending request.
 
-        Only a pipelined client can observe these: late responses to
-        requests whose deadline already fired, or a confused peer
-        echoing a ``reqid`` nobody sent.  They are dropped, not fatal —
+        These are late responses to requests whose deadline already
+        fired, or a confused peer echoing a ``reqid`` nobody sent.  They are dropped, not fatal —
         this counter is how tests (and operators) see them anyway.
         """
         with self._conn_lock:
@@ -431,15 +378,14 @@ class NNexusClient:
             return self._unknown_responses + live
 
     def close(self) -> None:
-        """Close the socket; safe to call repeatedly."""
-        self._mark_broken()
+        """Close the connection and reap its reader; safe to call repeatedly."""
+        with self._conn_lock:
+            self._teardown_locked()
 
     @property
     def connected(self) -> bool:
-        if self._pipeline:
-            mux = self._mux
-            return mux is not None and mux.alive
-        return self._sock is not None
+        mux = self._mux
+        return mux is not None and mux.alive
 
     def __enter__(self) -> "NNexusClient":
         return self
@@ -556,118 +502,3 @@ class NNexusClient:
             )
         )
 
-
-class NNexusClientPool:
-    """A bounded pool of independent :class:`NNexusClient` connections.
-
-    For callers that want concurrency through many connections rather
-    than (or on top of) pipelining one — the HTTP gateway's executor
-    threads, or fan-out against a legacy server that never echoes
-    ``reqid``.  Clients are created lazily up to ``size``;
-    :meth:`connection` blocks while all are checked out, which is the
-    pool's back-pressure: it never grows past its bound.
-
-    >>> pool = NNexusClientPool(host, port, size=4)       # doctest: +SKIP
-    >>> with pool.connection() as client:
-    ...     client.ping()
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        size: int = 4,
-        *,
-        timeout: float = 10.0,
-        retry: RetryPolicy | None = None,
-        tracer: NullTracer | None = None,
-        pipeline: bool = False,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
-        self._host = host
-        self._port = port
-        self._size = size
-        self._timeout = timeout
-        self._retry = retry
-        self._tracer = tracer
-        self._pipeline = pipeline
-        self._sleep = sleep
-        self._slots = threading.BoundedSemaphore(size)
-        self._idle_lock = threading.Lock()
-        self._idle: list[NNexusClient] = []
-        self._closed = False
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @contextlib.contextmanager
-    def connection(self) -> Iterator[NNexusClient]:
-        """Check a client out for the duration of the ``with`` body.
-
-        The client is returned to the pool afterwards even if the body
-        raised — a broken connection repairs itself on its next call,
-        so there is nothing to quarantine.
-        """
-        client = self._checkout()
-        try:
-            yield client
-        finally:
-            self._checkin(client)
-
-    def _checkout(self) -> NNexusClient:
-        self._slots.acquire()
-        try:
-            with self._idle_lock:
-                if self._closed:
-                    raise RuntimeError("pool is closed")
-                client = self._idle.pop() if self._idle else None
-            if client is None:
-                client = self._make()
-            return client
-        except BaseException:
-            self._slots.release()
-            raise
-
-    def _checkin(self, client: NNexusClient) -> None:
-        try:
-            with self._idle_lock:
-                returned = not self._closed
-                if returned:
-                    self._idle.append(client)
-            if not returned:
-                client.close()
-        finally:
-            self._slots.release()
-
-    def _make(self) -> NNexusClient:
-        return NNexusClient(
-            self._host,
-            self._port,
-            timeout=self._timeout,
-            retry=self._retry,
-            sleep=self._sleep,
-            tracer=self._tracer,
-            pipeline=self._pipeline,
-        )
-
-    def close(self) -> None:
-        """Close every idle client; checked-out ones close on check-in."""
-        with self._idle_lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for client in idle:
-            client.close()
-
-    def __enter__(self) -> "NNexusClientPool":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()

@@ -58,6 +58,7 @@ contract.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any
@@ -105,6 +106,12 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: ~94 MB of RSS to parse.  An ``addObject`` request fits 4,996 concept,
 #: synonym and class entries in total.
 MAX_REQUEST_TAGS = 10_000
+#: A character XML 1.0 cannot carry, escaped or not: the parser refuses
+#: a document holding one.
+_XML_ILLEGAL = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+#: Request field names, written as element tags.  ``object`` is the
+#: tag of the request's corpus object.
+_FIELD_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")
 
 
 @dataclass
@@ -187,23 +194,40 @@ def _text_of(element: ET.Element, tag: str) -> str:
 
 
 def encode_request(request: Request) -> str:
+    """Encode a request, refusing one :func:`decode_request` would refuse.
+
+    A server cannot tag its reply to a request it cannot decode, so a
+    multiplexing client would only time out on one; it fails here, at
+    once, instead.
+    """
     if request.method not in METHODS:
         raise ProtocolError(f"unknown method {request.method!r}")
     root = ET.Element("request", {"method": request.method})
     for key, value in request.fields.items():
+        if key == "object" or not _FIELD_NAME.match(key):
+            raise ProtocolError(f"bad request field name {key!r}")
         ET.SubElement(root, key).text = value
     if request.obj is not None:
         root.append(object_to_xml(request.obj))
-    return ET.tostring(root, encoding="unicode")
+    xml_text = ET.tostring(root, encoding="unicode")
+    _check_tag_count(xml_text)
+    illegal = _XML_ILLEGAL.search(xml_text)
+    if illegal is not None:
+        raise ProtocolError(f"character {illegal.group()!r} cannot be sent in XML")
+    return xml_text
 
 
-def decode_request(xml_text: str) -> Request:
+def _check_tag_count(xml_text: str) -> None:
     tags = xml_text.count("<")
     if tags > MAX_REQUEST_TAGS:
         raise ProtocolError(
             f"request has {tags} '<' characters (tags), "
             f"more than the {MAX_REQUEST_TAGS} allowed"
         )
+
+
+def decode_request(xml_text: str) -> Request:
+    _check_tag_count(xml_text)
     root = _parse(xml_text)
     if root.tag != "request":
         raise ProtocolError(f"expected <request>, got <{root.tag}>")

@@ -258,17 +258,6 @@ class _Handler(socketserver.BaseRequestHandler):
             if fault is not None and fault.kind == "delay":
                 time.sleep(fault.delay)
                 fault = None
-            if fault is not None and fault.kind == "error":
-                injected = protocol.Response(
-                    status="error",
-                    method="unknown",
-                    error=f"injected {fault.code}",
-                    code=fault.code,
-                    retryable=fault.retryable,
-                )
-                if not writer.send_response(injected):
-                    return
-                continue
 
             # Decode once, up front: the reader must see the method and
             # reqid to route, and dispatch reuses the same parse.
@@ -279,6 +268,23 @@ class _Handler(socketserver.BaseRequestHandler):
                 request = protocol.decode_request(message)
             except Exception:  # noqa: BLE001 - answered as bad-request below
                 request = None
+
+            if fault is not None and fault.kind == "error":
+                injected = protocol.Response(
+                    status="error",
+                    method="unknown",
+                    error=f"injected {fault.code}",
+                    code=fault.code,
+                    retryable=fault.retryable,
+                )
+                # Echo the reqid, as shed_pipelined does: a multiplexing
+                # client matches replies by it and never sees an
+                # untagged one.
+                if request is not None and request.fields.get("reqid"):
+                    injected.fields["reqid"] = request.fields["reqid"]
+                if not writer.send_response(injected):
+                    return
+                continue
 
             if (
                 fault is None

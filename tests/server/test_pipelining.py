@@ -3,10 +3,11 @@
 Covers both ends of the ``reqid`` contract.  Server side: a raw socket
 drives interleaved, out-of-order, shed, and mid-frame-expiry scenarios
 and checks every response comes back tagged with the right ``reqid``.
-Client side: the pipelined :class:`NNexusClient` multiplexes concurrent
-callers over one connection, survives injected transport faults by
-closing the broken socket before reconnecting, and counts (rather than
-crashes on) responses nobody is waiting for.
+Client side: :class:`NNexusClient` multiplexes concurrent callers over
+one connection, survives injected transport faults by closing the
+broken socket before reconnecting, closes at once without leaving its
+reader thread behind, and counts (rather than crashes on) responses
+nobody is waiting for.
 """
 
 import socket
@@ -17,10 +18,11 @@ import pytest
 
 from repro.core.errors import DeadlineExceededError, ProtocolError
 from repro.core.linker import NNexus
+from repro.core.models import CorpusObject
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
 from repro.server import protocol
-from repro.server.client import NNexusClient, NNexusClientPool
+from repro.server.client import NNexusClient
 from repro.server.faults import FaultInjector
 from repro.server.resilience import RetryPolicy
 from repro.server.server import serve_forever
@@ -236,7 +238,7 @@ class TestPipelinedClient:
             max_in_flight=depth * 2,
             pipeline_workers=depth + 4,
         )
-        client = NNexusClient(*server.address, timeout=30, pipeline=True)
+        client = NNexusClient(*server.address, timeout=30)
         try:
             mux_before = client._mux
             results: dict[int, str] = {}
@@ -276,7 +278,6 @@ class TestPipelinedClient:
             *server.address,
             timeout=0.3,
             retry=RetryPolicy.none(),
-            pipeline=True,
         )
         try:
             mux = client._mux
@@ -302,9 +303,7 @@ class TestPipelinedClient:
         faults = FaultInjector()
         linker = make_linker()
         server = serve_forever(linker, faults=faults)
-        client = NNexusClient(
-            *server.address, timeout=5, retry=FAST_RETRY, pipeline=True
-        )
+        client = NNexusClient(*server.address, timeout=5, retry=FAST_RETRY)
         try:
             old_mux = client._mux
             old_sock = old_mux._sock
@@ -317,6 +316,109 @@ class TestPipelinedClient:
             client.close()
             server.shutdown()
             server.server_close()
+
+    @pytest.mark.parametrize(
+        "inject",
+        [
+            lambda faults: faults.truncate_response(on_request=1, keep_bytes=7),
+            lambda faults: faults.corrupt_response(on_request=1),
+            lambda faults: faults.drop_connection(on_request=1),
+        ],
+        ids=["truncate", "corrupt", "drop"],
+    )
+    def test_socket_closed_on_transport_failure(self, inject) -> None:
+        """Without a retry, every transport fault surfaces as
+        ProtocolError with the broken socket already closed, and the
+        next call transparently reconnects."""
+        faults = FaultInjector()
+        server = serve_forever(make_linker(), faults=faults)
+        client = NNexusClient(
+            *server.address, timeout=5, retry=RetryPolicy.none()
+        )
+        try:
+            old_mux = client._mux
+            old_sock = old_mux._sock
+            inject(faults)
+            with pytest.raises(ProtocolError):
+                client.describe()
+            assert not old_mux.alive
+            assert old_sock.fileno() == -1, "failure path must close the fd"
+            assert client.describe()["objects"] == 30
+            assert client._mux is not old_mux
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_close_is_prompt_and_reaps_the_reader(self) -> None:
+        """close() wakes the reader blocked in recv at once: no wait on
+        a join timeout, and no reader thread (or half-open connection)
+        outlives the client."""
+        server = serve_forever(make_linker())
+        try:
+            client = NNexusClient(*server.address, timeout=10)
+            assert client.ping()
+            reader = client._mux._reader
+            start = time.perf_counter()
+            client.close()
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.5, f"close() took {elapsed:.3f}s"
+            assert not reader.is_alive()
+            assert not client.connected
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize(
+        "send, match",
+        [
+            (
+                lambda client: client.add_object(
+                    CorpusObject(
+                        object_id=1,
+                        title="t",
+                        defines=[f"concept {i}" for i in range(6000)],
+                        text="body",
+                    )
+                ),
+                "tags",
+            ),
+            (lambda client: client.link_entry("a nul \x00 byte"), "XML"),
+        ],
+        ids=["oversized", "control-char"],
+    )
+    def test_undecodable_request_fails_locally(self, send, match) -> None:
+        """A request the server could not decode (and so could not tag
+        a reply to) fails at once with ProtocolError, without a retry
+        and without a byte on the wire."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        received: list[bytes] = []
+
+        def fake_server() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                try:
+                    while chunk := conn.recv(65536):
+                        received.append(chunk)
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=fake_server, daemon=True)
+        thread.start()
+        client = NNexusClient(*listener.getsockname()[:2], timeout=3, retry=FAST_RETRY)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ProtocolError, match=match):
+                send(client)
+            assert time.perf_counter() - start < 1.0
+            assert client.connected, "a caller bug is not a transport fault"
+        finally:
+            client.close()
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+        assert received == []
 
     def test_unknown_reqid_is_counted_not_fatal(self) -> None:
         """A response for a reqid nobody sent is dropped with a counter
@@ -346,7 +448,7 @@ class TestPipelinedClient:
         thread = threading.Thread(target=fake_server, daemon=True)
         thread.start()
         host, port = listener.getsockname()[:2]
-        client = NNexusClient(host, port, timeout=10, pipeline=True)
+        client = NNexusClient(host, port, timeout=10)
         try:
             assert client.ping()
             assert client.unknown_responses == 1
@@ -358,7 +460,7 @@ class TestPipelinedClient:
     def test_describe_tolerates_reqid_echo(self) -> None:
         """describe() must not int()-parse the transport's reqid echo."""
         server = serve_forever(make_linker())
-        client = NNexusClient(*server.address, timeout=10, pipeline=True)
+        client = NNexusClient(*server.address, timeout=10)
         try:
             stats = client.describe()
             assert stats["objects"] == 30
@@ -368,85 +470,3 @@ class TestPipelinedClient:
             server.shutdown()
             server.server_close()
 
-
-class TestLegacyClientCloseOnFailure:
-    """Satellite: every transport failure path closes the socket before
-    the client reconnects (REP103 discipline, client side)."""
-
-    @pytest.mark.parametrize(
-        "inject",
-        [
-            lambda faults: faults.truncate_response(on_request=1, keep_bytes=7),
-            lambda faults: faults.corrupt_response(on_request=1),
-            lambda faults: faults.drop_connection(on_request=1),
-        ],
-        ids=["truncate", "corrupt", "drop"],
-    )
-    def test_socket_closed_on_transport_failure(self, inject) -> None:
-        faults = FaultInjector()
-        server = serve_forever(make_linker(), faults=faults)
-        client = NNexusClient(
-            *server.address, timeout=5, retry=RetryPolicy.none()
-        )
-        try:
-            old_sock = client._sock
-            inject(faults)
-            with pytest.raises(ProtocolError):
-                client.describe()
-            assert client._sock is None
-            assert old_sock.fileno() == -1, "failure path must close the fd"
-            # And the next call transparently reconnects.
-            assert client.describe()["objects"] == 30
-        finally:
-            client.close()
-            server.shutdown()
-            server.server_close()
-
-
-class TestClientPool:
-    def test_pool_reuses_and_bounds_connections(self) -> None:
-        server = serve_forever(make_linker())
-        pool = NNexusClientPool(*server.address, size=2, timeout=10)
-        try:
-            with pool.connection() as first:
-                assert first.ping()
-            with pool.connection() as again:
-                assert again is first  # returned to the pool and reused
-
-            acquired = threading.Event()
-            released = threading.Event()
-
-            def third_waiter() -> None:
-                with pool.connection():
-                    acquired.set()
-
-            with pool.connection(), pool.connection():
-                thread = threading.Thread(target=third_waiter, daemon=True)
-                thread.start()
-                assert not acquired.wait(timeout=0.3), (
-                    "pool handed out more than its bound"
-                )
-            assert acquired.wait(timeout=10)
-            thread.join(timeout=10)
-            released.set()
-        finally:
-            pool.close()
-            server.shutdown()
-            server.server_close()
-
-    def test_closed_pool_refuses_and_closes_clients(self) -> None:
-        server = serve_forever(make_linker())
-        pool = NNexusClientPool(*server.address, size=2, timeout=10)
-        try:
-            with pool.connection() as client:
-                pass
-            assert client.connected
-            pool.close()
-            assert not client.connected
-            with pytest.raises(RuntimeError):
-                with pool.connection():
-                    pass  # pragma: no cover
-        finally:
-            pool.close()
-            server.shutdown()
-            server.server_close()

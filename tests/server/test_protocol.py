@@ -1,14 +1,16 @@
 """Tests for the XML wire protocol and framing."""
 
+import dataclasses
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.errors import ProtocolError
 from repro.core.models import CorpusObject
 from repro.server.protocol import (
     MAX_REQUEST_TAGS,
+    METHODS,
     Request,
     Response,
     decode_request,
@@ -17,6 +19,60 @@ from repro.server.protocol import (
     encode_response,
     frame,
     read_frame,
+)
+
+
+def as_parsed(text: str) -> str:
+    """``text`` after XML end-of-line handling: element text comes back
+    with every ``\\r\\n`` and lone ``\\r`` turned into ``\\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+#: Valid names (the protocol's own and made-up ones) and arbitrary text,
+#: which is mostly not a valid element name.
+field_names = st.one_of(
+    st.sampled_from(("text", "classes", "format", "objectid", "policy", "limit")),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,8}", fullmatch=True),
+    st.text(max_size=6),
+)
+#: Any text, control characters included half of the time.
+phrases = st.one_of(
+    st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=12),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def corpus_objects(draw) -> CorpusObject:
+    """Objects of any size up to a few entries past the tag cap."""
+    near_cap = draw(st.booleans())
+    if near_cap:
+        # Every concept, synonym and class costs two '<'; the rest of the
+        # request five to fifteen.  This straddles the cap.
+        total = draw(st.integers(MAX_REQUEST_TAGS // 2 - 14, MAX_REQUEST_TAGS // 2))
+        split = draw(st.integers(0, total))
+        defines = [f"concept {i}" for i in range(split)]
+        classes = [f"05C{i:04d}" for i in range(total - split)]
+    else:
+        defines = draw(st.lists(phrases, max_size=4))
+        classes = draw(st.lists(phrases, max_size=3))
+    return CorpusObject(
+        object_id=draw(st.integers(-(2**63), 2**63)),
+        title=draw(phrases),
+        defines=defines,
+        synonyms=draw(st.lists(phrases, max_size=3)),
+        classes=classes,
+        text=draw(phrases),
+        domain=draw(phrases),
+        linking_policy=draw(phrases),
+    )
+
+
+requests = st.builds(
+    Request,
+    method=st.sampled_from(METHODS),
+    fields=st.dictionaries(field_names, phrases, max_size=4),
+    obj=st.none() | corpus_objects(),
 )
 
 
@@ -73,6 +129,50 @@ class TestRequestRoundTrip:
     def test_object_requires_id(self) -> None:
         with pytest.raises(ProtocolError):
             decode_request('<request method="addObject"><object/></request>')
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(requests)
+    def test_every_encodable_request_decodes(self, request: Request) -> None:
+        """``encode_request`` refuses what ``decode_request`` would: a
+        server cannot tag its reply to a request it cannot decode."""
+        try:
+            encoded = encode_request(request)
+        except ProtocolError:
+            return
+        decoded = decode_request(encoded)
+        assert decoded.method == request.method
+        assert decoded.fields == {k: as_parsed(v) for k, v in request.fields.items()}
+        if request.obj is None:
+            assert decoded.obj is None
+        else:
+            obj = request.obj
+            assert decoded.obj == dataclasses.replace(
+                obj,
+                title=as_parsed(obj.title),
+                defines=[as_parsed(p) for p in obj.defines],
+                synonyms=[as_parsed(p) for p in obj.synonyms],
+                classes=[as_parsed(c) for c in obj.classes],
+                text=as_parsed(obj.text),
+                linking_policy=as_parsed(obj.linking_policy),
+            )
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            Request("linkEntry", fields={"text": "nul \x00 byte"}),
+            Request("linkEntry", fields={"text": "lone \ud800 surrogate"}),
+            Request("linkEntry", fields={"two words": "x"}),
+            Request("linkEntry", fields={"object": "x"}),
+        ],
+        ids=["control-char", "surrogate", "bad-name", "object-field"],
+    )
+    def test_undecodable_request_rejected_on_encode(self, request_: Request) -> None:
+        with pytest.raises(ProtocolError):
+            encode_request(request_)
 
 
 class TestResponseRoundTrip:
@@ -176,8 +276,9 @@ class TestHostileXml:
         encoded = encode_request(at_cap)
         assert encoded.count("<") == MAX_REQUEST_TAGS
         assert decode_request(encoded).obj == at_cap.obj
+        # One more is refused by the encoder, before it can be sent.
         with pytest.raises(ProtocolError, match="tags"):
-            decode_request(encode_request(add_object(entries + 1)))
+            encode_request(add_object(entries + 1))
 
     def test_doctype_text_in_a_field_still_round_trips(self) -> None:
         request = Request("linkEntry", fields={"text": "<!DOCTYPE html> page"})

@@ -225,9 +225,9 @@ class TestSaturationTelemetry:
 
     def test_pipeline_gauges_and_queue_wait(self, server) -> None:
         host, port = server.address
-        # A pipelined client tags requests with reqids, routing them
+        # The client tags every request with a reqid, routing reads
         # through the shared executor and its queue-wait histogram.
-        with NNexusClient(host, port, pipeline=True) as client:
+        with NNexusClient(host, port) as client:
             for _ in range(4):
                 assert client.describe()["objects"] == 30
             snapshot = client.get_metrics()
