@@ -18,7 +18,9 @@ postings, rarest first, then keeps the candidates whose sequence holds
 the label contiguously.  The result is exactly the set of entries
 containing the label: never larger than the paper's superset, and never
 missing an entry whose rendering can change, because the sequence is the
-same canonical word array the matcher scans, from the same tokenizer.
+same canonical word array the matcher scans.  The index does not scan
+text itself: the linker tokenizes each entry version once and hands the
+index that scan's words.
 The paper's structure survives as an offline model for the Fig. 6
 ablation (:class:`repro.eval.experiments.AdaptivePhraseIndexModel`).
 """
@@ -28,7 +30,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from repro.core.morphology import canonicalize_phrase
-from repro.core.tokenizer import Tokenizer
 from repro.obs.memory import (
     estimate_dict_entry,
     estimate_int,
@@ -60,17 +61,9 @@ def _sequence_cost(sequence: str) -> int:
 
 
 class InvalidationIndex:
-    """Exact word index over entry text.
+    """Exact word index over the canonical words of entry text."""
 
-    Parameters
-    ----------
-    tokenizer:
-        Scanner used to canonicalize entry text; defaults to the linker's
-        tokenizer so index terms agree with concept-map terms.
-    """
-
-    def __init__(self, tokenizer: Tokenizer | None = None) -> None:
-        self._tokenizer = tokenizer or Tokenizer()
+    def __init__(self) -> None:
         # postings: canonical word -> object ids containing it.
         self._postings: dict[str, set[int]] = {}
         # object id -> " w1 w2 ... wn " (its canonical words, space-framed).
@@ -101,21 +94,24 @@ class InvalidationIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def index_object(self, object_id: int, text: str) -> None:
-        """(Re-)index the text of ``object_id``."""
+    def index_object(self, object_id: int, words: Sequence[str]) -> None:
+        """(Re-)index ``object_id`` under its text's canonical words.
+
+        ``words`` is the entry's scanned word array
+        (:meth:`~repro.core.tokenizer.TokenizedText.canonical_words`).
+        """
         if object_id in self._sequences:
             self.remove_object(object_id)
-        words = self._tokenizer.tokenize(text).canonical_words()
         sequence = _frame(words)
         self._sequences[object_id] = sequence
-        added = _sequence_cost(sequence)
-        for word in set(words):
+        distinct = set(words)
+        added = _sequence_cost(sequence) + len(distinct) * estimate_set_entry()
+        for word in distinct:
             posting = self._postings.get(word)
             if posting is None:
                 posting = self._postings[word] = set()
                 added += _word_key_cost(word)
             posting.add(object_id)
-            added += estimate_set_entry()
         self.estimated_bytes += added
         self._notify(object_id)
 
@@ -124,11 +120,11 @@ class InvalidationIndex:
         sequence = self._sequences.pop(object_id, None)
         if sequence is None:
             return
-        removed = _sequence_cost(sequence)
-        for word in set(sequence.split()):
+        distinct = set(sequence.split())
+        removed = _sequence_cost(sequence) + len(distinct) * estimate_set_entry()
+        for word in distinct:
             posting = self._postings[word]
             posting.discard(object_id)
-            removed += estimate_set_entry()
             if not posting:
                 del self._postings[word]
                 removed += _word_key_cost(word)

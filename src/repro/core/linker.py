@@ -4,7 +4,10 @@ This module wires the components of Fig. 2 together.  When an entry is
 linked:
 
 1. unlinkable regions are escaped and the text tokenized
-   (:mod:`repro.core.tokenizer`);
+   (:mod:`repro.core.tokenizer`).  A stored entry is scanned once per
+   version, when ``add_object`` stores it; the linker keeps that scan,
+   feeds its words to the invalidation index, and links the entry from
+   it.  Ad-hoc text (``link_text``) is scanned on every call;
 2. the token array is scanned against the concept map for link sources
    (:mod:`repro.core.matching`);
 3. candidate targets are filtered by the targets' linking policies
@@ -43,12 +46,13 @@ from repro.core.matching import find_matches
 from repro.core.models import CorpusObject, Link, LinkedDocument, Match
 from repro.core.policies import LinkingPolicyTable
 from repro.core.render import render_annotations, render_html, render_markdown
-from repro.core.tokenizer import Tokenizer
+from repro.core.tokenizer import TokenizedText, Tokenizer
 from repro.obs.memory import (
     MemoryAccountant,
     deep_sizeof,
     estimate_container,
     estimate_dict_entry,
+    estimate_int,
     estimate_object,
     estimate_str,
     estimate_strs,
@@ -216,8 +220,11 @@ class NNexus:
             self._tokenizer = Tokenizer()
         self._concept_map = ConceptMap()
         self._objects: dict[int, CorpusObject] = {}
+        #: object id -> the scan of its stored text, made once per
+        #: version in add_object; link_object links from it.
+        self._scans: dict[int, TokenizedText] = {}
         self._policies = LinkingPolicyTable(scheme=scheme)
-        self._invalidation = InvalidationIndex(tokenizer=self._tokenizer)
+        self._invalidation = InvalidationIndex()
         self._cache = RenderCache()
         self._steering: ClassificationSteering | None = None
         if scheme is not None:
@@ -237,12 +244,14 @@ class NNexus:
 
         #: Monotonic construction instant, for ``nnexus_uptime_seconds``.
         self._started_monotonic = monotonic()
-        #: Incremental byte estimate of the private object store, kept
-        #: symmetric in add/remove_object so it cannot drift.
+        #: Incremental byte estimate of the private object store and the
+        #: stored scans, kept symmetric in add/remove_object so it cannot
+        #: drift.
         self._objects_bytes = 0
-        #: Per-component memory accountant (objects store, concept map
-        #: under the historical key ``map_segments``, invalidation index,
-        #: render cache, trace ring, metrics registry).  Components
+        #: Per-component memory accountant (objects store with the kept
+        #: scans, concept map under the historical key ``map_segments``,
+        #: invalidation index, render cache, trace ring, metrics
+        #: registry).  Components
         #: report cheap plain-int estimates; ``resource_stats(deep=True)``
         #: or the optional reconciler thread deep-samples the same graphs
         #: and reports the estimate/deep ratio the bench gates at 2x.
@@ -257,7 +266,9 @@ class NNexus:
 
     def _register_memory_components(self) -> None:
         acc = self.accountant
-        acc.register("objects", lambda: self._objects_bytes, lambda: (self._objects,))
+        acc.register(
+            "objects", lambda: self._objects_bytes, lambda: (self._objects, self._scans)
+        )
         acc.register(
             "map_segments",
             self._concept_map.estimated_bytes,
@@ -421,8 +432,10 @@ class NNexus:
             synonyms=list(obj.synonyms),
             classes=list(obj.classes),
         )
+        scan = self._scan_stored(obj.text)
         self._objects[obj.object_id] = obj
-        self._objects_bytes += _object_cost(obj)
+        self._scans[obj.object_id] = scan
+        self._objects_bytes += _object_cost(obj) + _scan_cost(scan)
         new_labels: list[tuple[str, ...]] = []
         for phrase in obj.concept_phrases():
             words = self._concept_map.add_phrase(phrase, obj.object_id)
@@ -430,7 +443,7 @@ class NNexus:
                 new_labels.append(words)
         if obj.linking_policy:
             self._policies.set_policy(obj.object_id, obj.linking_policy)
-        self._invalidation.index_object(obj.object_id, obj.text)
+        self._invalidation.index_object(obj.object_id, scan.words)
         invalidated = self._invalidation.invalidate_many(new_labels)
         invalidated.discard(obj.object_id)
         self._cache.invalidate(invalidated)
@@ -455,7 +468,7 @@ class NNexus:
         obj = self._objects.pop(object_id, None)
         if obj is None:
             raise UnknownObjectError(object_id)
-        self._objects_bytes -= _object_cost(obj)
+        self._objects_bytes -= _object_cost(obj) + _scan_cost(self._scans.pop(object_id))
         defined = self._concept_map.labels_for_object(object_id)
         self._concept_map.remove_object(object_id)
         self._policies.remove(object_id)
@@ -543,15 +556,14 @@ class NNexus:
         self._journal(self.storage.record_cache_clear)
 
     def link_object(self, object_id: int) -> LinkedDocument:
-        """Link a stored entry (self-links excluded unless configured)."""
+        """Link a stored entry (self-links excluded unless configured).
+
+        Links from the scan kept since the entry was stored: a stored
+        entry is never tokenized again.
+        """
         obj = self.get_object(object_id)
         exclude = () if self.config.allow_self_links else (object_id,)
-        return self.link_text(
-            obj.text,
-            source_classes=obj.classes,
-            exclude_objects=exclude,
-            source_id=object_id,
-        )
+        return self._link(self._scans[object_id], obj.classes, exclude, object_id)
 
     def link_text(
         self,
@@ -568,18 +580,50 @@ class NNexus:
         stored entry so an attached composite ranker can use its
         collaborative-filtering profile.
         """
+        return self._link(text, source_classes, exclude_objects, source_id)
+
+    def _link(
+        self,
+        source: str | TokenizedText,
+        source_classes: Sequence[str],
+        exclude_objects: Iterable[int],
+        source_id: int | None,
+    ) -> LinkedDocument:
+        """Link ad-hoc text, or a stored entry from its kept scan."""
         trc = self.tracer
         if not trc.enabled:
             return self._link_text_inner(
-                text, source_classes, exclude_objects, source_id, NULL_TRACER
+                source, source_classes, exclude_objects, source_id, NULL_TRACER
             )
-        with trc.span("linker.link_text", chars=len(text)) as span:
+        chars = len(source if isinstance(source, str) else source.source)
+        with trc.span("linker.link_text", chars=chars) as span:
             document = self._link_text_inner(
-                text, source_classes, exclude_objects, source_id, trc
+                source, source_classes, exclude_objects, source_id, trc
             )
             span.set_attribute("matches", len(document.matches))
             span.set_attribute("links", len(document.links))
             return document
+
+    def _scan_stored(self, text: str) -> TokenizedText:
+        """The scan a stored entry keeps; times the tokenize stage.
+
+        The stage span is recorded only inside a trace (an ``addObject``
+        request), so a bulk load does not open one trace per entry.
+        """
+        rec = self.metrics
+        trc = self.tracer
+        if not (rec.enabled or trc.enabled):
+            return self._tokenizer.tokenize(text)
+        started = perf_counter()
+        scan = self._tokenizer.tokenize(text)
+        self._observe_stage(
+            "tokenize",
+            perf_counter() - started,
+            rec,
+            trc if trc.active_trace_id() else NULL_TRACER,
+            tokens=len(scan),
+        )
+        return scan
 
     def _observe_stage(
         self, stage: str, seconds: float, rec: NullRecorder, trc: NullTracer, **attrs: Any
@@ -598,7 +642,7 @@ class NNexus:
 
     def _link_text_inner(
         self,
-        text: str,
+        source: str | TokenizedText,
         source_classes: Sequence[str],
         exclude_objects: Iterable[int],
         source_id: int | None,
@@ -618,16 +662,19 @@ class NNexus:
         if trc.enabled and self._steering is not None:
             sig_before = self._steering.signature_cache_snapshot()
         if timing:
-            # Signature work is steering; the tokenize stage starts here.
+            # Signature work is steering; the next stage starts here.
             stage_start = perf_counter()
             stage_acc = {"policy": 0.0, "steer": stage_start - signature_start}
-        tokenized = self._tokenizer.tokenize(text)
-        if timing:
-            now = perf_counter()
-            self._observe_stage(
-                "tokenize", now - stage_start, rec, trc, tokens=len(tokenized)
-            )
-            stage_start = now
+        if isinstance(source, str):
+            tokenized = self._tokenizer.tokenize(source)
+            if timing:
+                now = perf_counter()
+                self._observe_stage(
+                    "tokenize", now - stage_start, rec, trc, tokens=len(tokenized)
+                )
+                stage_start = now
+        else:
+            tokenized = source
         matches = find_matches(
             tokenized,
             self._concept_map,
@@ -639,7 +686,7 @@ class NNexus:
                 "match", perf_counter() - stage_start, rec, trc, matches=len(matches)
             )
         document = LinkedDocument(
-            source_text=text,
+            source_text=tokenized.source,
             matches=matches,
             escaped_regions=list(tokenized.escaped_regions),
         )
@@ -1111,6 +1158,33 @@ def _object_cost(obj: CorpusObject) -> int:
         + estimate_container(len(obj.classes), base=56)
         + estimate_dict_entry(28)
     )
+
+
+def _scan_cost(scan: TokenizedText) -> int:
+    """Incremental byte estimate for one stored :class:`TokenizedText`.
+
+    Covers the instance, the word list's slots, the two packed offset
+    arrays, the escaped-region list with its tuples and boxed offsets,
+    and the slot in the linker's ``_scans`` dict.  The source string is
+    the stored object's text and the words are shared canonical strings,
+    so neither is charged here.
+    """
+    regions = len(scan.escaped_regions)
+    return (
+        _SCAN_SHELL
+        + estimate_container(len(scan.words), base=56)
+        + 2 * (_ARRAY_BASE + _OFFSET_BYTES * len(scan.starts))
+        + estimate_container(regions, base=56)
+        + regions * (estimate_container(2) + 2 * estimate_int())
+        + estimate_dict_entry()
+    )
+
+
+#: A slotted five-field :class:`TokenizedText` instance.
+_SCAN_SHELL = 72
+#: An empty ``array("I")`` and the bytes of one of its items.
+_ARRAY_BASE = 64
+_OFFSET_BYTES = 4
 
 
 _RENDERERS = {

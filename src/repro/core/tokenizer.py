@@ -8,13 +8,21 @@ text into a word/token array to iterate through.
 The tokenizer keeps character offsets for every word so that the renderer
 can substitute winning link candidates back into the *original* text
 without a second scan.  One pass fills three parallel arrays (canonical
-words, start offsets, end offsets); no per-word object is built.
+words, start offsets, end offsets); no per-word object is built.  The
+linker keeps the scan of every stored entry, so the offsets are packed
+machine ints, not lists of boxed ones.
+
+Every escape rule scans in linear time.  A lazy rule such as
+``\\begin{x}.*?\\end{x}`` would otherwise rescan to the end of the text
+for each opener that nothing closes: such rules name their opener and
+closer, and only openers with a closer after them are tried.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -45,14 +53,69 @@ class Token:
 
 @dataclass(frozen=True)
 class EscapeRule:
-    """A named regular expression delimiting an unlinkable text region."""
+    """A named regular expression delimiting an unlinkable text region.
+
+    The rule escapes the non-overlapping matches of ``pattern``, found
+    left to right.  A lazy opener...closer pattern also names its
+    ``opener`` and ``closer``: every match is an opener, then text, then
+    the first closer after the opener.  When the patterns have a group,
+    the closer's group must equal the opener's (``\\begin{x}`` closes
+    only at ``\\end{x}``).  :meth:`spans` then tries ``pattern`` only at
+    openers with a matching closer after them, which keeps the scan
+    linear where the bare regex is quadratic in unclosed openers.
+    """
 
     name: str
     pattern: re.Pattern[str]
+    opener: re.Pattern[str] | None = None
+    closer: re.Pattern[str] | None = None
+
+    def spans(self, text: str) -> list[tuple[int, int]]:
+        """Spans of ``pattern.finditer(text)``, in linear time."""
+        opener, closer = self.opener, self.closer
+        if opener is None or closer is None:
+            return [match.span() for match in self.pattern.finditer(text)]
+        last_closer: dict[str, int] = {}
+        limit = 0
+        for match in closer.finditer(text):
+            last_closer[_kind(match)] = match.start()
+            limit = match.end()
+        spans: list[tuple[int, int]] = []
+        if not limit:
+            return spans
+        resume = 0
+        # No match ends past the last closer, so openers are sought only
+        # up to it.  That also bounds an opener's own scan: the anchor's
+        # ``[^>]*`` stops at the last closer's ``>`` at the latest.
+        for opened in opener.finditer(text, 0, limit):
+            start = opened.start()
+            if start < resume or last_closer.get(_kind(opened), -1) < opened.end():
+                continue
+            match = self.pattern.match(text, start)
+            if match is not None:
+                spans.append(match.span())
+                resume = match.end()
+        return spans
 
 
-def _rule(name: str, pattern: str, flags: int = 0) -> EscapeRule:
-    return EscapeRule(name, re.compile(pattern, flags))
+def _kind(match: re.Match[str]) -> str:
+    """The region kind an opener or closer names: its group, if any."""
+    return match.group(1) if match.re.groups else ""
+
+
+def _rule(
+    name: str,
+    pattern: str,
+    flags: int = 0,
+    opener: str | None = None,
+    closer: str | None = None,
+) -> EscapeRule:
+    return EscapeRule(
+        name,
+        re.compile(pattern, flags),
+        opener=None if opener is None else re.compile(opener, flags),
+        closer=None if closer is None else re.compile(closer, flags),
+    )
 
 
 #: Regions NNexus must never link inside: math, verbatim code, raw HTML
@@ -62,10 +125,22 @@ def _rule(name: str, pattern: str, flags: int = 0) -> EscapeRule:
 DEFAULT_ESCAPE_RULES: tuple[EscapeRule, ...] = (
     _rule("display_math", r"\$\$.+?\$\$", re.DOTALL),
     _rule("inline_math", r"\$[^$\n]+\$"),
-    _rule("latex_env", r"\\begin\{(\w+\*?)\}.*?\\end\{\1\}", re.DOTALL),
+    _rule(
+        "latex_env",
+        r"\\begin\{(\w+\*?)\}.*?\\end\{\1\}",
+        re.DOTALL,
+        opener=r"\\begin\{(\w+\*?)\}",
+        closer=r"\\end\{(\w+\*?)\}",
+    ),
     _rule("latex_command", r"\\[A-Za-z]+(?:\{[^{}]*\})?"),
-    _rule("anchor", r"<a\b[^>]*>.*?</a>", re.DOTALL | re.IGNORECASE),
-    _rule("html_tag", r"</?\w+[^>]*>"),
+    _rule(
+        "anchor",
+        r"<a\b[^>]*>.*?</a>",
+        re.DOTALL | re.IGNORECASE,
+        opener=r"<a\b[^>]*>",
+        closer="</a>",
+    ),
+    _rule("html_tag", r"</?\w+[^>]*>", opener=r"</?\w+", closer=">"),
     _rule("code_fence", r"```.*?```", re.DOTALL),
     _rule("inline_code", r"`[^`\n]+`"),
     _rule("url", r"https?://\S+"),
@@ -79,19 +154,24 @@ _WORD_RE = re.compile(r"[A-Za-zÀ-ɏ][A-Za-zÀ-ɏ0-9'’-]*")
 _PAST_LAST_REGION = (sys.maxsize, sys.maxsize)
 
 
-@dataclass
+def _offsets() -> "array[int]":
+    return array("I")
+
+
+@dataclass(slots=True)
 class TokenizedText:
     """Result of scanning one entry: parallel word/offset arrays plus the
     escaped spans.
 
     Word ``i`` has canonical form ``words[i]`` and spans
-    ``source[starts[i]:ends[i]]``.
+    ``source[starts[i]:ends[i]]``.  The words are the shared strings of
+    the morphology cache; the offsets are packed unsigned ints.
     """
 
     source: str
     words: list[str] = field(default_factory=list)
-    starts: list[int] = field(default_factory=list)
-    ends: list[int] = field(default_factory=list)
+    starts: "array[int]" = field(default_factory=_offsets)
+    ends: "array[int]" = field(default_factory=_offsets)
     escaped_regions: list[tuple[int, int]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -131,13 +211,19 @@ class Tokenizer:
     """
 
     def __init__(self, escape_rules: tuple[EscapeRule, ...] = DEFAULT_ESCAPE_RULES) -> None:
-        self._escape_rules = escape_rules
+        # Plain rules scan in one comprehension; opener...closer rules
+        # run their own linear scan.
+        self._plain_scans = tuple(
+            rule.pattern.finditer for rule in escape_rules if rule.closer is None
+        )
+        self._paired_rules = tuple(rule for rule in escape_rules if rule.closer is not None)
 
     def escape_spans(self, text: str) -> list[tuple[int, int]]:
         """Character spans claimed by escape rules, merged and sorted."""
-        return _merge_spans(
-            [match.span() for rule in self._escape_rules for match in rule.pattern.finditer(text)]
-        )
+        spans = [match.span() for scan in self._plain_scans for match in scan(text)]
+        for rule in self._paired_rules:
+            spans += rule.spans(text)
+        return _merge_spans(spans)
 
     def tokenize(self, text: str) -> TokenizedText:
         """Scan ``text`` into the word arrays used by the matcher.
@@ -148,8 +234,10 @@ class Tokenizer:
         """
         escaped = self.escape_spans(text)
         words: list[str] = []
-        starts: list[int] = []
-        ends: list[int] = []
+        starts = _offsets()
+        ends = _offsets()
+        add_word, add_start, add_end = words.append, starts.append, ends.append
+        canonicalize = canonicalize_token
         regions = iter(escaped)
         region_start, region_end = next(regions, _PAST_LAST_REGION)
         for match in _WORD_RE.finditer(text):
@@ -160,11 +248,11 @@ class Tokenizer:
                 region_start, region_end = next(regions, _PAST_LAST_REGION)
             if region_start < end:
                 continue
-            canonical = canonicalize_token(match.group())
+            canonical = canonicalize(match.group())
             if canonical:
-                words.append(canonical)
-                starts.append(start)
-                ends.append(end)
+                add_word(canonical)
+                add_start(start)
+                add_end(end)
         return TokenizedText(
             source=text, words=words, starts=starts, ends=ends, escaped_regions=escaped
         )

@@ -575,11 +575,11 @@ class AdaptivePhraseIndexModel:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
         tokenizer = Tokenizer()
-        self.exact_index = InvalidationIndex(tokenizer)
+        self.exact_index = InvalidationIndex()
         self._gram_counts: Counter[tuple[str, ...]] = Counter()
         for object_id, text in texts:
-            self.exact_index.index_object(object_id, text)
             words = tokenizer.tokenize(text).canonical_words()
+            self.exact_index.index_object(object_id, words)
             for start in range(len(words)):
                 stop = min(start + MAX_GRAM_LENGTH, len(words))
                 for end in range(start + 1, stop + 1):

@@ -20,8 +20,11 @@ Response::
                    url="..."/>...</links>
     </response>
 
-Messages are newline-free XML documents framed by a 10-digit length
-prefix, so arbitrary text payloads survive the socket unambiguously.
+Messages are XML documents framed by a 10-digit length prefix, so
+arbitrary text payloads survive the socket unambiguously.  The encoders
+write every carriage return as ``&#13;``: XML end-of-line handling
+would turn a literal ``\\r\\n`` or ``\\r`` in element text into ``\\n``,
+and the link offsets a ``linkEntry`` returns index the client's text.
 
 Supported methods: ``linkEntry``, ``addObject``, ``updateObject``,
 ``removeObject``, ``setPolicy``, ``describe``, ``getMetrics``,
@@ -209,7 +212,7 @@ def encode_request(request: Request) -> str:
         ET.SubElement(root, key).text = value
     if request.obj is not None:
         root.append(object_to_xml(request.obj))
-    xml_text = ET.tostring(root, encoding="unicode")
+    xml_text = _tostring(root)
     _check_tag_count(xml_text)
     illegal = _XML_ILLEGAL.search(xml_text)
     if illegal is not None:
@@ -265,7 +268,7 @@ def encode_response(response: Response) -> str:
         links = ET.SubElement(root, "links")
         for link in response.links:
             ET.SubElement(links, "link", {k: str(v) for k, v in link.items()})
-    return ET.tostring(root, encoding="unicode")
+    return _tostring(root)
 
 
 def decode_response(xml_text: str) -> Response:
@@ -306,6 +309,15 @@ def links_payload(document: LinkedDocument) -> list[dict[str, Any]]:
         }
         for link in document.links
     ]
+
+
+def _tostring(root: ET.Element) -> str:
+    """Serialize ``root``, keeping carriage returns in element text.
+
+    ``ET`` already writes ``\\r`` in attribute values as ``&#13;``; only
+    element text carries it raw, and a parser would normalize it away.
+    """
+    return ET.tostring(root, encoding="unicode").replace("\r", "&#13;")
 
 
 def _parse(xml_text: str) -> ET.Element:

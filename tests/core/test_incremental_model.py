@@ -10,7 +10,9 @@ After every step:
    byte-identical to the rendering of a linker built from scratch over
    the current corpus;
 2. the invalidated set a mutation returned covers every entry whose
-   from-scratch rendering changed across that mutation.
+   from-scratch rendering changed across that mutation;
+3. every entry's stored scan, the one ``link_object`` links from, equals
+   a fresh scan of the entry's current text.
 
 The example budget is small by default.  Set ``NNEXUS_MODEL_PROFILE=ci``
 to run the large budget the CI job uses.
@@ -32,6 +34,7 @@ from hypothesis.stateful import (
 from repro.core.config import NNexusConfig
 from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
+from repro.core.tokenizer import Tokenizer
 from repro.ontology.msc import build_small_msc
 
 settings.register_profile(
@@ -167,6 +170,19 @@ class IncrementalLinkerModel(RuleBasedStateMachine):
             assert changed - own <= invalidated, (changed, invalidated)
         self.previous = current
         self.last_mutation = None
+
+    @invariant()
+    def stored_scans_match_text(self) -> None:
+        tokenizer = Tokenizer()
+        assert sorted(self.linker._scans) == self._ids()
+        for object_id in self._ids():
+            stored = self.linker._scans[object_id]
+            fresh = tokenizer.tokenize(self.linker.get_object(object_id).text)
+            assert stored.source == fresh.source, object_id
+            assert list(stored.words) == list(fresh.words), object_id
+            assert list(stored.starts) == list(fresh.starts), object_id
+            assert list(stored.ends) == list(fresh.ends), object_id
+            assert list(stored.escaped_regions) == list(fresh.escaped_regions), object_id
 
 
 IncrementalLinkerModel.TestCase.settings = settings.get_profile(f"model-{PROFILE}")

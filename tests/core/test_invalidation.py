@@ -29,10 +29,15 @@ FIG6_TEXTS = {
 }
 
 
+def _words(text: str) -> list[str]:
+    """The canonical words the linker indexes for ``text``."""
+    return Tokenizer().tokenize(text).canonical_words()
+
+
 def _index(texts: dict[int, str]) -> InvalidationIndex:
     index = InvalidationIndex()
     for object_id, text in texts.items():
-        index.index_object(object_id, text)
+        index.index_object(object_id, _words(text))
     return index
 
 
@@ -127,15 +132,15 @@ class TestExactSemantics:
 class TestMaintenance:
     def test_reindex_replaces_old_text(self) -> None:
         index = InvalidationIndex()
-        index.index_object(1, "old words here")
-        index.index_object(1, "completely different now")
+        index.index_object(1, _words("old words here"))
+        index.index_object(1, _words("completely different now"))
         assert index.invalidate("old") == set()
         assert index.invalidate("different") == {1}
 
     def test_remove_object(self) -> None:
         index = InvalidationIndex()
-        index.index_object(1, "shared words")
-        index.index_object(2, "shared other")
+        index.index_object(1, _words("shared words"))
+        index.index_object(2, _words("shared other"))
         index.remove_object(1)
         assert index.invalidate("shared") == {2}
         assert index.object_count == 1
@@ -147,25 +152,25 @@ class TestMaintenance:
 
     def test_invalidate_many_unions(self) -> None:
         index = InvalidationIndex()
-        index.index_object(1, "alpha things")
-        index.index_object(2, "beta things")
+        index.index_object(1, _words("alpha things"))
+        index.index_object(2, _words("beta things"))
         assert index.invalidate_many(["alpha", "beta"]) == {1, 2}
 
     def test_morphology_applied_to_text_and_query(self) -> None:
         index = InvalidationIndex()
-        index.index_object(1, "planar graphs are nice")
+        index.index_object(1, _words("planar graphs are nice"))
         assert index.invalidate("Planar Graph") == {1}
 
     def test_escaped_math_not_indexed(self) -> None:
         index = InvalidationIndex()
-        index.index_object(1, "see $hidden token$ outside")
+        index.index_object(1, _words("see $hidden token$ outside"))
         assert index.invalidate("hidden") == set()
         assert index.invalidate("outside") == {1}
 
     def test_estimate_returns_to_zero(self) -> None:
         index = _index({1: "alpha beta", 2: "beta gamma"})
         assert index.estimated_bytes > 0
-        index.index_object(1, "delta")
+        index.index_object(1, _words("delta"))
         index.remove_object(1)
         index.remove_object(2)
         assert index.estimated_bytes == 0
@@ -249,7 +254,7 @@ def test_invalidate_is_exact(
 def test_remove_then_lookup_excludes_object(texts: dict[int, list[str]]) -> None:
     index = InvalidationIndex()
     for object_id, tokens in texts.items():
-        index.index_object(object_id, " ".join(tokens))
+        index.index_object(object_id, _words(" ".join(tokens)))
     victim = next(iter(texts))
     index.remove_object(victim)
     for tokens in texts.values():
@@ -263,15 +268,13 @@ def test_generated_corpus_labels_between_scan_and_paper_superset() -> None:
     texts = [(obj.object_id, obj.text) for obj in corpus.objects]
     model = AdaptivePhraseIndexModel(texts)
     live = InvalidationIndex()
-    for object_id, text in texts:
-        live.index_object(object_id, text)
     labels = corpus_labels(corpus)
     # Brute force: slide every label length over every entry's words.
     lengths = {len(label) for label in labels}
     scanned: dict[tuple[str, ...], set[int]] = {label: set() for label in labels}
-    tokenizer = Tokenizer()
     for object_id, text in texts:
-        words = tokenizer.tokenize(text).canonical_words()
+        words = _words(text)
+        live.index_object(object_id, words)
         for length in lengths:
             for start in range(len(words) - length + 1):
                 window = tuple(words[start : start + length])

@@ -343,6 +343,105 @@ class TestStageTimers:
         assert stage_sum("steer") >= 0.1
 
 
+class TestStoredScans:
+    """Each stored entry version is tokenized once, at mutation time."""
+
+    @staticmethod
+    def _count_scans(linker: NNexus, monkeypatch) -> list[str]:
+        scanned: list[str] = []
+        tokenize = linker._tokenizer.tokenize
+
+        def counting(text: str):
+            scanned.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(linker._tokenizer, "tokenize", counting)
+        return scanned
+
+    def test_mutations_tokenize_once_and_links_never(self, monkeypatch) -> None:
+        linker = fig1_linker(metrics=MetricsRegistry())
+        scanned = self._count_scans(linker, monkeypatch)
+        text = "A planar graph of graphs."
+        linker.add_object(CorpusObject(11, "note", classes=["05C10"], text=text))
+        assert scanned == [text]
+        updated = "Connected components of a graph."
+        linker.update_object(CorpusObject(11, "note", classes=["05C40"], text=updated))
+        assert scanned == [text, updated]
+        scanned.clear()
+        for object_id in linker.object_ids():
+            linker.link_object(object_id)
+            for fmt in ("html", "markdown", "annotations"):
+                linker.render_object(object_id, fmt=fmt)
+        linker.cache.clear()
+        linker.relink_invalidated()
+        linker.render_object(11)
+        assert scanned == []
+        # Ad-hoc text is not stored, so it is scanned on every call.
+        linker.link_text("a planar graph")
+        linker.link_text("a planar graph")
+        assert scanned == ["a planar graph"] * 2
+
+    def test_pickled_snapshot_links_without_tokenizing(self, monkeypatch) -> None:
+        # Process-mode batch workers link from the scans in the snapshot.
+        import pickle
+
+        linker = fig1_linker()
+        clone = pickle.loads(pickle.dumps(linker))
+        scanned = self._count_scans(clone, monkeypatch)
+        for object_id in linker.object_ids():
+            assert clone.link_object(object_id) == linker.link_object(object_id)
+        assert scanned == []
+
+    def test_tokenize_stage_timed_once_per_stored_version(self) -> None:
+        registry = MetricsRegistry()
+        linker = fig1_linker(metrics=registry)
+        for object_id in linker.object_ids():
+            linker.render_object(object_id)
+        summary = registry.histogram_summary(
+            "nnexus_pipeline_stage_seconds", stage="tokenize"
+        )
+        assert summary.count == len(linker)
+        assert registry.histogram_summary(
+            "nnexus_pipeline_stage_seconds", stage="match"
+        ).count == len(linker)
+
+    def test_tokenize_span_recorded_only_inside_a_trace(self) -> None:
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer(seed=1)
+        linker = fig1_linker(tracer=tracer)
+        assert tracer.recent_traces() == []
+        with tracer.span("server.addObject"):
+            linker.add_object(CorpusObject(11, "note", text="a planar graph"))
+        (trace,) = tracer.recent_traces()
+        names = [span["name"] for span in trace["spans"]]
+        assert sorted(names) == ["server.addObject", "stage.tokenize"]
+
+    def test_link_object_equals_link_text_after_churn(self) -> None:
+        from repro.corpus.planetmath_sample import sample_corpus
+
+        linker = NNexus(scheme=build_small_msc())
+        corpus = sample_corpus()
+        linker.add_objects(corpus)
+        for obj in corpus[::2]:
+            linker.update_object(
+                CorpusObject(
+                    obj.object_id,
+                    obj.title,
+                    defines=obj.defines,
+                    classes=obj.classes,
+                    text=obj.text.upper() + " $x$ planar graphs.",
+                )
+            )
+        linker.remove_object(corpus[1].object_id)
+        linker.add_object(corpus[1])
+        for object_id in linker.object_ids():
+            obj = linker.get_object(object_id)
+            assert linker.link_object(object_id) == linker.link_text(
+                obj.text, obj.classes, (object_id,), object_id
+            )
+
+
 class TestBaseWeight:
     def test_set_base_weight_changes_distances(self) -> None:
         linker = fig1_linker()

@@ -106,21 +106,21 @@ def test_pickled_linker_rebuilds_its_accountant() -> None:
     assert linker.accountant.sample()["objects"] == parent_objects
 
 
-def _invalidation_ratio(linker: NNexus) -> float:
+def _deep_ratio(linker: NNexus, component: str) -> float:
     reconcile = linker.resource_stats(deep=True)["memory"]["reconcile"]
-    return reconcile["invalidation"]["ratio"]
+    return reconcile[component]["ratio"]
 
 
-def test_invalidation_estimate_within_2x_after_build_and_churn() -> None:
+def _churned_linker() -> NNexus:
+    """A 300-entry linker after updates, removals and re-adds."""
     from dataclasses import replace
 
-    from repro.core.invalidation import InvalidationIndex
     from repro.corpus.generator import GeneratorParams, generate_corpus
 
     corpus = generate_corpus(GeneratorParams(n_entries=300, seed=5))
     linker = NNexus(scheme=corpus.scheme)
     linker.add_objects(corpus.objects)
-    assert 0.5 <= _invalidation_ratio(linker) <= 2.0
+    assert 0.5 <= _deep_ratio(linker, "invalidation") <= 2.0
     objects = corpus.objects
     for obj in objects[:60]:
         linker.update_object(replace(obj, text=obj.text[: len(obj.text) // 2]))
@@ -128,10 +128,32 @@ def test_invalidation_estimate_within_2x_after_build_and_churn() -> None:
         linker.remove_object(obj.object_id)
     for obj in objects[60:90]:
         linker.add_object(obj)
-    assert 0.5 <= _invalidation_ratio(linker) <= 2.0
+    return linker
+
+
+def test_invalidation_estimate_within_2x_after_build_and_churn() -> None:
+    from repro.core.invalidation import InvalidationIndex
+    from repro.core.tokenizer import Tokenizer
+
+    linker = _churned_linker()
+    assert 0.5 <= _deep_ratio(linker, "invalidation") <= 2.0
     # No drift: the incrementally maintained estimate equals the estimate
     # of an index built from scratch over the surviving texts.
     fresh = InvalidationIndex()
+    tokenizer = Tokenizer()
     for object_id in linker.object_ids():
-        fresh.index_object(object_id, linker.get_object(object_id).text)
+        words = tokenizer.tokenize(linker.get_object(object_id).text).canonical_words()
+        fresh.index_object(object_id, words)
     assert linker.invalidation_index.estimated_bytes == fresh.estimated_bytes
+
+
+def test_objects_estimate_within_2x_and_without_drift_after_churn() -> None:
+    linker = _churned_linker()
+    assert 0.5 <= _deep_ratio(linker, "objects") <= 2.0
+    # The stored objects and their kept scans are charged symmetrically:
+    # a fresh linker over the surviving entries estimates the same bytes.
+    fresh = NNexus(scheme=linker.scheme)
+    fresh.add_objects(linker.get_object(object_id) for object_id in linker.object_ids())
+    assert (
+        linker.accountant.sample()["objects"] == fresh.accountant.sample()["objects"]
+    )

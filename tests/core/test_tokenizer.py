@@ -1,8 +1,10 @@
 """Tests for text scanning: escaping and tokenization."""
 
 import os
+import re
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.morphology import canonicalize_token
@@ -198,3 +200,60 @@ def test_array_scanner_matches_reference_scanner(text: str) -> None:
         (start, end) for _, _, start, end in expected_tokens
     ]
     assert [(t.surface, t.canonical, t.char_start, t.char_end) for t in result] == expected_tokens
+
+
+# ---------------------------------------------------------------------------
+# Opener...closer rules.  ``latex_env``, ``anchor`` and ``html_tag`` try
+# their pattern only at openers with a closer after them; the property
+# pins their spans to the plain regexes they replaced, which rescan the
+# rest of the text for every unclosed opener.
+# ---------------------------------------------------------------------------
+
+REGEX_ORACLE = {
+    "latex_env": re.compile(r"\\begin\{(\w+\*?)\}.*?\\end\{\1\}", re.DOTALL),
+    "anchor": re.compile(r"<a\b[^>]*>.*?</a>", re.DOTALL | re.IGNORECASE),
+    "html_tag": re.compile(r"</?\w+[^>]*>"),
+}
+PAIRED_RULES = [rule for rule in DEFAULT_ESCAPE_RULES if rule.name in REGEX_ORACLE]
+
+#: Openers and closers of every paired rule, half-open delimiters and
+#: filler, so random joins nest, interleave and leave openers unclosed.
+PAIRED_PIECES = (
+    "\\begin{a}", "\\end{a}", "\\begin{a*}", "\\end{a*}", "\\begin{bb}", "\\end{bb}",
+    "\\begin{", "\\end{a", "\\", "{", "}", "*",
+    "<a>", '<a href="x">', "<A\nhref=y>", "<a ", "<ab>", "</a>", "</A>", "</a",
+    "<b>", "</b>", "<br/>", "<", ">", "/",
+    "a", "b", "w", " ", "\n",
+)
+paired_texts = st.lists(st.sampled_from(PAIRED_PIECES), max_size=30).map("".join)
+
+
+def test_paired_rules_cover_the_lazy_rules() -> None:
+    assert sorted(rule.name for rule in PAIRED_RULES) == sorted(REGEX_ORACLE)
+    assert all(rule.opener is not None and rule.closer is not None for rule in PAIRED_RULES)
+
+
+@settings(
+    max_examples=DIFFERENTIAL_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(paired_texts)
+def test_paired_rules_match_their_regexes(text: str) -> None:
+    for rule in PAIRED_RULES:
+        expected = [match.span() for match in REGEX_ORACLE[rule.name].finditer(text)]
+        assert rule.spans(text) == expected, rule.name
+
+
+@pytest.mark.parametrize(
+    "piece", ["\\begin{a} w ", "<a> w ", "<a w ", "<b w "], ids=["env", "anchor", "a", "tag"]
+)
+def test_unclosed_openers_scan_in_linear_time(piece: str) -> None:
+    # 4,000 unclosed openers (~48 KB) took 0.5-1.4 s when every opener
+    # rescanned the rest of the text for its closer.
+    text = piece * 4_000
+    started = time.perf_counter()
+    result = tokenize(text)
+    elapsed = time.perf_counter() - started
+    assert "w" in result.canonical_words()
+    assert elapsed < 0.2

@@ -43,6 +43,14 @@ class TestBasics:
         assert links[0]["phrase"] == "planar graph"
         assert links[0]["target"] == "2"
 
+    def test_link_offsets_index_the_clients_crlf_text(self, client) -> None:
+        text = "notes\r\n\r\nevery planar graph\ris sparse,\r\nso a tree is planar"
+        body, links = client.link_entry(text, classes=["05C10"])
+        assert [link["phrase"] for link in links] == ["planar graph", "tree"]
+        for link in links:
+            assert text[int(link["start"]) : int(link["end"])] == link["phrase"]
+        assert body.startswith("notes\r\n\r\nevery ")
+
     def test_link_entry_annotations(self, client) -> None:
         body, __ = client.link_entry("a tree here", classes=["05C05"],
                                      fmt="annotations")
