@@ -11,8 +11,9 @@ Two fan-out modes are available:
 * ``mode="thread"`` — worker threads share one linker.  Linking is
   read-only over the concept map and steering tables, which are safe
   for concurrent readers; the steering tables are pre-warmed for the
-  classes present so the only mutated structure is filled before
-  fan-out.  The workload is pure Python (GIL-bound), so threads mostly
+  classes present so they are filled before fan-out.  The per-target
+  URL memo fills lazily during it, and concurrent fills write the same
+  value.  The workload is pure Python (GIL-bound), so threads mostly
   help linkers whose renderers do I/O.
 * ``mode="process"`` — the linker (concept map + steering tables,
   pre-warmed) is snapshotted **once per worker** via pickle and chunks
@@ -208,7 +209,8 @@ class BatchLinker:
         """Link (and optionally render/write) the selected entries."""
         ids = list(object_ids) if object_ids is not None else self._linker.object_ids()
         # Pre-warm signatures and distance tables: thread workers then
-        # only read; process workers inherit warm tables in the snapshot.
+        # only read them; process workers inherit warm tables in the
+        # snapshot.
         self._linker.warm_steering(ids)
         report = BatchReport(mode=self._mode, workers=self._workers)
         directory: Path | None = None

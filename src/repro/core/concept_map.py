@@ -203,6 +203,15 @@ class ConceptMap:
         """The chain of labels starting with ``first_word``, if any."""
         return self._chains.get(first_word)
 
+    def head_positions(self, words: Sequence[str]) -> list[int]:
+        """Positions in ``words`` whose word heads a chain, ascending.
+
+        These are the only positions where :meth:`probe_longest` can
+        find a label: one first-word hash probe per word, in one pass.
+        """
+        chains = self._chains
+        return [position for position, word in enumerate(words) if word in chains]
+
     def probe_longest(
         self,
         words: Sequence[str],

@@ -70,8 +70,8 @@ class InvalidationIndex:
         self._sequences: dict[int, str] = {}
         # observers notified whenever an object is (re-)indexed or
         # removed — the linker hangs per-object derived caches (class
-        # signatures) off these events so reclassification can never
-        # leave a stale signature behind.
+        # signature, URL) off these events so reclassification or a
+        # rename can never leave a stale value behind.
         self._listeners: list[Callable[[int], None]] = []
         # Incremental byte estimate, updated only in index_object /
         # remove_object (symmetric add/subtract, so it cannot drift);
@@ -83,7 +83,7 @@ class InvalidationIndex:
 
         Listeners fire *after* the index mutation.  They must be cheap
         and must not raise; the linker uses one to drop the object's
-        cached class signature whenever the object changes.
+        cached class signature and URL whenever the object changes.
         """
         self._listeners.append(callback)
 

@@ -9,14 +9,23 @@ linked:
    feeds its words to the invalidation index, and links the entry from
    it.  Ad-hoc text (``link_text``) is scanned on every call;
 2. the token array is scanned against the concept map for link sources
-   (:mod:`repro.core.matching`);
+   (:mod:`repro.core.matching`), probing only positions whose word
+   heads a concept-map chain;
 3. candidate targets are filtered by the targets' linking policies
-   (:mod:`repro.core.policies`);
-4. survivors are compared by classification proximity and the closest
-   object(s) win (:mod:`repro.core.classification`);
+   (:mod:`repro.core.policies`); a match none of whose candidates
+   carries a policy passes unchanged;
+4. when two or more candidates survive, they are compared by
+   classification proximity and the closest object(s) win
+   (:mod:`repro.core.classification`).  A lone survivor is the target
+   without running Algorithm 1, which would return it unchanged;
 5. remaining ties fall to collection priority, then lowest object id;
 6. winners are substituted into the original text
-   (:mod:`repro.core.render`).
+   (:mod:`repro.core.render`).  Each target's URL is built once per
+   stored version and domain configuration and kept in the per-target
+   memo beside its class signature.
+
+:meth:`NNexus.explain_text` runs every stage on every match and is the
+reference the fast paths are tested against.
 
 The façade also maintains the invalidation index and render cache
 (Section 2.5): adding or removing concepts marks exactly the entries that
@@ -33,7 +42,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.core.cache import RenderCache
 from repro.core.classification import ClassificationGraph, ClassificationSteering
 from repro.core.concept_map import ConceptMap
-from repro.core.config import NNexusConfig
+from repro.core.config import DomainConfig, NNexusConfig
 from repro.core.errors import (
     DuplicateObjectError,
     NNexusError,
@@ -117,6 +126,23 @@ class LinkerStats:
             "candidates_filtered_by_policy": self.candidates_filtered_by_policy,
             "ties_broken_by_priority": self.ties_broken_by_priority,
         }
+
+
+class _TargetMemo:
+    """What linking derives from one stored version of a target entry.
+
+    ``signature`` is the interned class signature, filled on the first
+    steering use.  ``url`` is the entry's URL, filled on the first link
+    and valid only while the entry's domain is still the ``domain``
+    object it was built from.
+    """
+
+    __slots__ = ("signature", "domain", "url")
+
+    def __init__(self) -> None:
+        self.signature: tuple[int, ...] | None = None
+        self.domain: DomainConfig | None = None
+        self.url: str | None = None
 
 
 class NNexus:
@@ -234,13 +260,13 @@ class NNexus:
             if precompute_distances:
                 graph.johnson_all_pairs()
             self._steering = ClassificationSteering(graph)
-        #: object id -> interned class signature (sorted tuple of dense
-        #: class ids), filled lazily on first steering use.  Entries are
-        #: dropped whenever the object is (re-)indexed or removed — the
-        #: invalidation index notifies us — and the whole table is
-        #: cleared when the steering graph is rebuilt.
-        self._signatures: dict[int, tuple[int, ...]] = {}
-        self._invalidation.add_listener(self._drop_signature)
+        #: object id -> what linking derives from the stored version of
+        #: that target (class signature, URL), filled lazily on first
+        #: use.  Entries are dropped whenever the object is (re-)indexed
+        #: or removed — the invalidation index notifies us — and the
+        #: whole table is cleared when the steering graph is rebuilt.
+        self._targets: dict[int, _TargetMemo] = {}
+        self._invalidation.add_listener(self._drop_target_memo)
 
         #: Monotonic construction instant, for ``nnexus_uptime_seconds``.
         self._started_monotonic = monotonic()
@@ -690,15 +716,15 @@ class NNexus:
             matches=matches,
             escaped_regions=list(tokenized.escaped_regions),
         )
+        objects = self._objects
+        domains = self.config.domains
         for match in matches:
             target_id = self._resolve(
                 match, source_classes, source_id, stage_acc, source_signature
             )
             if target_id is None:
                 continue
-            target = self._objects[target_id]
-            domain = self.config.domains.get(target.domain)
-            url = domain.url_for(target_id, target.title) if domain else ""
+            target = objects[target_id]
             document.links.append(
                 Link(
                     source_phrase=match.surface,
@@ -706,7 +732,7 @@ class NNexus:
                     target_domain=target.domain,
                     char_start=tokenized.starts[match.start],
                     char_end=tokenized.ends[match.end - 1],
-                    url=url,
+                    url=self._url_of(target_id, target, domains.get(target.domain)),
                 )
             )
         self.stats.entries_linked += 1
@@ -759,7 +785,11 @@ class NNexus:
             candidates = filtered
         if not candidates:
             return None
-        if self.ranker is not None and len(candidates) > 1:
+        if len(candidates) == 1:
+            # Over one candidate Algorithm 1 and the tie-break return it
+            # unchanged; explain_text still runs them.
+            return candidates[0]
+        if self.ranker is not None:
             # Composite ranking (Section 5 extensions) replaces plain
             # steering when a ranker is attached.
             return self.ranker.best(
@@ -860,19 +890,47 @@ class NNexus:
         return (priority, object_id)
 
     # ------------------------------------------------------------------
-    # Steering fast path plumbing
+    # Per-target memo: steering signature and URL
     # ------------------------------------------------------------------
+    def _target_memo(self, object_id: int) -> _TargetMemo:
+        """The memo of a stored target, created empty on first use.
+
+        Concurrent fills from batch worker threads compute the same
+        values, so a lost write only costs a recomputation.
+        """
+        memo = self._targets.get(object_id)
+        if memo is None:
+            memo = self._targets[object_id] = _TargetMemo()
+        return memo
+
     def _signature_of(self, object_id: int) -> tuple[int, ...]:
         """Cached interned class signature of a stored entry."""
-        signature = self._signatures.get(object_id)
+        memo = self._target_memo(object_id)
+        signature = memo.signature
         if signature is None:
             signature = self._steering.signature(self._objects[object_id].classes)
-            self._signatures[object_id] = signature
+            memo.signature = signature
         return signature
 
-    def _drop_signature(self, object_id: int) -> None:
+    def _url_of(
+        self, object_id: int, target: CorpusObject, domain: DomainConfig | None
+    ) -> str:
+        """URL of a stored target under its current ``domain``.
+
+        Built once per stored version; a replaced domain configuration is
+        a different object, so the identity check rebuilds the URL.
+        """
+        memo = self._target_memo(object_id)
+        if memo.domain is not domain or memo.url is None:
+            # URL before domain: a reader that sees the new domain also
+            # sees its URL.
+            memo.url = domain.url_for(object_id, target.title) if domain else ""
+            memo.domain = domain
+        return memo.url
+
+    def _drop_target_memo(self, object_id: int) -> None:
         """Invalidation-index listener: the object changed or vanished."""
-        self._signatures.pop(object_id, None)
+        self._targets.pop(object_id, None)
 
     def warm_steering(self, object_ids: Iterable[int] | None = None) -> None:
         """Precompute signatures and distance rows for the given entries.
@@ -896,7 +954,8 @@ class NNexus:
         Used by the weighting ablation; ``base_weight=1`` degenerates to
         the non-weighted hop-count distance of Section 2.3.  Cached
         per-object signatures are dropped with the old graph — interned
-        ids are only meaningful within one graph's id space.
+        ids are only meaningful within one graph's id space — together
+        with the rest of the per-target memo.
         """
         if self.scheme is None:
             raise NNexusError("no classification scheme configured")
@@ -905,7 +964,7 @@ class NNexus:
         if precompute:
             graph.johnson_all_pairs()
         self._steering = ClassificationSteering(graph)
-        self._signatures.clear()
+        self._targets.clear()
         self._cache.clear()
         self._journal(self.storage.record_cache_clear)
 

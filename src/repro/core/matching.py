@@ -9,7 +9,11 @@ array.  Only the first occurrence of each label is kept when the linker
 is configured that way ("NNexus only links the first occurrence of a term
 or phrase to reduce visual clutter").
 
-The longest-first probing itself lives in
+The scan probes only where a label can start: one pass finds the
+positions whose word heads a concept-map chain
+(:meth:`repro.core.concept_map.ConceptMap.head_positions`), and the
+longest-first probe runs at each of those not already consumed by an
+earlier match.  The probe itself lives in
 :meth:`repro.core.concept_map.ConceptMap.probe_longest` (shared with
 ``ConceptMap.longest_match``); this module supplies the usability
 filters — the first-occurrence rule and candidate exclusion — as the
@@ -21,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.concept_map import ConceptMap
-from repro.core.models import ConceptLabel, Match, normalize_object_ids
+from repro.core.models import ConceptLabel, Match
 from repro.core.tokenizer import TokenizedText
 
 __all__ = ["find_matches"]
@@ -63,17 +67,18 @@ def find_matches(
         """
         if first_occurrence_only and label_words in seen_labels:
             return None
-        candidates = normalize_object_ids(sorted(owners - excluded))
+        candidates = tuple(sorted(owners - excluded))
         if not candidates:
             return None
         return label_words, candidates
 
-    position = 0
-    total = len(words)
-    while position < total:
-        found = concept_map.probe_longest(words, position, accept)
+    probe = concept_map.probe_longest
+    consumed_to = 0
+    for position in concept_map.head_positions(words):
+        if position < consumed_to:
+            continue
+        found = probe(words, position, accept)
         if found is None:
-            position += 1
             continue
         label_words, candidates = found
         token_end = position + len(label_words)
@@ -92,5 +97,5 @@ def find_matches(
         if first_occurrence_only:
             seen_labels.add(label_words)
         # Consume the matched tokens: a token participates in one link.
-        position = token_end
+        consumed_to = token_end
     return matches

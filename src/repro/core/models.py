@@ -16,7 +16,7 @@ sibling modules (concept map, classification steering, policies, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,6 @@ class LinkedDocument:
     def targets(self) -> list[int]:
         """Target object ids in source-text order."""
         return [link.target_id for link in self.links]
-
-
-def normalize_object_ids(ids: Iterable[int]) -> tuple[int, ...]:
-    """Deduplicate candidate ids preserving first-seen order."""
-    seen: set[int] = set()
-    ordered: list[int] = []
-    for object_id in ids:
-        if object_id not in seen:
-            seen.add(object_id)
-            ordered.append(object_id)
-    return tuple(ordered)
 
 
 def spans_overlap(a: Sequence[int], b: Sequence[int]) -> bool:

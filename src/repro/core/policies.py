@@ -19,6 +19,11 @@ when nothing matches, linking is permitted.  A directive matches a
 ``(concept, source classes)`` query when its concept field equals the
 queried concept (or is ``*``) and, if class codes are listed, at least
 one source class lies in the subtree of one of them.
+
+Only targets that carry a policy can be filtered out, so
+:meth:`LinkingPolicyTable.filter_candidates` hands a match's candidates
+back untouched when none of them has one — most matches, in practice —
+and evaluates directives only otherwise.
 """
 
 from __future__ import annotations
@@ -211,7 +216,15 @@ class LinkingPolicyTable:
         concept: Sequence[str],
         source_classes: Sequence[str],
     ) -> tuple[int, ...]:
-        """Drop candidates whose policies reject this link."""
+        """Drop candidates whose policies reject this link.
+
+        Only a target that carries a policy can be dropped, so when none
+        of the candidates has one they come back unchanged, without
+        evaluating a directive.
+        """
+        candidates = tuple(candidates)
+        if self._policies.keys().isdisjoint(candidates):
+            return candidates
         return tuple(
             target_id
             for target_id in candidates

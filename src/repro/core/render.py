@@ -3,8 +3,9 @@
 The final step of Fig. 2 — "the winning candidate for each position is
 then substituted into the original text and the linked document is then
 returned".  Renderers work from character offsets recorded on each
-:class:`~repro.core.models.Link`, substituting back-to-front so earlier
-offsets stay valid.
+:class:`~repro.core.models.Link`: one forward pass in ``char_start``
+order collects the untouched text between links and each substitution,
+and joins them once, so rendering is linear in the text length.
 """
 
 from __future__ import annotations
@@ -26,14 +27,20 @@ def render_with(document: LinkedDocument, substitute: Callable[[Link, str], str]
     """Generic renderer: replace each linked span via ``substitute``.
 
     ``substitute`` receives the link and the exact surface text and
-    returns the replacement.  Links are applied in reverse text order so
-    character offsets remain stable.
+    returns the replacement.  Link spans are disjoint (see
+    :func:`validate_spans`).
     """
     text = document.source_text
-    for link in sorted(document.links, key=lambda l: l.char_start, reverse=True):
-        surface = text[link.char_start : link.char_end]
-        text = text[: link.char_start] + substitute(link, surface) + text[link.char_end :]
-    return text
+    pieces: list[str] = []
+    copied_to = 0
+    for link in sorted(document.links, key=lambda l: l.char_start):
+        start = link.char_start
+        end = link.char_end
+        pieces.append(text[copied_to:start])
+        pieces.append(substitute(link, text[start:end]))
+        copied_to = end
+    pieces.append(text[copied_to:])
+    return "".join(pieces)
 
 
 def render_html(document: LinkedDocument, css_class: str = "nnexus-link") -> str:

@@ -166,6 +166,17 @@ class TestProbeLongest:
         cmap = build_map([("graph", 5)])
         assert cmap.probe_longest(("tree",), 0, lambda *a: a) is None
 
+    def test_head_positions_are_where_probes_can_hit(self) -> None:
+        cmap = build_map([("planar graph", 5), ("graph", 6)])
+        words = ("a", "planar", "tree", "graph", "graph")
+        # "tree" heads no chain; a non-head position never probes a hit.
+        assert cmap.head_positions(words) == [1, 3, 4]
+        assert [
+            position
+            for position in range(len(words))
+            if cmap.probe_longest(words, position, lambda *hit: hit) is not None
+        ] == [3, 4]
+
 
 class TestStats:
     def test_stats_shape(self) -> None:

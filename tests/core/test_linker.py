@@ -442,6 +442,132 @@ class TestStoredScans:
             )
 
 
+class TestTargetMemo:
+    """Each target's URL is built once per stored version and domain.
+
+    After every lifecycle event the memoised URLs must equal those of a
+    linker built fresh over the same corpus and configuration.
+    """
+
+    @staticmethod
+    def _linker() -> NNexus:
+        config = NNexusConfig(default_domain="pm")
+        config.add_domain(DomainConfig("pm", "https://pm.example/{title}", priority=1))
+        config.add_domain(
+            DomainConfig("mw", "https://mw.example/{object_id}/{title}.html", priority=2)
+        )
+        linker = NNexus(scheme=build_small_msc(), config=config)
+        linker.add_objects(
+            [
+                CorpusObject(2, "planar graph", defines=["planar graph"],
+                             classes=["05C10"], domain="pm",
+                             text="A planar graph has connected components."),
+                CorpusObject(5, "graph", classes=["05C99"], domain="pm",
+                             text="Every planar graph is a graph."),
+                CorpusObject(6, "graph (set theory)", defines=["graph"],
+                             classes=["03E20"], domain="mw",
+                             text="A graph of a function has connected components."),
+                CorpusObject(9, "connected components", defines=["connected component"],
+                             classes=["05C40"], domain="mw",
+                             text="The connected components of a planar graph."),
+            ]
+        )
+        return linker
+
+    @staticmethod
+    def _links(linker: NNexus) -> dict[int, list]:
+        return {oid: linker.link_object(oid).links for oid in linker.object_ids()}
+
+    def _assert_fresh(self, linker: NNexus) -> dict[int, list]:
+        fresh = NNexus(scheme=build_small_msc(), config=linker.config)
+        fresh.add_objects(linker.get_object(oid) for oid in linker.object_ids())
+        links = self._links(linker)
+        assert links == self._links(fresh)
+        return links
+
+    def test_replaced_domain_rebuilds_urls(self) -> None:
+        linker = self._linker()
+        self._links(linker)
+        linker.config.add_domain(
+            DomainConfig("pm", "https://new.example/{object_id}", priority=1)
+        )
+        links = self._assert_fresh(linker)
+        assert links[9][0].url == "https://new.example/2"
+
+    def test_renamed_title_rebuilds_url(self) -> None:
+        linker = self._linker()
+        assert self._links(linker)[9][0].url == "https://pm.example/planar-graph"
+        renamed = CorpusObject(2, "Planar graphs (plane)", defines=["planar graph"],
+                               classes=["05C10"], domain="pm",
+                               text="A planar graph has connected components.")
+        linker.update_object(renamed)
+        links = self._assert_fresh(linker)
+        assert links[9][0].url == "https://pm.example/Planar-graphs-plane"
+
+    def test_rebuilt_steering_graph_keeps_urls_right(self) -> None:
+        linker = self._linker()
+        self._links(linker)
+        linker.set_base_weight(1.0)
+        self._assert_fresh(linker)
+
+    def test_removed_target_leaves_no_memo(self) -> None:
+        linker = self._linker()
+        self._links(linker)
+        assert 2 in linker._targets
+        linker.remove_object(2)
+        assert 2 not in linker._targets
+        self._assert_fresh(linker)
+
+    def test_pickled_snapshot_links_identically(self) -> None:
+        import pickle
+
+        linker = self._linker()
+        expected = self._links(linker)
+        clone = pickle.loads(pickle.dumps(linker))
+        assert clone._targets.keys() == linker._targets.keys()
+        assert self._links(clone) == expected
+        # The snapshot's memo still refers to the snapshot's own domains.
+        clone.config.add_domain(DomainConfig("mw", "/mw/{object_id}", priority=2))
+        self._assert_fresh(clone)
+        assert self._links(clone)[2][1].url == "/mw/9"
+
+    def test_concurrent_fills_give_the_serial_urls(self) -> None:
+        # Batch worker threads fill a cold memo concurrently; every
+        # reader must still get the URL a serial pass builds.
+        import sys
+        import threading
+
+        from repro.core.render import render_html
+        from repro.corpus.planetmath_sample import sample_corpus
+
+        config = NNexusConfig()
+        config.add_domain(DomainConfig("default", "https://pm.example/{object_id}/{title}"))
+        linker = NNexus(scheme=build_small_msc(), config=config)
+        linker.add_objects(sample_corpus())
+        ids = linker.object_ids()
+        expected = {oid: render_html(linker.link_object(oid)) for oid in ids}
+        rendered: dict[tuple[int, int], str] = {}
+
+        def work(worker: int) -> None:
+            for oid in ids:
+                rendered[worker, oid] = render_html(linker.link_object(oid))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                linker._targets.clear()
+                threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert rendered == {(w, oid): expected[oid] for w in range(8) for oid in ids}
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestBaseWeight:
     def test_set_base_weight_changes_distances(self) -> None:
         linker = fig1_linker()

@@ -7,7 +7,6 @@ from repro.core.models import (
     CorpusObject,
     Link,
     LinkedDocument,
-    normalize_object_ids,
     spans_overlap,
 )
 
@@ -58,9 +57,6 @@ class TestLinkedDocument:
 
 
 class TestHelpers:
-    def test_normalize_object_ids_dedupes_preserving_order(self) -> None:
-        assert normalize_object_ids([3, 1, 3, 2, 1]) == (3, 1, 2)
-
     def test_spans_overlap(self) -> None:
         assert spans_overlap((0, 5), (4, 9))
         assert not spans_overlap((0, 5), (5, 9))

@@ -1,6 +1,9 @@
 """Tests for link substitution/rendering."""
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.models import Link, LinkedDocument
 from repro.core.render import (
@@ -8,6 +11,7 @@ from repro.core.render import (
     render_annotations,
     render_html,
     render_markdown,
+    render_with,
     validate_spans,
 )
 
@@ -97,3 +101,57 @@ class TestValidateSpans:
         doc = LinkedDocument(source_text="abc", links=[Link("x", 1, "d", 1, 1)])
         with pytest.raises(ValueError):
             validate_spans(doc)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass renderer against the back-to-front splice it replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_render(document: LinkedDocument, substitute) -> str:
+    """Splice each link into the text, last link first."""
+    text = document.source_text
+    for link in sorted(document.links, key=lambda l: l.char_start, reverse=True):
+        surface = text[link.char_start : link.char_end]
+        text = text[: link.char_start] + substitute(link, surface) + text[link.char_end :]
+    return text
+
+
+@st.composite
+def linked_documents(draw) -> LinkedDocument:
+    """Texts with disjoint link spans, links listed in any order."""
+    text = draw(st.text(alphabet="ab <&>\"\u00e9", max_size=60))
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=12)))
+    links = [
+        Link(text[start:end], index, "d", start, end, url=f"u{index}")
+        for index, (start, end) in enumerate(zip(cuts[::2], cuts[1::2]))
+        if start < end
+    ]
+    return LinkedDocument(source_text=text, links=draw(st.permutations(links)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=linked_documents())
+def test_render_matches_back_to_front_splice(document: LinkedDocument) -> None:
+    def substitute(link: Link, surface: str) -> str:
+        return f"<{link.target_id}:{surface}>"
+
+    assert render_with(document, substitute) == reference_render(document, substitute)
+
+
+class TestLinearRendering:
+    def test_many_links_render_in_linear_time(self) -> None:
+        # Splicing each link into the whole string took ~3.4 s for 16,000
+        # links; one forward pass and a single join takes milliseconds.
+        count = 16_000
+        text = "word graph " * count
+        links = [
+            Link("graph", 1, "d", index * 11 + 5, index * 11 + 10, url="u")
+            for index in range(count)
+        ]
+        document = LinkedDocument(source_text=text, links=links)
+        started = time.perf_counter()
+        rendered = render_annotations(document)
+        elapsed = time.perf_counter() - started
+        assert rendered == "word graph[->1] " * count
+        assert elapsed < 0.2
