@@ -83,7 +83,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         tracer = Tracer(
             slow_threshold=args.slow_ms / 1000.0 if args.slow_ms > 0 else None
         )
-        if args.trace_jsonl and args.mode != "process":
+        if args.trace_jsonl and args.workers == 1:
             # Process mode writes per-worker files instead (each worker
             # has its own tracer); see BatchLinker(trace_jsonl=...).
             exporter = JsonlExporter(args.trace_jsonl)
@@ -93,7 +93,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         linker,
         fmt=args.format,
         workers=args.workers,
-        mode=args.mode,
+        mode="process" if args.workers > 1 else "thread",
         trace_jsonl=args.trace_jsonl or None,
     )
 
@@ -192,14 +192,14 @@ def main(argv: list[str] | None = None) -> int:
     batch.add_argument("--corpus", default="")
     batch.add_argument("--format", choices=sorted(_RENDERERS), default="html")
     batch.add_argument("--out", default="", help="directory for rendered files")
-    batch.add_argument("--workers", type=int, default=1)
-    batch.add_argument("--mode", choices=("thread", "process"), default="thread",
-                       help="fan-out mode (process = one linker snapshot per core)")
+    batch.add_argument("--workers", type=int, default=1,
+                       help="1 links in process; N > 1 runs a pool of N "
+                            "processes, one linker snapshot each")
     batch.add_argument("--trace", action="store_true",
                        help="record per-document trace spans")
     batch.add_argument("--trace-jsonl", default="",
                        help="append finished spans to this JSONL file "
-                            "(process mode writes per-worker files)")
+                            "(--workers N > 1 writes per-worker files)")
     batch.add_argument("--slow-ms", type=float, default=0.0,
                        help="log documents slower than this many milliseconds "
                             "as slow_request records (implies --trace)")

@@ -6,29 +6,30 @@ corpus (or a selection), render to a chosen format, optionally write
 one file per entry, and report corpus-level statistics — with a
 progress callback for long runs.
 
-Two fan-out modes are available:
+Two ways to run:
 
-* ``mode="thread"`` — worker threads share one linker.  Linking is
-  read-only over the concept map and steering tables, which are safe
-  for concurrent readers; the steering tables are pre-warmed for the
-  classes present so they are filled before fan-out.  The per-target
-  URL memo fills lazily during it, and concurrent fills write the same
-  value.  The workload is pure Python (GIL-bound), so threads mostly
-  help linkers whose renderers do I/O.
-* ``mode="process"`` — the linker (concept map + steering tables,
-  pre-warmed) is snapshotted **once per worker** via pickle and chunks
-  of entry ids are fanned out to a process pool, so whole-corpus
-  relinks use every core instead of fighting the GIL.  Metrics
-  recorders are process-local and do not travel with the snapshot;
-  per-worker chunk timings are reported back to the parent and folded
-  into its recorder.
+* ``mode="thread"`` (the default; one worker only) — entries are linked
+  in the calling thread, in order, so ``batch.entry`` spans nest under
+  ``batch.run`` through the tracer's context variable.  A one-worker
+  process pool is slower than this: it pays for start-up and pickling.
+* ``mode="process"`` — the linker (concept map, steering graph) is
+  snapshotted **once per worker** via pickle and chunks of entry ids are
+  fanned out to a process pool, so whole-corpus relinks use every core
+  instead of fighting the GIL.  Each worker fills its own per-target
+  memo.  Metrics recorders are process-local and do not travel with the
+  snapshot; per-worker chunk timings are reported back to the parent
+  and folded into its recorder.
+
+Linking is GIL-bound pure Python, so there is no thread pool: two
+threads ran at 0.93x of one.  The name ``"thread"`` stays for the
+``perfbench`` harness, which passes it explicitly.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core.linker import NNexus
 from repro.core.models import LinkedDocument
 from repro.core.render import render_annotations, render_html, render_markdown
-from repro.obs.trace import NULL_SPAN, Span
+from repro.obs.trace import NULL_SPAN
 
 __all__ = ["BatchReport", "BatchLinker", "BATCH_MODES"]
 
@@ -61,7 +62,7 @@ class BatchReport:
     it for bounded memory, in which case ``files_written`` (and the
     files on disk) are the source of truth for produced output.
     ``worker_seconds`` maps a dense worker index to the total in-worker
-    linking time it reported (process mode; empty in thread mode).
+    linking time it reported (process mode; empty for an in-process run).
     """
 
     entries: int = 0
@@ -156,22 +157,27 @@ class BatchLinker:
         Render format (``html``, ``markdown``, ``annotations``) or
         ``None`` to skip rendering (timing/statistics runs).
     workers:
-        Worker count for the chosen mode.
+        Worker count.  ``1`` links in the calling thread; more than one
+        needs ``mode="process"``.
     mode:
-        ``"thread"`` (default; shared linker, concurrent readers) or
-        ``"process"`` (per-worker linker snapshot, true multicore).
+        ``"process"`` runs a pool of ``workers`` processes, each with its
+        own linker snapshot (a one-worker pool too).  ``"thread"`` (the
+        default) is the in-process run and accepts only ``workers=1``.
+        The parameter and both values stay only because the ``perfbench``
+        batch-relink workload constructs
+        ``BatchLinker(linker, fmt="html", workers=1, mode="thread")``.
     retain_renderings:
         Keep every rendering in :attr:`BatchReport.rendered`.  Disable
         for large corpora so memory stays bounded by one chunk;
         ``files_written`` then reports the output produced.
     chunk_size:
         Entries per process-mode chunk (default: enough chunks for ~4
-        per worker).  Ignored in thread mode.
+        per worker).  Ignored for an in-process run.
     trace_jsonl:
         Base path for per-worker span JSONL files in process mode
         (worker pid is appended: ``traces-worker-<pid>.jsonl``).  In
-        thread mode the shared linker's own tracer/sinks already see
-        every span, so this is ignored.
+        process the linker's own tracer/sinks already see every span,
+        so this is ignored.
     """
 
     def __init__(
@@ -190,6 +196,11 @@ class BatchLinker:
             raise ValueError("workers must be >= 1")
         if mode not in BATCH_MODES:
             raise ValueError(f"unknown batch mode {mode!r} (expected one of {BATCH_MODES})")
+        if mode == "thread" and workers > 1:
+            raise ValueError(
+                'workers > 1 needs mode="process": linking is GIL-bound, '
+                "so there is no thread pool"
+            )
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self._linker = linker
@@ -208,10 +219,6 @@ class BatchLinker:
     ) -> BatchReport:
         """Link (and optionally render/write) the selected entries."""
         ids = list(object_ids) if object_ids is not None else self._linker.object_ids()
-        # Pre-warm signatures and distance tables: thread workers then
-        # only read them; process workers inherit warm tables in the
-        # snapshot.
-        self._linker.warm_steering(ids)
         report = BatchReport(mode=self._mode, workers=self._workers)
         directory: Path | None = None
         if output_dir is not None:
@@ -226,11 +233,11 @@ class BatchLinker:
             )
             if trc.enabled
             else NULL_SPAN
-        ) as batch_span:
+        ):
             if self._mode == "process":
                 self._run_processes(ids, report, progress, directory)
             else:
-                self._run_threads(ids, report, progress, directory, batch_span)
+                self._run_in_process(ids, report, progress, directory)
         report.entries = len(ids)
         report.seconds = time.perf_counter() - start
 
@@ -248,50 +255,31 @@ class BatchLinker:
         return report
 
     # ------------------------------------------------------------------
-    # Thread mode (shared linker, concurrent readers)
+    # In process (the calling thread, one entry at a time)
     # ------------------------------------------------------------------
-    def _run_threads(
+    def _run_in_process(
         self,
         ids: list[int],
         report: BatchReport,
         progress: ProgressCallback | None,
         directory: Path | None,
-        batch_span: Span | None = None,
     ) -> None:
         renderer = _RENDERERS.get(self._fmt) if self._fmt else None
-        trc = self._linker.tracer
-
-        def link_one(object_id: int) -> tuple[int, int, str | None]:
-            # Worker threads do not inherit the parent's context-var
-            # stack, so the batch span is passed as an explicit parent;
-            # entering the per-document span makes it current in the
-            # worker so the linker's stage spans nest under it.
-            if trc.enabled:
-                with trc.span(
-                    "batch.entry", parent=batch_span, object_id=object_id
-                ):
-                    document = self._linker.link_object(object_id)
-                    rendered = renderer(document) if renderer else None
-            else:
-                document = self._linker.link_object(object_id)
+        linker = self._linker
+        trc = linker.tracer
+        for completed, object_id in enumerate(ids, 1):
+            # batch.run is the current span, so each batch.entry nests
+            # under it and the linker's stage spans under the entry.
+            with (
+                trc.span("batch.entry", object_id=object_id)
+                if trc.enabled
+                else NULL_SPAN
+            ):
+                document = linker.link_object(object_id)
                 rendered = renderer(document) if renderer else None
-            return object_id, document.link_count, rendered
-
-        completed = 0
-        if self._workers == 1:
-            outcomes = map(link_one, ids)
-            for object_id, count, rendered in outcomes:
-                completed += 1
-                self._record(report, object_id, count, rendered, directory)
-                if progress is not None:
-                    progress(completed, len(ids))
-        else:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                for object_id, count, rendered in pool.map(link_one, ids):
-                    completed += 1
-                    self._record(report, object_id, count, rendered, directory)
-                    if progress is not None:
-                        progress(completed, len(ids))
+            self._record(report, object_id, document.link_count, rendered, directory)
+            if progress is not None:
+                progress(completed, len(ids))
 
     # ------------------------------------------------------------------
     # Process mode (snapshot per worker, chunked fan-out)

@@ -17,27 +17,26 @@ closely related than classes higher in the same subtree".
 
 The paper computes all-pairs shortest paths with Johnson's algorithm at
 startup; :class:`ClassificationGraph` implements Johnson (Bellman–Ford
-reweighting + per-node Dijkstra) from scratch.
+reweighting + per-node Dijkstra) from scratch, and tests check it against
+Floyd–Warshall.  The linker does not run it: on a forest no row is read.
 
-Steering fast path
-------------------
+Steering path
+-------------
 Class codes are *interned* to dense integer ids at graph-build time
 (``normalize_code`` runs once per code, on insertion), and the shortest-
 path machinery works over int-indexed flat arrays: a CSR-shaped
-adjacency (``index``/``neighbors``/``weights``) and dense per-source
-distance rows.  On top of the id space, :class:`ClassificationSteering`
-assigns every class list a *signature* — the sorted tuple of interned
-ids — and memoizes Algorithm 1's min-distance per
-``(source_signature, target_signature)`` pair in a bounded, lock-guarded
-cache keyed off the graph's mutation :attr:`~ClassificationGraph.version`,
-so repeated source/candidate combinations (the common case across a
-corpus) cost one dict probe instead of a Dijkstra walk.
+adjacency (``index``/``neighbors``/``weights``).  A scheme-built graph is
+a forest, so a class-pair distance is an O(depth) walk up to the lowest
+common ancestor over parent arrays built once.  A graph with cycles
+(bridge edges from ontology mapping) falls back to dense Dijkstra rows,
+filled lazily per source.  :class:`ClassificationSteering` assigns every
+class list a *signature* — the sorted tuple of interned ids — and
+Algorithm 1's distance is the minimum over the signature pairs.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -48,7 +47,6 @@ from repro.ontology.scheme import ClassificationScheme, normalize_code
 __all__ = [
     "INFINITE_DISTANCE",
     "DEFAULT_BASE_WEIGHT",
-    "DEFAULT_SIGNATURE_CACHE_SIZE",
     "UNKNOWN_CLASS_ID",
     "ClassificationGraph",
     "SteeringResult",
@@ -65,11 +63,6 @@ DEFAULT_BASE_WEIGHT = 10.0
 #: Interned id for codes the graph has never seen; always at infinite
 #: distance from everything (including itself).
 UNKNOWN_CLASS_ID = -1
-
-#: Default bound on the signature-pair distance cache.  Signatures are
-#: small tuples; 64k pairs comfortably covers a PlanetMath-scale corpus
-#: while keeping worst-case memory in the low tens of MB.
-DEFAULT_SIGNATURE_CACHE_SIZE = 65536
 
 _EMPTY_MAPPING: Mapping[str, float] = MappingProxyType({})
 
@@ -89,6 +82,14 @@ class ClassificationGraph:
     Codes are interned to dense integer ids on insertion; the string API
     (:meth:`distance`, :meth:`dijkstra`, ...) survives unchanged while
     the hot path (:meth:`distance_between_ids`) never touches a string.
+
+    Concurrency contract: mutation (:meth:`add_node`, :meth:`add_edge`,
+    and the builders that call them — :meth:`from_scheme`, ontology
+    mapping's ``add_scheme_to_graph`` / ``merge_into_graph``) must finish
+    before the graph is shared.  After that, any number of threads may
+    read it: the lazy CSR, forest and row tables are built from locals
+    and published by one assignment, so a racing fill recomputes the same
+    value.
     """
 
     def __init__(self) -> None:
@@ -109,8 +110,6 @@ class ClassificationGraph:
         self._forest: tuple[list[int], list[float], list[int], list[int]] | None | str = (
             "unchecked"
         )
-        # Bumped on every mutation; steering caches key off it.
-        self._version = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -119,7 +118,12 @@ class ClassificationGraph:
     def from_scheme(
         cls, scheme: ClassificationScheme, base_weight: float = DEFAULT_BASE_WEIGHT
     ) -> "ClassificationGraph":
-        """Weighted graph for ``scheme`` with ``w(e) = b**(height - i - 1)``."""
+        """Weighted graph for ``scheme`` with ``w(e) = b**(height - i - 1)``.
+
+        The graph is complete when this returns, so its forest tables
+        are built here rather than by the first distance query, which
+        would pay for them inside a link's steer stage.
+        """
         if base_weight <= 0:
             raise ValueError("base_weight must be positive")
         graph = cls()
@@ -127,6 +131,7 @@ class ClassificationGraph:
         for parent, child, edge_depth in scheme.edges():
             weight = base_weight ** (height - edge_depth - 1)
             graph.add_edge(parent, child, weight)
+        graph._tree_arrays()
         return graph
 
     def _intern(self, normalized: str) -> int:
@@ -141,7 +146,6 @@ class ClassificationGraph:
         return class_id
 
     def _mutated(self) -> None:
-        self._version += 1
         self._csr = None
         self._forest = "unchecked"
         self._rows.clear()
@@ -168,11 +172,6 @@ class ClassificationGraph:
     # ------------------------------------------------------------------
     # Interning
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Mutation counter; changes whenever nodes or edges are added."""
-        return self._version
-
     def class_id(self, code: str) -> int:
         """Dense id of a class code (:data:`UNKNOWN_CLASS_ID` if absent)."""
         return self._id_of.get(normalize_code(code), UNKNOWN_CLASS_ID)
@@ -278,28 +277,13 @@ class ClassificationGraph:
             self._rows[source] = row
         return row
 
-    def warm_rows(self, class_ids: Sequence[int] | set[int]) -> None:
-        """Precompute the distance tables for the given interned ids.
-
-        Batch jobs warm the tables they will need before fanning out so
-        concurrent workers only read; unknown ids are ignored.  On
-        forest-shaped graphs (every tree built by :meth:`from_scheme`)
-        warming the shared ancestor arrays suffices — no per-source
-        Dijkstra rows are needed.
-        """
-        if self._tree_arrays() is not None:
-            return
-        count = len(self._codes)
-        for class_id in class_ids:
-            if 0 <= class_id < count:
-                self._row(class_id)
-
     def _tree_arrays(
         self,
     ) -> tuple[list[int], list[float], list[int], list[int]] | None:
         """Forest structure ``(parent, parent_weight, depth, component)``.
 
-        Built lazily in O(V + E) by BFS over the CSR arrays; returns
+        Built in O(V + E) by BFS over the CSR arrays (by
+        :meth:`from_scheme`, and lazily after a later mutation); returns
         ``None`` when the graph contains a cycle (bridge edges added by
         ontology mapping, random test graphs), in which case distance
         queries fall back to memoized Dijkstra rows.  On a forest —
@@ -421,9 +405,9 @@ class ClassificationGraph:
         runs Dijkstra over the reweighted edges.  Potentials are all zero
         here because our weights are non-negative, but the full algorithm
         is implemented as the paper specifies it (and exercised by tests
-        against brute-force Floyd–Warshall).  As a side effect every
-        dense distance row is memoized, so subsequent :meth:`distance`
-        and :meth:`distance_between_ids` calls are O(1) probes.
+        against brute-force Floyd–Warshall).  The linker never calls it:
+        on a forest :meth:`distance_between_ids` walks the tree instead,
+        and off a forest rows fill lazily per source.
         """
         # Bellman-Ford from the virtual source; directed zero edges into
         # every node mean every potential is reachable.
@@ -453,7 +437,6 @@ class ClassificationGraph:
                 )
                 for other, cost in enumerate(reweighted)
             ]
-            self._rows[node_id] = row
             result[code] = {
                 codes[other]: dist
                 for other, dist in enumerate(row)
@@ -464,8 +447,8 @@ class ClassificationGraph:
     def distance(self, code_a: str, code_b: str) -> float:
         """Shortest-path distance between two classes.
 
-        Uses the memoized dense row for ``code_a`` (precomputed by
-        Johnson, or one lazy Dijkstra per distinct source).
+        A walk to the lowest common ancestor on a forest, otherwise the
+        lazily memoized Dijkstra row of ``code_a``.
         """
         return self.distance_between_ids(self.class_id(code_a), self.class_id(code_b))
 
@@ -519,46 +502,15 @@ class ClassificationSteering:
         beyond every real distance (``inf``) so that classified candidates
         always win over unclassified ones, but ties among unclassified
         candidates survive for downstream tie-breaking.
-    signature_cache_size:
-        Bound on the ``(source_signature, target_signature)`` distance
-        memo.  ``0`` disables the cache (every probe recomputes — used
-        by tests to prove cache transparency).  When full, the oldest
-        entry is evicted.
-
-    The signature cache is guarded by a lock and keyed off the graph's
-    mutation version: rebuilding or editing the class tree invalidates
-    every memoized pair on the next probe.  Concurrent readers only ever
-    observe fully computed distances.
     """
 
     def __init__(
         self,
         graph: ClassificationGraph,
         unclassified_distance: float = INFINITE_DISTANCE,
-        signature_cache_size: int = DEFAULT_SIGNATURE_CACHE_SIZE,
     ) -> None:
-        if signature_cache_size < 0:
-            raise ValueError("signature_cache_size must be >= 0")
         self._graph = graph
         self._unclassified_distance = unclassified_distance
-        self._sig_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-        self._sig_cache_size = signature_cache_size
-        self._sig_version = graph.version
-        self._sig_lock = threading.Lock()
-        self.signature_cache_hits = 0
-        self.signature_cache_misses = 0
-
-    # The lock is recreated on unpickling: process-pool batch workers
-    # receive a snapshot of the steering tables (cache contents travel,
-    # the lock does not).
-    def __getstate__(self) -> dict[str, object]:
-        state = self.__dict__.copy()
-        del state["_sig_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._sig_lock = threading.Lock()
 
     @property
     def graph(self) -> ClassificationGraph:
@@ -583,56 +535,19 @@ class ClassificationSteering:
     def signature_distance(
         self, source_signature: tuple[int, ...], target_signature: tuple[int, ...]
     ) -> float:
-        """Memoized Alg. 1 min-distance between two class signatures."""
+        """Alg. 1 min-distance between two class signatures."""
         if not source_signature or not target_signature:
             return self._unclassified_distance
-        graph = self._graph
-        key = (source_signature, target_signature)
-        with self._sig_lock:
-            version = graph.version
-            if version != self._sig_version:
-                self._sig_cache.clear()
-                self._sig_version = version
-            cached = self._sig_cache.get(key)
-            if cached is not None:
-                self.signature_cache_hits += 1
-                return cached
-            self.signature_cache_misses += 1
         best = INFINITE_DISTANCE
-        distance_between_ids = graph.distance_between_ids
+        distance_between_ids = self._graph.distance_between_ids
         for source_id in source_signature:
             for target_id in target_signature:
                 candidate = distance_between_ids(source_id, target_id)
                 if candidate < best:
                     if candidate == 0.0:
-                        best = 0.0
-                        break
+                        return 0.0
                     best = candidate
-            if best == 0.0:
-                break
-        if self._sig_cache_size:
-            with self._sig_lock:
-                # A mutation may have raced the computation; only store
-                # results that still describe the current graph.
-                if graph.version == self._sig_version:
-                    if len(self._sig_cache) >= self._sig_cache_size:
-                        self._sig_cache.pop(next(iter(self._sig_cache)))
-                    self._sig_cache[key] = best
         return best
-
-    def signature_cache_snapshot(self) -> dict[str, float]:
-        """Hit/miss/size counters for the metrics exporter."""
-        with self._sig_lock:
-            hits = self.signature_cache_hits
-            misses = self.signature_cache_misses
-            entries = len(self._sig_cache)
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "entries": entries,
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -701,10 +616,7 @@ def brute_force_all_pairs(graph: ClassificationGraph) -> dict[str, dict[str, flo
 def default_steering(
     scheme: ClassificationScheme,
     base_weight: float = DEFAULT_BASE_WEIGHT,
-    precompute: bool = False,
 ) -> ClassificationSteering:
     """Convenience constructor: weighted graph + steering for ``scheme``."""
     graph = ClassificationGraph.from_scheme(scheme, base_weight=base_weight)
-    if precompute:
-        graph.johnson_all_pairs()
     return ClassificationSteering(graph)

@@ -159,10 +159,6 @@ class NNexus:
     enable_steering / enable_policies:
         Ablation switches used by the Table 2 experiment: lexical-only
         linking is ``enable_steering=False, enable_policies=False``.
-    precompute_distances:
-        Run Johnson's all-pairs shortest paths at startup (the paper's
-        behaviour); otherwise distances are computed lazily per source
-        class and memoized.
     metrics:
         A metrics recorder (see :mod:`repro.obs.metrics`).  Defaults to
         the inert :data:`~repro.obs.metrics.NULL_RECORDER`; pass a
@@ -198,7 +194,6 @@ class NNexus:
         config: NNexusConfig | None = None,
         enable_steering: bool = True,
         enable_policies: bool = True,
-        precompute_distances: bool = False,
         metrics: NullRecorder | None = None,
         tracer: NullTracer | None = None,
         storage: CorpusStorage | None = None,
@@ -257,8 +252,6 @@ class NNexus:
             graph = ClassificationGraph.from_scheme(
                 scheme, base_weight=self.config.base_weight
             )
-            if precompute_distances:
-                graph.johnson_all_pairs()
             self._steering = ClassificationSteering(graph)
         #: object id -> what linking derives from the stored version of
         #: that target (class signature, URL), filled lazily on first
@@ -684,9 +677,6 @@ class NNexus:
         source_signature: tuple[int, ...] = ()
         if self.enable_steering and self._steering is not None:
             source_signature = self._steering.signature(source_classes)
-        sig_before: dict[str, Any] | None = None
-        if trc.enabled and self._steering is not None:
-            sig_before = self._steering.signature_cache_snapshot()
         if timing:
             # Signature work is steering; the next stage starts here.
             stage_start = perf_counter()
@@ -740,16 +730,7 @@ class NNexus:
         self.stats.links_created += len(document.links)
         if timing and stage_acc is not None:
             self._observe_stage("policy", stage_acc["policy"], rec, trc)
-            steer_attrs: dict[str, Any] = {}
-            if sig_before is not None and self._steering is not None:
-                # Steering-lookup forensics: how the signature memo
-                # behaved for this one document.
-                sig_after = self._steering.signature_cache_snapshot()
-                steer_attrs = {
-                    "signature_cache_hits": sig_after["hits"] - sig_before["hits"],
-                    "signature_cache_misses": sig_after["misses"] - sig_before["misses"],
-                }
-            self._observe_stage("steer", stage_acc["steer"], rec, trc, **steer_attrs)
+            self._observe_stage("steer", stage_acc["steer"], rec, trc)
             if rec.enabled:
                 rec.inc("nnexus_link_requests_total")
                 rec.inc("nnexus_matches_found_total", len(matches))
@@ -895,7 +876,7 @@ class NNexus:
     def _target_memo(self, object_id: int) -> _TargetMemo:
         """The memo of a stored target, created empty on first use.
 
-        Concurrent fills from batch worker threads compute the same
+        Concurrent fills from server reader threads compute the same
         values, so a lost write only costs a recomputation.
         """
         memo = self._targets.get(object_id)
@@ -932,23 +913,7 @@ class NNexus:
         """Invalidation-index listener: the object changed or vanished."""
         self._targets.pop(object_id, None)
 
-    def warm_steering(self, object_ids: Iterable[int] | None = None) -> None:
-        """Precompute signatures and distance rows for the given entries.
-
-        Batch jobs call this before fanning out so worker threads only
-        read the steering tables, and the process mode calls it before
-        snapshotting so every worker inherits warm tables instead of
-        recomputing them per process.
-        """
-        if self._steering is None or not self.enable_steering:
-            return
-        ids = self.object_ids() if object_ids is None else object_ids
-        class_ids: set[int] = set()
-        for object_id in ids:
-            class_ids.update(self._signature_of(object_id))
-        self._steering.graph.warm_rows(class_ids)
-
-    def set_base_weight(self, base_weight: float, precompute: bool = False) -> None:
+    def set_base_weight(self, base_weight: float) -> None:
         """Rebuild the steering graph with a different weight base.
 
         Used by the weighting ablation; ``base_weight=1`` degenerates to
@@ -961,8 +926,6 @@ class NNexus:
             raise NNexusError("no classification scheme configured")
         self.config.base_weight = base_weight
         graph = ClassificationGraph.from_scheme(self.scheme, base_weight=base_weight)
-        if precompute:
-            graph.johnson_all_pairs()
         self._steering = ClassificationSteering(graph)
         self._targets.clear()
         self._cache.clear()
@@ -1150,15 +1113,6 @@ class NNexus:
                     self.last_restore["mismatches"],
                 ),
             ]
-        if self._steering is not None:
-            signature = self._steering.signature_cache_snapshot()
-            counters += [
-                ("nnexus_steer_signature_cache_hits", {}, signature["hits"]),
-                ("nnexus_steer_signature_cache_misses", {}, signature["misses"]),
-            ]
-            gauges.append(
-                ("nnexus_steer_signature_cache_entries", {}, signature["entries"])
-            )
         memory = self.accountant.sample()
         peaks = self.accountant.peaks()
         for component in sorted(memory):

@@ -51,7 +51,7 @@ __all__ = [
     "STEER_SHARE_ABSOLUTE_TOLERANCE",
 ]
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Pipeline stages the report must cover when metrics are enabled.
 STAGES = ("tokenize", "match", "policy", "steer", "render")
@@ -146,23 +146,8 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
     cache = linker.cache.counter_snapshot()
     lookups = cache["hits"] + cache["misses"]
 
-    steering_summary = {
-        "signature_cache_hits": 0,
-        "signature_cache_misses": 0,
-        "signature_cache_entries": 0,
-        "signature_cache_hit_rate": 0.0,
-    }
-    if linker.steering is not None:
-        snapshot = linker.steering.signature_cache_snapshot()
-        steering_summary = {
-            "signature_cache_hits": int(snapshot["hits"]),
-            "signature_cache_misses": int(snapshot["misses"]),
-            "signature_cache_entries": int(snapshot["entries"]),
-            "signature_cache_hit_rate": snapshot["hit_rate"],
-        }
-
     # Whole-corpus relink scaling in process mode: the linker snapshot
-    # (concept map + warm steering tables) is shipped once per worker
+    # (concept map + steering graph) is shipped once per worker
     # and chunks fan out, so this measures true multicore behaviour.
     batch_scaling: dict[str, Any] = {}
     if params.scaling:
@@ -251,7 +236,6 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
             "invalidations": cache["invalidations"],
             "hit_rate": cache["hits"] / lookups if lookups else 0.0,
         },
-        "steering": steering_summary,
         "batch_scaling": batch_scaling,
         "persistence": persistence,
         "resources": resources,
@@ -521,12 +505,6 @@ _SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
     },
     "links": {"matches": int, "links": int},
     "cache": {"hits": int, "misses": int, "invalidations": int, "hit_rate": _NUMBER},
-    "steering": {
-        "signature_cache_hits": int,
-        "signature_cache_misses": int,
-        "signature_cache_entries": int,
-        "signature_cache_hit_rate": _NUMBER,
-    },
 }
 
 _PERSISTENCE_FIELDS: dict[str, type | tuple[type, ...]] = {

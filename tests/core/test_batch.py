@@ -46,12 +46,6 @@ class TestRun:
         assert (out / "object-1.md").exists()
         assert "](" in (out / "object-1.md").read_text()
 
-    def test_multithreaded_matches_single(self, linker) -> None:
-        single = BatchLinker(linker, fmt="annotations", workers=1).run()
-        multi = BatchLinker(linker, fmt="annotations", workers=4).run()
-        assert single.rendered == multi.rendered
-        assert single.links == multi.links
-
     def test_invalid_parameters(self, linker) -> None:
         with pytest.raises(ValueError):
             BatchLinker(linker, fmt="docx")
@@ -59,6 +53,8 @@ class TestRun:
             BatchLinker(linker, workers=0)
         with pytest.raises(ValueError):
             BatchLinker(linker, mode="fork")
+        with pytest.raises(ValueError, match='mode="process"'):
+            BatchLinker(linker, mode="thread", workers=2)
         with pytest.raises(ValueError):
             BatchLinker(linker, chunk_size=0)
 

@@ -56,18 +56,3 @@ def test_process_mode_batch_matches_golden() -> None:
         for object_id, rendered in report.rendered.items():
             renderings[object_id][fmt] = rendered
     assert corpus_digest(renderings) == GOLDEN_SHA256
-
-
-def test_signature_cache_disabled_matches_golden() -> None:
-    linker = build_linker()
-    # Rebuild steering with the memo off: decisions must not change.
-    from repro.core.classification import ClassificationSteering
-
-    linker._steering = ClassificationSteering(
-        linker.steering.graph, signature_cache_size=0
-    )
-    renderings = {
-        object_id: {fmt: linker.render_object(object_id, fmt=fmt) for fmt in _FORMATS}
-        for object_id in linker.object_ids()
-    }
-    assert corpus_digest(renderings) == GOLDEN_SHA256

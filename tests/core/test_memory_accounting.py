@@ -111,8 +111,12 @@ def _deep_ratio(linker: NNexus, component: str) -> float:
     return reconcile[component]["ratio"]
 
 
-def _churned_linker() -> NNexus:
-    """A 300-entry linker after updates, removals and re-adds."""
+def _churned_linker(formats: tuple[str, ...] = ()) -> NNexus:
+    """A 300-entry linker after updates, removals and re-adds.
+
+    With ``formats``, every entry is rendered in each of them before the
+    churn, and the dirty renderings are refreshed after it.
+    """
     from dataclasses import replace
 
     from repro.corpus.generator import GeneratorParams, generate_corpus
@@ -121,6 +125,9 @@ def _churned_linker() -> NNexus:
     linker = NNexus(scheme=corpus.scheme)
     linker.add_objects(corpus.objects)
     assert 0.5 <= _deep_ratio(linker, "invalidation") <= 2.0
+    for fmt in formats:
+        for object_id in linker.object_ids():
+            linker.render_object(object_id, fmt=fmt)
     objects = corpus.objects
     for obj in objects[:60]:
         linker.update_object(replace(obj, text=obj.text[: len(obj.text) // 2]))
@@ -128,6 +135,8 @@ def _churned_linker() -> NNexus:
         linker.remove_object(obj.object_id)
     for obj in objects[60:90]:
         linker.add_object(obj)
+    if formats:
+        linker.relink_invalidated()
     return linker
 
 
@@ -157,3 +166,23 @@ def test_objects_estimate_within_2x_and_without_drift_after_churn() -> None:
     assert (
         linker.accountant.sample()["objects"] == fresh.accountant.sample()["objects"]
     )
+
+
+def test_map_and_render_cache_estimates_without_drift_after_churn() -> None:
+    linker = _churned_linker(formats=("html", "markdown"))
+    cache = linker.cache
+    assert not cache.invalid_keys()
+    # A fresh linker over the survivors, rendered in the formats the
+    # churned cache holds for each, must estimate the same bytes.
+    fresh = NNexus(scheme=linker.scheme)
+    fresh.add_objects(linker.get_object(object_id) for object_id in linker.object_ids())
+    cached_formats = 0
+    for object_id in linker.object_ids():
+        for fmt in sorted(cache.formats_for(object_id)):
+            fresh.render_object(object_id, fmt=fmt)
+            cached_formats += 1
+    assert cached_formats > len(linker)  # both formats, for most survivors
+    churned = linker.accountant.sample()
+    rebuilt = fresh.accountant.sample()
+    assert churned["map_segments"] == rebuilt["map_segments"]
+    assert churned["render_cache"] == rebuilt["render_cache"]

@@ -47,6 +47,22 @@ class TestBatchCommand:
         assert summary["entries"] == 30
         assert (out_dir / "object-1.md").exists()
 
+    def test_batch_workers_run_the_process_pool(
+        self, corpus_file, tmp_path, capsys
+    ) -> None:
+        serial_dir = tmp_path / "serial"
+        pooled_dir = tmp_path / "pooled"
+        argv = ["batch", "--corpus", str(corpus_file), "--format", "markdown"]
+        assert main([*argv, "--out", str(serial_dir)]) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--out", str(pooled_dir), "--workers", "2"]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert pooled["workers"] == 2.0
+        assert pooled["entries"] == serial["entries"] == 30
+        assert pooled["links"] == serial["links"]
+        for path in serial_dir.iterdir():
+            assert (pooled_dir / path.name).read_text() == path.read_text()
+
 
 MINI_DUMP = """<mediawiki>
   <page><title>Planar graph</title>

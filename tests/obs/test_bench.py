@@ -73,16 +73,6 @@ def test_persistence_run_reports_durability_section() -> None:
     assert validate_report(report) == []
 
 
-def test_steering_section_reports_signature_cache() -> None:
-    report = run_linking_bench(_PARAMS)
-    steering = report["steering"]
-    # Two full corpus passes: the warm pass is served by the render
-    # cache, but the cold pass alone already revisits signature pairs.
-    assert steering["signature_cache_misses"] > 0
-    assert steering["signature_cache_entries"] > 0
-    assert 0.0 <= steering["signature_cache_hit_rate"] <= 1.0
-
-
 def test_scaling_run_reports_batch_section() -> None:
     report = run_linking_bench(
         BenchParams(entries=30, seed=7, smoke=True, metrics=False, scaling=True)
@@ -124,10 +114,6 @@ def test_validate_rejects_broken_reports() -> None:
     missing_stage = copy.deepcopy(good)
     del missing_stage["stages"]["steer"]
     assert any("stages.steer" in p for p in validate_report(missing_stage))
-
-    missing_steering = copy.deepcopy(good)
-    del missing_steering["steering"]
-    assert any("steering" in p for p in validate_report(missing_steering))
 
     missing_scaling = copy.deepcopy(good)
     del missing_scaling["batch_scaling"]

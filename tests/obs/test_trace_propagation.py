@@ -290,7 +290,7 @@ class TestBatchTracing:
     def test_thread_mode_batch_spans_form_one_tree(self, tracer) -> None:
         linker = make_linker(tracer)
         ids = linker.object_ids()[:4]
-        report = BatchLinker(linker, fmt=None, workers=2).run(object_ids=ids)
+        report = BatchLinker(linker, fmt=None, workers=1).run(object_ids=ids)
         assert report.entries == 4
         batch_traces = [
             trace
