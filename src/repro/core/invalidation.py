@@ -20,14 +20,17 @@ containing the label: never larger than the paper's superset, and never
 missing an entry whose rendering can change, because the sequence is the
 same canonical word array the matcher scans.  The index does not scan
 text itself: the linker tokenizes each entry version once and hands the
-index that scan's words.
+index that scan's words.  Each linker mutation removes and (re-)indexes
+an entry at most once and then calls :meth:`~InvalidationIndex.invalidate_many`
+once, over the union of the entry's old and new labels; the index keeps
+no observers, since the linker drops its own per-entry state itself.
 The paper's structure survives as an offline model for the Fig. 6
 ablation (:class:`repro.eval.experiments.AdaptivePhraseIndexModel`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.morphology import canonicalize_phrase
 from repro.obs.memory import (
@@ -68,28 +71,10 @@ class InvalidationIndex:
         self._postings: dict[str, set[int]] = {}
         # object id -> " w1 w2 ... wn " (its canonical words, space-framed).
         self._sequences: dict[int, str] = {}
-        # observers notified whenever an object is (re-)indexed or
-        # removed — the linker hangs per-object derived caches (class
-        # signature, URL) off these events so reclassification or a
-        # rename can never leave a stale value behind.
-        self._listeners: list[Callable[[int], None]] = []
         # Incremental byte estimate, updated only in index_object /
         # remove_object (symmetric add/subtract, so it cannot drift);
         # reconciled against a deep sample by the memory accountant.
         self.estimated_bytes = 0
-
-    def add_listener(self, callback: Callable[[int], None]) -> None:
-        """Call ``callback(object_id)`` on every index/remove of an object.
-
-        Listeners fire *after* the index mutation.  They must be cheap
-        and must not raise; the linker uses one to drop the object's
-        cached class signature and URL whenever the object changes.
-        """
-        self._listeners.append(callback)
-
-    def _notify(self, object_id: int) -> None:
-        for callback in self._listeners:
-            callback(object_id)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -113,7 +98,6 @@ class InvalidationIndex:
                 added += _word_key_cost(word)
             posting.add(object_id)
         self.estimated_bytes += added
-        self._notify(object_id)
 
     def remove_object(self, object_id: int) -> None:
         """Drop ``object_id`` from every postings list it appears in."""
@@ -129,7 +113,6 @@ class InvalidationIndex:
                 del self._postings[word]
                 removed += _word_key_cost(word)
         self.estimated_bytes -= removed
-        self._notify(object_id)
 
     # ------------------------------------------------------------------
     # Lookup

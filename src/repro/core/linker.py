@@ -5,7 +5,7 @@ linked:
 
 1. unlinkable regions are escaped and the text tokenized
    (:mod:`repro.core.tokenizer`).  A stored entry is scanned once per
-   version, when ``add_object`` stores it; the linker keeps that scan,
+   version, when it is stored; the linker keeps that scan,
    feeds its words to the invalidation index, and links the entry from
    it.  Ad-hoc text (``link_text``) is scanned on every call;
 2. the token array is scanned against the concept map for link sources
@@ -53,7 +53,7 @@ from repro.core.errors import (
 from repro.core.invalidation import InvalidationIndex
 from repro.core.matching import find_matches
 from repro.core.models import CorpusObject, Link, LinkedDocument, Match
-from repro.core.policies import LinkingPolicyTable
+from repro.core.policies import LinkingPolicyTable, parse_policy
 from repro.core.render import render_annotations, render_html, render_markdown
 from repro.core.tokenizer import TokenizedText, Tokenizer
 from repro.obs.memory import (
@@ -225,7 +225,6 @@ class NNexus:
         self.storage_error: str | None = None
         #: What the last cold start restored (None for memory backends).
         self.last_restore: dict[str, Any] | None = None
-        self._restoring = False
 
         if self.config.extra_escape_patterns:
             import re
@@ -255,16 +254,14 @@ class NNexus:
             self._steering = ClassificationSteering(graph)
         #: object id -> what linking derives from the stored version of
         #: that target (class signature, URL), filled lazily on first
-        #: use.  Entries are dropped whenever the object is (re-)indexed
-        #: or removed — the invalidation index notifies us — and the
-        #: whole table is cleared when the steering graph is rebuilt.
+        #: use.  ``_store`` and ``_unstore`` drop an object's entry, and
+        #: the whole table is cleared when the steering graph is rebuilt.
         self._targets: dict[int, _TargetMemo] = {}
-        self._invalidation.add_listener(self._drop_target_memo)
 
         #: Monotonic construction instant, for ``nnexus_uptime_seconds``.
         self._started_monotonic = monotonic()
         #: Incremental byte estimate of the private object store and the
-        #: stored scans, kept symmetric in add/remove_object so it cannot
+        #: stored scans, kept symmetric in _store/_unstore so it cannot
         #: drift.
         self._objects_bytes = 0
         #: Per-component memory accountant (objects store with the kept
@@ -326,20 +323,18 @@ class NNexus:
         """
         started = perf_counter()
         snapshot = self.storage.load()
-        self._restoring = True
-        try:
-            for obj in snapshot.objects:
-                self.add_object(obj)
-            for rendering in snapshot.renderings:
-                if rendering.object_id in self._objects and rendering.fmt in _RENDERERS:
-                    self._cache.restore(
-                        rendering.object_id,
-                        rendering.body,
-                        rendering.fmt,
-                        valid=rendering.valid,
-                    )
-        finally:
-            self._restoring = False
+        # Stored as-is: the render cache is still empty, so there is
+        # nothing to invalidate, and the journal already holds them.
+        for obj in snapshot.objects:
+            self._store(obj)
+        for rendering in snapshot.renderings:
+            if rendering.object_id in self._objects and rendering.fmt in _RENDERERS:
+                self._cache.restore(
+                    rendering.object_id,
+                    rendering.body,
+                    rendering.fmt,
+                    valid=rendering.valid,
+                )
         verified = mismatches = 0
         for rendering in snapshot.renderings:
             if verified >= verify_sample:
@@ -376,7 +371,7 @@ class NNexus:
         instead the corpus stays servable and further writes are
         refused, which bounds the divergence to this one operation.
         """
-        if not self.storage.durable or self._restoring or self.read_only:
+        if not self.storage.durable or self.read_only:
             return
         try:
             action()
@@ -434,39 +429,19 @@ class NNexus:
     def add_object(self, obj: CorpusObject) -> set[int]:
         """Register an entry and index its concept labels and text.
 
-        Returns the ids of previously stored entries that contain one of
-        the newly defined concept labels — the exact set computed through
-        the invalidation index — after marking them dirty in the render
-        cache.
+        Returns the ids of the other stored entries whose text contains
+        one of the entry's concept labels — the exact set computed
+        through the invalidation index — after marking them dirty in the
+        render cache.
         """
         self._check_writable()
-        if obj.object_id in self._objects:
-            raise DuplicateObjectError(obj.object_id)
-        # Store a private copy: the linker mutates its objects (e.g. when
-        # a policy is attached later) and must never write through to the
-        # caller's instances, which may be shared across linkers.
-        obj = replace(
-            obj,
-            defines=list(obj.defines),
-            synonyms=list(obj.synonyms),
-            classes=list(obj.classes),
-        )
-        scan = self._scan_stored(obj.text)
-        self._objects[obj.object_id] = obj
-        self._scans[obj.object_id] = scan
-        self._objects_bytes += _object_cost(obj) + _scan_cost(scan)
-        new_labels: list[tuple[str, ...]] = []
-        for phrase in obj.concept_phrases():
-            words = self._concept_map.add_phrase(phrase, obj.object_id)
-            if words is not None:
-                new_labels.append(words)
-        if obj.linking_policy:
-            self._policies.set_policy(obj.object_id, obj.linking_policy)
-        self._invalidation.index_object(obj.object_id, scan.words)
-        invalidated = self._invalidation.invalidate_many(new_labels)
-        invalidated.discard(obj.object_id)
-        self._cache.invalidate(invalidated)
-        self._journal(lambda: self.storage.record_add(obj, invalidated))
+        object_id = obj.object_id
+        if object_id in self._objects:
+            raise DuplicateObjectError(object_id)
+        parse_policy(obj.linking_policy)  # a bad policy raises before any change
+        invalidated = self._invalidate(self._store(obj), object_id)
+        stored = self._objects[object_id]
+        self._journal(lambda: self.storage.record_add(stored, invalidated))
         return invalidated
 
     def add_objects(self, objects: Iterable[CorpusObject]) -> None:
@@ -484,6 +459,74 @@ class NNexus:
         cached renderings keep hyperlinking a deleted target.
         """
         self._check_writable()
+        invalidated = self._invalidate(self._unstore(object_id), object_id)
+        self._journal(lambda: self.storage.record_remove(object_id, invalidated))
+        return invalidated
+
+    def update_object(self, obj: CorpusObject) -> set[int]:
+        """Replace an entry; invalidates over its old and new labels.
+
+        The result equals the union of a remove and an add, found in one
+        pass.  Journaled as ONE storage record (not a remove followed by
+        an add), so a crash cannot persist a corpus with the entry
+        missing.
+        """
+        self._check_writable()
+        object_id = obj.object_id
+        parse_policy(obj.linking_policy)  # a bad policy raises before any change
+        labels = self._unstore(object_id) | self._store(obj)
+        invalidated = self._invalidate(labels, object_id)
+        stored = self._objects[object_id]
+        self._journal(lambda: self.storage.record_update(stored, invalidated))
+        return invalidated
+
+    def set_linking_policy(self, object_id: int, policy_text: str) -> set[int]:
+        """Attach a linking policy to a stored entry (Section 2.4).
+
+        An update of the entry with the new policy: returns the ids of
+        the entries invalidated because they may link to its concepts.
+        """
+        self._check_writable()
+        stored = self.get_object(object_id)
+        return self.update_object(replace(stored, linking_policy=policy_text))
+
+    def _store(self, obj: CorpusObject) -> set[tuple[str, ...]]:
+        """Store a private copy of ``obj`` and index it; returns its labels.
+
+        Neither invalidates nor journals: the public mutations do that
+        once each, and a cold start does neither.
+        """
+        # A private copy: the caller may change or share its instance
+        # (lists included) after the call, and no change may reach the
+        # stored entry except through another mutation.
+        obj = replace(
+            obj,
+            defines=list(obj.defines),
+            synonyms=list(obj.synonyms),
+            classes=list(obj.classes),
+        )
+        object_id = obj.object_id
+        scan = self._scan_stored(obj.text)
+        self._objects[object_id] = obj
+        self._scans[object_id] = scan
+        self._objects_bytes += _object_cost(obj) + _scan_cost(scan)
+        labels: set[tuple[str, ...]] = set()
+        for phrase in obj.concept_phrases():
+            words = self._concept_map.add_phrase(phrase, object_id)
+            if words is not None:
+                labels.add(words)
+        if obj.linking_policy:
+            self._policies.set_policy(object_id, obj.linking_policy)
+        self._invalidation.index_object(object_id, scan.words)
+        self._targets.pop(object_id, None)
+        return labels
+
+    def _unstore(self, object_id: int) -> frozenset[tuple[str, ...]]:
+        """Undo :meth:`_store` and drop the cached renderings.
+
+        Returns the labels the entry defined; raises UnknownObjectError
+        when it is not stored.
+        """
         obj = self._objects.pop(object_id, None)
         if obj is None:
             raise UnknownObjectError(object_id)
@@ -493,52 +536,14 @@ class NNexus:
         self._policies.remove(object_id)
         self._invalidation.remove_object(object_id)
         self._cache.drop(object_id)
-        invalidated = self._invalidation.invalidate_many(defined)
+        self._targets.pop(object_id, None)
+        return defined
+
+    def _invalidate(self, labels: Iterable[tuple[str, ...]], object_id: int) -> set[int]:
+        """Dirty the entries other than ``object_id`` containing a label."""
+        invalidated = self._invalidation.invalidate_many(labels)
         invalidated.discard(object_id)
         self._cache.invalidate(invalidated)
-        self._journal(lambda: self.storage.record_remove(object_id, invalidated))
-        return invalidated
-
-    def update_object(self, obj: CorpusObject) -> set[int]:
-        """Replace an entry; unions the invalidations of remove + add.
-
-        Journaled as ONE storage record (not a remove followed by an
-        add), so a crash between the halves cannot persist a corpus
-        with the entry missing.
-        """
-        self._check_writable()
-        restoring = self._restoring
-        self._restoring = True  # suppress the inner remove/add journals
-        try:
-            invalidated = self.remove_object(obj.object_id)
-            invalidated |= self.add_object(obj)
-        finally:
-            self._restoring = restoring
-        stored = self.get_object(obj.object_id)
-        self._journal(lambda: self.storage.record_update(stored, invalidated))
-        return invalidated
-
-    def set_linking_policy(self, object_id: int, policy_text: str) -> set[int]:
-        """Attach a linking policy to a stored entry (Section 2.4).
-
-        Returns the ids of the entries invalidated because they may link
-        to this entry's concepts.
-        """
-        self._check_writable()
-        obj = self.get_object(object_id)
-        self._objects_bytes += estimate_str(policy_text) - estimate_str(
-            obj.linking_policy
-        )
-        obj.linking_policy = policy_text
-        self._policies.set_policy(object_id, policy_text)
-        # Policies change which links are legal corpus-wide; entries that
-        # might link to this object's concepts must be re-examined.
-        invalidated = self._invalidation.invalidate_many(
-            self._concept_map.labels_for_object(object_id)
-        )
-        invalidated.discard(object_id)
-        self._cache.invalidate(invalidated)
-        self._journal(lambda: self.storage.record_update(obj, invalidated))
         return invalidated
 
     def get_object(self, object_id: int) -> CorpusObject:
@@ -803,12 +808,16 @@ class NNexus:
         text: str,
         source_classes: Sequence[str] = (),
         exclude_objects: Iterable[int] = (),
+        source_id: int | None = None,
     ) -> list[MatchExplanation]:
         """Trace every stage of the pipeline for each match in ``text``.
 
         Runs the same decisions as :meth:`link_text` but records why each
         candidate survived or fell: policy verdicts, class distances,
-        steering winners, and the final tie-break.
+        steering winners, and the final tie-break — or, when a composite
+        ranker is attached and two or more candidates survive, the
+        ranker's pick.  ``source_id`` is passed to the ranker as in
+        :meth:`link_text`.
         """
         tokenized = self._tokenizer.tokenize(text)
         matches = find_matches(
@@ -838,6 +847,13 @@ class NNexus:
                 winners = result.winners
             if not candidates:
                 chosen, reason = None, "all candidates rejected by policy"
+            elif self.ranker is not None and len(candidates) > 1:
+                chosen = self.ranker.best(
+                    source_id,
+                    source_classes,
+                    {oid: self._objects[oid].classes for oid in candidates},
+                )
+                reason = "composite ranker"
             elif len(winners) == 1:
                 chosen = winners[0]
                 reason = (
@@ -908,10 +924,6 @@ class NNexus:
             memo.url = domain.url_for(object_id, target.title) if domain else ""
             memo.domain = domain
         return memo.url
-
-    def _drop_target_memo(self, object_id: int) -> None:
-        """Invalidation-index listener: the object changed or vanished."""
-        self._targets.pop(object_id, None)
 
     def set_base_weight(self, base_weight: float) -> None:
         """Rebuild the steering graph with a different weight base.

@@ -6,9 +6,11 @@ with Noosphere-style revision bookkeeping:
 
 * every save creates an immutable :class:`Revision` (author, comment,
   timestamp counter, full object snapshot);
-* saving re-links through the normal invalidation path **only when the
-  linking-relevant parts changed** (text, labels, classes, policy) — a
-  typo fix in the title alone never triggers corpus-wide work;
+* a save that changes the entry goes through the linker's one write
+  path (``add_object`` / ``update_object``), which invalidates and
+  journals it; a save equal to the stored entry is a no-op.  The title
+  is a concept label, so even a title typo fix re-links the entries
+  that contain the old or the new title;
 * any revision can be restored, which is itself recorded as a revision;
 * a word-level diff between revisions supports review.
 
@@ -18,7 +20,7 @@ revision is written to durable storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from difflib import SequenceMatcher
 from typing import Iterable
 
@@ -44,17 +46,6 @@ class Revision:
     snapshot: CorpusObject
     relinked: bool
     invalidated: tuple[int, ...] = ()
-
-
-def _linking_relevant(obj: CorpusObject) -> tuple[object, ...]:
-    """The parts of an object whose change requires re-linking."""
-    return (
-        obj.text,
-        tuple(obj.concept_phrases()),
-        tuple(obj.classes),
-        obj.linking_policy,
-        obj.domain,
-    )
 
 
 def diff_words(before: str, after: str) -> list[tuple[str, str]]:
@@ -96,8 +87,9 @@ class RevisionedCorpus:
     ) -> Revision:
         """Create or update an entry, recording a revision.
 
-        Re-linking (through the invalidation machinery) happens only
-        when linking-relevant fields changed.
+        A save equal to the stored entry changes nothing and is recorded
+        with ``relinked=False``; any other save is an ``add_object`` or
+        ``update_object``.
         """
         snapshot = replace(
             obj,
@@ -106,19 +98,13 @@ class RevisionedCorpus:
             classes=list(obj.classes),
         )
         invalidated: tuple[int, ...] = ()
+        relinked = True
         if not self._linker.has_object(obj.object_id):
             invalidated = tuple(sorted(self._linker.add_object(obj)))
-            relinked = True
+        elif self._linker.get_object(obj.object_id) != snapshot:
+            invalidated = tuple(sorted(self._linker.update_object(obj)))
         else:
-            current = self._linker.get_object(obj.object_id)
-            if _linking_relevant(current) != _linking_relevant(obj):
-                invalidated = tuple(sorted(self._linker.update_object(obj)))
-                relinked = True
-            else:
-                # Metadata-only edit (e.g. title typo with same labels):
-                # swap the stored object without touching any index.
-                self._linker._objects[obj.object_id] = snapshot  # noqa: SLF001
-                relinked = False
+            relinked = False
         revision = Revision(
             number=self._next_revision,
             object_id=obj.object_id,
@@ -188,7 +174,7 @@ class RevisionedCorpus:
         return seen
 
     def relink_churn(self, object_ids: Iterable[int] | None = None) -> dict[str, int]:
-        """How many saves actually required re-linking vs. were free."""
+        """How many saves changed the entry vs. were no-ops."""
         ids = list(object_ids) if object_ids is not None else list(self._history)
         relinked = free = 0
         for object_id in ids:

@@ -89,9 +89,13 @@ def entries(draw: st.DrawFn, object_id: int) -> CorpusObject:
 
 
 class IncrementalLinkerModel(RuleBasedStateMachine):
+    def _open(self) -> NNexus:
+        """The linker under test; subclasses may give it storage."""
+        return NNexus(scheme=SCHEME)
+
     @initialize(data=st.data(), count=st.integers(1, 4))
     def start(self, data: st.DataObject, count: int) -> None:
-        self.linker = NNexus(scheme=SCHEME)
+        self.linker = self._open()
         self.linker.add_objects(data.draw(entries(oid)) for oid in range(1, count + 1))
         self.next_id = count + 1
         #: From-scratch renderings after the previous step.

@@ -10,7 +10,9 @@ policy, runs :meth:`ClassificationSteering.steer` even over one
 candidate, applies the collection-priority tie-break and formats the URL
 afresh.  Every link of every stored entry must equal the oracle's, and
 the choice ``explain_text`` reports, before and after a domain is
-replaced.
+replaced.  With a :class:`CompositeRanker` attached, which replaces
+steering and the tie-break for two or more survivors, every link target
+must still equal the choice ``explain_text`` reports.
 
 Corpora mix homonym labels with one to three owners, class-scoped
 ``forbid``/``permit`` policies on some targets, and three domains with
@@ -30,6 +32,7 @@ from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
 from repro.core.morphology import canonicalize_phrase
 from repro.core.policies import LinkingPolicy
+from repro.core.ranking import CompositeRanker, LinkMatrix, ReputationTable
 from repro.core.tokenizer import Tokenizer
 from repro.ontology.msc import build_small_msc
 
@@ -168,14 +171,24 @@ def check_every_entry(linker: NNexus) -> None:
             for link in document.links
         ]
         assert links == oracle_links(linker, source), object_id
-        chosen = [
-            explanation.chosen
-            for explanation in linker.explain_text(
-                source.text, source.classes, exclude_objects=(object_id,)
-            )
-            if explanation.chosen is not None
-        ]
-        assert [link.target_id for link in document.links] == chosen, object_id
+        check_explained(linker, object_id)
+
+
+def check_explained(linker: NNexus, object_id: int) -> None:
+    """The targets ``explain_text`` chooses are the entry's link targets."""
+    source = linker.get_object(object_id)
+    chosen = [
+        explanation.chosen
+        for explanation in linker.explain_text(
+            source.text,
+            source.classes,
+            exclude_objects=(object_id,),
+            source_id=object_id,
+        )
+        if explanation.chosen is not None
+    ]
+    targets = [link.target_id for link in linker.link_object(object_id).links]
+    assert targets == chosen, object_id
 
 
 @settings(
@@ -199,3 +212,42 @@ def test_links_equal_full_path_oracle(
         )
     )
     check_every_entry(linker)
+
+
+@settings(
+    max_examples=EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    corpus=corpora(),
+    votes=st.lists(st.tuples(st.integers(1, 7), st.booleans()), max_size=12),
+    links=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=12),
+)
+def test_explain_reports_the_ranker_choice(
+    corpus: tuple[NNexusConfig, list[CorpusObject]],
+    votes: list[tuple[int, bool]],
+    links: list[tuple[int, int]],
+) -> None:
+    config, objects = corpus
+    linker = NNexus(scheme=SCHEME, config=config)
+    linker.add_objects(objects)
+    reputation = ReputationTable()
+    for target_id, helpful in votes:
+        reputation.record_feedback(target_id, helpful=helpful)
+    matrix = LinkMatrix()
+    for source_id, target_id in links:
+        matrix.record_link(source_id, target_id)
+    # Reputation and co-linking outweigh classification, so the ranker
+    # often overrules steering.
+    linker.set_ranker(
+        CompositeRanker(
+            steering=linker.steering,
+            link_matrix=matrix,
+            reputation=reputation,
+            reputation_weight=4.0,
+            cf_weight=2.0,
+        )
+    )
+    for object_id in linker.object_ids():
+        check_explained(linker, object_id)

@@ -3,13 +3,20 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DomainConfig, NNexusConfig
-from repro.core.errors import DuplicateObjectError, NNexusError, UnknownObjectError
+from repro.core.errors import (
+    DuplicateObjectError,
+    NNexusError,
+    PolicyParseError,
+    UnknownObjectError,
+)
 from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
 from repro.obs.metrics import MetricsRegistry
 from repro.ontology.msc import build_small_msc
+from tests.core.test_incremental_model import SCHEME, entries, policies
 
 
 def fig1_linker(**kwargs) -> NNexus:
@@ -585,3 +592,118 @@ class TestBaseWeight:
         assert info["objects"] == 4
         # planar graph, graph, graph set theory (title), connected component
         assert info["concepts"] == 4
+
+
+class TestOneWritePath:
+    """Every mutation stores once, invalidates once and journals once."""
+
+    @staticmethod
+    def _twins(data, count: int) -> tuple[NNexus, NNexus]:
+        objects = [data.draw(entries(object_id)) for object_id in range(1, count + 1)]
+        twins = NNexus(scheme=SCHEME), NNexus(scheme=SCHEME)
+        for linker in twins:
+            linker.add_objects(objects)
+        return twins
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 5))
+    def test_update_returns_remove_union_add(self, data, count) -> None:
+        updated, split = self._twins(data, count)
+        object_id = data.draw(st.integers(1, count))
+        edited = data.draw(entries(object_id))
+        expected = split.remove_object(object_id) | split.add_object(edited)
+        assert updated.update_object(edited) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 5))
+    def test_policy_invalidates_the_entry_labels(self, data, count) -> None:
+        linker, twin = self._twins(data, count)
+        object_id = data.draw(st.integers(1, count))
+        labels = twin.concept_map.labels_for_object(object_id)
+        expected = twin.invalidation_index.invalidate_many(labels) - {object_id}
+        assert linker.set_linking_policy(object_id, data.draw(policies)) == expected
+
+    @staticmethod
+    def _count(owner, name: str, monkeypatch) -> list[int]:
+        """Count the calls of ``owner.name``; returns the live counter."""
+        calls = [0]
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_update_invalidates_once(self, monkeypatch) -> None:
+        linker = fig1_linker()
+        calls = self._count(linker.invalidation_index, "invalidate_many", monkeypatch)
+        linker.update_object(
+            CorpusObject(2, "planar graph", defines=["outerplanar graph"],
+                         classes=["05C10"], text="A graph with vertices.")
+        )
+        assert calls == [1]
+        linker.set_linking_policy(5, "forbid graph\n")
+        assert calls == [2]
+
+    def test_cold_start_neither_invalidates_nor_journals(self, tmp_path, monkeypatch) -> None:
+        from repro.core.invalidation import InvalidationIndex
+        from repro.persistence.api import open_storage
+        from repro.persistence.sqlite_backend import SqliteBackend
+
+        linker = fig1_linker(storage=open_storage("sqlite", tmp_path / "data"))
+        for object_id in linker.object_ids():
+            linker.render_object(object_id)
+        expected = {oid: linker.render_object(oid) for oid in linker.object_ids()}
+        linker.storage.close()
+        invalidations = self._count(InvalidationIndex, "invalidate_many", monkeypatch)
+        journal = [
+            self._count(SqliteBackend, method, monkeypatch)
+            for method in ("record_add", "record_update", "record_remove",
+                           "record_rendering", "record_cache_clear")
+        ]
+        restarted = NNexus(
+            scheme=build_small_msc(), storage=open_storage("sqlite", tmp_path / "data")
+        )
+        try:
+            assert invalidations == [0]
+            assert journal == [[0]] * 5
+            assert {oid: restarted.render_object(oid) for oid in expected} == expected
+        finally:
+            restarted.storage.close()
+
+    def test_each_mutation_journals_once(self, tmp_path, monkeypatch) -> None:
+        from repro.persistence.api import open_storage
+
+        linker = fig1_linker(storage=open_storage("sqlite", tmp_path / "data"))
+        try:
+            calls = {
+                method: self._count(linker.storage, method, monkeypatch)
+                for method in ("record_add", "record_update", "record_remove")
+            }
+            linker.add_object(CorpusObject(42, "vertex", defines=["vertex"], text="x"))
+            linker.update_object(CorpusObject(42, "vertex", defines=["vertices"], text="y"))
+            linker.set_linking_policy(42, "forbid vertices\n")
+            linker.remove_object(42)
+            assert calls == {"record_add": [1], "record_update": [2], "record_remove": [1]}
+        finally:
+            linker.storage.close()
+
+    @pytest.mark.parametrize("mutation", ["add", "update", "policy"])
+    def test_bad_policy_changes_nothing(self, mutation) -> None:
+        linker = fig1_linker()
+        before = {oid: linker.render_object(oid) for oid in linker.object_ids()}
+        stored = linker.get_object(5)
+        bad = "allow graph\n"
+        with pytest.raises(PolicyParseError):
+            if mutation == "add":
+                linker.add_object(CorpusObject(7, "even", text="", linking_policy=bad))
+            elif mutation == "update":
+                linker.update_object(CorpusObject(5, "graph", text="", linking_policy=bad))
+            else:
+                linker.set_linking_policy(5, bad)
+        assert linker.object_ids() == [2, 5, 6, 9]
+        assert linker.get_object(5) == stored
+        assert 5 in linker.invalidation_index.invalidate("vertices")
+        assert {oid: linker.render_object(oid) for oid in before} == before

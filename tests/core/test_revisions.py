@@ -69,6 +69,33 @@ class TestSave:
         assert 1 in revision.invalidated
 
 
+class TestDurableSave:
+    def test_padded_title_survives_reopen(self, tmp_path) -> None:
+        # Only whitespace differs, so every concept label is unchanged;
+        # the save must still reach the journal.
+        from repro.persistence.api import open_storage
+
+        def open_linker() -> NNexus:
+            storage = open_storage("sqlite", tmp_path / "data")
+            return NNexus(scheme=build_small_msc(), storage=storage)
+
+        def group(title: str) -> CorpusObject:
+            return CorpusObject(7, title, classes=["20A05"], text="A set with an operation.")
+
+        linker = open_linker()
+        corpus = RevisionedCorpus(linker)
+        corpus.save(group("Group"))
+        revision = corpus.save(group(" Group"), comment="padded title")
+        assert linker.get_object(7).title == " Group"
+        linker.storage.close()
+        reopened = open_linker()
+        try:
+            assert reopened.get_object(7).title == " Group"
+        finally:
+            reopened.storage.close()
+        assert revision.relinked
+
+
 class TestHistory:
     def test_history_order_and_latest(self, corpus) -> None:
         corpus.save(graph_entry(), author="ada")
