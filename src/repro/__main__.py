@@ -24,18 +24,12 @@ from pathlib import Path
 from repro.core.batch import BatchLinker
 from repro.core.keywords import KeywordExtractor
 from repro.core.linker import NNexus
-from repro.core.render import render_annotations, render_html, render_markdown
+from repro.core.render import RENDERERS
 from repro.core.suggest import PolicySuggester
 from repro.corpus.loader import load_corpus, save_corpus
 from repro.corpus.mediawiki import pages_to_corpus, parse_dump
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
-
-_RENDERERS = {
-    "html": render_html,
-    "markdown": render_markdown,
-    "annotations": render_annotations,
-}
 
 
 def _build_linker(corpus_path: str | None) -> NNexus:
@@ -56,7 +50,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
     classes = [c for c in (args.classes or "").split(",") if c]
     document = linker.link_text(text, source_classes=classes)
-    print(_RENDERERS[args.format](document))
+    print(linker.render_document(document, args.format))
     print(
         f"\n-- {document.link_count} links over {len(linker)} entries",
         file=sys.stderr,
@@ -183,14 +177,14 @@ def main(argv: list[str] | None = None) -> int:
     link.add_argument("file")
     link.add_argument("--corpus", default="", help="JSON corpus (default: sample)")
     link.add_argument("--classes", default="", help="comma-separated source classes")
-    link.add_argument("--format", choices=sorted(_RENDERERS), default="markdown")
+    link.add_argument("--format", choices=sorted(RENDERERS), default="markdown")
     link.add_argument("--metrics", action="store_true",
                       help="print per-stage pipeline timings to stderr")
     link.set_defaults(handler=_cmd_link)
 
     batch = commands.add_parser("batch", help="link every corpus entry offline")
     batch.add_argument("--corpus", default="")
-    batch.add_argument("--format", choices=sorted(_RENDERERS), default="html")
+    batch.add_argument("--format", choices=sorted(RENDERERS), default="html")
     batch.add_argument("--out", default="", help="directory for rendered files")
     batch.add_argument("--workers", type=int, default=1,
                        help="1 links in process; N > 1 runs a pool of N "

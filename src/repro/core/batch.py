@@ -20,6 +20,9 @@ Two ways to run:
   snapshot; per-worker chunk timings are reported back to the parent
   and folded into its recorder.
 
+Both render through :meth:`~repro.core.linker.NNexus.render_document`,
+which times the ``render`` stage beside the linker's other stages.
+
 Linking is GIL-bound pure Python, so there is no thread pool: two
 threads ran at 0.93x of one.  The name ``"thread"`` stays for the
 ``perfbench`` harness, which passes it explicitly.
@@ -35,17 +38,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.core.linker import NNexus
-from repro.core.models import LinkedDocument
-from repro.core.render import render_annotations, render_html, render_markdown
+from repro.core.render import renderer_for
 from repro.obs.trace import NULL_SPAN
 
 __all__ = ["BatchReport", "BatchLinker", "BATCH_MODES"]
-
-_RENDERERS: dict[str, Callable[[LinkedDocument], str]] = {
-    "html": render_html,
-    "markdown": render_markdown,
-    "annotations": render_annotations,
-}
 
 #: Supported fan-out modes.
 BATCH_MODES = ("thread", "process")
@@ -103,7 +99,7 @@ class BatchReport:
 # ---------------------------------------------------------------------------
 
 _WORKER_LINKER: NNexus | None = None
-_WORKER_RENDERER: Callable[[LinkedDocument], str] | None = None
+_WORKER_FMT: str | None = None
 
 
 def _process_worker_init(
@@ -113,9 +109,9 @@ def _process_worker_init(
     tracing: bool = False,
     slow_threshold: float | None = None,
 ) -> None:
-    global _WORKER_LINKER, _WORKER_RENDERER
+    global _WORKER_LINKER, _WORKER_FMT
     _WORKER_LINKER = linker
-    _WORKER_RENDERER = _RENDERERS.get(fmt) if fmt else None
+    _WORKER_FMT = fmt
     if tracing or trace_jsonl:
         # The parent's tracer does not travel through pickle (its ring
         # and lock belong to the parent process); each worker gets its
@@ -140,10 +136,23 @@ def _process_worker_link(
     start = time.perf_counter()
     rows: list[tuple[int, int, str | None]] = []
     for object_id in object_ids:
-        document = _WORKER_LINKER.link_object(object_id)
-        rendered = _WORKER_RENDERER(document) if _WORKER_RENDERER else None
-        rows.append((object_id, document.link_count, rendered))
+        count, rendered = _link_entry(_WORKER_LINKER, object_id, _WORKER_FMT)
+        rows.append((object_id, count, rendered))
     return os.getpid(), time.perf_counter() - start, rows
+
+
+def _link_entry(linker: NNexus, object_id: int, fmt: str | None) -> tuple[int, str | None]:
+    """Link one entry and render it through the linker's render stage.
+
+    Returns its link count and rendering (``None`` when ``fmt`` is).
+    With a tracer, the entry is one ``batch.entry`` span, and the
+    linker's spans nest under it.
+    """
+    trc = linker.tracer
+    with trc.span("batch.entry", object_id=object_id) if trc.enabled else NULL_SPAN:
+        document = linker.link_object(object_id)
+        rendered = linker.render_document(document, fmt) if fmt else None
+    return document.link_count, rendered
 
 
 class BatchLinker:
@@ -190,8 +199,8 @@ class BatchLinker:
         chunk_size: int | None = None,
         trace_jsonl: str | Path | None = None,
     ) -> None:
-        if fmt is not None and fmt not in _RENDERERS:
-            raise ValueError(f"unknown render format {fmt!r}")
+        if fmt is not None:
+            renderer_for(fmt)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if mode not in BATCH_MODES:
@@ -264,20 +273,11 @@ class BatchLinker:
         progress: ProgressCallback | None,
         directory: Path | None,
     ) -> None:
-        renderer = _RENDERERS.get(self._fmt) if self._fmt else None
-        linker = self._linker
-        trc = linker.tracer
         for completed, object_id in enumerate(ids, 1):
             # batch.run is the current span, so each batch.entry nests
-            # under it and the linker's stage spans under the entry.
-            with (
-                trc.span("batch.entry", object_id=object_id)
-                if trc.enabled
-                else NULL_SPAN
-            ):
-                document = linker.link_object(object_id)
-                rendered = renderer(document) if renderer else None
-            self._record(report, object_id, document.link_count, rendered, directory)
+            # under it.
+            count, rendered = _link_entry(self._linker, object_id, self._fmt)
+            self._record(report, object_id, count, rendered, directory)
             if progress is not None:
                 progress(completed, len(ids))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.obs.memory import (
     estimate_container,
@@ -61,10 +61,11 @@ def _entry_cost(entry: CacheEntry) -> int:
 class RenderCache:
     """``(object_id, fmt)``-keyed cache of rendered (linked) entries.
 
-    The cache never renders by itself; callers supply a ``render``
-    callable to :meth:`get_or_render` so the cache stays independent of
-    the linker.  Hit/miss/invalidation counters support the scalability
-    experiments and are exported through the metrics snapshot.
+    The cache never renders by itself: the linker looks a rendering up
+    with :meth:`get` and stores a fresh one with :meth:`put`, so the
+    cache stays independent of the linker.  Hit/miss/invalidation
+    counters support the scalability experiments and are exported
+    through the metrics snapshot.
     """
 
     def __init__(self) -> None:
@@ -128,20 +129,6 @@ class RenderCache:
             return None
         self.hits += 1
         return entry.rendered
-
-    def get_or_render(
-        self,
-        object_id: int,
-        render: Callable[[int], str],
-        fmt: str = DEFAULT_FORMAT,
-    ) -> str:
-        """Serve from cache, re-rendering (and storing) on miss/dirty."""
-        cached = self.get(object_id, fmt)
-        if cached is not None:
-            return cached
-        rendered = render(object_id)
-        self.put(object_id, rendered, fmt)
-        return rendered
 
     def invalidate(self, object_ids: Iterable[int]) -> int:
         """Mark every cached format of each id dirty; returns entries flipped."""

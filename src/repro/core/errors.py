@@ -59,6 +59,10 @@ class SchemeParseError(NNexusError):
     """A classification scheme definition could not be parsed."""
 
 
+class CorpusFormatError(NNexusError):
+    """A corpus file is not UTF-8 JSON of the documented corpus shape."""
+
+
 class ProtocolError(NNexusError):
     """An XML request or response violates the NNexus wire protocol."""
 

@@ -54,7 +54,7 @@ from repro.core.invalidation import InvalidationIndex
 from repro.core.matching import find_matches
 from repro.core.models import CorpusObject, Link, LinkedDocument, Match
 from repro.core.policies import LinkingPolicyTable, parse_policy
-from repro.core.render import render_annotations, render_html, render_markdown
+from repro.core.render import RENDERERS, renderer_for
 from repro.core.tokenizer import TokenizedText, Tokenizer
 from repro.obs.memory import (
     MemoryAccountant,
@@ -328,7 +328,7 @@ class NNexus:
         for obj in snapshot.objects:
             self._store(obj)
         for rendering in snapshot.renderings:
-            if rendering.object_id in self._objects and rendering.fmt in _RENDERERS:
+            if rendering.object_id in self._objects and rendering.fmt in RENDERERS:
                 self._cache.restore(
                     rendering.object_id,
                     rendering.body,
@@ -341,7 +341,7 @@ class NNexus:
                 break
             if not rendering.valid or rendering.object_id not in self._objects:
                 continue
-            renderer = _RENDERERS.get(rendering.fmt)
+            renderer = RENDERERS.get(rendering.fmt)
             if renderer is None:
                 continue
             verified += 1
@@ -946,42 +946,39 @@ class NNexus:
     # ------------------------------------------------------------------
     # Rendering and caching
     # ------------------------------------------------------------------
+    def render_document(self, document: LinkedDocument, fmt: str = "html") -> str:
+        """Render a linked document in ``fmt``, timing the render stage.
+
+        The one place the ``render`` stage is observed: the cache miss
+        path, the socket server, the HTTP gateway, batch jobs and the
+        CLI all render through it.  Raises ``ValueError`` for an
+        unknown format.
+        """
+        renderer = renderer_for(fmt)
+        rec = self.metrics
+        trc = self.tracer
+        if not (rec.enabled or trc.enabled):
+            return renderer(document)
+        started = perf_counter()
+        rendered = renderer(document)
+        self._observe_stage("render", perf_counter() - started, rec, trc, fmt=fmt)
+        return rendered
+
     def render_object(self, object_id: int, fmt: str = "html") -> str:
         """Linked rendering of a stored entry, served through the cache.
 
         The cache is keyed by ``(object_id, fmt)``: every format is
         cached, and the invalidation machinery dirties and drops all of
-        an entry's formats together.
+        an entry's formats together.  A miss links, renders, caches and
+        journals the rendering.
         """
-        renderer = _RENDERERS.get(fmt)
-        if renderer is None:
-            raise ValueError(f"unknown render format {fmt!r}")
-
-        def render(oid: int) -> str:
-            document = self.link_object(oid)
-            rec = self.metrics
-            trc = self.tracer
-            if rec.enabled or trc.enabled:
-                render_start = perf_counter()
-                rendered = renderer(document)
-                self._observe_stage(
-                    "render", perf_counter() - render_start, rec, trc, fmt=fmt
-                )
-                return rendered
-            return renderer(document)
-
-        journal = self.storage.durable and self.storage.persist_renderings
+        renderer_for(fmt)  # an unknown format fails before the lookup
         trc = self.tracer
         if not trc.enabled:
-            if not journal:
-                return self._cache.get_or_render(object_id, render, fmt=fmt)
             cached = self._cache.get(object_id, fmt)
             if cached is not None:
                 return cached
-            rendered = render(object_id)
-            self._cache.put(object_id, rendered, fmt)
-            self._journal(lambda: self.storage.record_rendering(object_id, fmt, rendered))
-            return rendered
+            return self._render_miss(object_id, fmt)
         with trc.span("linker.render_object", object_id=object_id, fmt=fmt) as span:
             lookup_start = perf_counter()
             cached = self._cache.get(object_id, fmt)
@@ -995,13 +992,14 @@ class NNexus:
             span.set_attribute("cache_hit", cached is not None)
             if cached is not None:
                 return cached
-            rendered = render(object_id)
-            self._cache.put(object_id, rendered, fmt)
-            if journal:
-                self._journal(
-                    lambda: self.storage.record_rendering(object_id, fmt, rendered)
-                )
-            return rendered
+            return self._render_miss(object_id, fmt)
+
+    def _render_miss(self, object_id: int, fmt: str) -> str:
+        """Link, render, cache and journal one rendering."""
+        rendered = self.render_document(self.link_object(object_id), fmt)
+        self._cache.put(object_id, rendered, fmt)
+        self._journal(lambda: self.storage.record_rendering(object_id, fmt, rendered))
+        return rendered
 
     def invalid_entries(self) -> list[int]:
         """Entries marked for re-linking by the invalidation machinery."""
@@ -1210,10 +1208,3 @@ _SCAN_SHELL = 72
 #: An empty ``array("I")`` and the bytes of one of its items.
 _ARRAY_BASE = 64
 _OFFSET_BYTES = 4
-
-
-_RENDERERS = {
-    "html": render_html,
-    "markdown": render_markdown,
-    "annotations": render_annotations,
-}

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 from repro.core.models import Link, LinkedDocument
 
 __all__ = [
+    "RENDERERS",
+    "renderer_for",
     "render_html",
     "render_markdown",
     "render_annotations",
@@ -70,6 +72,23 @@ def render_annotations(document: LinkedDocument) -> str:
         return f"{surface}[->{link.target_id}]"
 
     return render_with(document, substitute)
+
+
+#: The render formats and their renderers: the cache, the wire, the
+#: gateway, batch jobs and the CLI all look formats up here.
+RENDERERS: dict[str, Callable[[LinkedDocument], str]] = {
+    "html": render_html,
+    "markdown": render_markdown,
+    "annotations": render_annotations,
+}
+
+
+def renderer_for(fmt: str) -> Callable[[LinkedDocument], str]:
+    """The renderer of ``fmt``; ``ValueError`` for an unknown format."""
+    renderer = RENDERERS.get(fmt)
+    if renderer is None:
+        raise ValueError(f"unknown render format {fmt!r}")
+    return renderer
 
 
 def link_table(document: LinkedDocument) -> list[tuple[str, int, str]]:

@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from repro.core.errors import CorpusFormatError
 from repro.core.models import CorpusObject
 from repro.corpus.generator import (
     GeneratorParams,
@@ -31,6 +32,11 @@ __all__ = [
     "save_synthetic_corpus",
     "load_synthetic_corpus",
 ]
+
+
+#: What bad bytes, bad JSON or a bad entry shape raise while loading
+#: (``UnicodeDecodeError`` and ``JSONDecodeError`` are ``ValueError``s).
+_MALFORMED = (KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
 
 def objects_to_dicts(objects: Iterable[CorpusObject]) -> list[dict[str, object]]:
@@ -74,9 +80,21 @@ def save_corpus(objects: Iterable[CorpusObject], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[CorpusObject]:
-    """Read objects from a JSON corpus file."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return objects_from_dicts(payload.get("objects", []))
+    """Read objects from a JSON corpus file.
+
+    A file that cannot be read raises ``OSError``; one that is not UTF-8
+    JSON of the shape above raises :class:`CorpusFormatError`, and no
+    other error.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+        entries = payload.get("objects", []) if isinstance(payload, dict) else None
+        if not isinstance(entries, list):
+            raise CorpusFormatError(f'{path}: expected {{"objects": [...]}}')
+        return objects_from_dicts(entries)
+    except _MALFORMED as exc:
+        raise CorpusFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def save_synthetic_corpus(corpus: SyntheticCorpus, path: str | Path) -> None:

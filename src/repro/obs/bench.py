@@ -315,8 +315,8 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
     time: the full price of crash safety on the mutation path.
     ``disk_bytes`` is the data directory's size after close; sqlite
     checkpoints its ``-wal`` file on its own, so that file's size is
-    not the journal volume.  Renderings are not persisted so the
-    measurement isolates the journaling cost from the render cache.
+    not the journal volume.  Nothing is rendered, so the renderings
+    table stays empty and the measurement is the journaling cost alone.
     """
     params = params or BenchParams.smoke_params()
     corpus = load_or_generate(
@@ -330,7 +330,7 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
 
     with tempfile.TemporaryDirectory(prefix="bench-persistence-") as tmp:
         data_dir = Path(tmp) / "data"
-        storage = open_storage("sqlite", data_dir, persist_renderings=False)
+        storage = open_storage("sqlite", data_dir)
         try:
             start = perf_counter()
             durable = NNexus(scheme=corpus.scheme, storage=storage)
@@ -340,7 +340,7 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
             storage.close()
         disk_bytes = sum(path.stat().st_size for path in data_dir.iterdir())
 
-        storage = open_storage("sqlite", data_dir, persist_renderings=False)
+        storage = open_storage("sqlite", data_dir)
         try:
             start = perf_counter()
             restarted = NNexus(scheme=corpus.scheme, storage=storage)

@@ -97,8 +97,6 @@ class CorpusStorage(ABC):
     backend_name: str = "abstract"
     #: False for backends whose ``record_*`` calls are no-ops.
     durable: bool = False
-    #: When False, ``record_rendering`` is skipped by the linker.
-    persist_renderings: bool = True
 
     # ------------------------------------------------------------------
     # Cold start
@@ -149,7 +147,6 @@ def open_storage(
     data_dir: str | Path | None = None,
     *,
     sync: str = "always",
-    persist_renderings: bool = True,
 ) -> CorpusStorage:
     """Build a backend from CLI-shaped options.
 
@@ -163,5 +160,5 @@ def open_storage(
     if data_dir is None:
         raise NNexusError(f"backend {backend!r} requires a data directory")
     if backend == "sqlite":
-        return SqliteBackend(data_dir, sync=sync, persist_renderings=persist_renderings)
+        return SqliteBackend(data_dir, sync=sync)
     raise NNexusError(f"unknown storage backend {backend!r}; expected one of {BACKENDS}")

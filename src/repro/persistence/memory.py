@@ -21,7 +21,6 @@ class MemoryBackend(CorpusStorage):
 
     backend_name = "memory"
     durable = False
-    persist_renderings = False
 
     def load(self) -> CorpusSnapshot:
         return CorpusSnapshot()

@@ -101,16 +101,9 @@ class SqliteBackend(CorpusStorage):
     backend_name = "sqlite"
     durable = True
 
-    def __init__(
-        self,
-        data_dir: str | Path,
-        *,
-        sync: str = "always",
-        persist_renderings: bool = True,
-    ) -> None:
+    def __init__(self, data_dir: str | Path, *, sync: str = "always") -> None:
         if sync not in _SYNC_LEVELS:
             raise StorageError(f"unknown sync policy {sync!r}")
-        self.persist_renderings = persist_renderings
         self._sync = sync
         directory = Path(data_dir)
         directory.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.errors import StorageCorruptionError
+from repro.core.errors import CorpusFormatError, StorageCorruptionError
 from repro.core.linker import NNexus
 from repro.corpus.loader import load_corpus
 from repro.corpus.planetmath_sample import sample_corpus
@@ -258,6 +258,10 @@ def main(argv: list[str] | None = None) -> int:
         # Typically an occupied port: a clean operator error, not a
         # traceback.
         log.error("server.startup_failed", error=str(exc))
+        _close_startup(gateway, exporter, storage, profiler)
+        return 1
+    except CorpusFormatError as exc:
+        log.error("server.corpus_invalid", path=args.corpus, error=str(exc))
         _close_startup(gateway, exporter, storage, profiler)
         return 1
     except BaseException:

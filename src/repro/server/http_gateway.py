@@ -63,14 +63,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.client import responses as _HTTP_REASONS
-from time import perf_counter
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.annotations import document_to_annotations
 from repro.core.errors import NNexusError, OverloadedError, UnknownObjectError
 from repro.core.linker import NNexus
-from repro.core.render import render_annotations, render_html, render_markdown
+from repro.core.render import renderer_for
 from repro.obs.logging import get_logger
 from repro.obs.profile import NULL_PROFILER, NullProfiler
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
@@ -79,12 +78,6 @@ from repro.obs.trace import NULL_SPAN, NullTracer, current_span
 from repro.server.resilience import AdmissionController, ReadersWriterLock
 
 __all__ = ["NNexusHttpGateway", "serve_http"]
-
-_RENDERERS = {
-    "html": render_html,
-    "markdown": render_markdown,
-    "annotations": render_annotations,
-}
 
 _ENTRY_PATH = re.compile(r"^/entry/(\d+)$")
 _TRACE_PATH = re.compile(r"^/debug/traces(?:/([0-9a-fA-F]+))?$")
@@ -368,9 +361,6 @@ class NNexusHttpGateway:
         server's ``rwlock`` when both serve one linker so HTTP reads
         interleave safely with socket-side mutations; defaults to a
         private lock.
-    tracer:
-        Tracer recording per-request root spans (default: the linker's
-        own tracer, so one ``NNexus(tracer=...)`` wires the stack).
     keepalive_timeout:
         Seconds an idle keep-alive connection may sit between requests
         before the gateway closes it.
@@ -393,13 +383,11 @@ class NNexusHttpGateway:
         max_in_flight: int = 64,
         retry_after: int = 1,
         rwlock: ReadersWriterLock | None = None,
-        tracer: NullTracer | None = None,
         keepalive_timeout: float = 75.0,
         profiler: NullProfiler | None = None,
         loop_lag_interval: float = 0.25,
     ) -> None:
         self.linker = linker
-        self.tracer = tracer if tracer is not None else linker.tracer
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.admission = AdmissionController(max_in_flight, metrics=linker.metrics)
         self.retry_after = retry_after
@@ -430,6 +418,11 @@ class NNexusHttpGateway:
         # Bind last: everything above must exist before server_close()
         # could be asked to clean up after a failed bind.
         self._listen_sock = socket.create_server((host, port))
+
+    @property
+    def tracer(self) -> NullTracer:
+        """The linker's tracer: one ``NNexus(tracer=...)`` traces the stack."""
+        return self.linker.tracer
 
     @property
     def address(self) -> tuple[str, int]:
@@ -691,28 +684,10 @@ class NNexusHttpGateway:
         text = str(payload.get("text", ""))
         classes = [str(c) for c in payload.get("classes", [])]
         fmt = str(payload.get("format", "html"))
-        renderer = _RENDERERS.get(fmt)
-        if renderer is None:
-            raise ValueError(f"unknown format {fmt!r}")
-        rec = self.linker.metrics
-        trc = self.tracer
+        renderer_for(fmt)  # a bad format fails before linking
         with self._rwlock.read_lock():
             document = self.linker.link_text(text, source_classes=classes)
-            if rec.enabled or trc.enabled:
-                render_start = perf_counter()
-                body = renderer(document)
-                elapsed = perf_counter() - render_start
-                if rec.enabled:
-                    rec.observe(
-                        "nnexus_pipeline_stage_seconds",
-                        elapsed,
-                        stage="render",
-                        exemplar=trc.active_trace_id() if trc.enabled else None,
-                    )
-                if trc.enabled:
-                    trc.record_span("stage.render", elapsed, fmt=fmt)
-            else:
-                body = renderer(document)
+        body = self.linker.render_document(document, fmt)
         return {
             "body": body,
             "linkcount": document.link_count,
@@ -769,8 +744,9 @@ def serve_http(
     so ``gateway.address`` is immediately connectable — early requests
     queue in the accept backlog until the loop picks them up.  Keyword
     arguments are forwarded to :class:`NNexusHttpGateway`
-    (``max_in_flight``, ``retry_after``, ``rwlock``, ``tracer``,
-    ``keepalive_timeout``, ``profiler``, ``loop_lag_interval``).
+    (``max_in_flight``, ``retry_after``, ``rwlock``,
+    ``keepalive_timeout``, ``profiler``, ``loop_lag_interval``).  The
+    gateway traces with the linker's own tracer.
     """
     gateway = NNexusHttpGateway(linker, host=host, port=port, **kwargs)
     thread = threading.Thread(target=gateway.serve_forever, daemon=True)

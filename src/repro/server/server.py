@@ -51,7 +51,7 @@ from repro.core.errors import (
     ReadOnlyError,
 )
 from repro.core.linker import NNexus
-from repro.core.render import render_annotations, render_html, render_markdown
+from repro.core.render import renderer_for
 from repro.obs.logging import get_logger
 from repro.obs.profile import NULL_PROFILER, NullProfiler
 from repro.obs.trace import NULL_SPAN, NullTracer
@@ -66,12 +66,6 @@ __all__ = [
     "WRITE_METHODS",
     "DEBUG_METHODS",
 ]
-
-_RENDERERS = {
-    "html": render_html,
-    "markdown": render_markdown,
-    "annotations": render_annotations,
-}
 
 #: Methods that only read linker state — they share the read lock.
 READ_METHODS = frozenset({"ping", "describe", "linkEntry", "getMetrics"})
@@ -331,11 +325,6 @@ class NNexusServer(socketserver.ThreadingTCPServer):
     faults:
         Optional :class:`~repro.server.faults.FaultInjector` consulted
         once per request (tests only; the default injector is inert).
-    tracer:
-        Tracer recording the per-request root spans.  Defaults to the
-        linker's own tracer, so one ``NNexus(tracer=...)`` wires the
-        whole stack; pass explicitly to trace the server with an
-        untraced linker (or vice versa).
     pipeline_workers:
         Executor threads shared by every connection's ``reqid``-tagged
         read requests (default ``min(32, max_in_flight)``).  The
@@ -368,13 +357,11 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         request_timeout: float | None = 30.0,
         idle_timeout: float | None = 300.0,
         faults: FaultInjector | None = None,
-        tracer: NullTracer | None = None,
         pipeline_workers: int | None = None,
         pipeline_depth: int | None = None,
         profiler: NullProfiler | None = None,
     ) -> None:
         self.linker = linker
-        self.tracer = tracer if tracer is not None else linker.tracer
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.rwlock = ReadersWriterLock(metrics=linker.metrics)
         self.admission = AdmissionController(max_in_flight, metrics=linker.metrics)
@@ -407,6 +394,11 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         # Bind last: a failed bind calls server_close(), which must find
         # the executor attributes above already in place to reap them.
         super().__init__((host, port), _Handler)
+
+    @property
+    def tracer(self) -> NullTracer:
+        """The linker's tracer: one ``NNexus(tracer=...)`` traces the stack."""
+        return self.linker.tracer
 
     @property
     def address(self) -> tuple[str, int]:
@@ -740,27 +732,9 @@ class NNexusServer(socketserver.ThreadingTCPServer):
             if code.strip()
         ]
         fmt = request.fields.get("format", "html")
-        renderer = _RENDERERS.get(fmt)
-        if renderer is None:
-            raise ProtocolError(f"unknown format {fmt!r}")
+        renderer_for(fmt)  # a bad format fails before linking
         document = self.linker.link_text(text, source_classes=classes)
-        rec = self.linker.metrics
-        trc = self.tracer
-        if rec.enabled or trc.enabled:
-            render_start = time.perf_counter()
-            body = renderer(document)
-            elapsed = time.perf_counter() - render_start
-            if rec.enabled:
-                rec.observe(
-                    "nnexus_pipeline_stage_seconds",
-                    elapsed,
-                    stage="render",
-                    exemplar=trc.active_trace_id() if trc.enabled else None,
-                )
-            if trc.enabled:
-                trc.record_span("stage.render", elapsed, fmt=fmt)
-        else:
-            body = renderer(document)
+        body = self.linker.render_document(document, fmt)
         return protocol.Response(
             status="ok",
             method="linkEntry",
@@ -827,7 +801,8 @@ def serve_forever(
 
     Keyword arguments are forwarded to :class:`NNexusServer`
     (``max_in_flight``, ``request_timeout``, ``idle_timeout``,
-    ``faults``, ``tracer``).
+    ``faults``, ``pipeline_workers``, ``pipeline_depth``, ``profiler``).
+    The server traces with the linker's own tracer.
     """
     server = NNexusServer(linker, host=host, port=port, **kwargs)  # type: ignore[arg-type]
     thread = threading.Thread(target=server.serve_forever, daemon=True)

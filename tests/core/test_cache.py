@@ -62,6 +62,17 @@ class TestInvalidation:
 
 
 class TestGetOrRender:
+    """The linker's miss path: ``get``, render on a miss, then ``put``."""
+
+    @staticmethod
+    def serve(cache: RenderCache, render, fmt: str = "html") -> str:
+        cached = cache.get(1, fmt)
+        if cached is not None:
+            return cached
+        rendered = render(1)
+        cache.put(1, rendered, fmt)
+        return rendered
+
     def test_renders_on_miss_then_serves_cached(self) -> None:
         cache = RenderCache()
         calls: list[int] = []
@@ -70,9 +81,10 @@ class TestGetOrRender:
             calls.append(object_id)
             return f"render-{object_id}"
 
-        assert cache.get_or_render(1, render) == "render-1"
-        assert cache.get_or_render(1, render) == "render-1"
+        assert self.serve(cache, render) == "render-1"
+        assert self.serve(cache, render) == "render-1"
         assert calls == [1]
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_rerenders_after_invalidation(self) -> None:
         cache = RenderCache()
@@ -82,9 +94,10 @@ class TestGetOrRender:
             counter["n"] += 1
             return f"v{counter['n']}"
 
-        assert cache.get_or_render(1, render) == "v1"
+        assert self.serve(cache, render) == "v1"
         cache.invalidate([1])
-        assert cache.get_or_render(1, render) == "v2"
+        assert self.serve(cache, render) == "v2"
+        assert cache.is_valid(1)
 
     def test_drop(self) -> None:
         cache = RenderCache()
@@ -143,9 +156,11 @@ class TestFormatKeying:
             calls.append("render")
             return "md"
 
-        assert cache.get_or_render(1, render, fmt="markdown") == "md"
-        assert cache.get_or_render(1, render, fmt="markdown") == "md"
+        serve = TestGetOrRender.serve
+        assert serve(cache, render, fmt="markdown") == "md"
+        assert serve(cache, render, fmt="markdown") == "md"
         assert calls == ["render"]
+        assert cache.get(1) is None
 
     def test_counter_snapshot(self) -> None:
         cache = RenderCache()

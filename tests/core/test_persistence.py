@@ -52,23 +52,6 @@ class TestGoldenRoundTrip:
         assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
         restarted.storage.close()
 
-    @pytest.mark.parametrize("backend", DURABLE_BACKENDS)
-    def test_restart_without_persisted_renderings(self, tmp_path, backend) -> None:
-        linker = build_durable_linker(
-            backend, tmp_path / "data", persist_renderings=False
-        )
-        linker.add_objects(sample_corpus())
-        render_all(linker)
-        linker.storage.close()
-
-        restarted = build_durable_linker(
-            backend, tmp_path / "data", persist_renderings=False
-        )
-        assert restarted.last_restore["renderings"] == 0
-        assert len(restarted.cache) == 0
-        assert corpus_digest(render_all(restarted)) == GOLDEN_SHA256
-        restarted.storage.close()
-
     def test_checkpointed_database_restarts(self, tmp_path) -> None:
         linker = build_durable_linker("sqlite", tmp_path / "data")
         linker.add_objects(sample_corpus())
@@ -304,7 +287,7 @@ class TestKillPointsThroughTheLinker:
         byte-identically to a fresh memory-only linker over the same
         recovered object set."""
         origin = tmp_path / "origin"
-        storage = open_storage("sqlite", origin, persist_renderings=False)
+        storage = open_storage("sqlite", origin)
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         corpus = sample_corpus()
         linker.add_objects(corpus)

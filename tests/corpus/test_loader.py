@@ -1,5 +1,12 @@
 """Tests for corpus serialization."""
 
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.errors import CorpusFormatError
+from repro.core.models import CorpusObject
 from repro.corpus.generator import GeneratorParams, generate_corpus
 from repro.corpus.loader import (
     load_corpus,
@@ -24,6 +31,55 @@ class TestPlainCorpusRoundTrip:
         loaded = load_corpus(path)
         assert loaded[0].domain == "default"
         assert loaded[0].defines == []
+
+
+FIELDS = (
+    "object_id", "title", "defines", "synonyms", "classes", "text", "domain",
+    "linking_policy",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+ENTRIES = st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, max_size=len(FIELDS))
+CORPUS_SHAPED = (
+    st.fixed_dictionaries({"objects": st.lists(ENTRIES | JSON_VALUES, max_size=4)})
+    | JSON_VALUES
+).map(lambda value: json.dumps(value).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "corpus.json"
+
+
+class TestMalformedCorpus:
+    @pytest.mark.parametrize(
+        "payload",
+        [b"[]", b'{"objects":[{"title":"x"}]}', b'{"objects":[{"object_id":"a"}]}',
+         b'{"objects": 3}', b"\xff\xfe", b"{", b'{"objects":[{"object_id":1e400}]}',
+         pytest.param(b"[" * 100_000, id="nested-too-deep")],
+    )
+    def test_reported_as_corpus_format_error(self, corpus_path, payload) -> None:
+        corpus_path.write_bytes(payload)
+        with pytest.raises(CorpusFormatError, match="corpus.json"):
+            load_corpus(corpus_path)
+
+    def test_missing_file_is_still_an_os_error(self, tmp_path) -> None:
+        with pytest.raises(FileNotFoundError):
+            load_corpus(tmp_path / "absent.json")
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=64) | CORPUS_SHAPED)
+    def test_only_corpus_format_error_escapes(self, corpus_path, payload) -> None:
+        corpus_path.write_bytes(payload)
+        try:
+            objects = load_corpus(corpus_path)
+        except CorpusFormatError:
+            return
+        assert all(isinstance(obj, CorpusObject) for obj in objects)
 
 
 class TestSyntheticRoundTrip:

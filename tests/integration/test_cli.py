@@ -28,6 +28,14 @@ class TestLinkCommand:
         out = capsys.readouterr().out
         assert "planar graph[->2]" in out
 
+    def test_metrics_report_the_render_stage(self, tmp_path, capsys) -> None:
+        note = tmp_path / "note.txt"
+        note.write_text("Every planar graph has connected components.")
+        assert main(["link", str(note), "--classes", "05C10", "--metrics"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        render = [line for line in lines if line.startswith("-- stage render: ")]
+        assert len(render) == 1 and render[0].endswith("(n=1)")
+
     def test_default_sample_corpus(self, tmp_path, capsys) -> None:
         note = tmp_path / "note.txt"
         note.write_text("a tree is bipartite")

@@ -140,6 +140,35 @@ class TestStartupFailureHygiene:
         assert rc == 1
         assert "storage" in recorder.closed
 
+    @pytest.mark.parametrize(
+        "payload", ["[]", '{"objects": [{"title": "x"}]}', "not json"]
+    )
+    def test_malformed_corpus_returns_one_and_closes_resources(
+        self, tmp_path, recorder, capsys, payload
+    ) -> None:
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(payload)
+        rc = server_main.main(
+            [
+                "--host",
+                "127.0.0.1",
+                "--port",
+                "0",
+                "--backend",
+                "sqlite",
+                "--data-dir",
+                str(tmp_path / "data"),
+                "--corpus",
+                str(corpus),
+                "--trace-jsonl",
+                str(tmp_path / "trace.jsonl"),
+            ]
+        )
+        assert rc == 1
+        assert "server.corpus_invalid" in capsys.readouterr().err
+        assert "storage" in recorder.closed
+        assert "exporter" in recorder.closed
+
     def test_non_oserror_startup_failure_still_closes_storage(
         self, tmp_path, recorder, monkeypatch
     ) -> None:
