@@ -18,11 +18,15 @@ linked:
    classification proximity and the closest object(s) win
    (:mod:`repro.core.classification`).  A lone survivor is the target
    without running Algorithm 1, which would return it unchanged;
-5. remaining ties fall to collection priority, then lowest object id;
+5. remaining ties fall to collection priority, then lowest object id.
+   Stages 3–5 live in ``_resolve``; the link loop takes a lone
+   candidate that carries no policy (most matches) directly, because
+   all three stages would return it unchanged;
 6. winners are substituted into the original text
    (:mod:`repro.core.render`).  Each target's URL is built once per
    stored version and domain configuration and kept in the per-target
-   memo beside its class signature.
+   memo beside its class signature; the link loop reads it from there.
+   A stored entry's own memoized signature is its source signature.
 
 :meth:`NNexus.explain_text` runs every stage on every match and is the
 reference the fast paths are tested against.
@@ -469,12 +473,15 @@ class NNexus:
         The result equals the union of a remove and an add, found in one
         pass.  Journaled as ONE storage record (not a remove followed by
         an add), so a crash cannot persist a corpus with the entry
-        missing.
+        missing.  An update that keeps the text (a label, synonym or
+        policy edit) keeps the stored scan instead of tokenizing again.
         """
         self._check_writable()
         object_id = obj.object_id
         parse_policy(obj.linking_policy)  # a bad policy raises before any change
-        labels = self._unstore(object_id) | self._store(obj)
+        old = self._objects.get(object_id)
+        kept = self._scans[object_id] if old is not None and old.text == obj.text else None
+        labels = self._unstore(object_id) | self._store(obj, kept)
         invalidated = self._invalidate(labels, object_id)
         stored = self._objects[object_id]
         self._journal(lambda: self.storage.record_update(stored, invalidated))
@@ -490,11 +497,15 @@ class NNexus:
         stored = self.get_object(object_id)
         return self.update_object(replace(stored, linking_policy=policy_text))
 
-    def _store(self, obj: CorpusObject) -> set[tuple[str, ...]]:
+    def _store(
+        self, obj: CorpusObject, scan: TokenizedText | None = None
+    ) -> set[tuple[str, ...]]:
         """Store a private copy of ``obj`` and index it; returns its labels.
 
-        Neither invalidates nor journals: the public mutations do that
-        once each, and a cold start does neither.
+        ``scan`` is the scan of ``obj.text`` to keep; the text is scanned
+        when it is ``None``.  Neither invalidates nor journals: the
+        public mutations do that once each, and a cold start does
+        neither.
         """
         # A private copy: the caller may change or share its instance
         # (lists included) after the call, and no change may reach the
@@ -506,7 +517,8 @@ class NNexus:
             classes=list(obj.classes),
         )
         object_id = obj.object_id
-        scan = self._scan_stored(obj.text)
+        if scan is None:
+            scan = self._scan_stored(obj.text)
         self._objects[object_id] = obj
         self._scans[object_id] = scan
         self._objects_bytes += _object_cost(obj) + _scan_cost(scan)
@@ -613,7 +625,11 @@ class NNexus:
         exclude_objects: Iterable[int],
         source_id: int | None,
     ) -> LinkedDocument:
-        """Link ad-hoc text, or a stored entry from its kept scan."""
+        """Link ad-hoc text, or a stored entry from its kept scan.
+
+        A :class:`TokenizedText` source is the kept scan of the stored
+        entry ``source_id``, whose classes are ``source_classes``.
+        """
         trc = self.tracer
         if not trc.enabled:
             return self._link_text_inner(
@@ -678,10 +694,14 @@ class NNexus:
         if timing:
             signature_start = perf_counter()
         # The source signature is shared by every match in the document:
-        # intern it once instead of re-normalizing per candidate.
+        # intern it once instead of re-normalizing per candidate.  A
+        # stored entry's own memo already holds it.
         source_signature: tuple[int, ...] = ()
         if self.enable_steering and self._steering is not None:
-            source_signature = self._steering.signature(source_classes)
+            if isinstance(source, str):
+                source_signature = self._steering.signature(source_classes)
+            else:
+                source_signature = self._signature_of(source_id)
         if timing:
             # Signature work is steering; the next stage starts here.
             stage_start = perf_counter()
@@ -713,21 +733,39 @@ class NNexus:
         )
         objects = self._objects
         domains = self.config.domains
+        targets = self._targets
+        starts = tokenized.starts
+        ends = tokenized.ends
+        links = document.links
+        # A lone candidate without a policy is the target: the policy
+        # filter passes it and Algorithm 1 returns it (the decision
+        # _resolve would make).  Every other match takes the full path.
+        holders = self._policies.holders() if self.enable_policies else ()
         for match in matches:
-            target_id = self._resolve(
-                match, source_classes, source_id, stage_acc, source_signature
-            )
-            if target_id is None:
-                continue
+            candidates = match.candidates
+            if len(candidates) == 1 and candidates[0] not in holders:
+                target_id = candidates[0]
+            else:
+                target_id = self._resolve(
+                    match, source_classes, source_id, stage_acc, source_signature
+                )
+                if target_id is None:
+                    continue
             target = objects[target_id]
-            document.links.append(
+            domain = domains.get(target.domain)
+            memo = targets.get(target_id)
+            if memo is not None and memo.domain is domain and memo.url is not None:
+                url = memo.url
+            else:
+                url = self._url_of(target_id, target, domain)
+            links.append(
                 Link(
-                    source_phrase=match.surface,
-                    target_id=target_id,
-                    target_domain=target.domain,
-                    char_start=tokenized.starts[match.start],
-                    char_end=tokenized.ends[match.end - 1],
-                    url=self._url_of(target_id, target, domains.get(target.domain)),
+                    match.surface,
+                    target_id,
+                    target.domain,
+                    starts[match.start],
+                    ends[match.end - 1],
+                    url,
                 )
             )
         self.stats.entries_linked += 1
@@ -756,7 +794,9 @@ class NNexus:
         ``link_text`` invocation, hence thread-safe) collecting policy
         and steering wall time; ``link_text`` observes the totals once
         per entry.  ``source_signature`` is the interned form of
-        ``source_classes``, computed once per document.
+        ``source_classes``, computed once per document.  The link loop
+        calls this only for a match with two or more candidates or with
+        a candidate that carries a policy.
         """
         candidates: tuple[int, ...] = match.candidates
         if self.enable_policies:
@@ -915,7 +955,8 @@ class NNexus:
         """URL of a stored target under its current ``domain``.
 
         Built once per stored version; a replaced domain configuration is
-        a different object, so the identity check rebuilds the URL.
+        a different object, so the identity check rebuilds the URL.  The
+        link loop reads a current memo inline and calls this otherwise.
         """
         memo = self._target_memo(object_id)
         if memo.domain is not domain or memo.url is None:

@@ -17,7 +17,10 @@ earlier match.  The probe itself lives in
 :meth:`repro.core.concept_map.ConceptMap.probe_longest` (shared with
 ``ConceptMap.longest_match``); this module supplies the usability
 filters — the first-occurrence rule and candidate exclusion — as the
-probe's accept callback.
+probe's accept callback.  A label with one owner becomes the candidate
+tuple ``(owner,)`` directly; only homonyms pay for the set difference
+and the sort.  Each match is one slotted :class:`~repro.core.models.Match`
+around one slotted :class:`~repro.core.models.ConceptLabel`.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ def find_matches(
         """
         if first_occurrence_only and label_words in seen_labels:
             return None
+        if len(owners) == 1:
+            # Most labels have one owner: no set difference or sort.
+            (owner,) = owners
+            if owner in excluded:
+                return None
+            return label_words, (owner,)
         candidates = tuple(sorted(owners - excluded))
         if not candidates:
             return None
@@ -85,13 +94,11 @@ def find_matches(
         surface = tokenized.surface_between(position, token_end)
         matches.append(
             Match(
-                label=ConceptLabel(
-                    words=label_words, raw=surface, object_id=candidates[0]
-                ),
-                start=position,
-                end=token_end,
-                surface=surface,
-                candidates=candidates,
+                ConceptLabel(label_words, surface, candidates[0]),
+                position,
+                token_end,
+                surface,
+                candidates,
             )
         )
         if first_occurrence_only:

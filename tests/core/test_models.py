@@ -7,6 +7,7 @@ from repro.core.models import (
     CorpusObject,
     Link,
     LinkedDocument,
+    Match,
     spans_overlap,
 )
 
@@ -21,6 +22,39 @@ class TestConceptLabel:
     def test_empty_words_rejected(self) -> None:
         with pytest.raises(ValueError):
             ConceptLabel(words=(), raw="", object_id=1)
+        with pytest.raises(ValueError):
+            ConceptLabel((), "", 1)
+
+
+class TestResultRecords:
+    """The per-link records are slotted: no instance dict, value equality."""
+
+    def test_positional_equals_keyword_construction(self) -> None:
+        label = ConceptLabel(("planar", "graph"), "planar graphs", 2)
+        assert label == ConceptLabel(words=("planar", "graph"), raw="planar graphs", object_id=2)
+        match = Match(label, 3, 5, "planar graphs", (2, 7))
+        assert match == Match(
+            label=label, start=3, end=5, surface="planar graphs", candidates=(2, 7)
+        )
+        link = Link("planar graphs", 2, "pm", 10, 23, "u")
+        assert link == Link(
+            source_phrase="planar graphs",
+            target_id=2,
+            target_domain="pm",
+            char_start=10,
+            char_end=23,
+            url="u",
+        )
+        assert link != Link("planar graphs", 2, "pm", 10, 23)
+        assert Link("x", 1, "d", 0, 1).url == ""
+
+    def test_records_have_no_instance_dict(self) -> None:
+        label = ConceptLabel(("graph",), "graph", 5)
+        records = (label, Match(label, 0, 1, "graph", (5,)), Link("graph", 5, "d", 0, 5))
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            with pytest.raises(AttributeError):
+                record.extra = 1  # type: ignore[union-attr]
 
 
 class TestCorpusObject:
