@@ -179,9 +179,6 @@ class BatchLinker:
         Keep every rendering in :attr:`BatchReport.rendered`.  Disable
         for large corpora so memory stays bounded by one chunk;
         ``files_written`` then reports the output produced.
-    chunk_size:
-        Entries per process-mode chunk (default: enough chunks for ~4
-        per worker).  Ignored for an in-process run.
     trace_jsonl:
         Base path for per-worker span JSONL files in process mode
         (worker pid is appended: ``traces-worker-<pid>.jsonl``).  In
@@ -196,7 +193,6 @@ class BatchLinker:
         workers: int = 1,
         mode: str = "thread",
         retain_renderings: bool = True,
-        chunk_size: int | None = None,
         trace_jsonl: str | Path | None = None,
     ) -> None:
         if fmt is not None:
@@ -210,14 +206,11 @@ class BatchLinker:
                 'workers > 1 needs mode="process": linking is GIL-bound, '
                 "so there is no thread pool"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self._linker = linker
         self._fmt = fmt
         self._workers = workers
         self._mode = mode
         self._retain = retain_renderings
-        self._chunk_size = chunk_size
         self._trace_jsonl = str(trace_jsonl) if trace_jsonl is not None else None
 
     def run(
@@ -293,7 +286,8 @@ class BatchLinker:
     ) -> None:
         if not ids:
             return
-        chunk = self._chunk_size or max(1, len(ids) // (self._workers * 4) or 1)
+        # About four chunks per worker.
+        chunk = max(1, len(ids) // (self._workers * 4))
         chunks = [ids[i : i + chunk] for i in range(0, len(ids), chunk)]
         completed = 0
         worker_index_of: dict[int, int] = {}

@@ -496,21 +496,16 @@ class ClassificationSteering:
     graph:
         Weighted classification graph (one scheme, or several bridged by
         ontology-mapping edges).
-    unclassified_distance:
-        Distance charged when the source or a candidate has no classes.
-        The paper leaves such objects undifferentiated; we place them just
-        beyond every real distance (``inf``) so that classified candidates
-        always win over unclassified ones, but ties among unclassified
-        candidates survive for downstream tie-breaking.
+
+    A source or candidate without classes is charged
+    :data:`INFINITE_DISTANCE`.  The paper leaves such objects
+    undifferentiated; placing them beyond every real distance makes
+    classified candidates always win over unclassified ones, while ties
+    among unclassified candidates survive for downstream tie-breaking.
     """
 
-    def __init__(
-        self,
-        graph: ClassificationGraph,
-        unclassified_distance: float = INFINITE_DISTANCE,
-    ) -> None:
+    def __init__(self, graph: ClassificationGraph) -> None:
         self._graph = graph
-        self._unclassified_distance = unclassified_distance
 
     @property
     def graph(self) -> ClassificationGraph:
@@ -523,9 +518,8 @@ class ClassificationSteering:
         """Interned class signature: sorted unique ids of ``classes``.
 
         Codes unknown to the graph intern to :data:`UNKNOWN_CLASS_ID`,
-        preserving the distinction between "no classes at all" (empty
-        signature, charged ``unclassified_distance``) and "classes the
-        graph cannot place" (infinite distance).
+        so "no classes at all" (the empty signature) stays distinct from
+        "classes the graph cannot place".
         """
         if not classes:
             return ()
@@ -537,7 +531,7 @@ class ClassificationSteering:
     ) -> float:
         """Alg. 1 min-distance between two class signatures."""
         if not source_signature or not target_signature:
-            return self._unclassified_distance
+            return INFINITE_DISTANCE
         best = INFINITE_DISTANCE
         distance_between_ids = self._graph.distance_between_ids
         for source_id in source_signature:

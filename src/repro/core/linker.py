@@ -73,10 +73,12 @@ from repro.obs.memory import (
 from repro.obs.metrics import NULL_RECORDER, NullRecorder, merge_series
 from repro.obs.trace import NULL_TRACER, NullTracer
 from repro.ontology.scheme import ClassificationScheme
-from repro.persistence.api import CorpusStorage
-from repro.persistence.memory import MemoryBackend
+from repro.persistence.sqlite_backend import SqliteBackend
 
 __all__ = ["NNexus", "LinkerStats", "MatchExplanation"]
+
+#: Restored valid renderings a cold start re-renders and compares.
+VERIFY_SAMPLE = 8
 
 
 @dataclass
@@ -175,13 +177,12 @@ class NNexus:
         request (one child span per Fig. 2 pipeline stage, plus cache
         and steering lookups) correlated across the server stack.
     storage:
-        A :class:`~repro.persistence.api.CorpusStorage` backend (see
-        :mod:`repro.persistence`).  Defaults to the no-op
-        :class:`~repro.persistence.memory.MemoryBackend`; a durable
-        backend is cold-started from immediately (objects, policies and
+        A :class:`~repro.persistence.sqlite_backend.SqliteBackend`, or
+        ``None`` (default) to keep the corpus in memory only.  A linker
+        given one cold-starts from it immediately (objects, policies and
         the render cache with its dirty-set are restored and a sample
-        of restored renderings verified) and every later mutation is
-        journaled through it.  A journaling failure degrades the linker
+        of restored renderings verified) and journals every later
+        mutation through it.  A journaling failure degrades the linker
         to read-only instead of crashing or silently diverging.
     memory_reconcile_sec:
         ``None`` (default) deep-reconciles the per-component memory
@@ -200,7 +201,7 @@ class NNexus:
         enable_policies: bool = True,
         metrics: NullRecorder | None = None,
         tracer: NullTracer | None = None,
-        storage: CorpusStorage | None = None,
+        storage: SqliteBackend | None = None,
         memory_reconcile_sec: float | None = None,
     ) -> None:
         self.config = config or NNexusConfig()
@@ -219,15 +220,15 @@ class NNexus:
         #: matches.  Attach with :meth:`set_ranker`.
         self.ranker = None
 
-        #: Durable journal + cold-start source; the default memory
-        #: backend makes every journal site a no-op attribute check.
-        self.storage = storage if storage is not None else MemoryBackend()
+        #: Durable journal + cold-start source; ``None`` (in memory)
+        #: makes every journal site a no-op attribute check.
+        self.storage = storage
         #: Set after storage corruption or a journaling failure: reads
         #: keep serving, mutations raise :class:`ReadOnlyError`.
         self.read_only = False
         #: Human-readable cause of the degradation, for /ready and logs.
         self.storage_error: str | None = None
-        #: What the last cold start restored (None for memory backends).
+        #: What the last cold start restored (None in memory).
         self.last_restore: dict[str, Any] | None = None
 
         if self.config.extra_escape_patterns:
@@ -281,7 +282,7 @@ class NNexus:
         self._register_memory_components()
         self.accountant.start()
 
-        if self.storage.durable:
+        if self.storage is not None:
             self._cold_start()
 
     def _register_memory_components(self) -> None:
@@ -317,10 +318,10 @@ class NNexus:
     # ------------------------------------------------------------------
     # Durable storage plumbing
     # ------------------------------------------------------------------
-    def _cold_start(self, verify_sample: int = 8) -> None:
+    def _cold_start(self) -> None:
         """Restore corpus + render cache from storage, then spot-verify.
 
-        Up to ``verify_sample`` restored *valid* renderings are
+        Up to :data:`VERIFY_SAMPLE` restored *valid* renderings are
         re-rendered from scratch and compared byte-for-byte; a mismatch
         (stale disk state, changed config) evicts the cached copy so it
         is recomputed on demand rather than served wrong.
@@ -341,7 +342,7 @@ class NNexus:
                 )
         verified = mismatches = 0
         for rendering in snapshot.renderings:
-            if verified >= verify_sample:
+            if verified >= VERIFY_SAMPLE:
                 break
             if not rendering.valid or rendering.object_id not in self._objects:
                 continue
@@ -375,7 +376,7 @@ class NNexus:
         instead the corpus stays servable and further writes are
         refused, which bounds the divergence to this one operation.
         """
-        if not self.storage.durable or self.read_only:
+        if self.storage is None or self.read_only:
             return
         try:
             action()
@@ -389,8 +390,8 @@ class NNexus:
             self.metrics.inc("nnexus_storage_degraded_total")
 
     def checkpoint_storage(self) -> None:
-        """Compact the storage journal (no-op for memory backends)."""
-        if not self.storage.durable or self.read_only:
+        """Compact the storage journal (no-op in memory)."""
+        if self.storage is None or self.read_only:
             return
         try:
             self.storage.checkpoint()
@@ -412,10 +413,9 @@ class NNexus:
         # batch layer installs a per-worker tracer when asked to.
         if getattr(state.get("tracer"), "enabled", False):
             state["tracer"] = NULL_TRACER
-        # Durable backends hold file handles and their journal belongs
-        # to the parent; worker snapshots run memory-only.
-        if getattr(state.get("storage"), "durable", False):
-            state["storage"] = MemoryBackend()
+        # The store holds file handles and its journal belongs to the
+        # parent; worker snapshots run in memory.
+        state["storage"] = None
         # The accountant holds a lock, maybe a reconciler thread, and
         # closures over this linker; workers rebuild their own inert one
         # in __setstate__.
@@ -589,7 +589,7 @@ class NNexus:
         """
         self.ranker = ranker
         self._cache.clear()
-        self._journal(self.storage.record_cache_clear)
+        self._journal(lambda: self.storage.record_cache_clear())
 
     def link_object(self, object_id: int) -> LinkedDocument:
         """Link a stored entry (self-links excluded unless configured).
@@ -982,7 +982,7 @@ class NNexus:
         self._steering = ClassificationSteering(graph)
         self._targets.clear()
         self._cache.clear()
-        self._journal(self.storage.record_cache_clear)
+        self._journal(lambda: self.storage.record_cache_clear())
 
     # ------------------------------------------------------------------
     # Rendering and caching
@@ -1099,7 +1099,7 @@ class NNexus:
             "policies": len(self._policies),
             "steering": self.enable_steering,
             "policies_enabled": self.enable_policies,
-            "storage": self.storage.backend_name,
+            "storage": "memory" if self.storage is None else "sqlite",
             "read_only": self.read_only,
             "version": _repro_version(),
             "uptime_seconds": round(self.uptime_seconds(), 3),

@@ -6,7 +6,7 @@ Both halves encode a bug this repo actually shipped:
   failed during ``__init__`` — the handle was created, a later
   statement raised, and nothing closed it.  The **close-on-raise**
   half flags a name bound to a resource constructor (``open``,
-  ``sqlite3.connect``, ``socket.socket``, ``open_storage``,
+  ``sqlite3.connect``, ``socket.socket``, ``SqliteBackend``,
   ``Database``, ``JsonlExporter``, …) followed by statements that can
   raise *before* ownership escapes (assignment to ``self``, a
   ``return``, or handing ``.close`` to another owner), unless those
@@ -41,7 +41,7 @@ _RESOURCE_CTORS = frozenset(
         "sqlite3.connect",
         "socket.socket",
         "socket.create_connection",
-        "open_storage",
+        "SqliteBackend",
         "Database",
         "JsonlExporter",
     }

@@ -13,8 +13,8 @@ Two convention violations have already cost debugging time:
 The rule therefore has two halves:
 
 **Backend half** (``persistence`` modules): inside any method named
-``record_*`` of a class that sets ``durable = True``, every database
-mutation (``upsert``/``insert``/``update``/``delete`` on the engine,
+``record_*`` of a class, every database mutation
+(``upsert``/``insert``/``update``/``delete`` on the engine,
 ``execute``/``executemany`` with INSERT/UPDATE/DELETE/REPLACE SQL on
 sqlite) must be lexically inside a ``with`` block whose context is a
 ``transaction()`` call or the sqlite connection itself (``with
@@ -99,24 +99,18 @@ def _is_mutation(call: ast.Call) -> bool:
     return False
 
 
-def _durable_classes(tree: ast.Module) -> list[ast.ClassDef]:
-    out = []
+def _journal_methods(
+    tree: ast.Module,
+) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Every ``record_*`` method of every class in the module."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "durable"
-                    for t in stmt.targets
-                )
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is True
-            ):
-                out.append(node)
-                break
-    return out
+        for func in node.body:
+            if isinstance(
+                func, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and func.name.startswith("record_"):
+                yield func
 
 
 def _build_parents(tree: ast.Module) -> dict[int, ast.AST]:
@@ -135,28 +129,23 @@ class BackendTransactionRule(Rule):
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         parents = _build_parents(module.tree)
-        for cls in _durable_classes(module.tree):
-            for func in cls.body:
-                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for func in _journal_methods(module.tree):
+            if _has_contract(func):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call) or not _is_mutation(node):
                     continue
-                if func.name not in _JOURNAL_METHODS:
+                if self._inside_transaction(node, func, parents):
                     continue
-                if _has_contract(func):
-                    continue
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call) or not _is_mutation(node):
-                        continue
-                    if self._inside_transaction(node, func, parents):
-                        continue
-                    yield module.finding(
-                        self.code,
-                        node,
-                        f"database mutation {dotted_name(node.func)}() in "
-                        f"journal method {func.name}() is outside a "
-                        "transaction; wrap it in `with "
-                        "...transaction():` (or `with self._conn:`) so "
-                        "the record stays atomic on disk",
-                    )
+                yield module.finding(
+                    self.code,
+                    node,
+                    f"database mutation {dotted_name(node.func)}() in "
+                    f"journal method {func.name}() is outside a "
+                    "transaction; wrap it in `with "
+                    "...transaction():` (or `with self._conn:`) so "
+                    "the record stays atomic on disk",
+                )
 
     @staticmethod
     def _inside_transaction(

@@ -26,12 +26,7 @@ from repro.obs.logging import (
     configure_logging,
     get_logger,
 )
-from repro.obs.memory import (
-    NULL_ACCOUNTANT,
-    MemoryAccountant,
-    NullMemoryAccountant,
-    deep_sizeof,
-)
+from repro.obs.memory import MemoryAccountant, deep_sizeof
 from repro.obs.metrics import (
     NULL_RECORDER,
     Histogram,
@@ -57,9 +52,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "NULL_ACCOUNTANT",
     "MemoryAccountant",
-    "NullMemoryAccountant",
     "deep_sizeof",
     "NULL_PROFILER",
     "NullProfiler",

@@ -30,7 +30,7 @@ from repro.obs.memory import within_ratio
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.trace import NullTracer, Tracer
-from repro.persistence import open_storage
+from repro.persistence import SqliteBackend
 
 __all__ = [
     "BenchParams",
@@ -330,7 +330,7 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
 
     with tempfile.TemporaryDirectory(prefix="bench-persistence-") as tmp:
         data_dir = Path(tmp) / "data"
-        storage = open_storage("sqlite", data_dir)
+        storage = SqliteBackend(data_dir)
         try:
             start = perf_counter()
             durable = NNexus(scheme=corpus.scheme, storage=storage)
@@ -340,7 +340,7 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
             storage.close()
         disk_bytes = sum(path.stat().st_size for path in data_dir.iterdir())
 
-        storage = open_storage("sqlite", data_dir)
+        storage = SqliteBackend(data_dir)
         try:
             start = perf_counter()
             restarted = NNexus(scheme=corpus.scheme, storage=storage)

@@ -22,10 +22,8 @@ Two measurement tiers, deliberately separate:
   estimate/deep ratio per component; the linking bench gates that the
   incremental estimates stay within 2x of the deep truth.
 
-The accountant itself follows the null-object pattern
-(:data:`NULL_ACCOUNTANT`) so a linker built without one stays
-byte-for-byte identical in behavior — accounting never touches
-rendered output either way, which CI checks with
+Every linker owns one :class:`MemoryAccountant`.  Accounting never
+touches rendered output, which CI checks with
 ``bench_linking.py --profile-overhead``.
 """
 
@@ -37,9 +35,7 @@ from time import monotonic
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
-    "NULL_ACCOUNTANT",
     "MemoryAccountant",
-    "NullMemoryAccountant",
     "deep_sizeof",
     "estimate_str",
     "estimate_strs",
@@ -169,45 +165,7 @@ def deep_sizeof(
     return total
 
 
-class NullMemoryAccountant:
-    """Inert default: registers nothing, samples empty, reconciles empty."""
-
-    enabled = False
-
-    def register(
-        self,
-        component: str,
-        estimate: Callable[[], int],
-        deep_roots: Callable[[], Iterable[object]] | None = None,
-    ) -> None:
-        return None
-
-    def unregister(self, component: str) -> None:
-        return None
-
-    def sample(self) -> dict[str, int]:
-        return {}
-
-    def peaks(self) -> dict[str, int]:
-        return {}
-
-    def reconcile(self) -> dict[str, dict[str, float]]:
-        return {}
-
-    def snapshot(self) -> dict:
-        return {"components": {}, "reconcile": {}, "reconcile_age_sec": None}
-
-    def start(self) -> None:
-        return None
-
-    def stop(self) -> None:
-        return None
-
-
-NULL_ACCOUNTANT = NullMemoryAccountant()
-
-
-class MemoryAccountant(NullMemoryAccountant):
+class MemoryAccountant:
     """Registry of per-component estimators with high-watermarks.
 
     Components register two callables: ``estimate`` returns the cheap
@@ -221,8 +179,6 @@ class MemoryAccountant(NullMemoryAccountant):
     periodically (:meth:`start`/:meth:`stop`); leave it ``None`` to
     reconcile only on demand.
     """
-
-    enabled = True
 
     def __init__(self, reconcile_interval_sec: float | None = None) -> None:
         if reconcile_interval_sec is not None and reconcile_interval_sec <= 0:
@@ -251,11 +207,6 @@ class MemoryAccountant(NullMemoryAccountant):
             if deep_roots is not None:
                 self._deep_roots[component] = deep_roots
             self._peaks.setdefault(component, 0)
-
-    def unregister(self, component: str) -> None:
-        with self._lock:
-            self._estimators.pop(component, None)
-            self._deep_roots.pop(component, None)
 
     # -- measurement --------------------------------------------------
 

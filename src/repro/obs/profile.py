@@ -38,6 +38,7 @@ __all__ = [
     "NULL_PROFILER",
     "NullProfiler",
     "SamplingProfiler",
+    "parse_profile_params",
 ]
 
 # Frames deeper than this are truncated from the root end; the leaf
@@ -99,6 +100,33 @@ class NullProfiler:
 
 
 NULL_PROFILER = NullProfiler()
+
+
+def parse_profile_params(fmt: str | None, limit: str | None) -> tuple[str, int]:
+    """The ``format`` and stack ``limit`` of a profile request.
+
+    Shared by the ``getProfile`` wire method and ``GET /debug/profile``.
+    ``format`` is ``json`` (default) or ``collapsed``; ``limit`` caps the
+    stacks of a JSON snapshot (default :data:`DEFAULT_MAX_STACKS`) and is
+    ignored for ``collapsed``.  Raises :class:`ValueError` on a bad value.
+    """
+    fmt = (fmt or "").strip() or "json"
+    if fmt == "collapsed":
+        return fmt, DEFAULT_MAX_STACKS
+    if fmt != "json":
+        raise ValueError(f"unknown profile format {fmt!r}")
+    raw = (limit or "").strip()
+    if not raw:
+        return fmt, DEFAULT_MAX_STACKS
+    try:
+        max_stacks = int(raw)
+    except ValueError:
+        raise ValueError(f"bad limit {raw!r}") from None
+    if max_stacks < 1:
+        # A negative slice bound would silently drop the heaviest
+        # stacks instead of capping the count.
+        raise ValueError(f"bad limit {raw!r}")
+    return fmt, max_stacks
 
 
 def _frame_key(frame: FrameType) -> str:

@@ -61,6 +61,7 @@ __all__ = [
     "current_span",
     "format_traceparent",
     "parse_traceparent",
+    "parse_trace_limit",
     "MAX_SPAN_EVENTS",
     "MAX_SPANS_PER_TRACE",
 ]
@@ -164,6 +165,20 @@ def parse_traceparent(header: str | None) -> tuple[str, str] | None:
 # ---------------------------------------------------------------------------
 # Spans
 # ---------------------------------------------------------------------------
+
+
+def parse_trace_limit(raw: str | None) -> int:
+    """The ``limit`` of a recent-traces request (default 20).
+
+    Shared by the ``getRecentTraces`` wire method and
+    ``GET /debug/traces``.  Raises :class:`ValueError` on a non-integer.
+    """
+    if raw is None:
+        return 20
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"bad limit {raw!r}") from None
 
 
 class NullSpan:

@@ -31,7 +31,6 @@ from repro.core.errors import StorageCorruptionError, StorageError
 from repro.core.models import CorpusObject
 from repro.persistence.api import (
     CorpusSnapshot,
-    CorpusStorage,
     StoredRendering,
     object_from_payload,
     object_to_payload,
@@ -95,11 +94,8 @@ def _storage_errors() -> Iterator[None]:
         raise StorageError(f"{type(exc).__name__}: {exc}") from exc
 
 
-class SqliteBackend(CorpusStorage):
-    """Durable backend on a single sqlite database file."""
-
-    backend_name = "sqlite"
-    durable = True
+class SqliteBackend:
+    """Durable corpus store on a single sqlite database file."""
 
     def __init__(self, data_dir: str | Path, *, sync: str = "always") -> None:
         if sync not in _SYNC_LEVELS:
@@ -143,6 +139,7 @@ class SqliteBackend(CorpusStorage):
     # Cold start
     # ------------------------------------------------------------------
     def load(self) -> CorpusSnapshot:
+        """Read the persisted corpus (empty snapshot when none exists)."""
         with self._lock, _storage_errors():
             object_rows = self._conn.execute(
                 "SELECT payload FROM objects ORDER BY object_id"
@@ -160,6 +157,7 @@ class SqliteBackend(CorpusStorage):
     # Journal
     # ------------------------------------------------------------------
     def record_add(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
+        """Journal an object registration plus its invalidation fallout."""
         payload = json.dumps(object_to_payload(obj))
         with self._lock, _storage_errors(), self._conn:
             self._conn.execute(
@@ -170,6 +168,7 @@ class SqliteBackend(CorpusStorage):
             self._mark_invalid(invalidated)
 
     def record_update(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
+        """Journal an in-place object replacement (also policy changes)."""
         payload = json.dumps(object_to_payload(obj))
         with self._lock, _storage_errors(), self._conn:
             self._conn.execute(
@@ -183,12 +182,14 @@ class SqliteBackend(CorpusStorage):
             self._mark_invalid(invalidated)
 
     def record_remove(self, object_id: int, invalidated: Iterable[int]) -> None:
+        """Journal an object removal; drops its renderings too."""
         with self._lock, _storage_errors(), self._conn:
             self._conn.execute("DELETE FROM objects WHERE object_id=?", (object_id,))
             self._conn.execute("DELETE FROM renderings WHERE object_id=?", (object_id,))
             self._mark_invalid(invalidated)
 
     def record_rendering(self, object_id: int, fmt: str, body: str) -> None:
+        """Journal a fresh (valid) rendering for one object/format."""
         with self._lock, _storage_errors(), self._conn:
             self._conn.execute(
                 "INSERT INTO renderings(key, object_id, fmt, body, valid) "
@@ -198,6 +199,7 @@ class SqliteBackend(CorpusStorage):
             )
 
     def record_cache_clear(self) -> None:
+        """Journal a full render-cache wipe (ranker/weight changes)."""
         with self._lock, _storage_errors(), self._conn:
             self._conn.execute("DELETE FROM renderings")
 
@@ -214,12 +216,15 @@ class SqliteBackend(CorpusStorage):
     # Lifecycle
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
+        """Fold the write-ahead log back into the database file."""
         with self._lock, _storage_errors():
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:
+        """Release the database handle; further journaling is an error."""
         with self._lock:
             self._conn.close()
 
     def recovery_stats(self) -> dict[str, Any]:
-        return {"backend": self.backend_name, "sync": self._sync, "path": str(self._path)}
+        """What the last cold start read from, for ``last_restore``."""
+        return {"backend": "sqlite", "sync": self._sync, "path": str(self._path)}

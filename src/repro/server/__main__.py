@@ -24,10 +24,11 @@ estimates (always available on demand via ``getResourceStats`` with
 ``deep=1``).  All output goes through the structured logger
 (``--log-level``, ``--log-json``).
 
-With a durable ``--backend`` the server cold-starts from ``--data-dir``:
-the stored objects are replayed through the normal add path, which
-rebuilds the in-memory concept map, and the stored renderings refill
-the render cache.
+``--data-dir DIR`` turns durability on: the server opens the sqlite
+store in DIR, cold-starts from it (the stored objects are replayed
+through the normal add path, which rebuilds the in-memory concept map,
+and the stored renderings refill the render cache) and journals every
+mutation to it.  Without ``--data-dir`` the corpus lives in memory only.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from repro.obs.logging import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import JsonlExporter, Tracer
 from repro.ontology.msc import build_small_msc
-from repro.persistence import BACKENDS, open_storage
-from repro.persistence.sqlite_backend import _SYNC_LEVELS
+from repro.persistence.sqlite_backend import _SYNC_LEVELS, SqliteBackend
 from repro.server.server import NNexusServer
 
 
@@ -57,7 +57,8 @@ def _close_startup(gateway, exporter, storage, profiler=None) -> None:
         exporter.close()
     if profiler is not None:
         profiler.stop()
-    storage.close()
+    if storage is not None:
+        storage.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,20 +118,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="emit log records as JSON lines instead of the "
                              "human-readable console format")
     parser.add_argument("--data-dir", type=str, default="",
-                        help="directory for durable corpus state; the server "
-                             "cold-starts from it and journals every mutation")
-    parser.add_argument("--backend", default="memory",
-                        choices=BACKENDS,
-                        help="storage backend: 'memory' (no persistence) or "
-                             "'sqlite' (stdlib sqlite3, WAL mode)")
+                        help="directory for durable corpus state (sqlite, WAL "
+                             "mode); the server cold-starts from it and "
+                             "journals every mutation.  Without it the corpus "
+                             "lives in memory only")
     parser.add_argument("--sync", default="always",
                         choices=tuple(_SYNC_LEVELS),
-                        help="sqlite synchronous level: FULL ('always'), "
-                             "NORMAL ('batch') or OFF ('off')")
+                        help="sqlite synchronous level with --data-dir: FULL "
+                             "('always'), NORMAL ('batch') or OFF ('off')")
     args = parser.parse_args(argv)
 
-    if args.backend != "memory" and not args.data_dir:
-        parser.error(f"--backend {args.backend} requires --data-dir")
     if args.pipeline_workers is not None and args.pipeline_workers < 1:
         parser.error("--pipeline-workers must be >= 1")
     if args.profile_interval_ms <= 0:
@@ -167,19 +164,19 @@ def main(argv: list[str] | None = None) -> int:
                 if profiler is not None:
                     profiler.stop()
                 raise
-    try:
-        storage = open_storage(
-            args.backend, args.data_dir or None, sync=args.sync
-        )
-    except StorageCorruptionError as exc:
-        # Unreadable persistent state: refuse to guess.  The operator
-        # decides between restoring a backup and wiping the directory.
-        log.error("server.storage_corrupt", path=exc.path, reason=exc.reason)
-        if exporter is not None:
-            exporter.close()
-        if profiler is not None:
-            profiler.stop()
-        return 1
+    storage = None
+    if args.data_dir:
+        try:
+            storage = SqliteBackend(args.data_dir, sync=args.sync)
+        except StorageCorruptionError as exc:
+            # Unreadable persistent state: refuse to guess.  The operator
+            # decides between restoring a backup and wiping the directory.
+            log.error("server.storage_corrupt", path=exc.path, reason=exc.reason)
+            if exporter is not None:
+                exporter.close()
+            if profiler is not None:
+                profiler.stop()
+            return 1
     # Everything between opening the storage and entering the serve
     # loop can raise (corpus load, port binding); close what we opened
     # on every such path or the WAL handle and trace file leak.
@@ -193,11 +190,11 @@ def main(argv: list[str] | None = None) -> int:
             memory_reconcile_sec=args.memory_reconcile_sec,
         )
         if len(linker):
-            # The backend restored a corpus: don't double-seed on top of it.
+            # The store restored a corpus: don't double-seed on top of it.
             restore = linker.last_restore or {}
             log.info(
                 "server.storage_restored",
-                backend=storage.backend_name,
+                backend="sqlite",
                 objects=restore.get("objects"),
                 renderings=restore.get("renderings"),
                 cold_start_s=round(restore.get("elapsed_sec", 0.0), 4),
@@ -283,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         linker.accountant.stop()
         if exporter is not None:
             exporter.close()
-        if storage.durable:
+        if storage is not None:
             linker.checkpoint_storage()
             storage.close()
         if not drained:

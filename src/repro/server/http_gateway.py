@@ -71,10 +71,10 @@ from repro.core.errors import NNexusError, OverloadedError, UnknownObjectError
 from repro.core.linker import NNexus
 from repro.core.render import renderer_for
 from repro.obs.logging import get_logger
-from repro.obs.profile import NULL_PROFILER, NullProfiler
+from repro.obs.profile import NULL_PROFILER, NullProfiler, parse_profile_params
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
-from repro.obs.trace import NULL_SPAN, NullTracer, current_span
+from repro.obs.trace import NULL_SPAN, NullTracer, current_span, parse_trace_limit
 from repro.server.resilience import AdmissionController, ReadersWriterLock
 
 __all__ = ["NNexusHttpGateway", "serve_http"]
@@ -295,11 +295,10 @@ class _Handler:
             else:
                 self._send_json(trace)
             return
-        raw_limit = parse_qs(query).get("limit", ["20"])[0]
         try:
-            limit = int(raw_limit)
-        except ValueError:
-            self._send_json({"error": f"bad limit {raw_limit!r}"}, status=400)
+            limit = parse_trace_limit(parse_qs(query).get("limit", [None])[0])
+        except ValueError as exc:
+            self._send_json({"error": str(exc)}, status=400)
             return
         self._send_json({"traces": trc.recent_traces(limit)})
 
@@ -309,7 +308,13 @@ class _Handler:
             self._send_json({"error": "profiling is not enabled"}, status=404)
             return
         params = parse_qs(query)
-        fmt = params.get("format", ["json"])[0]
+        try:
+            fmt, limit = parse_profile_params(
+                params.get("format", [None])[0], params.get("limit", [None])[0]
+            )
+        except ValueError as exc:
+            self._send_json({"error": str(exc)}, status=400)
+            return
         if fmt == "collapsed":
             self.response = _HttpResponse(
                 status=200,
@@ -317,26 +322,7 @@ class _Handler:
                 body=profiler.collapsed().encode("utf-8"),
             )
             return
-        if fmt != "json":
-            self._send_json({"error": f"unknown profile format {fmt!r}"}, status=400)
-            return
-        raw_limit = params.get("limit", [""])[0]
-        try:
-            limit = int(raw_limit) if raw_limit else None
-        except ValueError:
-            self._send_json({"error": f"bad limit {raw_limit!r}"}, status=400)
-            return
-        if limit is not None and limit < 1:
-            # A negative slice bound would silently drop the heaviest
-            # stacks instead of capping the count.
-            self._send_json({"error": f"bad limit {raw_limit!r}"}, status=400)
-            return
-        snapshot = (
-            profiler.snapshot(max_stacks=limit)
-            if limit is not None
-            else profiler.snapshot()
-        )
-        self._send_json(snapshot)
+        self._send_json(profiler.snapshot(max_stacks=limit))
 
 
 class NNexusHttpGateway:

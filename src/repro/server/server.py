@@ -53,8 +53,8 @@ from repro.core.errors import (
 from repro.core.linker import NNexus
 from repro.core.render import renderer_for
 from repro.obs.logging import get_logger
-from repro.obs.profile import NULL_PROFILER, NullProfiler
-from repro.obs.trace import NULL_SPAN, NullTracer
+from repro.obs.profile import NULL_PROFILER, NullProfiler, parse_profile_params
+from repro.obs.trace import NULL_SPAN, NullTracer, parse_trace_limit
 from repro.server import protocol
 from repro.server.faults import FaultInjector
 from repro.server.resilience import AdmissionController, ReadersWriterLock
@@ -81,6 +81,9 @@ DEBUG_METHODS = frozenset(
 #: Methods a ``reqid``-tagged request may run out of order: everything
 #: that does not mutate linker state.  Writes keep per-connection FIFO.
 PIPELINED_METHODS = READ_METHODS | DEBUG_METHODS
+#: Seconds connection teardown waits for in-flight pipelined responses
+#: to flush before closing the socket under them.
+PIPELINE_DRAIN_TIMEOUT = 10.0
 
 _LOG = get_logger("nnexus.server")
 
@@ -208,7 +211,7 @@ class _Handler(socketserver.BaseRequestHandler):
         finally:
             # Never close the socket under a worker still writing: wait
             # for in-flight pipelined responses to flush (bounded).
-            inflight.drain(self.server.pipeline_drain_timeout)
+            inflight.drain(PIPELINE_DRAIN_TIMEOUT)
 
     def _reader_loop(
         self,
@@ -230,7 +233,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     # inbound stream is desynchronized, so close
                     # afterwards; the error carries no reqid and
                     # pipelined clients count it as unmatched).
-                    inflight.drain(self.server.pipeline_drain_timeout)
+                    inflight.drain(PIPELINE_DRAIN_TIMEOUT)
                     writer.send_response(
                         protocol.Response(
                             status="error",
@@ -317,7 +320,11 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         Bind address; port 0 picks a free port (see :attr:`address`).
     max_in_flight:
         Admission bound — requests beyond this are shed with a
-        retryable ``overloaded`` error instead of queueing.
+        retryable ``overloaded`` error instead of queueing.  It also
+        bounds the pipelined requests submitted-but-unfinished across
+        the server (:attr:`pipeline_depth`): beyond it the reader loop
+        sheds a tagged read instead of queueing it unboundedly behind
+        the executor.
     request_timeout / idle_timeout:
         Socket deadlines in seconds (``None`` disables): a read that is
         mid-frame must progress within ``request_timeout``; a quiet
@@ -330,11 +337,6 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         read requests (default ``min(32, max_in_flight)``).  The
         executor is what lets one connection keep many requests in
         flight; untagged and mutating requests never use it.
-    pipeline_depth:
-        Bound on pipelined requests submitted-but-unfinished across the
-        server (default ``max_in_flight``).  Beyond it the reader loop
-        sheds with a retryable ``overloaded`` error instead of queueing
-        unboundedly behind the executor.
     profiler:
         A sampling profiler (see :mod:`repro.obs.profile`) the
         ``getProfile`` debug method reads from.  Defaults to the inert
@@ -358,7 +360,6 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         idle_timeout: float | None = 300.0,
         faults: FaultInjector | None = None,
         pipeline_workers: int | None = None,
-        pipeline_depth: int | None = None,
         profiler: NullProfiler | None = None,
     ) -> None:
         self.linker = linker
@@ -372,17 +373,11 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         self.pipeline_workers = (
             pipeline_workers if pipeline_workers else min(32, max_in_flight)
         )
-        self.pipeline_depth = (
-            pipeline_depth if pipeline_depth else max_in_flight
-        )
-        #: How long connection teardown waits for in-flight pipelined
-        #: responses to flush before closing the socket under them.
-        self.pipeline_drain_timeout: float = 10.0
-        self._pipeline_slots = threading.Semaphore(self.pipeline_depth)
         # Pipelined requests submitted but not finished (executor queue
-        # plus running workers) — the saturation gauge for the demux
-        # path.  Guarded by its own lock: the reader thread increments,
-        # worker threads decrement.
+        # plus running workers) — the backlog bounded by pipeline_depth
+        # and the saturation gauge for the demux path.  Guarded by its
+        # own lock: the reader thread increments, worker threads
+        # decrement.
         self._pipeline_count_lock = threading.Lock()
         self._pipeline_in_flight = 0
         self._executor = ThreadPoolExecutor(
@@ -394,6 +389,11 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         # Bind last: a failed bind calls server_close(), which must find
         # the executor attributes above already in place to reap them.
         super().__init__((host, port), _Handler)
+
+    @property
+    def pipeline_depth(self) -> int:
+        """Bound on the pipelined backlog: the admission bound."""
+        return self.admission.max_in_flight
 
     @property
     def tracer(self) -> NullTracer:
@@ -451,11 +451,11 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         readers-writer lock, tracing — and writes the tagged response
         through the connection's serialized writer.
         """
-        if not self._pipeline_slots.acquire(blocking=False):
-            return False
-        inflight.enter()
         with self._pipeline_count_lock:
+            if self._pipeline_in_flight >= self.pipeline_depth:
+                return False
             self._pipeline_in_flight += 1
+        inflight.enter()
         rec = self.linker.metrics
         submitted = time.monotonic() if rec.enabled else 0.0
 
@@ -472,7 +472,6 @@ class NNexusServer(socketserver.ThreadingTCPServer):
                 reply = self.dispatch_message("", request=request)
                 writer.send(protocol.frame(reply))
             finally:
-                self._pipeline_slots.release()
                 with self._pipeline_count_lock:
                     self._pipeline_in_flight -= 1
                 inflight.exit()
@@ -480,7 +479,6 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         try:
             self._executor.submit(work)
         except RuntimeError:  # executor already shut down
-            self._pipeline_slots.release()
             with self._pipeline_count_lock:
                 self._pipeline_in_flight -= 1
             inflight.exit()
@@ -651,11 +649,7 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         )
 
     def _get_recent_traces(self, request: protocol.Request) -> protocol.Response:
-        raw_limit = request.fields.get("limit", "20")
-        try:
-            limit = int(raw_limit)
-        except ValueError as exc:
-            raise ProtocolError(f"bad limit {raw_limit!r}") from exc
+        limit = parse_trace_limit(request.fields.get("limit"))
         traces = self.tracer.recent_traces(limit)
         return protocol.Response(
             status="ok",
@@ -685,29 +679,16 @@ class NNexusServer(socketserver.ThreadingTCPServer):
             # Same contract as getTrace without tracing: a structured
             # bad-request, not a dead connection.
             raise ProtocolError("profiling is not enabled on this server")
-        fmt = request.fields.get("format", "json").strip() or "json"
+        fmt, limit = parse_profile_params(
+            request.fields.get("format"), request.fields.get("limit")
+        )
         if fmt == "collapsed":
             return protocol.Response(
                 status="ok",
                 method="getProfile",
                 fields={"profile": self.profiler.collapsed(), "format": "collapsed"},
             )
-        if fmt != "json":
-            raise ProtocolError(f"unknown profile format {fmt!r}")
-        raw_limit = request.fields.get("limit", "").strip()
-        try:
-            limit = int(raw_limit) if raw_limit else None
-        except ValueError as exc:
-            raise ProtocolError(f"bad limit {raw_limit!r}") from exc
-        if limit is not None and limit < 1:
-            # A negative slice bound would silently *drop* the heaviest
-            # stacks instead of capping the count.
-            raise ProtocolError(f"bad limit {raw_limit!r}")
-        snapshot = (
-            self.profiler.snapshot(max_stacks=limit)
-            if limit is not None
-            else self.profiler.snapshot()
-        )
+        snapshot = self.profiler.snapshot(max_stacks=limit)
         return protocol.Response(
             status="ok",
             method="getProfile",
@@ -801,7 +782,7 @@ def serve_forever(
 
     Keyword arguments are forwarded to :class:`NNexusServer`
     (``max_in_flight``, ``request_timeout``, ``idle_timeout``,
-    ``faults``, ``pipeline_workers``, ``pipeline_depth``, ``profiler``).
+    ``faults``, ``pipeline_workers``, ``profiler``).
     The server traces with the linker's own tracer.
     """
     server = NNexusServer(linker, host=host, port=port, **kwargs)  # type: ignore[arg-type]

@@ -55,8 +55,6 @@ class TestRun:
             BatchLinker(linker, mode="fork")
         with pytest.raises(ValueError, match='mode="process"'):
             BatchLinker(linker, mode="thread", workers=2)
-        with pytest.raises(ValueError):
-            BatchLinker(linker, chunk_size=0)
 
     def test_summary_keys(self, linker) -> None:
         summary = BatchLinker(linker, fmt=None).run(object_ids=[1]).summary()
@@ -68,7 +66,7 @@ class TestProcessMode:
     def test_matches_thread_mode_byte_for_byte(self, linker) -> None:
         threaded = BatchLinker(linker, fmt="html", mode="thread").run()
         processed = BatchLinker(
-            linker, fmt="html", mode="process", workers=2, chunk_size=7
+            linker, fmt="html", mode="process", workers=2
         ).run()
         assert processed.rendered == threaded.rendered
         assert processed.links == threaded.links

@@ -671,10 +671,9 @@ class TestOneWritePath:
 
     def test_cold_start_neither_invalidates_nor_journals(self, tmp_path, monkeypatch) -> None:
         from repro.core.invalidation import InvalidationIndex
-        from repro.persistence.api import open_storage
         from repro.persistence.sqlite_backend import SqliteBackend
 
-        linker = fig1_linker(storage=open_storage("sqlite", tmp_path / "data"))
+        linker = fig1_linker(storage=SqliteBackend(tmp_path / "data"))
         for object_id in linker.object_ids():
             linker.render_object(object_id)
         expected = {oid: linker.render_object(oid) for oid in linker.object_ids()}
@@ -686,7 +685,7 @@ class TestOneWritePath:
                            "record_rendering", "record_cache_clear")
         ]
         restarted = NNexus(
-            scheme=build_small_msc(), storage=open_storage("sqlite", tmp_path / "data")
+            scheme=build_small_msc(), storage=SqliteBackend(tmp_path / "data")
         )
         try:
             assert invalidations == [0]
@@ -696,9 +695,9 @@ class TestOneWritePath:
             restarted.storage.close()
 
     def test_each_mutation_journals_once(self, tmp_path, monkeypatch) -> None:
-        from repro.persistence.api import open_storage
+        from repro.persistence import SqliteBackend
 
-        linker = fig1_linker(storage=open_storage("sqlite", tmp_path / "data"))
+        linker = fig1_linker(storage=SqliteBackend(tmp_path / "data"))
         try:
             calls = {
                 method: self._count(linker.storage, method, monkeypatch)

@@ -19,7 +19,7 @@ from repro.core.models import CorpusObject
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
 from repro.core.morphology import canonicalize_phrase
-from repro.persistence import open_storage
+from repro.persistence import SqliteBackend
 from tests.core.test_golden_render import _FORMATS, GOLDEN_SHA256, corpus_digest
 from tests.storage.sqlite_faults import FailingConnection
 
@@ -27,7 +27,7 @@ DURABLE_BACKENDS = ("sqlite",)
 
 
 def build_durable_linker(backend, data_dir, **kwargs) -> NNexus:
-    storage = open_storage(backend, data_dir, **kwargs)
+    storage = SqliteBackend(data_dir, **kwargs)
     return NNexus(scheme=build_small_msc(), storage=storage)
 
 
@@ -186,7 +186,7 @@ class TestMutationJournaling:
     def test_update_journals_one_transaction(self, tmp_path) -> None:
         """A crash between update's remove and add halves must never
         persist a corpus with the entry missing."""
-        storage = open_storage("sqlite", tmp_path / "data")
+        storage = SqliteBackend(tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         linker.add_objects(sample_corpus())
         before_text = linker.get_object(2).text
@@ -207,7 +207,7 @@ class TestMutationJournaling:
 
 class TestReadOnlyDegradation:
     def test_journal_failure_degrades_to_read_only(self, tmp_path) -> None:
-        storage = open_storage("sqlite", tmp_path / "data")
+        storage = SqliteBackend(tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         linker.add_objects(sample_corpus())
         assert not linker.read_only
@@ -235,7 +235,7 @@ class TestReadOnlyDegradation:
         restarted.storage.close()
 
     def test_checkpoint_failure_degrades_to_read_only(self, tmp_path) -> None:
-        storage = open_storage("sqlite", tmp_path / "data")
+        storage = SqliteBackend(tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         linker.add_objects(sample_corpus()[:3])
         FailingConnection.install(storage, fail_on=1)
@@ -245,7 +245,7 @@ class TestReadOnlyDegradation:
         storage.close()
 
     def test_read_only_flag_exported_in_metrics(self, tmp_path) -> None:
-        storage = open_storage("sqlite", tmp_path / "data")
+        storage = SqliteBackend(tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         gauges = {g["name"]: g["value"] for g in linker.metrics_snapshot()["gauges"]}
         assert gauges["nnexus_storage_read_only"] == 0
@@ -287,7 +287,7 @@ class TestKillPointsThroughTheLinker:
         byte-identically to a fresh memory-only linker over the same
         recovered object set."""
         origin = tmp_path / "origin"
-        storage = open_storage("sqlite", origin)
+        storage = SqliteBackend(origin)
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         corpus = sample_corpus()
         linker.add_objects(corpus)
@@ -331,7 +331,6 @@ class TestProcessModeCompatibility:
         linker = build_durable_linker("sqlite", tmp_path / "data")
         linker.add_objects(sample_corpus()[:5])
         clone = pickle.loads(pickle.dumps(linker))
-        assert clone.storage.durable is False
-        assert clone.storage.backend_name == "memory"
+        assert clone.storage is None
         assert len(clone) == 5
         linker.storage.close()

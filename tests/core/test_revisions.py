@@ -73,10 +73,10 @@ class TestDurableSave:
     def test_padded_title_survives_reopen(self, tmp_path) -> None:
         # Only whitespace differs, so every concept label is unchanged;
         # the save must still reach the journal.
-        from repro.persistence.api import open_storage
+        from repro.persistence import SqliteBackend
 
         def open_linker() -> NNexus:
-            storage = open_storage("sqlite", tmp_path / "data")
+            storage = SqliteBackend(tmp_path / "data")
             return NNexus(scheme=build_small_msc(), storage=storage)
 
         def group(title: str) -> CorpusObject:

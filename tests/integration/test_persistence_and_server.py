@@ -5,14 +5,14 @@ from repro.core.models import CorpusObject
 from repro.corpus.generator import GeneratorParams, generate_corpus
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
-from repro.persistence import open_storage
+from repro.persistence import SqliteBackend
 from repro.server.client import NNexusClient
 from repro.server.server import serve_forever
 
 
 def durable_linker(data_dir, scheme=None) -> NNexus:
     return NNexus(
-        scheme=scheme or build_small_msc(), storage=open_storage("sqlite", data_dir)
+        scheme=scheme or build_small_msc(), storage=SqliteBackend(data_dir)
     )
 
 

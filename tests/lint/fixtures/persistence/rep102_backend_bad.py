@@ -2,8 +2,6 @@
 
 
 class Backend:
-    durable = True
-
     def __init__(self, db):
         self._db = db
 

@@ -2,8 +2,6 @@
 
 
 class TransactionalBackend:
-    durable = True
-
     def __init__(self, db):
         self._db = db
 
@@ -22,8 +20,6 @@ class TransactionalBackend:
 
 
 class SqliteBackend:
-    durable = True
-
     def __init__(self, lock, conn):
         self._lock = lock
         self._conn = conn
@@ -36,12 +32,10 @@ class SqliteBackend:
             )
 
 
-class VolatileBackend:
-    # Not durable: journal methods are plain dict updates, out of scope.
-    durable = False
-
+class RowCache:
+    # No record_* method: not a journal, so its writes are out of scope.
     def __init__(self, db):
         self._db = db
 
-    def record_add(self, obj, invalidated):
+    def put(self, obj):
         self._db.upsert("objects", {"object_id": obj.object_id})

@@ -64,6 +64,12 @@ class TestBackendTransactionREP102:
         )
         assert findings == []
 
+    def test_flags_sqlite_write_outside_the_connection_scope(self) -> None:
+        findings, _ = _run(
+            BackendTransactionRule(), "persistence/rep102_sqlite_bad.py"
+        )
+        assert [f.context for f in findings] == ["SqliteBackend.record_update"]
+
 
 class TestJournalDisciplineREP102:
     def test_flags_direct_storage_calls(self) -> None:
@@ -95,6 +101,12 @@ class TestCloseOnRaiseREP103:
         findings, suppressed = _run(CloseOnRaiseRule(), "storage/rep103_clean.py")
         assert findings == []
         assert len(suppressed) == 1
+
+    def test_flags_sqlite_backend_left_open_on_raise(self) -> None:
+        findings, _ = _run(
+            CloseOnRaiseRule(), "storage/rep103_sqlite_backend_bad.py"
+        )
+        assert [f.context for f in findings] == ["count_objects"]
 
 
 class TestBoundedInListREP103:

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.obs.memory import (
-    NULL_ACCOUNTANT,
     SMALL_COMPONENT_BYTES,
     MemoryAccountant,
     deep_sizeof,
@@ -74,19 +73,6 @@ class TestDeepSizeof:
         assert 0 < bounded < unbounded
 
 
-class TestNullAccountant:
-    def test_inert_shape(self) -> None:
-        assert NULL_ACCOUNTANT.enabled is False
-        NULL_ACCOUNTANT.register("x", lambda: 1)
-        assert NULL_ACCOUNTANT.sample() == {}
-        assert NULL_ACCOUNTANT.peaks() == {}
-        assert NULL_ACCOUNTANT.reconcile() == {}
-        snap = NULL_ACCOUNTANT.snapshot()
-        assert snap["components"] == {}
-        NULL_ACCOUNTANT.start()
-        NULL_ACCOUNTANT.stop()
-
-
 class TestMemoryAccountant:
     def test_rejects_non_positive_interval(self) -> None:
         with pytest.raises(ValueError):
@@ -134,12 +120,6 @@ class TestMemoryAccountant:
         assert after["reconcile_count"] == 1
         assert after["reconcile_age_sec"] >= 0.0
         assert after["components"]["comp"]["bytes"] == 10
-
-    def test_unregister_removes_component(self) -> None:
-        accountant = MemoryAccountant()
-        accountant.register("gone", lambda: 1)
-        accountant.unregister("gone")
-        assert accountant.sample() == {}
 
     def test_periodic_reconciler_thread_runs_and_stops(self) -> None:
         accountant = MemoryAccountant(reconcile_interval_sec=0.01)

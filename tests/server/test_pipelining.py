@@ -163,11 +163,12 @@ class TestServerPipelining:
             server.server_close()
 
     def test_pipeline_backlog_sheds_with_reqid(self) -> None:
-        """Past pipeline_depth, tagged reads shed retryably — and the
-        shed response still carries the request's reqid."""
+        """Past pipeline_depth (= max_in_flight), tagged reads shed
+        retryably — and the shed response still carries the request's
+        reqid."""
         gate = threading.Event()
         server = serve_forever(
-            make_linker(gate=gate), pipeline_depth=2, pipeline_workers=2
+            make_linker(gate=gate), max_in_flight=2, pipeline_workers=2
         )
         try:
             with socket.create_connection(server.address, timeout=30) as sock:
@@ -180,8 +181,7 @@ class TestServerPipelining:
                 # Both slots are now blocked inside link_text; the third
                 # tagged read must be refused immediately.
                 deadline = time.monotonic() + 5
-                while server._pipeline_slots.acquire(blocking=False):
-                    server._pipeline_slots.release()
+                while server.pipeline_in_flight < server.pipeline_depth:
                     if time.monotonic() > deadline:
                         pytest.fail("pipeline slots never filled")
                     time.sleep(0.01)

@@ -15,7 +15,7 @@ from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
-from repro.persistence import open_storage
+from repro.persistence import SqliteBackend
 from repro.server.client import NNexusClient, RemoteError
 from repro.server.http_gateway import serve_http
 from repro.server.server import serve_forever
@@ -23,7 +23,7 @@ from tests.storage.sqlite_faults import FailingConnection
 
 
 def degraded_linker(tmp_path) -> NNexus:
-    storage = open_storage("sqlite", tmp_path / "data")
+    storage = SqliteBackend(tmp_path / "data")
     linker = NNexus(scheme=build_small_msc(), storage=storage)
     linker.add_objects(sample_corpus())
     FailingConnection.install(storage, fail_on=1)
@@ -79,7 +79,7 @@ class TestHttpGateway:
             linker.storage.close()
 
     def test_ready_reports_serving_mode_when_healthy(self, tmp_path) -> None:
-        storage = open_storage("sqlite", tmp_path / "data")
+        storage = SqliteBackend(tmp_path / "data")
         linker = NNexus(scheme=build_small_msc(), storage=storage)
         gateway = serve_http(linker)
         try:

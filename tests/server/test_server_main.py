@@ -3,26 +3,31 @@
 Regression suite for the REP103 findings the invariant checker
 surfaced: a failed startup (occupied port, missing corpus file) used to
 leak the opened storage backend and the trace exporter because nothing
-between ``open_storage`` and the serve loop's ``finally`` closed them.
+between opening the ``SqliteBackend`` and the serve loop's ``finally``
+closed them.  ``--data-dir`` alone turns durability on.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
+import time
 
 import pytest
 
+from repro.core.models import CorpusObject
 from repro.server import __main__ as server_main
+from repro.server.client import NNexusClient
 
 
 class _Recorder:
-    """Wraps open_storage/JsonlExporter so close() calls are observable."""
+    """Wraps SqliteBackend/JsonlExporter so close() calls are observable."""
 
     def __init__(self, monkeypatch) -> None:
         self.closed: list[str] = []
         recorder = self
 
-        real_open = server_main.open_storage
+        real_open = server_main.SqliteBackend
 
         def tracking_open(*args, **kwargs):
             storage = real_open(*args, **kwargs)
@@ -45,7 +50,7 @@ class _Recorder:
             def close(self) -> None:
                 recorder.closed.append("exporter")
 
-        monkeypatch.setattr(server_main, "open_storage", tracking_open)
+        monkeypatch.setattr(server_main, "SqliteBackend", tracking_open)
         monkeypatch.setattr(server_main, "JsonlExporter", FakeExporter)
 
 
@@ -73,8 +78,6 @@ class TestStartupFailureHygiene:
                     "127.0.0.1",
                     "--port",
                     str(port),
-                    "--backend",
-                    "sqlite",
                     "--data-dir",
                     str(tmp_path / "data"),
                     "--trace-jsonl",
@@ -99,8 +102,6 @@ class TestStartupFailureHygiene:
                         "127.0.0.1",
                         "--port",
                         str(port),
-                        "--backend",
-                        "sqlite",
                         "--data-dir",
                         str(data_dir),
                     ]
@@ -113,7 +114,7 @@ class TestStartupFailureHygiene:
         # closes, so a leftover log means the handle leaked.
         assert (data_dir / "corpus.sqlite3").exists()
         assert not (data_dir / "corpus.sqlite3-wal").exists()
-        storage = server_main.open_storage("sqlite", data_dir)
+        storage = server_main.SqliteBackend(data_dir)
         try:
             assert storage.load().objects == []
         finally:
@@ -129,8 +130,6 @@ class TestStartupFailureHygiene:
                 "127.0.0.1",
                 "--port",
                 "0",
-                "--backend",
-                "sqlite",
                 "--data-dir",
                 str(tmp_path / "data"),
                 "--corpus",
@@ -154,8 +153,6 @@ class TestStartupFailureHygiene:
                 "127.0.0.1",
                 "--port",
                 "0",
-                "--backend",
-                "sqlite",
                 "--data-dir",
                 str(tmp_path / "data"),
                 "--corpus",
@@ -185,8 +182,6 @@ class TestStartupFailureHygiene:
                     "127.0.0.1",
                     "--port",
                     "0",
-                    "--backend",
-                    "sqlite",
                     "--data-dir",
                     str(tmp_path / "data"),
                     "--corpus",
@@ -210,8 +205,6 @@ class TestEngineEraDataDir:
                 "127.0.0.1",
                 "--port",
                 "0",
-                "--backend",
-                "sqlite",
                 "--data-dir",
                 str(data_dir),
                 "--trace-jsonl",
@@ -222,3 +215,67 @@ class TestEngineEraDataDir:
         # No empty corpus was started beside the old files.
         assert not (data_dir / "corpus.sqlite3").exists()
         assert "exporter" in recorder.closed
+
+
+class TestDataDirTurnsDurabilityOn:
+    """``--data-dir`` alone opens the sqlite store and journals to it."""
+
+    @staticmethod
+    def _run_main(monkeypatch, argv):
+        """Start ``main(argv)`` on a thread; returns its server and thread."""
+        started: list = []
+
+        class RecordingServer(server_main.NNexusServer):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(server_main, "NNexusServer", RecordingServer)
+        exits: list[int] = []
+        thread = threading.Thread(target=lambda: exits.append(server_main.main(argv)))
+        thread.start()
+        deadline = time.monotonic() + 30
+        while not started and thread.is_alive():
+            if time.monotonic() > deadline:
+                pytest.fail("server never started")
+            time.sleep(0.01)
+        assert started, "main() exited before serving"
+        return started[0], thread, exits
+
+    @staticmethod
+    def _stop(server, thread, exits) -> None:
+        server.shutdown()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert exits == [0]
+
+    def test_added_object_survives_a_restart(self, tmp_path, monkeypatch) -> None:
+        data_dir = tmp_path / "data"
+        argv = ["--host", "127.0.0.1", "--port", "0", "--data-dir", str(data_dir)]
+        entry = CorpusObject(
+            object_id=7,
+            title="planar graph",
+            defines=["planar graph"],
+            classes=["05C10"],
+            text="A graph that can be drawn without crossings.",
+        )
+
+        server, thread, exits = self._run_main(monkeypatch, argv)
+        try:
+            assert server.linker.storage is not None
+            with NNexusClient(*server.address) as client:
+                client.add_object(entry)
+        finally:
+            self._stop(server, thread, exits)
+
+        server, thread, exits = self._run_main(monkeypatch, argv)
+        try:
+            assert server.linker.last_restore["objects"] == 1
+            with NNexusClient(*server.address) as client:
+                assert client.describe()["objects"] == 1
+                _, links = client.link_entry(
+                    "every planar graph is sparse", classes=["05C10"]
+                )
+            assert [link["target"] for link in links] == ["7"]
+        finally:
+            self._stop(server, thread, exits)

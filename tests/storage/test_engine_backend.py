@@ -9,7 +9,7 @@ each call sends.
 from __future__ import annotations
 
 from repro.core.models import CorpusObject
-from repro.persistence import open_storage
+from repro.persistence import SqliteBackend
 
 
 def _traced(storage, call) -> list[str]:
@@ -33,7 +33,7 @@ def _obj(object_id: int = 1) -> CorpusObject:
 
 class TestJournalAtomicity:
     def test_record_rendering_commits_one_txn_record(self, tmp_path) -> None:
-        storage = open_storage("sqlite", tmp_path)
+        storage = SqliteBackend(tmp_path)
         try:
             verbs = _traced(
                 storage, lambda: storage.record_rendering(7, "html", "<p>x</p>")
@@ -43,7 +43,7 @@ class TestJournalAtomicity:
         assert verbs == ["BEGIN", "INSERT", "COMMIT"]
 
     def test_every_journal_method_appends_only_txn_records(self, tmp_path) -> None:
-        storage = open_storage("sqlite", tmp_path)
+        storage = SqliteBackend(tmp_path)
         calls = [
             lambda: storage.record_add(_obj(1), invalidated=(2,)),
             lambda: storage.record_update(_obj(1), invalidated=(1,)),
@@ -61,13 +61,13 @@ class TestJournalAtomicity:
             assert not {"BEGIN", "COMMIT", "ROLLBACK"} & set(verbs[1:-1])
 
     def test_rendering_survives_restart(self, tmp_path) -> None:
-        storage = open_storage("sqlite", tmp_path)
+        storage = SqliteBackend(tmp_path)
         try:
             storage.record_add(_obj(3), invalidated=())
             storage.record_rendering(3, "html", "<p>restored</p>")
         finally:
             storage.close()
-        reopened = open_storage("sqlite", tmp_path)
+        reopened = SqliteBackend(tmp_path)
         try:
             snapshot = reopened.load()
         finally:
