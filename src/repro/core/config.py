@@ -15,8 +15,11 @@ constructor calls.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import lru_cache
+from string import Formatter
 
 from repro.core.errors import ProtocolError, UnknownDomainError
 
@@ -37,9 +40,28 @@ class DomainConfig:
     priority: int = 1
 
     def url_for(self, object_id: int, title: str = "") -> str:
-        """Render this domain's URL template for one entry."""
-        slug = _slugify(title)
+        """Render this domain's URL template for one entry.
+
+        The title is slugified only when the template names ``{title}``.
+        """
+        slug = _slugify(title) if _names_title(self.url_template) else ""
         return self.url_template.format(object_id=object_id, title=slug)
+
+
+@lru_cache(maxsize=None)
+def _names_title(template: str) -> bool:
+    """True when a replacement field of ``template`` reads ``title``.
+
+    Parsed the way ``str.format`` parses it, so ``{title!s}``,
+    ``{title[0]}`` and a field nested in a format spec count, and a
+    literal ``title`` or an escaped ``{{title}}`` does not.
+    """
+    for _, name, spec, _ in Formatter().parse(template):
+        if name is not None and re.split(r"[.\[]", name, maxsplit=1)[0] == "title":
+            return True
+        if spec and _names_title(spec):
+            return True
+    return False
 
 
 def _slugify(title: str) -> str:

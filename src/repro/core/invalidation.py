@@ -22,8 +22,14 @@ same canonical word array the matcher scans.  The index does not scan
 text itself: the linker tokenizes each entry version once and hands the
 index that scan's words.  Each linker mutation removes and (re-)indexes
 an entry at most once and then calls :meth:`~InvalidationIndex.invalidate_many`
-once, over the union of the entry's old and new labels; the index keeps
-no observers, since the linker drops its own per-entry state itself.
+once: an add over the entry's labels, a remove over the labels it
+defined, and an update over the labels it changed.  An update that keeps
+the entry's target fields (title, classes, domain, linking policy: the
+fields other entries' link decisions read) passes the symmetric
+difference of its old and new labels, so a text-only edit invalidates
+no other entry; one that changes a target field passes their union.
+The index keeps no observers, since the linker drops its own per-entry
+state itself.
 The paper's structure survives as an offline model for the Fig. 6
 ablation (:class:`repro.eval.experiments.AdaptivePhraseIndexModel`).
 """

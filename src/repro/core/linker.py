@@ -33,7 +33,7 @@ reference the fast paths are tested against.
 
 The façade also maintains the invalidation index and render cache
 (Section 2.5): adding or removing concepts marks exactly the entries that
-may need re-linking.
+may need re-linking, and an update marks them over what it changed.
 """
 
 from __future__ import annotations
@@ -468,20 +468,31 @@ class NNexus:
         return invalidated
 
     def update_object(self, obj: CorpusObject) -> set[int]:
-        """Replace an entry; invalidates over its old and new labels.
+        """Replace an entry; invalidates over the labels the update changed.
 
-        The result equals the union of a remove and an add, found in one
-        pass.  Journaled as ONE storage record (not a remove followed by
-        an add), so a crash cannot persist a corpus with the entry
-        missing.  An update that keeps the text (a label, synonym or
-        policy edit) keeps the stored scan instead of tokenizing again.
+        When a target field (:func:`_target_fields`) changes, any entry
+        that may link to this one can change, so the update invalidates
+        over its old and new labels, as a remove plus an add would.
+        Otherwise only a gained or lost label can change another entry's
+        links: it invalidates over the symmetric difference of the label
+        sets, so a text-only edit dirties no other entry.  Either way the
+        entry's own renderings are dropped.  Journaled as ONE storage
+        record (not a remove followed by an add), so a crash cannot
+        persist a corpus with the entry missing.  An update that keeps
+        the text (a label, synonym or policy edit) keeps the stored scan
+        instead of tokenizing again.
         """
         self._check_writable()
         object_id = obj.object_id
         parse_policy(obj.linking_policy)  # a bad policy raises before any change
-        old = self._objects.get(object_id)
-        kept = self._scans[object_id] if old is not None and old.text == obj.text else None
-        labels = self._unstore(object_id) | self._store(obj, kept)
+        old = self.get_object(object_id)
+        kept = self._scans[object_id] if old.text == obj.text else None
+        old_labels = self._unstore(object_id)
+        new_labels = self._store(obj, kept)
+        if _target_fields(old) == _target_fields(obj):
+            labels = old_labels ^ new_labels
+        else:
+            labels = old_labels | new_labels
         invalidated = self._invalidate(labels, object_id)
         stored = self._objects[object_id]
         self._journal(lambda: self.storage.record_update(stored, invalidated))
@@ -491,7 +502,8 @@ class NNexus:
         """Attach a linking policy to a stored entry (Section 2.4).
 
         An update of the entry with the new policy: returns the ids of
-        the entries invalidated because they may link to its concepts.
+        the entries invalidated because they may link to its concepts,
+        none when the policy is unchanged.
         """
         self._check_writable()
         stored = self.get_object(object_id)
@@ -1199,6 +1211,24 @@ def _repro_version() -> str:
 
         _VERSION = __version__
     return _VERSION
+
+
+def _target_fields(obj: CorpusObject) -> tuple[object, ...]:
+    """The fields of an entry that other entries' link decisions read.
+
+    An update that keeps them all can change another entry's links only
+    through a gained or lost concept label:
+
+    * ``title``: the slug in the entry's URL (a domain template may
+      name ``{title}``);
+    * ``classes``: classification steering (Algorithm 1) and the
+      composite ranker compare them with the linking entry's classes;
+    * ``domain``: picks the URL template and the collection priority
+      that breaks steering ties;
+    * ``linking_policy``: the policy filter may reject the entry as a
+      candidate.
+    """
+    return (obj.title, obj.classes, obj.domain, obj.linking_policy)
 
 
 def _object_cost(obj: CorpusObject) -> int:

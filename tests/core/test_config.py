@@ -24,6 +24,34 @@ class TestDomainConfig:
         domain = DomainConfig(name="d", url_template="{title}")
         assert domain.url_for(1, "") == "entry"
 
+    @pytest.mark.parametrize(
+        "template, slugged",
+        [
+            ("#object-{object_id}", False),
+            ("https://x.org/{{title}}/{object_id}", False),
+            ("https://x.org/title/{object_id:05d}", False),
+            ("https://x.org/{title}", True),
+            ("https://x.org/{title!s}?id={object_id}", True),
+            ("https://x.org/{title[0]}/{title}", True),
+            ("https://x.org/{object_id:>{title}}", True),
+        ],
+    )
+    def test_slug_only_when_the_template_names_title(
+        self, template, slugged, monkeypatch
+    ) -> None:
+        import repro.core.config as config
+
+        # "7." slugs to "7", which the nested case reads as a width.
+        expected = template.format(object_id=42, title=config._slugify("7."))
+        calls = []
+        original = config._slugify
+        monkeypatch.setattr(
+            config, "_slugify", lambda title: calls.append(title) or original(title)
+        )
+        domain = DomainConfig(name="d", url_template=template)
+        assert domain.url_for(42, "7.") == expected
+        assert bool(calls) is slugged
+
 
 class TestNNexusConfig:
     def test_default_domain_created(self) -> None:

@@ -4,6 +4,10 @@ A hypothesis state machine drives one long-lived linker through random
 ``add_object`` / ``update_object`` / ``remove_object`` /
 ``set_linking_policy`` / ``set_base_weight`` steps over a small fixed
 vocabulary, so labels and texts collide and multi-word labels overlap.
+The ``edit_text``, ``edit_synonyms`` and ``edit_classes`` steps change
+one field of a stored entry: updates that random ``update_object``
+draws almost never make, and whose invalidated set depends on which
+field changed.
 After every step:
 
 1. every entry's rendering served by the linker (cached or fresh) is
@@ -21,6 +25,8 @@ to run the large budget the CI job uses.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from typing import Any
 
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
@@ -124,6 +130,26 @@ class IncrementalLinkerModel(RuleBasedStateMachine):
         obj = data.draw(entries(object_id))
         invalidated = self.linker.update_object(obj)
         self.last_mutation = ({object_id}, invalidated)
+
+    def _edit(self, data: st.DataObject, **changes: Any) -> None:
+        """Update a stored entry with ``changes`` and nothing else."""
+        object_id = data.draw(st.sampled_from(self._ids()))
+        invalidated = self.linker.update_object(
+            replace(self.linker.get_object(object_id), **changes)
+        )
+        self.last_mutation = ({object_id}, invalidated)
+
+    @rule(data=st.data(), text=texts)
+    def edit_text(self, data: st.DataObject, text: str) -> None:
+        self._edit(data, text=text)
+
+    @rule(data=st.data(), synonyms=st.lists(labels, max_size=2))
+    def edit_synonyms(self, data: st.DataObject, synonyms: list[str]) -> None:
+        self._edit(data, synonyms=synonyms)
+
+    @rule(data=st.data(), new_classes=classes)
+    def edit_classes(self, data: st.DataObject, new_classes: list[str]) -> None:
+        self._edit(data, classes=new_classes)
 
     @precondition(_can_remove)
     @rule(data=st.data())

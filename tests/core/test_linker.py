@@ -1,6 +1,7 @@
 """Tests for the NNexus façade: the full pipeline of Fig. 2."""
 
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,19 @@ from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
 from repro.obs.metrics import MetricsRegistry
 from repro.ontology.msc import build_small_msc
-from tests.core.test_incremental_model import SCHEME, entries, policies
+from tests.core.test_incremental_model import (
+    PROFILE,
+    SCHEME,
+    classes,
+    entries,
+    labels,
+    policies,
+    texts,
+)
+
+#: Examples per update-contract property; the large-budget CI step sets
+#: ``NNEXUS_MODEL_PROFILE=ci``.
+CONTRACT_EXAMPLES = 1_000 if PROFILE == "ci" else 60
 
 
 def fig1_linker(**kwargs) -> NNexus:
@@ -627,23 +640,48 @@ class TestOneWritePath:
             linker.add_objects(objects)
         return twins
 
-    @settings(max_examples=60, deadline=None)
+    @staticmethod
+    def _edits(stored: CorpusObject) -> st.SearchStrategy[CorpusObject]:
+        """A fresh entry or a one-field edit of ``stored``."""
+        return st.one_of(
+            entries(stored.object_id),
+            texts.map(lambda text: replace(stored, text=text)),
+            st.lists(labels, max_size=2).map(lambda syns: replace(stored, synonyms=syns)),
+            classes.map(lambda new: replace(stored, classes=new)),
+        )
+
+    @settings(max_examples=CONTRACT_EXAMPLES, deadline=None)
     @given(data=st.data(), count=st.integers(1, 5))
-    def test_update_returns_remove_union_add(self, data, count) -> None:
+    def test_update_invalidates_over_what_changed(self, data, count) -> None:
+        """Remove ∪ add when a target field changes, else the changed labels."""
         updated, split = self._twins(data, count)
         object_id = data.draw(st.integers(1, count))
-        edited = data.draw(entries(object_id))
-        expected = split.remove_object(object_id) | split.add_object(edited)
-        assert updated.update_object(edited) == expected
+        old = split.get_object(object_id)
+        edited = data.draw(self._edits(old))
+        old_labels = split.concept_map.labels_for_object(object_id)
+        union = split.remove_object(object_id) | split.add_object(edited)
+        changed = old_labels ^ split.concept_map.labels_for_object(object_id)
+        invalidated = updated.update_object(edited)
+        assert invalidated <= union
+        if any(getattr(old, name) != getattr(edited, name)
+               for name in ("title", "classes", "domain", "linking_policy")):
+            assert invalidated == union
+        else:
+            expected = split.invalidation_index.invalidate_many(changed) - {object_id}
+            assert invalidated == expected
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=CONTRACT_EXAMPLES, deadline=None)
     @given(data=st.data(), count=st.integers(1, 5))
-    def test_policy_invalidates_the_entry_labels(self, data, count) -> None:
+    def test_only_a_changed_policy_invalidates_the_entry_labels(self, data, count) -> None:
         linker, twin = self._twins(data, count)
         object_id = data.draw(st.integers(1, count))
-        labels = twin.concept_map.labels_for_object(object_id)
-        expected = twin.invalidation_index.invalidate_many(labels) - {object_id}
-        assert linker.set_linking_policy(object_id, data.draw(policies)) == expected
+        stored = linker.get_object(object_id).linking_policy
+        policy = data.draw(st.one_of(st.just(stored), policies))
+        defined = twin.concept_map.labels_for_object(object_id)
+        expected = twin.invalidation_index.invalidate_many(defined) - {object_id}
+        if policy == stored:
+            expected = set()
+        assert linker.set_linking_policy(object_id, policy) == expected
 
     @staticmethod
     def _count(owner, name: str, monkeypatch) -> list[int]:

@@ -11,6 +11,10 @@ journals to a sqlite data directory, and adds two rules:
   unchanged entries, which differ from the stored entry without
   changing any label.
 
+It also makes ``edit_text`` save through :class:`RevisionedCorpus`: a
+text-only update journals one record that invalidates no other entry,
+and the saved text must reach the linker and the journal.
+
 On top of the inherited invariants (every served rendering equals a
 from-scratch rebuild, invalidated covers changed, kept scans match the
 text), after every step the corpus a reopen restores equals the live
@@ -41,6 +45,7 @@ from tests.core.test_incremental_model import (
     SCHEME,
     IncrementalLinkerModel,
     entries,
+    texts,
 )
 
 padding = st.sampled_from([" ", "  ", "\t", " \n"])
@@ -96,6 +101,14 @@ class RestartLinkerModel(IncrementalLinkerModel):
             edited = data.draw(cosmetic_edits(self.linker.get_object(object_id)))
         else:
             edited = data.draw(entries(object_id))
+        revision = self.revisions.save(edited, author="model")
+        assert self.linker.get_object(object_id) == edited
+        self.last_mutation = ({object_id}, set(revision.invalidated))
+
+    @rule(data=st.data(), text=texts)
+    def edit_text(self, data: st.DataObject, text: str) -> None:
+        object_id = data.draw(st.sampled_from(self._ids()))
+        edited = replace(self.linker.get_object(object_id), text=text)
         revision = self.revisions.save(edited, author="model")
         assert self.linker.get_object(object_id) == edited
         self.last_mutation = ({object_id}, set(revision.invalidated))
