@@ -11,9 +11,8 @@ Usage::
     python benchmarks/bench_linking.py --smoke              # CI-sized run
     python benchmarks/bench_linking.py --entries 7132       # paper scale
     python benchmarks/bench_linking.py --validate BENCH_linking.json
-    python benchmarks/bench_linking.py --overhead           # metrics cost
-    python benchmarks/bench_linking.py --trace-overhead     # tracing cost
-    python benchmarks/bench_linking.py --profile-overhead   # profiler cost
+    python benchmarks/bench_linking.py --smoke --overhead   # instruments change no bytes
+    python benchmarks/bench_linking.py --smoke --overhead --profile-out stacks.txt
     python benchmarks/bench_linking.py --smoke --gate BENCH_linking.json
 
 Not a pytest file on purpose: the shape-asserted benchmark suite lives
@@ -37,9 +36,8 @@ from repro.obs.bench import (  # noqa: E402
     SMOKE_ENTRIES,
     BenchParams,
     check_regression,
-    measure_metrics_overhead,
-    measure_profile_overhead,
-    measure_tracing_overhead,
+    measure_overhead,
+    overhead_problems,
     run_linking_bench,
     validate_report,
 )
@@ -59,17 +57,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--validate", type=str, metavar="PATH", default="",
                         help="validate an existing report instead of running")
     parser.add_argument("--overhead", action="store_true",
-                        help="measure metrics-on vs metrics-off cold-pass time")
-    parser.add_argument("--trace-overhead", action="store_true",
-                        help="measure tracer-on vs tracer-off cold-pass time and "
-                             "verify the renderings are bit-identical")
-    parser.add_argument("--profile-overhead", action="store_true",
-                        help="measure profiler+accounting-on vs off cold-pass "
-                             "time, verify the renderings are bit-identical and "
-                             "the sampler captured stacks")
+                        help="time a cold pass plain and with metrics, a live "
+                             "tracer, and the profiler plus memory reconciles; "
+                             "fail unless every pass renders the same bytes, "
+                             "the profiler sampled and a reconcile ran")
     parser.add_argument("--profile-out", type=str, metavar="PATH", default="",
-                        help="with --profile-overhead, also write the collapsed-"
-                             "stack profile (flamegraph input) to PATH")
+                        help="with --overhead, also write the collapsed-stack "
+                             "profile (flamegraph input) to PATH")
     parser.add_argument("--gate", type=str, metavar="PATH", default="",
                         help="fail if the run's steer share regresses vs this baseline report")
     args = parser.parse_args(argv)
@@ -91,38 +85,16 @@ def main(argv: list[str] | None = None) -> int:
                              metrics=not args.no_metrics)
 
     if args.overhead:
-        overhead = measure_metrics_overhead(params)
-        print(json.dumps(overhead, indent=2))
-        return 0
-
-    if args.trace_overhead:
-        overhead = measure_tracing_overhead(params)
-        print(json.dumps(overhead, indent=2))
-        if not overhead["renderings_identical"]:
-            print("trace overhead check: renderings differ between the null "
-                  "and active tracer — tracing must not change output",
-                  file=sys.stderr)
-            return 1
-        return 0
-
-    if args.profile_overhead:
-        overhead = measure_profile_overhead(params)
-        collapsed = overhead.pop("collapsed", "")
+        overhead = measure_overhead(params)
+        collapsed = overhead.pop("collapsed")
         print(json.dumps(overhead, indent=2))
         if args.profile_out:
             Path(args.profile_out).write_text(collapsed, encoding="utf-8")
             print(f"wrote collapsed-stack profile to {args.profile_out}")
-        failed = False
-        if not overhead["renderings_identical"]:
-            print("profile overhead check: renderings differ between the "
-                  "plain and profiled runs — profiling/accounting must not "
-                  "change output bytes", file=sys.stderr)
-            failed = True
-        if overhead["profile_samples"] == 0:
-            print("profile overhead check: the sampler captured no stacks "
-                  "during the profiled pass", file=sys.stderr)
-            failed = True
-        return 1 if failed else 0
+        problems = overhead_problems(overhead)
+        for problem in problems:
+            print(f"overhead check: {problem}", file=sys.stderr)
+        return 1 if problems else 0
 
     # Load the gate baseline up front: --out may overwrite the same file.
     gate_baseline = None

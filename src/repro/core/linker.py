@@ -62,7 +62,6 @@ from repro.core.render import RENDERERS, renderer_for
 from repro.core.tokenizer import TokenizedText, Tokenizer
 from repro.obs.memory import (
     MemoryAccountant,
-    deep_sizeof,
     estimate_container,
     estimate_dict_entry,
     estimate_int,
@@ -184,13 +183,6 @@ class NNexus:
         of restored renderings verified) and journals every later
         mutation through it.  A journaling failure degrades the linker
         to read-only instead of crashing or silently diverging.
-    memory_reconcile_sec:
-        ``None`` (default) deep-reconciles the per-component memory
-        estimates only on demand (``resource_stats(deep=True)``, i.e.
-        the ``getResourceStats`` wire method with ``deep=1``).  A
-        positive interval arms a daemon thread in the
-        :class:`~repro.obs.memory.MemoryAccountant` that reconciles
-        periodically; stop it with ``linker.accountant.stop()``.
     """
 
     def __init__(
@@ -202,7 +194,6 @@ class NNexus:
         metrics: NullRecorder | None = None,
         tracer: NullTracer | None = None,
         storage: SqliteBackend | None = None,
-        memory_reconcile_sec: float | None = None,
     ) -> None:
         self.config = config or NNexusConfig()
         self.scheme = scheme
@@ -272,15 +263,11 @@ class NNexus:
         #: Per-component memory accountant (objects store with the kept
         #: scans, concept map under the historical key ``map_segments``,
         #: invalidation index, render cache, trace ring, metrics
-        #: registry).  Components
-        #: report cheap plain-int estimates; ``resource_stats(deep=True)``
-        #: or the optional reconciler thread deep-samples the same graphs
-        #: and reports the estimate/deep ratio the bench gates at 2x.
-        self.accountant = MemoryAccountant(
-            reconcile_interval_sec=memory_reconcile_sec
-        )
+        #: registry).  Components report cheap plain-int estimates;
+        #: ``resource_stats(deep=True)`` deep-samples the same graphs and
+        #: reports the estimate/deep ratio the bench gates at 2x.
+        self.accountant = MemoryAccountant()
         self._register_memory_components()
-        self.accountant.start()
 
         if self.storage is not None:
             self._cold_start()
@@ -305,15 +292,18 @@ class NNexus:
             lambda: self._cache.estimated_bytes,
             self._cache.memory_roots,
         )
+        # Read through self: the CLI installs its tracer and registry
+        # after construction.
         acc.register(
-            "trace_ring", self.tracer.estimated_bytes, self.tracer.memory_roots
+            "trace_ring",
+            lambda: self.tracer.estimated_bytes(),
+            lambda: self.tracer.memory_roots(),
         )
-        # The metrics registry has no mutation hook to maintain an
-        # incremental counter from, so its "estimate" is a deep walk of
-        # a point-in-time snapshot — O(series), run at scrape time only.
-        # No deep_roots: sizing the same snapshot twice would make the
-        # reconcile ratio a tautology.
-        acc.register("metrics", lambda: deep_sizeof((self.metrics.snapshot(),)))
+        acc.register(
+            "metrics",
+            lambda: self.metrics.estimated_bytes(),
+            lambda: self.metrics.memory_roots(),
+        )
 
     # ------------------------------------------------------------------
     # Durable storage plumbing
@@ -416,9 +406,8 @@ class NNexus:
         # The store holds file handles and its journal belongs to the
         # parent; worker snapshots run in memory.
         state["storage"] = None
-        # The accountant holds a lock, maybe a reconciler thread, and
-        # closures over this linker; workers rebuild their own inert one
-        # in __setstate__.
+        # The accountant holds a lock and closures over this linker;
+        # workers rebuild their own in __setstate__.
         state.pop("accountant", None)
         return state
 

@@ -22,7 +22,7 @@ on their immutability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 
 @dataclass(slots=True)
@@ -90,6 +90,34 @@ class CorpusObject:
                 seen.add(key)
                 phrases.append(cleaned)
         return phrases
+
+
+def object_to_payload(obj: CorpusObject) -> dict[str, Any]:
+    """JSON-safe dict for one entry: a corpus file item, a journal row."""
+    return {
+        "object_id": obj.object_id,
+        "title": obj.title,
+        "defines": list(obj.defines),
+        "synonyms": list(obj.synonyms),
+        "classes": list(obj.classes),
+        "text": obj.text,
+        "domain": obj.domain,
+        "linking_policy": obj.linking_policy,
+    }
+
+
+def object_from_payload(payload: Mapping[str, Any]) -> CorpusObject:
+    """Inverse of :func:`object_to_payload`; absent fields take defaults."""
+    return CorpusObject(
+        object_id=int(payload["object_id"]),
+        title=str(payload.get("title", "")),
+        defines=[str(x) for x in payload.get("defines", [])],
+        synonyms=[str(x) for x in payload.get("synonyms", [])],
+        classes=[str(x) for x in payload.get("classes", [])],
+        text=str(payload.get("text", "")),
+        domain=str(payload.get("domain", "default")),
+        linking_policy=str(payload.get("linking_policy", "")),
+    )
 
 
 @dataclass(slots=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.core.errors import CorpusFormatError
-from repro.core.models import CorpusObject
+from repro.core.models import CorpusObject, object_from_payload, object_to_payload
 from repro.corpus.generator import (
     GeneratorParams,
     GroundTruthInvocation,
@@ -25,8 +25,6 @@ from repro.corpus.generator import (
 from repro.ontology.scheme import ClassificationScheme
 
 __all__ = [
-    "objects_to_dicts",
-    "objects_from_dicts",
     "save_corpus",
     "load_corpus",
     "save_synthetic_corpus",
@@ -39,43 +37,9 @@ __all__ = [
 _MALFORMED = (KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
 
-def objects_to_dicts(objects: Iterable[CorpusObject]) -> list[dict[str, object]]:
-    return [
-        {
-            "object_id": obj.object_id,
-            "title": obj.title,
-            "defines": list(obj.defines),
-            "synonyms": list(obj.synonyms),
-            "classes": list(obj.classes),
-            "text": obj.text,
-            "domain": obj.domain,
-            "linking_policy": obj.linking_policy,
-        }
-        for obj in objects
-    ]
-
-
-def objects_from_dicts(payload: Iterable[dict[str, object]]) -> list[CorpusObject]:
-    objects = []
-    for entry in payload:
-        objects.append(
-            CorpusObject(
-                object_id=int(entry["object_id"]),  # type: ignore[arg-type]
-                title=str(entry.get("title", "")),
-                defines=[str(x) for x in entry.get("defines", [])],  # type: ignore[union-attr]
-                synonyms=[str(x) for x in entry.get("synonyms", [])],  # type: ignore[union-attr]
-                classes=[str(x) for x in entry.get("classes", [])],  # type: ignore[union-attr]
-                text=str(entry.get("text", "")),
-                domain=str(entry.get("domain", "default")),
-                linking_policy=str(entry.get("linking_policy", "")),
-            )
-        )
-    return objects
-
-
 def save_corpus(objects: Iterable[CorpusObject], path: str | Path) -> None:
     """Write objects to a JSON corpus file."""
-    payload = {"objects": objects_to_dicts(objects)}
+    payload = {"objects": [object_to_payload(obj) for obj in objects]}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
@@ -92,7 +56,7 @@ def load_corpus(path: str | Path) -> list[CorpusObject]:
         entries = payload.get("objects", []) if isinstance(payload, dict) else None
         if not isinstance(entries, list):
             raise CorpusFormatError(f'{path}: expected {{"objects": [...]}}')
-        return objects_from_dicts(entries)
+        return [object_from_payload(entry) for entry in entries]
     except _MALFORMED as exc:
         raise CorpusFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
@@ -100,7 +64,7 @@ def load_corpus(path: str | Path) -> list[CorpusObject]:
 def save_synthetic_corpus(corpus: SyntheticCorpus, path: str | Path) -> None:
     """Persist a generated corpus including ground truth and scheme."""
     payload = {
-        "objects": objects_to_dicts(corpus.objects),
+        "objects": [object_to_payload(obj) for obj in corpus.objects],
         "ground_truth": {
             str(object_id): [
                 {
@@ -137,7 +101,7 @@ def load_synthetic_corpus(path: str | Path) -> SyntheticCorpus:
         for object_id, invocations in payload["ground_truth"].items()
     }
     return SyntheticCorpus(
-        objects=objects_from_dicts(payload["objects"]),
+        objects=[object_from_payload(entry) for entry in payload["objects"]],
         ground_truth=ground_truth,
         scheme=ClassificationScheme.from_dict(payload["scheme"]),
         common_word_objects={

@@ -29,15 +29,14 @@ from repro.corpus.generator import GeneratorParams, load_or_generate
 from repro.obs.memory import within_ratio
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import Tracer
 from repro.persistence import SqliteBackend
 
 __all__ = [
     "BenchParams",
     "run_linking_bench",
-    "measure_metrics_overhead",
-    "measure_tracing_overhead",
-    "measure_profile_overhead",
+    "measure_overhead",
+    "overhead_problems",
     "measure_persistence",
     "validate_report",
     "check_regression",
@@ -96,16 +95,14 @@ class BenchParams:
     smoke: bool = False
     metrics: bool = True
     #: Measure process-mode batch relink scaling (adds three extra
-    #: corpus passes); disabled by the overhead comparison runs.
+    #: corpus passes).
     scaling: bool = True
     #: Measure the durability cost (journaled ingest vs. in-memory)
-    #: and the cold-start restore time of the sqlite backend; disabled
-    #: by the overhead comparison runs.
+    #: and the cold-start restore time of the sqlite backend.
     persistence: bool = True
     #: Measure per-component memory accounting (incremental estimates
     #: reconciled against a deep getsizeof walk, gated within 2x) and
-    #: smoke the sampling profiler over a render pass; disabled by the
-    #: overhead comparison runs.
+    #: smoke the sampling profiler over a render pass.
     resources: bool = True
 
     @classmethod
@@ -362,121 +359,95 @@ def measure_persistence(params: BenchParams | None = None) -> dict[str, Any]:
     }
 
 
-def measure_metrics_overhead(params: BenchParams | None = None) -> dict[str, float]:
-    """Cold-pass wall time with metrics off vs. on (the <=2% budget check).
+def _cold_pass(
+    params: BenchParams, *, reconcile: bool = False, **linker_kwargs: Any
+) -> tuple[float, str, int]:
+    """One fresh linker over the bench corpus, every entry rendered cold.
 
-    Returns both timings and their ratio.  Wall-clock based, so treat
-    single runs as indicative — the acceptance budget is asserted on
-    the median of repeats when it matters.
+    Returns the seconds spent rendering, a sha256 over every rendering
+    followed by what the cache then holds for each entry (so an
+    instrument that drops or alters a cached rendering changes the hash
+    too), and the number of memory reconciles.  ``reconcile=True`` runs
+    one on-demand reconcile, untimed, between the two halves of the
+    render loop.
     """
-    params = params or BenchParams.smoke_params()
-    baseline = run_linking_bench(
-        BenchParams(entries=params.entries, seed=params.seed, smoke=params.smoke,
-                    metrics=False, scaling=False, persistence=False,
-                    resources=False)
-    )
-    instrumented = run_linking_bench(
-        BenchParams(entries=params.entries, seed=params.seed, smoke=params.smoke,
-                    metrics=True, scaling=False, persistence=False,
-                    resources=False)
-    )
-    base = baseline["throughput"]["cold_elapsed_sec"]
-    inst = instrumented["throughput"]["cold_elapsed_sec"]
-    return {
-        "baseline_sec": base,
-        "instrumented_sec": inst,
-        "overhead_ratio": (inst / base) if base else 0.0,
-    }
-
-
-def measure_tracing_overhead(params: BenchParams | None = None) -> dict[str, Any]:
-    """Cold-pass wall time and output hash with the null vs. a live tracer.
-
-    Runs the same deterministic corpus through two fresh linkers — one
-    with the default :data:`~repro.obs.trace.NULL_TRACER`, one with an
-    active :class:`~repro.obs.trace.Tracer` — hashing every rendering
-    both times.  ``renderings_identical`` MUST be true: tracing is
-    observation only and may never change output bytes.  The timing
-    ratio is wall-clock based and indicative, like
-    :func:`measure_metrics_overhead`.
-    """
-    params = params or BenchParams.smoke_params()
-
-    def cold_pass(tracer: NullTracer | None) -> tuple[float, str]:
-        corpus = load_or_generate(
-            GeneratorParams(n_entries=params.entries, seed=params.seed)
-        )
-        linker = NNexus(scheme=corpus.scheme, tracer=tracer)
-        linker.add_objects(corpus.objects)
-        object_ids = [obj.object_id for obj in corpus.objects]
-        digest = hashlib.sha256()
+    corpus = load_or_generate(GeneratorParams(n_entries=params.entries, seed=params.seed))
+    linker = NNexus(scheme=corpus.scheme, **linker_kwargs)
+    linker.add_objects(corpus.objects)
+    object_ids = [obj.object_id for obj in corpus.objects]
+    half = len(object_ids) // 2
+    digest = hashlib.sha256()
+    elapsed = 0.0
+    for position, chunk in enumerate((object_ids[:half], object_ids[half:])):
+        if reconcile and position:
+            linker.accountant.reconcile()
         start = perf_counter()
-        for object_id in object_ids:
+        for object_id in chunk:
             digest.update(linker.render_object(object_id).encode("utf-8"))
-        elapsed = perf_counter() - start
-        return elapsed, digest.hexdigest()
-
-    baseline_sec, baseline_sha = cold_pass(None)
-    traced_sec, traced_sha = cold_pass(Tracer(max_traces=64))
-    return {
-        "baseline_sec": baseline_sec,
-        "traced_sec": traced_sec,
-        "overhead_ratio": (traced_sec / baseline_sec) if baseline_sec else 0.0,
-        "baseline_sha256": baseline_sha,
-        "traced_sha256": traced_sha,
-        "renderings_identical": baseline_sha == traced_sha,
-    }
+        elapsed += perf_counter() - start
+    for object_id in object_ids:
+        digest.update(b"\0" + (linker.cache.get(object_id) or "").encode("utf-8"))
+    return elapsed, digest.hexdigest(), linker.accountant.snapshot()["reconcile_count"]
 
 
-def measure_profile_overhead(params: BenchParams | None = None) -> dict[str, Any]:
-    """Cold-pass wall time and output hash with profiling/accounting active.
+def measure_overhead(params: BenchParams | None = None) -> dict[str, Any]:
+    """Cold-pass time and output hash with each instrument on vs. plain.
 
-    Mirrors :func:`measure_tracing_overhead` for the resource-
-    observability layer: the baseline pass runs a plain linker (null
-    profiler, accountant idle), the instrumented pass runs under a 1ms
-    :class:`~repro.obs.profile.SamplingProfiler` with the memory
-    accountant deep-reconciling every 50ms.  ``renderings_identical``
-    MUST be true — profiling and accounting observe, they never touch
-    output bytes — and ``profile_samples`` must be positive, proving
-    the sampler actually ran.  CI gates both via
-    ``bench_linking.py --profile-overhead``.
+    Four passes over fresh linkers: plain (null recorder, null tracer,
+    accountant idle), one with a :class:`~repro.obs.metrics.MetricsRegistry`,
+    one with a live :class:`~repro.obs.trace.Tracer`, and one under a
+    1 ms :class:`~repro.obs.profile.SamplingProfiler` that also reconciles
+    the memory accountant between renders.  Instruments observe; they
+    never change output, so every pass's ``renderings_identical`` MUST be
+    true, the profiler must have taken samples and the accounting pass
+    must have reconciled (see :func:`overhead_problems`).  The ratios
+    are wall-clock based and indicative.
     """
     params = params or BenchParams.smoke_params()
-
-    def cold_pass(reconcile_sec: float | None) -> tuple[float, str]:
-        corpus = load_or_generate(
-            GeneratorParams(n_entries=params.entries, seed=params.seed)
-        )
-        linker = NNexus(scheme=corpus.scheme, memory_reconcile_sec=reconcile_sec)
-        linker.add_objects(corpus.objects)
-        object_ids = [obj.object_id for obj in corpus.objects]
-        digest = hashlib.sha256()
-        start = perf_counter()
-        for object_id in object_ids:
-            digest.update(linker.render_object(object_id).encode("utf-8"))
-        elapsed = perf_counter() - start
-        linker.accountant.stop()
-        return elapsed, digest.hexdigest()
-
-    baseline_sec, baseline_sha = cold_pass(None)
+    runs = {
+        "plain": _cold_pass(params),
+        "metrics": _cold_pass(params, metrics=MetricsRegistry()),
+        "tracing": _cold_pass(params, tracer=Tracer(max_traces=64)),
+    }
     profiler = SamplingProfiler(interval_sec=0.001)
     profiler.start()
     try:
-        profiled_sec, profiled_sha = cold_pass(0.05)
+        runs["accounting"] = _cold_pass(params, reconcile=True)
     finally:
         profiler.stop()
+    plain_sec, plain_sha, _ = runs["plain"]
     snapshot = profiler.snapshot(max_stacks=25)
     return {
-        "baseline_sec": baseline_sec,
-        "profiled_sec": profiled_sec,
-        "overhead_ratio": (profiled_sec / baseline_sec) if baseline_sec else 0.0,
-        "baseline_sha256": baseline_sha,
-        "profiled_sha256": profiled_sha,
-        "renderings_identical": baseline_sha == profiled_sha,
+        "entries": params.entries,
+        "seed": params.seed,
+        "passes": {
+            name: {
+                "seconds": seconds,
+                "ratio": (seconds / plain_sec) if plain_sec else 0.0,
+                "sha256": sha,
+                "renderings_identical": sha == plain_sha,
+                "reconciles": reconciles,
+            }
+            for name, (seconds, sha, reconciles) in runs.items()
+        },
         "profile_samples": int(snapshot["samples"]),
         "profile_stacks": int(snapshot["distinct_stacks"]),
         "collapsed": profiler.collapsed(),
     }
+
+
+def overhead_problems(report: dict[str, Any]) -> list[str]:
+    """Failed checks of a :func:`measure_overhead` report (empty = pass)."""
+    problems = [
+        f"{name} pass: renderings differ from the plain pass"
+        for name, body in report["passes"].items()
+        if not body["renderings_identical"]
+    ]
+    if report["profile_samples"] == 0:
+        problems.append("accounting pass: the sampling profiler took no samples")
+    if report["passes"]["accounting"]["reconciles"] == 0:
+        problems.append("accounting pass: the memory accountant never reconciled")
+    return problems
 
 
 # ---------------------------------------------------------------------------

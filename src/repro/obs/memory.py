@@ -16,21 +16,22 @@ Two measurement tiers, deliberately separate:
   hit counters.
 * **Deep samples** — :func:`deep_sizeof` recursively walks a
   component's live object graph with ``sys.getsizeof``.  Accurate but
-  O(objects), so it runs only from the :class:`MemoryAccountant`
-  reconciler: on demand (``getResourceStats`` with ``deep=1``), or
-  periodically from a background thread.  The reconciler reports the
-  estimate/deep ratio per component; the linking bench gates that the
-  incremental estimates stay within 2x of the deep truth.
+  O(objects), so it runs only when :meth:`MemoryAccountant.reconcile`
+  is asked for (``getResourceStats`` with ``deep=1``, or the linking
+  bench).  The reconcile reports the estimate/deep ratio per component;
+  the linking bench gates that the incremental estimates stay within 2x
+  of the deep truth.
 
 Every linker owns one :class:`MemoryAccountant`.  Accounting never
 touches rendered output, which CI checks with
-``bench_linking.py --profile-overhead``.
+``bench_linking.py --overhead``.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from collections import deque
 from time import monotonic
 from typing import Callable, Iterable, Mapping
 
@@ -70,6 +71,8 @@ DEEP_SIZEOF_MAX_OBJECTS = 2_000_000
 SMALL_COMPONENT_BYTES = 4096
 
 _MODULE_TYPE = type(sys)
+_SEQUENCES = (list, tuple, deque, set, frozenset)
+_CONTAINERS = (dict, *_SEQUENCES)
 
 
 def estimate_str(text: str) -> int:
@@ -117,8 +120,8 @@ def deep_sizeof(
 ) -> int:
     """Recursive ``sys.getsizeof`` over a graph of containers.
 
-    Follows dicts (keys and values), lists/tuples/sets/frozensets, and
-    instances (``__dict__`` and ``__slots__``).  Shared objects are
+    Follows dicts (keys and values), lists/tuples/deques/sets/frozensets,
+    and instances (``__dict__`` and ``__slots__``).  Shared objects are
     counted once (identity-deduplicated), matching what the process
     actually pays for them.  Class objects, modules and functions are
     skipped — they are program text, not corpus data.
@@ -136,7 +139,7 @@ def deep_sizeof(
         seen.add(obj_id)
         if isinstance(obj, (type, _MODULE_TYPE)):
             continue
-        if callable(obj) and not isinstance(obj, (dict, list, tuple, set, frozenset)):
+        if callable(obj) and not isinstance(obj, _CONTAINERS):
             continue
         visited += 1
         try:
@@ -147,7 +150,7 @@ def deep_sizeof(
             if isinstance(obj, dict):
                 stack.extend(obj.keys())
                 stack.extend(obj.values())
-            elif isinstance(obj, (list, tuple, set, frozenset)):
+            elif isinstance(obj, _SEQUENCES):
                 stack.extend(obj)
             else:
                 inner = getattr(obj, "__dict__", None)
@@ -173,17 +176,13 @@ class MemoryAccountant:
     returns the live objects to :func:`deep_sizeof` during a
     reconcile.  :meth:`sample` reads every estimate and updates the
     per-component high-watermark; :meth:`reconcile` additionally runs
-    the deep walk and records the estimate/deep ratio.
-
-    ``reconcile_interval_sec`` arms a daemon thread that reconciles
-    periodically (:meth:`start`/:meth:`stop`); leave it ``None`` to
-    reconcile only on demand.
+    the deep walk and records the estimate/deep ratio.  Nothing runs in
+    the background: a reconcile happens only when a caller asks for one.
+    The lock guards the tables because server threads sample and
+    reconcile concurrently.
     """
 
-    def __init__(self, reconcile_interval_sec: float | None = None) -> None:
-        if reconcile_interval_sec is not None and reconcile_interval_sec <= 0:
-            raise ValueError("reconcile_interval_sec must be positive")
-        self.reconcile_interval_sec = reconcile_interval_sec
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._estimators: dict[str, Callable[[], int]] = {}
         self._deep_roots: dict[str, Callable[[], Iterable[object]]] = {}
@@ -191,8 +190,6 @@ class MemoryAccountant:
         self._last_reconcile: dict[str, dict[str, float]] = {}
         self._last_reconcile_at: float | None = None
         self._reconcile_count = 0
-        self._stop_event = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # -- registration -------------------------------------------------
 
@@ -276,38 +273,6 @@ class MemoryAccountant:
             "reconcile_count": count,
             "reconcile_age_sec": age,
         }
-
-    # -- periodic reconciler ------------------------------------------
-
-    def start(self) -> None:
-        if self.reconcile_interval_sec is None:
-            return
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return
-            self._stop_event = threading.Event()
-            self._thread = threading.Thread(
-                target=self._run,
-                name="nnexus-memory-reconciler",
-                daemon=True,
-            )
-            self._thread.start()
-
-    def stop(self) -> None:
-        with self._lock:
-            thread = self._thread
-            stop_event = self._stop_event
-            self._thread = None
-        if thread is None:
-            return
-        stop_event.set()
-        thread.join(timeout=5.0)
-
-    def _run(self) -> None:
-        stop_event = self._stop_event
-        interval = self.reconcile_interval_sec or 0.0
-        while not stop_event.wait(interval):
-            self.reconcile()
 
 
 def within_ratio(

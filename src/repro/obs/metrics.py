@@ -50,6 +50,16 @@ DEFAULT_WINDOW = 8192
 
 _LabelKey = tuple[tuple[str, str], ...]
 
+# Byte costs behind MetricsRegistry.estimated_bytes, calibrated against
+# repro.obs.memory.deep_sizeof of its tables on 64-bit CPython: one
+# series (dict slot, key tuples, value), one histogram's instance,
+# attribute dict, counters and deque shell, one windowed sample (a
+# deque slot and its float), and one exemplar string with its slot.
+_SERIES_BYTES = 250
+_HISTOGRAM_BYTES = 900
+_SAMPLE_BYTES = 32
+_EXEMPLAR_BYTES = 300
+
 
 def _label_key(labels: dict[str, str]) -> _LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -173,6 +183,12 @@ class NullRecorder:
     def snapshot(self) -> dict[str, list[dict[str, Any]]]:
         return empty_snapshot()
 
+    def estimated_bytes(self) -> int:
+        return 0
+
+    def memory_roots(self) -> tuple[object, ...]:
+        return ()
+
 
 #: Shared inert recorder — the default for every instrumented component.
 NULL_RECORDER = NullRecorder()
@@ -265,6 +281,35 @@ class MetricsRegistry(NullRecorder):
                     series["exemplar"] = exemplar
                 histograms.append(series)
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+    def estimated_bytes(self) -> int:
+        """Byte estimate of the four tables from their sizes, O(series)."""
+        with self._lock:
+            series = len(self._counters) + len(self._gauges)
+            histograms = len(self._histograms)
+            samples = sum(len(histogram) for histogram in self._histograms.values())
+            exemplars = len(self._exemplars)
+        return (
+            (series + histograms) * _SERIES_BYTES
+            + histograms * _HISTOGRAM_BYTES
+            + samples * _SAMPLE_BYTES
+            + exemplars * _EXEMPLAR_BYTES
+        )
+
+    def memory_roots(self) -> tuple[object, ...]:
+        """The four tables, for the memory accountant's deep sampler.
+
+        The table shells are copied under the lock; the histograms inside
+        are shared and may gain samples mid-walk, which the deep sampler
+        tolerates.
+        """
+        with self._lock:
+            return (
+                dict(self._counters),
+                dict(self._gauges),
+                dict(self._histograms),
+                dict(self._exemplars),
+            )
 
     def reset(self) -> None:
         """Drop every series (benchmark harness isolation)."""

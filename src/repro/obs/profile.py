@@ -7,8 +7,9 @@ a daemon thread wakes every ``interval_sec``, snapshots every live
 thread's stack via :func:`sys._current_frames`, and folds each stack
 into an aggregated ``frames -> count`` table.  The cost is one stack
 walk per thread per tick, independent of request rate, so the profiler
-can stay on in production (measured overhead on the linking bench is
-gated in CI by ``bench_linking.py --profile-overhead``).
+can stay on in production (its overhead on the linking bench is
+measured, and its samples and unchanged renderings checked in CI, by
+``bench_linking.py --overhead``).
 
 Like the metrics recorder and the tracer, the default is an inert
 :data:`NULL_PROFILER` (``enabled = False``) with zero cost on every

@@ -1,4 +1,4 @@
-"""The records a durable store reads back, and their JSON payloads.
+"""The records a durable store reads back.
 
 :class:`~repro.persistence.sqlite_backend.SqliteBackend` journals linker
 mutations (object add/update/remove, policy changes, cache
@@ -20,44 +20,10 @@ has no table of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 from repro.core.models import CorpusObject
 
-__all__ = [
-    "CorpusSnapshot",
-    "StoredRendering",
-    "object_to_payload",
-    "object_from_payload",
-]
-
-
-def object_to_payload(obj: CorpusObject) -> dict[str, Any]:
-    """JSON-safe dict for one corpus object (same shape as corpus files)."""
-    return {
-        "object_id": obj.object_id,
-        "title": obj.title,
-        "defines": list(obj.defines),
-        "synonyms": list(obj.synonyms),
-        "classes": list(obj.classes),
-        "text": obj.text,
-        "domain": obj.domain,
-        "linking_policy": obj.linking_policy,
-    }
-
-
-def object_from_payload(payload: Mapping[str, Any]) -> CorpusObject:
-    """Inverse of :func:`object_to_payload`."""
-    return CorpusObject(
-        object_id=int(payload["object_id"]),
-        title=str(payload.get("title", "")),
-        defines=[str(x) for x in payload.get("defines", [])],
-        synonyms=[str(x) for x in payload.get("synonyms", [])],
-        classes=[str(x) for x in payload.get("classes", [])],
-        text=str(payload.get("text", "")),
-        domain=str(payload.get("domain", "default")),
-        linking_policy=str(payload.get("linking_policy", "")),
-    )
+__all__ = ["CorpusSnapshot", "StoredRendering"]
 
 
 @dataclass(frozen=True)

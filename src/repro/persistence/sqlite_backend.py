@@ -28,13 +28,8 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.core.errors import StorageCorruptionError, StorageError
-from repro.core.models import CorpusObject
-from repro.persistence.api import (
-    CorpusSnapshot,
-    StoredRendering,
-    object_from_payload,
-    object_to_payload,
-)
+from repro.core.models import CorpusObject, object_from_payload, object_to_payload
+from repro.persistence.api import CorpusSnapshot, StoredRendering
 
 __all__ = ["SqliteBackend"]
 

@@ -18,10 +18,9 @@ server counters; ``--trace`` records request-scoped span trees
 span to a JSONL file; ``--slow-ms N`` flushes any request slower than
 N milliseconds as a ``slow_request`` forensics log record;
 ``--profile`` runs the background sampling profiler (retrieve via
-``getProfile`` or ``GET /debug/profile``); ``--memory-reconcile-sec``
-arms the periodic deep reconcile of the per-component memory
-estimates (always available on demand via ``getResourceStats`` with
-``deep=1``).  All output goes through the structured logger
+``getProfile`` or ``GET /debug/profile``).  The per-component memory
+estimates are always served by ``getResourceStats``; ``deep=1`` also
+deep-reconciles them.  All output goes through the structured logger
 (``--log-level``, ``--log-json``).
 
 ``--data-dir DIR`` turns durability on: the server opens the sqlite
@@ -105,11 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile-interval-ms", type=float, default=5.0,
                         metavar="MS",
                         help="sampling interval for --profile")
-    parser.add_argument("--memory-reconcile-sec", type=float, default=None,
-                        metavar="SEC",
-                        help="deep-reconcile the per-component memory "
-                             "estimates every SEC seconds (default: only on "
-                             "getResourceStats with deep=1)")
     parser.add_argument("--log-level", default="info",
                         choices=("debug", "info", "warning", "error"),
                         help="structured log threshold (debug includes "
@@ -132,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pipeline-workers must be >= 1")
     if args.profile_interval_ms <= 0:
         parser.error("--profile-interval-ms must be > 0")
-    if args.memory_reconcile_sec is not None and args.memory_reconcile_sec <= 0:
-        parser.error("--memory-reconcile-sec must be > 0")
 
     configure_logging(
         level=args.log_level, fmt="json" if args.log_json else "console"
@@ -187,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
             metrics=metrics,
             tracer=tracer,
             storage=storage,
-            memory_reconcile_sec=args.memory_reconcile_sec,
         )
         if len(linker):
             # The store restored a corpus: don't double-seed on top of it.
@@ -277,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
             gateway.server_close()
         if profiler is not None:
             profiler.stop()
-        linker.accountant.stop()
         if exporter is not None:
             exporter.close()
         if storage is not None:

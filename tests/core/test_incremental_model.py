@@ -18,6 +18,10 @@ After every step:
 3. every entry's stored scan, the one ``link_object`` links from, equals
    a fresh scan of the entry's current text.
 
+:class:`ClassEditModel` runs the same machine with only the add, remove
+and ``edit_classes`` rules, over entries whose titles collide, so the
+small budget reaches class edits that steering reads.
+
 The example budget is small by default.  Set ``NNEXUS_MODEL_PROFILE=ci``
 to run the large budget the CI job uses.
 """
@@ -94,7 +98,26 @@ def entries(draw: st.DrawFn, object_id: int) -> CorpusObject:
     )
 
 
+@st.composite
+def steered_entries(draw: st.DrawFn, object_id: int) -> CorpusObject:
+    """An entry titled by one of three label words, with classes.
+
+    Homonyms are common, and classification steering picks between
+    them, so a class edit of one often changes another entry's links.
+    """
+    return CorpusObject(
+        object_id,
+        title=draw(st.sampled_from(LABEL_WORDS[:3])),
+        classes=draw(st.lists(st.sampled_from(CLASSES), min_size=1, max_size=2, unique=True)),
+        text=draw(texts),
+    )
+
+
 class IncrementalLinkerModel(RuleBasedStateMachine):
+    #: What ``start``, ``add_object`` and ``update_object`` draw, given
+    #: an object id.
+    entry_strategy = staticmethod(entries)
+
     def _open(self) -> NNexus:
         """The linker under test; subclasses may give it storage."""
         return NNexus(scheme=SCHEME)
@@ -102,7 +125,9 @@ class IncrementalLinkerModel(RuleBasedStateMachine):
     @initialize(data=st.data(), count=st.integers(1, 4))
     def start(self, data: st.DataObject, count: int) -> None:
         self.linker = self._open()
-        self.linker.add_objects(data.draw(entries(oid)) for oid in range(1, count + 1))
+        self.linker.add_objects(
+            data.draw(self.entry_strategy(oid)) for oid in range(1, count + 1)
+        )
         self.next_id = count + 1
         #: From-scratch renderings after the previous step.
         self.previous: dict[int, str] = {}
@@ -119,7 +144,7 @@ class IncrementalLinkerModel(RuleBasedStateMachine):
     # -- mutations -------------------------------------------------------
     @rule(data=st.data())
     def add_object(self, data: st.DataObject) -> None:
-        obj = data.draw(entries(self.next_id))
+        obj = data.draw(self.entry_strategy(self.next_id))
         self.next_id += 1
         invalidated = self.linker.add_object(obj)
         self.last_mutation = ({obj.object_id}, invalidated)
@@ -127,7 +152,7 @@ class IncrementalLinkerModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def update_object(self, data: st.DataObject) -> None:
         object_id = data.draw(st.sampled_from(self._ids()))
-        obj = data.draw(entries(object_id))
+        obj = data.draw(self.entry_strategy(object_id))
         invalidated = self.linker.update_object(obj)
         self.last_mutation = ({object_id}, invalidated)
 
@@ -215,5 +240,21 @@ class IncrementalLinkerModel(RuleBasedStateMachine):
             assert list(stored.escaped_regions) == list(fresh.escaped_regions), object_id
 
 
+class ClassEditModel(IncrementalLinkerModel):
+    """The same machine with only ``add_object``, ``remove_object`` and
+    ``edit_classes``, over :func:`steered_entries`, so the small budget
+    reaches the class-edit path: the all-rules machine rarely edits the
+    classes of an entry that steering weighs for another entry's link.
+    """
+
+    entry_strategy = staticmethod(steered_entries)
+
+    # An inherited rule's name bound to a plain value is no rule.
+    update_object = edit_text = edit_synonyms = None
+    set_linking_policy = set_base_weight = None
+
+
 IncrementalLinkerModel.TestCase.settings = settings.get_profile(f"model-{PROFILE}")
 TestIncrementalLinkerModel = IncrementalLinkerModel.TestCase
+ClassEditModel.TestCase.settings = settings.get_profile(f"model-{PROFILE}")
+TestClassEditModel = ClassEditModel.TestCase

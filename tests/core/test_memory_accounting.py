@@ -52,9 +52,44 @@ def test_estimates_track_mutations() -> None:
 def test_reconcile_stays_within_2x_on_populated_corpus() -> None:
     linker = _linker()
     report = linker.accountant.reconcile()
-    # Every deep-rooted component is reconciled; metrics is estimate-only.
-    assert set(report) == COMPONENTS - {"metrics"}
+    # Every component, the metrics registry too, has deep roots.
+    assert set(report) == COMPONENTS
     assert within_ratio(report, bound=2.0), report
+
+
+def test_metrics_estimate_within_2x_of_its_tables() -> None:
+    from repro.corpus.generator import GeneratorParams, generate_corpus
+    from repro.obs.memory import deep_sizeof
+    from repro.obs.trace import Tracer
+
+    corpus = generate_corpus(GeneratorParams(n_entries=300, seed=5))
+    registry = MetricsRegistry()
+    linker = NNexus(
+        scheme=corpus.scheme, metrics=registry, tracer=Tracer(max_traces=8)
+    )
+    linker.add_objects(corpus.objects)
+    for object_id in linker.object_ids():
+        linker.render_object(object_id)
+    linker.metrics_snapshot()
+    deep = deep_sizeof(registry.memory_roots())
+    assert deep > 4 * 4096  # well above the small-component floor
+    assert 0.5 <= registry.estimated_bytes() / deep <= 2.0
+    assert 0.5 <= _deep_ratio(linker, "metrics") <= 2.0
+
+
+def test_metrics_snapshot_snapshots_the_registry_once() -> None:
+    linker = _linker(metrics=True)
+    registry = linker.metrics
+    calls = []
+    snapshot = registry.snapshot
+
+    def counted() -> dict:
+        calls.append(1)
+        return snapshot()
+
+    registry.snapshot = counted
+    linker.metrics_snapshot()
+    assert len(calls) == 1
 
 
 def test_resource_stats_shape_and_deep_toggle() -> None:

@@ -8,6 +8,8 @@ from repro.obs.bench import (
     STAGES,
     BenchParams,
     check_regression,
+    measure_overhead,
+    overhead_problems,
     run_linking_bench,
     validate_report,
 )
@@ -188,16 +190,34 @@ def test_resources_section_reconciles_and_profiles() -> None:
 
 
 def test_profile_overhead_keeps_renderings_identical() -> None:
-    from repro.obs.bench import measure_profile_overhead
-
-    overhead = measure_profile_overhead(
+    overhead = measure_overhead(
         BenchParams(entries=40, seed=7, smoke=True, metrics=False,
                     scaling=False, persistence=False,
                     resources=False)
     )
-    assert overhead["renderings_identical"] is True
+    assert set(overhead["passes"]) == {"plain", "metrics", "tracing", "accounting"}
+    for name, body in overhead["passes"].items():
+        assert body["renderings_identical"] is True, name
+        assert body["sha256"] == overhead["passes"]["plain"]["sha256"], name
+        assert body["seconds"] > 0.0, name
+    assert overhead["passes"]["accounting"]["reconciles"] >= 1
     assert overhead["profile_samples"] > 0
     assert overhead["collapsed"].strip() != ""
+    assert overhead_problems(overhead) == []
+
+
+def test_overhead_problems_name_each_failed_check() -> None:
+    passes = {
+        name: {"renderings_identical": True}
+        for name in ("plain", "metrics", "tracing", "accounting")
+    }
+    passes["metrics"]["renderings_identical"] = False
+    passes["accounting"]["reconciles"] = 0
+    problems = overhead_problems({"passes": passes, "profile_samples": 0})
+    assert len(problems) == 3
+    assert any(problem.startswith("metrics pass") for problem in problems)
+    assert any("no samples" in problem for problem in problems)
+    assert any("never reconciled" in problem for problem in problems)
 
 
 def test_resources_off_still_validates() -> None:

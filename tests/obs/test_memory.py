@@ -2,9 +2,7 @@
 
 import sys
 import threading
-import time
-
-import pytest
+from collections import deque
 
 from repro.obs.memory import (
     SMALL_COMPONENT_BYTES,
@@ -72,12 +70,12 @@ class TestDeepSizeof:
         unbounded = deep_sizeof((big,))
         assert 0 < bounded < unbounded
 
+    def test_follows_deques(self) -> None:
+        samples = deque(float(i) + 0.5 for i in range(1000))
+        assert deep_sizeof((samples,)) >= sys.getsizeof(samples) + 1000 * 24
+
 
 class TestMemoryAccountant:
-    def test_rejects_non_positive_interval(self) -> None:
-        with pytest.raises(ValueError):
-            MemoryAccountant(reconcile_interval_sec=0.0)
-
     def test_sample_reads_estimates_and_tracks_peaks(self) -> None:
         accountant = MemoryAccountant()
         size = {"value": 100}
@@ -121,33 +119,17 @@ class TestMemoryAccountant:
         assert after["reconcile_age_sec"] >= 0.0
         assert after["components"]["comp"]["bytes"] == 10
 
-    def test_periodic_reconciler_thread_runs_and_stops(self) -> None:
-        accountant = MemoryAccountant(reconcile_interval_sec=0.01)
-        accountant.register("comp", lambda: 10, lambda: ([],))
-        accountant.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while (
-                accountant.snapshot()["reconcile_count"] < 2
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-        finally:
-            accountant.stop()
-        assert accountant.snapshot()["reconcile_count"] >= 2
-        assert not any(
-            thread.name == "nnexus-memory-reconciler"
-            for thread in threading.enumerate()
-        )
-
-    def test_start_without_interval_is_a_noop(self) -> None:
+    def test_reconciles_only_when_asked(self) -> None:
+        threads = set(threading.enumerate())
         accountant = MemoryAccountant()
-        accountant.start()
-        assert not any(
-            thread.name == "nnexus-memory-reconciler"
-            for thread in threading.enumerate()
-        )
-        accountant.stop()
+        accountant.register("comp", lambda: 10, lambda: ([],))
+        for _ in range(3):
+            accountant.sample()
+            accountant.snapshot()
+        assert accountant.snapshot()["reconcile_count"] == 0
+        accountant.reconcile()
+        assert accountant.snapshot()["reconcile_count"] == 1
+        assert set(threading.enumerate()) == threads
 
 
 class TestWithinRatio:

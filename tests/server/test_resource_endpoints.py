@@ -3,13 +3,17 @@ getResourceStats, getProfile, GET /debug/profile, contention metrics."""
 
 import json
 import re
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from repro.core.linker import NNexus
+from repro.corpus.generator import GeneratorParams, generate_corpus
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler
@@ -93,6 +97,63 @@ class TestGetResourceStats:
             for c in snapshot["counters"]
         }
         assert counters[("nnexus_server_requests_total", "getResourceStats")] >= 1
+
+    def test_deep_reconcile_under_concurrent_writes(self) -> None:
+        # Debug methods bypass the readers-writer lock, so a deep walk
+        # runs while writers mutate the graphs it walks.
+        corpus = generate_corpus(GeneratorParams(n_entries=150, seed=11))
+        linker = NNexus(scheme=corpus.scheme, metrics=MetricsRegistry())
+        linker.add_objects(corpus.objects)
+        for object_id in linker.object_ids():
+            linker.render_object(object_id)  # writes now invalidate cached rows
+        instance = serve_forever(linker)
+        host, port = instance.address
+        stop = threading.Event()
+        replies: list[dict] = []
+        errors: list[Exception] = []
+
+        def reconcile_loop() -> None:
+            try:
+                with NNexusClient(host, port) as reader:
+                    while not stop.is_set():
+                        replies.append(reader.get_resource_stats(deep=True))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the walk and the writes finely
+        thread = threading.Thread(target=reconcile_loop)
+        thread.start()
+        try:
+            with NNexusClient(host, port) as writer:
+                deadline = time.monotonic() + 30.0
+                step = 0
+                while step < 80 or (len(replies) < 2 and time.monotonic() < deadline):
+                    obj = corpus.objects[step % len(corpus.objects)]
+                    if step % 4 == 0:
+                        writer.update_object(replace(obj, text=obj.text[::-1]))
+                    elif step % 4 == 1:
+                        writer.remove_object(obj.object_id)
+                        writer.add_object(obj)
+                    elif step % 4 == 2:
+                        writer.update_object(obj)
+                    else:
+                        writer.link_entry(obj.text, classes=obj.classes)
+                    step += 1
+        finally:
+            stop.set()
+            thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+            instance.shutdown()
+            instance.server_close()
+        assert not thread.is_alive()
+        assert not errors, errors
+        assert len(replies) >= 2
+        assert linker.accountant.snapshot()["reconcile_count"] >= 2
+        fresh = NNexus(scheme=corpus.scheme)
+        fresh.add_objects(linker.get_object(oid) for oid in linker.object_ids())
+        for object_id in linker.object_ids():
+            assert linker.render_object(object_id) == fresh.render_object(object_id)
 
 
 class TestGetProfile:

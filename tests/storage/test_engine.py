@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import StorageError
-from repro.core.models import CorpusObject
-from repro.persistence.api import object_from_payload
+from repro.core.models import CorpusObject, object_from_payload
 from repro.persistence.sqlite_backend import SqliteBackend
 from tests.storage.sqlite_faults import WAL_NAME, FailingConnection, crash_image
 

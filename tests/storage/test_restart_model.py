@@ -17,9 +17,14 @@ and the saved text must reach the linker and the journal.
 
 On top of the inherited invariants (every served rendering equals a
 from-scratch rebuild, invalidated covers changed, kept scans match the
-text), after every step the corpus a reopen restores equals the live
-corpus field for field.  Restored renderings are served by the next
-step's rebuild check, so they must be byte-identical to a rebuild too.
+text), after every step:
+
+* every rendering row the sqlite file holds as valid equals a
+  from-scratch rebuild's rendering in its format.  The rows are read
+  straight from the file before anything renders in that step: a render
+  rewrites its entry's row, and a cold start re-renders a sample of the
+  restored rows, so either would repair a stale row before it is seen;
+* the corpus a reopen restores equals the live corpus field for field.
 
 The example budget is small by default.  Set ``NNEXUS_MODEL_PROFILE=ci``
 to run the large budget the CI job uses.
@@ -114,6 +119,21 @@ class RestartLinkerModel(IncrementalLinkerModel):
         self.last_mutation = ({object_id}, set(revision.invalidated))
 
     # -- invariants ------------------------------------------------------
+    @invariant()
+    def matches_rebuild(self) -> None:
+        # Check what the store would serve before the inherited check
+        # renders: each render rewrites that entry's row.
+        storage = SqliteBackend(self.data_dir, sync="off")
+        try:
+            rows = [row for row in storage.load().renderings if row.valid]
+        finally:
+            storage.close()
+        fresh = self._rebuilt()
+        for row in rows:
+            expected = fresh.render_object(row.object_id, row.fmt)
+            assert row.body == expected, (row.object_id, row.fmt)
+        super().matches_rebuild()
+
     @invariant()
     def reopen_restores_live_corpus(self) -> None:
         storage = SqliteBackend(self.data_dir, sync="off")
