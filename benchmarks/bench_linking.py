@@ -50,8 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=20090612)
     parser.add_argument("--smoke", action="store_true",
                         help=f"CI-sized run ({SMOKE_ENTRIES} entries)")
-    parser.add_argument("--no-metrics", action="store_true",
-                        help="run with the null recorder (no stage timings)")
     parser.add_argument("--out", type=str, default="BENCH_linking.json",
                         help="report path ('-' for stdout)")
     parser.add_argument("--validate", type=str, metavar="PATH", default="",
@@ -79,10 +77,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.smoke:
-        params = BenchParams.smoke_params(seed=args.seed, metrics=not args.no_metrics)
+        params = BenchParams.smoke_params(seed=args.seed)
     else:
-        params = BenchParams(entries=args.entries, seed=args.seed,
-                             metrics=not args.no_metrics)
+        params = BenchParams(entries=args.entries, seed=args.seed)
 
     if args.overhead:
         overhead = measure_overhead(params)
@@ -119,24 +116,20 @@ def main(argv: list[str] | None = None) -> int:
             f"{throughput['links_per_sec']:,.0f} links/sec, "
             f"cache hit rate {report['cache']['hit_rate']:.3f}"
         )
-        if report["persistence"]:
-            durability = report["persistence"]
-            print(
-                f"persistence ({durability['backend']}, sync={durability['sync']}): "
-                f"cold start {durability['cold_start_sec']:.3f}s, "
-                f"journal overhead {durability['wal_overhead_ratio']:.2f}x ingest, "
-                f"{durability['disk_bytes']:,} bytes on disk"
-            )
-        if report["resources"]:
-            resources = report["resources"]
-            total = sum(c["bytes"] for c in resources["components"].values())
-            print(
-                f"resources: {total:,} estimated bytes across "
-                f"{len(resources['components'])} components, "
-                f"within_2x={resources['within_2x']}, "
-                f"profiler {resources['profiler']['samples']} samples / "
-                f"{resources['profiler']['distinct_stacks']} stacks"
-            )
+        durability = report["persistence"]
+        print(
+            f"persistence ({durability['backend']}, sync={durability['sync']}): "
+            f"cold start {durability['cold_start_sec']:.3f}s, "
+            f"journal overhead {durability['wal_overhead_ratio']:.2f}x ingest, "
+            f"{durability['disk_bytes']:,} bytes on disk"
+        )
+        resources = report["resources"]
+        total = sum(c["bytes"] for c in resources["components"].values())
+        print(
+            f"resources: {total:,} estimated bytes across "
+            f"{len(resources['components'])} components, "
+            f"within_2x={resources['within_2x']}"
+        )
 
     if gate_baseline is not None:
         regressions = check_regression(report, gate_baseline)

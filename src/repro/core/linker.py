@@ -775,10 +775,6 @@ class NNexus:
         if timing and stage_acc is not None:
             self._observe_stage("policy", stage_acc["policy"], rec, trc)
             self._observe_stage("steer", stage_acc["steer"], rec, trc)
-            if rec.enabled:
-                rec.inc("nnexus_link_requests_total")
-                rec.inc("nnexus_matches_found_total", len(matches))
-                rec.inc("nnexus_links_created_total", len(document.links))
         return document
 
     def _resolve(

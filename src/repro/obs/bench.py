@@ -50,9 +50,9 @@ __all__ = [
     "STEER_SHARE_ABSOLUTE_TOLERANCE",
 ]
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
-#: Pipeline stages the report must cover when metrics are enabled.
+#: Pipeline stages the report must cover.
 STAGES = ("tokenize", "match", "policy", "steer", "render")
 
 #: Corpus size for the CI smoke run (small enough for seconds, large
@@ -93,35 +93,23 @@ class BenchParams:
     entries: int = 1500
     seed: int = 20090612
     smoke: bool = False
-    metrics: bool = True
-    #: Measure process-mode batch relink scaling (adds three extra
-    #: corpus passes).
-    scaling: bool = True
-    #: Measure the durability cost (journaled ingest vs. in-memory)
-    #: and the cold-start restore time of the sqlite backend.
-    persistence: bool = True
-    #: Measure per-component memory accounting (incremental estimates
-    #: reconciled against a deep getsizeof walk, gated within 2x) and
-    #: smoke the sampling profiler over a render pass.
-    resources: bool = True
 
     @classmethod
-    def smoke_params(cls, seed: int = 20090612, metrics: bool = True) -> "BenchParams":
-        return cls(entries=SMOKE_ENTRIES, seed=seed, smoke=True, metrics=metrics)
-
-
-def _build_linker(params: BenchParams) -> tuple[NNexus, Any]:
-    corpus = load_or_generate(GeneratorParams(n_entries=params.entries, seed=params.seed))
-    registry = MetricsRegistry() if params.metrics else None
-    linker = NNexus(scheme=corpus.scheme, metrics=registry)
-    linker.add_objects(corpus.objects)
-    return linker, corpus
+    def smoke_params(cls, seed: int = 20090612) -> "BenchParams":
+        return cls(entries=SMOKE_ENTRIES, seed=seed, smoke=True)
 
 
 def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
-    """One cold render pass + one warm (cache-served) pass; build a report."""
+    """One cold render pass + one warm (cache-served) pass; build a report.
+
+    Every report also measures process-mode batch relink scaling, the
+    durability cost and cold start of the sqlite backend, and the
+    per-component memory accounting.
+    """
     params = params or BenchParams()
-    linker, corpus = _build_linker(params)
+    corpus = load_or_generate(GeneratorParams(n_entries=params.entries, seed=params.seed))
+    linker = NNexus(scheme=corpus.scheme, metrics=MetricsRegistry())
+    linker.add_objects(corpus.objects)
 
     # Token totals counted outside the timed region (reported, not timed).
     tokenizer = linker._tokenizer
@@ -146,58 +134,43 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
     # Whole-corpus relink scaling in process mode: the linker snapshot
     # (concept map + steering graph) is shipped once per worker
     # and chunks fan out, so this measures true multicore behaviour.
-    batch_scaling: dict[str, Any] = {}
-    if params.scaling:
-        runs = []
-        for workers in SCALING_WORKER_COUNTS:
-            batch = BatchLinker(
-                linker, fmt=None, workers=workers, mode="process",
-                retain_renderings=False,
-            )
-            outcome = batch.run()
-            runs.append(
-                {
-                    "workers": workers,
-                    "elapsed_sec": outcome.seconds,
-                    "links": outcome.links,
-                }
-            )
-        base = runs[0]["elapsed_sec"]
-        batch_scaling = {
-            "mode": "process",
-            "entries": len(linker),
-            "runs": runs,
-            "speedups": {
-                str(run["workers"]): (base / run["elapsed_sec"] if run["elapsed_sec"] else 0.0)
-                for run in runs
-            },
-        }
-
-    persistence: dict[str, Any] = {}
-    if params.persistence:
-        persistence = measure_persistence(params)
+    runs = []
+    for workers in SCALING_WORKER_COUNTS:
+        batch = BatchLinker(
+            linker, fmt=None, workers=workers, mode="process",
+            retain_renderings=False,
+        )
+        outcome = batch.run()
+        runs.append(
+            {
+                "workers": workers,
+                "elapsed_sec": outcome.seconds,
+                "links": outcome.links,
+            }
+        )
+    base = runs[0]["elapsed_sec"]
+    batch_scaling = {
+        "mode": "process",
+        "entries": len(linker),
+        "runs": runs,
+        "speedups": {
+            str(run["workers"]): (base / run["elapsed_sec"] if run["elapsed_sec"] else 0.0)
+            for run in runs
+        },
+    }
 
     stages: dict[str, dict[str, float]] = {}
-    if params.metrics:
-        for stage in STAGES:
-            summary = linker.metrics.histogram_summary(
-                "nnexus_pipeline_stage_seconds", stage=stage
-            )
-            stages[stage] = {
-                "count": summary.count,
-                "sum_sec": summary.sum,
-                "p50_ms": summary.p50 * 1000.0,
-                "p95_ms": summary.p95 * 1000.0,
-                "p99_ms": summary.p99 * 1000.0,
-            }
-
-    # Last on purpose: the profiler smoke re-renders cache-cleared
-    # slices (a run-dependent number of passes), which would pollute
-    # the stage histograms the steer-share gate reads if it ran before
-    # they were snapshotted.
-    resources: dict[str, Any] = {}
-    if params.resources:
-        resources = _measure_resources(linker, object_ids)
+    for stage in STAGES:
+        summary = linker.metrics.histogram_summary(
+            "nnexus_pipeline_stage_seconds", stage=stage
+        )
+        stages[stage] = {
+            "count": summary.count,
+            "sum_sec": summary.sum,
+            "p50_ms": summary.p50 * 1000.0,
+            "p95_ms": summary.p95 * 1000.0,
+            "p99_ms": summary.p99 * 1000.0,
+        }
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -206,10 +179,6 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
             "entries": params.entries,
             "seed": params.seed,
             "smoke": params.smoke,
-            "metrics": params.metrics,
-            "scaling": params.scaling,
-            "persistence": params.persistence,
-            "resources": params.resources,
         },
         "corpus": {
             "objects": len(linker),
@@ -234,24 +203,20 @@ def run_linking_bench(params: BenchParams | None = None) -> dict[str, Any]:
             "hit_rate": cache["hits"] / lookups if lookups else 0.0,
         },
         "batch_scaling": batch_scaling,
-        "persistence": persistence,
-        "resources": resources,
+        "persistence": measure_persistence(params),
+        "resources": _measure_resources(linker),
         "stages": stages,
     }
 
 
-def _measure_resources(linker: NNexus, object_ids: list[int]) -> dict[str, Any]:
-    """Memory-accounting reconcile plus a sampling-profiler smoke pass.
+def _measure_resources(linker: NNexus) -> dict[str, Any]:
+    """Memory-accounting reconcile of the fully rendered linker.
 
     The reconcile compares every component's incremental byte estimate
     against a deep ``getsizeof`` walk of its live graph at the moment
     the corpus is fully ingested and rendered — the additive steady
     state the 2x bound is defined over (after mass removals CPython's
     never-shrinking dict tables make deep exceed any honest estimate).
-
-    The profiler smoke re-renders part of the corpus cold (cache
-    cleared) under a 1ms sampler and reports the aggregate; CI gates
-    ``samples > 0`` so a silently dead sampler thread cannot pass.
     """
     sizes = linker.accountant.sample()
     peaks = linker.accountant.peaks()
@@ -266,38 +231,10 @@ def _measure_resources(linker: NNexus, object_ids: list[int]) -> dict[str, Any]:
             entry["deep_bytes"] = float(reconcile[name]["deep"])
             entry["ratio"] = float(reconcile[name]["ratio"])
         components[name] = entry
-
-    profiler = SamplingProfiler(interval_sec=0.001)
-    profiler.start()
-    start = perf_counter()
-    try:
-        # Repeat cold render slices until at least one sample lands (a
-        # single slice can finish inside one sampling interval on fast
-        # hardware); the deadline bounds the worst case.
-        deadline = start + 2.0
-        while True:
-            linker.cache.clear()
-            for object_id in object_ids[:200]:
-                linker.render_object(object_id)
-            if profiler.snapshot(max_stacks=1)["samples"] > 0:
-                break
-            if perf_counter() > deadline:
-                break
-    finally:
-        profiler.stop()
-    elapsed = perf_counter() - start
-    snapshot = profiler.snapshot(max_stacks=25)
-
     return {
         "components": components,
         "ratio_bound": MEMORY_RATIO_BOUND,
         "within_2x": within_ratio(reconcile, bound=MEMORY_RATIO_BOUND),
-        "profiler": {
-            "interval_ms": 1.0,
-            "elapsed_sec": elapsed,
-            "samples": int(snapshot["samples"]),
-            "distinct_stacks": int(snapshot["distinct_stacks"]),
-        },
     }
 
 
@@ -457,15 +394,7 @@ def overhead_problems(report: dict[str, Any]) -> list[str]:
 _NUMBER = (int, float)
 
 _SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
-    "params": {
-        "entries": int,
-        "seed": int,
-        "smoke": bool,
-        "metrics": bool,
-        "scaling": bool,
-        "persistence": bool,
-        "resources": bool,
-    },
+    "params": {"entries": int, "seed": int, "smoke": bool},
     "corpus": {"objects": int, "concepts": int, "tokens": int},
     "throughput": {
         "cold_elapsed_sec": _NUMBER,
@@ -503,13 +432,6 @@ _RESOURCE_COMPONENT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "peak_bytes": int,
 }
 
-_RESOURCE_PROFILER_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "interval_ms": _NUMBER,
-    "elapsed_sec": _NUMBER,
-    "samples": int,
-    "distinct_stacks": int,
-}
-
 
 def validate_report(report: Any) -> list[str]:
     """Problems with a BENCH_linking.json report (empty list = valid)."""
@@ -537,27 +459,22 @@ def validate_report(report: Any) -> list[str]:
     if not isinstance(stages, dict):
         problems.append("missing or non-object section 'stages'")
     else:
-        metrics_on = isinstance(report.get("params"), dict) and report["params"].get("metrics")
-        if metrics_on:
-            for stage in STAGES:
-                body = stages.get(stage)
-                if not isinstance(body, dict):
-                    problems.append(f"stages.{stage} missing (metrics run must cover it)")
-                    continue
-                for name, kinds in _STAGE_FIELDS.items():
-                    value = body.get(name)
-                    if not isinstance(value, kinds) or isinstance(value, bool):
-                        problems.append(f"stages.{stage}.{name} must be {kinds}, got {value!r}")
-                if body.get("count") == 0:
-                    problems.append(f"stages.{stage}.count is 0 — stage never timed")
+        for stage in STAGES:
+            body = stages.get(stage)
+            if not isinstance(body, dict):
+                problems.append(f"stages.{stage} missing (the run must cover it)")
+                continue
+            for name, kinds in _STAGE_FIELDS.items():
+                value = body.get(name)
+                if not isinstance(value, kinds) or isinstance(value, bool):
+                    problems.append(f"stages.{stage}.{name} must be {kinds}, got {value!r}")
+            if body.get("count") == 0:
+                problems.append(f"stages.{stage}.count is 0 — stage never timed")
 
-    persistence_on = isinstance(report.get("params"), dict) and report["params"].get(
-        "persistence"
-    )
     persistence = report.get("persistence")
     if not isinstance(persistence, dict):
         problems.append("missing or non-object section 'persistence'")
-    elif persistence_on:
+    else:
         for name, kinds in _PERSISTENCE_FIELDS.items():
             value = persistence.get(name)
             if not isinstance(value, kinds) or isinstance(value, bool):
@@ -568,13 +485,10 @@ def validate_report(report: Any) -> list[str]:
                 "— the cold start lost corpus objects"
             )
 
-    resources_on = isinstance(report.get("params"), dict) and report["params"].get(
-        "resources"
-    )
     resources = report.get("resources")
     if not isinstance(resources, dict):
         problems.append("missing or non-object section 'resources'")
-    elif resources_on:
+    else:
         components = resources.get("components")
         if not isinstance(components, dict):
             problems.append("resources.components must be an object")
@@ -599,27 +513,11 @@ def validate_report(report: Any) -> list[str]:
                 "resources.within_2x must be true — an incremental memory "
                 "estimate drifted beyond 2x of the deep sample"
             )
-        profiler = resources.get("profiler")
-        if not isinstance(profiler, dict):
-            problems.append("resources.profiler must be an object")
-        else:
-            for field, kinds in _RESOURCE_PROFILER_FIELDS.items():
-                value = profiler.get(field)
-                if not isinstance(value, kinds) or isinstance(value, bool):
-                    problems.append(
-                        f"resources.profiler.{field} must be {kinds}, got {value!r}"
-                    )
-            if profiler.get("samples") == 0:
-                problems.append(
-                    "resources.profiler.samples is 0 — the sampling profiler "
-                    "never captured a stack during the smoke pass"
-                )
 
-    scaling_on = isinstance(report.get("params"), dict) and report["params"].get("scaling")
     batch_scaling = report.get("batch_scaling")
     if not isinstance(batch_scaling, dict):
         problems.append("missing or non-object section 'batch_scaling'")
-    elif scaling_on:
+    else:
         if batch_scaling.get("mode") not in ("thread", "process"):
             problems.append(
                 f"batch_scaling.mode must be a batch mode, got {batch_scaling.get('mode')!r}"

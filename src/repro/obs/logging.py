@@ -13,8 +13,8 @@ logged during it.
 Two formatters ship: ``console`` (human-readable single line, the
 default so CLI output stays pleasant) and ``json`` (one JSON object
 per line for log shippers).  Handlers are plain callables taking the
-record dict; :func:`console_handler`, :func:`json_handler` and
-:func:`jsonl_file_handler` build the common ones.
+record dict; :func:`console_handler` and :func:`json_handler` build
+the two stream handlers.
 
 The module-level :data:`DEFAULT_MANAGER` (level ``info``, console to
 stderr) backs :func:`get_logger`; tests construct private
@@ -28,7 +28,6 @@ import json
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Any, Callable, IO
 
 from repro.obs.trace import current_span
@@ -43,7 +42,6 @@ __all__ = [
     "format_json",
     "console_handler",
     "json_handler",
-    "jsonl_file_handler",
     "DEFAULT_MANAGER",
 ]
 
@@ -121,22 +119,6 @@ def json_handler(stream: IO[str] | None = None) -> Handler:
     return handle
 
 
-def jsonl_file_handler(path: str | Path) -> Handler:
-    """Append JSON lines to a file, flushed per record."""
-    fh = open(Path(path), "a", encoding="utf-8")
-    lock = threading.Lock()
-
-    def handle(record: dict[str, Any]) -> None:
-        line = format_json(record)
-        with lock:
-            if not fh.closed:
-                fh.write(line + "\n")
-                fh.flush()
-
-    handle.close = fh.close  # type: ignore[attr-defined]
-    return handle
-
-
 # ---------------------------------------------------------------------------
 # Manager and loggers
 # ---------------------------------------------------------------------------
@@ -176,23 +158,9 @@ class LogManager:
                 self._handlers.remove(handler)
 
     def set_handlers(self, handlers: list[Handler]) -> None:
-        """Replace the handler fan-out, closing the handlers dropped.
-
-        Handlers that own a resource expose ``.close`` (see
-        :func:`jsonl_file_handler`); silently discarding one here used
-        to leak its file handle every time ``configure_logging`` was
-        re-run.  Handlers carried over into the new list are left
-        untouched.
-        """
+        """Replace the handler fan-out."""
         with self._lock:
-            replaced = [h for h in self._handlers if h not in handlers]
             self._handlers = list(handlers)
-        # Close outside the lock: a closer that flushes (or logs) must
-        # never hold up concurrent emit() calls.
-        for handler in replaced:
-            closer = getattr(handler, "close", None)
-            if closer is not None:
-                closer()
 
     def enabled_for(self, level: str) -> bool:
         return LEVELS.get(level, 0) >= self._level
@@ -262,23 +230,19 @@ def configure_logging(
     level: str | None = None,
     fmt: str = "console",
     stream: IO[str] | None = None,
-    jsonl_path: str | Path | None = None,
     manager: LogManager | None = None,
 ) -> LogManager:
     """Reshape a manager (default: the process-wide one) in one call.
 
-    ``fmt`` picks the stream handler (``console`` or ``json``);
-    ``jsonl_path`` additionally appends JSON lines to a file.
+    ``fmt`` picks the stream handler (``console`` or ``json``), which
+    replaces the manager's handlers.
     """
     target = manager if manager is not None else DEFAULT_MANAGER
     if level is not None:
         target.set_level(level)
     if fmt not in ("console", "json"):
         raise ValueError(f"unknown log format {fmt!r} (expected 'console' or 'json')")
-    handlers: list[Handler] = [
-        console_handler(stream) if fmt == "console" else json_handler(stream)
-    ]
-    if jsonl_path is not None:
-        handlers.append(jsonl_file_handler(jsonl_path))
-    target.set_handlers(handlers)
+    target.set_handlers(
+        [console_handler(stream) if fmt == "console" else json_handler(stream)]
+    )
     return target

@@ -99,14 +99,12 @@ class Histogram:
 
     ``count`` and ``sum`` accumulate over the histogram's whole
     lifetime; percentiles are computed nearest-rank over the most
-    recent ``window`` samples, which keeps memory bounded while the
-    quantiles track current behaviour (what a dashboard wants).
+    recent :data:`DEFAULT_WINDOW` samples, which keeps memory bounded
+    while the quantiles track current behaviour (what a dashboard wants).
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._samples: deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._samples: deque[float] = deque(maxlen=DEFAULT_WINDOW)
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
@@ -121,18 +119,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (``q`` in [0, 100]) of the window."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        if q == 0.0:
-            return ordered[0]
-        rank = math.ceil(q / 100.0 * len(ordered))
-        return ordered[rank - 1]
 
     def summary(self) -> HistogramSummary:
         if self.count == 0:
@@ -205,9 +191,8 @@ class MetricsRegistry(NullRecorder):
 
     enabled = True
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._window = window
         self._counters: dict[tuple[str, _LabelKey], float] = {}
         self._gauges: dict[tuple[str, _LabelKey], float] = {}
         self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
@@ -235,7 +220,7 @@ class MetricsRegistry(NullRecorder):
         with self._lock:
             histogram = self._histograms.get(key)
             if histogram is None:
-                histogram = self._histograms[key] = Histogram(self._window)
+                histogram = self._histograms[key] = Histogram()
             histogram.observe(value)
             if exemplar:
                 self._exemplars[key] = exemplar
@@ -310,14 +295,6 @@ class MetricsRegistry(NullRecorder):
                 dict(self._histograms),
                 dict(self._exemplars),
             )
-
-    def reset(self) -> None:
-        """Drop every series (benchmark harness isolation)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._exemplars.clear()
 
 
 def merge_series(

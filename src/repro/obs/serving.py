@@ -97,7 +97,6 @@ class ServingParams:
     curve_duration_s: float = 2.0
     serial_concurrency: int = 8
     pipelined_concurrency: int = 32
-    pipeline_workers: int = 32
     overhead_samples: int = 200
 
     @staticmethod
@@ -261,9 +260,7 @@ def run_serving_bench(params: ServingParams) -> dict[str, Any]:
     linker = NNexus(scheme=build_small_msc())
     linker.add_objects(sample_corpus())
     server = serve_forever(
-        linker,
-        max_in_flight=max(64, params.pipelined_concurrency * 2),
-        pipeline_workers=params.pipeline_workers,
+        linker, max_in_flight=max(64, params.pipelined_concurrency * 2)
     )
     correctness = _Correctness()
     texts = _workload_texts(
@@ -344,7 +341,7 @@ def run_serving_bench(params: ServingParams) -> dict[str, Any]:
             "curve_duration_s": params.curve_duration_s,
             "serial_concurrency": params.serial_concurrency,
             "pipelined_concurrency": params.pipelined_concurrency,
-            "pipeline_workers": params.pipeline_workers,
+            "pipeline_workers": server.pipeline_workers,
         },
         "workload": {
             "texts": len(texts),

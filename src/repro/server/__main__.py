@@ -73,11 +73,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-in-flight", type=int, default=64,
                         help="admission bound; excess requests are shed "
                              "with a retryable 'overloaded' error")
-    parser.add_argument("--pipeline-workers", type=int, default=None,
-                        metavar="N",
-                        help="executor threads serving reqid-tagged (pipelined) "
-                             "read requests across all connections; default "
-                             "min(32, --max-in-flight)")
     parser.add_argument("--request-timeout", type=float, default=30.0,
                         help="seconds a started request may take per socket "
                              "read before the connection is closed")
@@ -122,8 +117,6 @@ def main(argv: list[str] | None = None) -> int:
                              "('always'), NORMAL ('batch') or OFF ('off')")
     args = parser.parse_args(argv)
 
-    if args.pipeline_workers is not None and args.pipeline_workers < 1:
-        parser.error("--pipeline-workers must be >= 1")
     if args.profile_interval_ms <= 0:
         parser.error("--profile-interval-ms must be > 0")
 
@@ -201,7 +194,6 @@ def main(argv: list[str] | None = None) -> int:
             max_in_flight=args.max_in_flight,
             request_timeout=args.request_timeout,
             idle_timeout=args.idle_timeout,
-            pipeline_workers=args.pipeline_workers,
             profiler=profiler,
         )
         host, port = server.address

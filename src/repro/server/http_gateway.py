@@ -86,6 +86,12 @@ _MAX_HEADERS = 100
 #: Per-read deadline once a request has started arriving (slow-loris).
 _HEADER_TIMEOUT = 10.0
 _BODY_TIMEOUT = 30.0
+#: Seconds an idle keep-alive connection may sit between requests.
+_KEEPALIVE_TIMEOUT = 75.0
+#: Seconds advertised in the ``Retry-After`` header when shedding.
+_RETRY_AFTER = 1
+#: Seconds between event-loop lag probes.
+_LOOP_LAG_INTERVAL = 0.25
 
 _ACCESS_LOG = get_logger("nnexus.http")
 
@@ -185,7 +191,7 @@ class _Handler:
         self._send_json(
             {"error": reason, "retryable": True},
             status=503,
-            extra_headers={"Retry-After": str(self.server.retry_after)},
+            extra_headers={"Retry-After": str(_RETRY_AFTER)},
         )
 
     def _read_json(self) -> dict[str, Any]:
@@ -340,25 +346,21 @@ class NNexusHttpGateway:
     linker:
         The shared NNexus instance.
     max_in_flight:
-        Admission bound; excess requests get 503 + ``Retry-After``.
-    retry_after:
-        Seconds advertised in the ``Retry-After`` header when shedding.
+        Admission bound; excess requests get 503 + ``Retry-After: 1``.
     rwlock:
         Readers-writer lock guarding linker access.  Pass the socket
         server's ``rwlock`` when both serve one linker so HTTP reads
         interleave safely with socket-side mutations; defaults to a
         private lock.
-    keepalive_timeout:
-        Seconds an idle keep-alive connection may sit between requests
-        before the gateway closes it.
     profiler:
         A sampling profiler (see :mod:`repro.obs.profile`) served at
         ``/debug/profile``.  Defaults to the inert
         :data:`~repro.obs.profile.NULL_PROFILER` (the route answers
         404).
-    loop_lag_interval:
-        Seconds between event-loop lag probes (the probe task only
-        runs when the linker's metrics recorder is enabled).
+
+    An idle keep-alive connection closes after 75 s; while the linker's
+    metrics recorder is enabled, the event-loop lag probe runs every
+    0.25 s.
     """
 
     def __init__(
@@ -368,18 +370,12 @@ class NNexusHttpGateway:
         port: int = 0,
         *,
         max_in_flight: int = 64,
-        retry_after: int = 1,
         rwlock: ReadersWriterLock | None = None,
-        keepalive_timeout: float = 75.0,
         profiler: NullProfiler | None = None,
-        loop_lag_interval: float = 0.25,
     ) -> None:
         self.linker = linker
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.admission = AdmissionController(max_in_flight, metrics=linker.metrics)
-        self.retry_after = retry_after
-        self.keepalive_timeout = keepalive_timeout
-        self.loop_lag_interval = loop_lag_interval
         self._rwlock = (
             rwlock if rwlock is not None else ReadersWriterLock(metrics=linker.metrics)
         )
@@ -485,11 +481,10 @@ class NNexusHttpGateway:
         """
         rec = self.linker.metrics
         loop = asyncio.get_running_loop()
-        interval = self.loop_lag_interval
         while True:
             before = loop.time()
-            await asyncio.sleep(interval)
-            lag = max(0.0, loop.time() - before - interval)
+            await asyncio.sleep(_LOOP_LAG_INTERVAL)
+            lag = max(0.0, loop.time() - before - _LOOP_LAG_INTERVAL)
             rec.observe("nnexus_loop_lag_seconds", lag)
             rec.set_gauge("nnexus_loop_lag_last_seconds", lag)
 
@@ -575,10 +570,11 @@ class NNexusHttpGateway:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> _HttpRequest | None:
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
         """Parse one HTTP/1.x request; None on clean EOF or idle expiry."""
         try:
-            line = await asyncio.wait_for(reader.readline(), self.keepalive_timeout)
+            line = await asyncio.wait_for(reader.readline(), _KEEPALIVE_TIMEOUT)
         except asyncio.TimeoutError:
             return None  # idle keep-alive connection: close quietly
         if not line:
@@ -741,9 +737,8 @@ def serve_http(
     so ``gateway.address`` is immediately connectable — early requests
     queue in the accept backlog until the loop picks them up.  Keyword
     arguments are forwarded to :class:`NNexusHttpGateway`
-    (``max_in_flight``, ``retry_after``, ``rwlock``,
-    ``keepalive_timeout``, ``profiler``, ``loop_lag_interval``).  The
-    gateway traces with the linker's own tracer.
+    (``max_in_flight``, ``rwlock``, ``profiler``).  The gateway traces
+    with the linker's own tracer.
     """
     gateway = NNexusHttpGateway(linker, host=host, port=port, **kwargs)
     thread = threading.Thread(target=gateway.serve_forever, daemon=True)

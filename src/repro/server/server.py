@@ -332,11 +332,6 @@ class NNexusServer(socketserver.ThreadingTCPServer):
     faults:
         Optional :class:`~repro.server.faults.FaultInjector` consulted
         once per request (tests only; the default injector is inert).
-    pipeline_workers:
-        Executor threads shared by every connection's ``reqid``-tagged
-        read requests (default ``min(32, max_in_flight)``).  The
-        executor is what lets one connection keep many requests in
-        flight; untagged and mutating requests never use it.
     profiler:
         A sampling profiler (see :mod:`repro.obs.profile`) the
         ``getProfile`` debug method reads from.  Defaults to the inert
@@ -344,6 +339,11 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         answers ``bad-request``); pass a started
         :class:`~repro.obs.profile.SamplingProfiler` to serve
         aggregated stack profiles during overload forensics.
+
+    Every connection's ``reqid``-tagged read requests share one executor
+    of :attr:`pipeline_workers` = ``min(32, max_in_flight)`` threads.
+    The executor is what lets one connection keep many requests in
+    flight; untagged and mutating requests never use it.
     """
 
     daemon_threads = True
@@ -359,7 +359,6 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         request_timeout: float | None = 30.0,
         idle_timeout: float | None = 300.0,
         faults: FaultInjector | None = None,
-        pipeline_workers: int | None = None,
         profiler: NullProfiler | None = None,
     ) -> None:
         self.linker = linker
@@ -370,9 +369,7 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         self.idle_timeout = idle_timeout
         self.faults = faults if faults is not None else FaultInjector()
         self._draining = threading.Event()
-        self.pipeline_workers = (
-            pipeline_workers if pipeline_workers else min(32, max_in_flight)
-        )
+        self.pipeline_workers = min(32, max_in_flight)
         # Pipelined requests submitted but not finished (executor queue
         # plus running workers) — the backlog bounded by pipeline_depth
         # and the saturation gauge for the demux path.  Guarded by its
@@ -782,7 +779,7 @@ def serve_forever(
 
     Keyword arguments are forwarded to :class:`NNexusServer`
     (``max_in_flight``, ``request_timeout``, ``idle_timeout``,
-    ``faults``, ``pipeline_workers``, ``profiler``).
+    ``faults``, ``profiler``).
     The server traces with the linker's own tracer.
     """
     server = NNexusServer(linker, host=host, port=port, **kwargs)  # type: ignore[arg-type]

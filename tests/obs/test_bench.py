@@ -1,6 +1,10 @@
 """Tests for the linking benchmark harness and its report schema."""
 
 import copy
+import importlib.util
+from pathlib import Path
+
+import pytest
 
 from repro.obs.bench import (
     SCALING_WORKER_COUNTS,
@@ -15,81 +19,68 @@ from repro.obs.bench import (
 )
 
 # Small enough to keep the suite fast; large enough for every stage to
-# fire.  Scaling is off here (it spawns process pools) and persistence
-# is off (it fsyncs every commit) — each has a dedicated test below.
-_PARAMS = BenchParams(
-    entries=40, seed=7, smoke=True, metrics=True, scaling=False, persistence=False
-)
+# fire.  Every report runs every section, process-pool scaling and the
+# fsyncing persistence pass included, so the tests share one report.
+_PARAMS = BenchParams(entries=40, seed=7, smoke=True)
 
 
-def test_report_passes_its_own_schema() -> None:
-    report = run_linking_bench(_PARAMS)
+@pytest.fixture(scope="module")
+def report() -> dict:
+    return run_linking_bench(_PARAMS)
+
+
+@pytest.fixture(scope="module")
+def rerun() -> dict:
+    return run_linking_bench(_PARAMS)
+
+
+def test_report_passes_its_own_schema(report) -> None:
     assert validate_report(report) == []
+    assert report["params"] == {"entries": 40, "seed": 7, "smoke": True}
 
 
-def test_identity_fields_are_deterministic() -> None:
-    first = run_linking_bench(_PARAMS)
-    second = run_linking_bench(_PARAMS)
+def test_identity_fields_are_deterministic(report, rerun) -> None:
+    second = rerun
     for section in ("params", "corpus", "links"):
-        assert first[section] == second[section]
-    assert first["cache"]["hits"] == second["cache"]["hits"]
-    assert first["cache"]["misses"] == second["cache"]["misses"]
+        assert report[section] == second[section]
+    assert report["cache"]["hits"] == second["cache"]["hits"]
+    assert report["cache"]["misses"] == second["cache"]["misses"]
 
 
-def test_warm_pass_hits_the_cache() -> None:
-    report = run_linking_bench(_PARAMS)
+def test_warm_pass_hits_the_cache(report) -> None:
     # Cold pass misses every entry once; warm pass hits every entry once.
     assert report["cache"]["misses"] == report["corpus"]["objects"]
     assert report["cache"]["hits"] == report["corpus"]["objects"]
     assert report["cache"]["hit_rate"] == 0.5
 
 
-def test_metrics_run_covers_every_stage() -> None:
-    report = run_linking_bench(_PARAMS)
+def test_metrics_run_covers_every_stage(report) -> None:
     assert set(report["stages"]) == set(STAGES)
     for stage in STAGES:
         assert report["stages"][stage]["count"] > 0, stage
 
 
-def test_no_metrics_run_has_empty_stages_and_validates() -> None:
-    report = run_linking_bench(
-        BenchParams(entries=40, seed=7, smoke=True, metrics=False, scaling=False,
-                    persistence=False)
-    )
-    assert report["stages"] == {}
-    assert validate_report(report) == []
-
-
-def test_persistence_run_reports_durability_section() -> None:
-    report = run_linking_bench(
-        BenchParams(entries=30, seed=7, smoke=True, metrics=False, scaling=False,
-                    persistence=True)
-    )
+def test_persistence_run_reports_durability_section(report) -> None:
     durability = report["persistence"]
     assert durability["backend"] == "sqlite"
     assert durability["sync"] == "always"
-    assert durability["restored_objects"] == durability["entries"] == 30
+    assert durability["restored_objects"] == durability["entries"] == 40
     assert durability["disk_bytes"] > 0
     assert durability["cold_start_sec"] > 0.0
     assert durability["wal_overhead_ratio"] > 0.0
-    assert validate_report(report) == []
 
 
-def test_scaling_run_reports_batch_section() -> None:
-    report = run_linking_bench(
-        BenchParams(entries=30, seed=7, smoke=True, metrics=False, scaling=True)
-    )
+def test_scaling_run_reports_batch_section(report) -> None:
     scaling = report["batch_scaling"]
     assert scaling["mode"] == "process"
     assert [run["workers"] for run in scaling["runs"]] == list(SCALING_WORKER_COUNTS)
     # Every worker count links the identical corpus.
     assert len({run["links"] for run in scaling["runs"]}) == 1
     assert scaling["speedups"]["1"] == 1.0
-    assert validate_report(report) == []
 
 
-def test_validate_rejects_broken_reports() -> None:
-    good = run_linking_bench(_PARAMS)
+def test_validate_rejects_broken_reports(report) -> None:
+    good = report
 
     assert validate_report("not a dict") == ["report must be a JSON object"]
 
@@ -122,7 +113,6 @@ def test_validate_rejects_broken_reports() -> None:
     assert any("batch_scaling" in p for p in validate_report(missing_scaling))
 
     empty_scaling_run = copy.deepcopy(good)
-    empty_scaling_run["params"]["scaling"] = True
     empty_scaling_run["batch_scaling"] = {"mode": "process", "entries": 40}
     problems = validate_report(empty_scaling_run)
     assert any("batch_scaling.runs" in p for p in problems)
@@ -133,7 +123,6 @@ def test_validate_rejects_broken_reports() -> None:
     assert any("persistence" in p for p in validate_report(missing_persistence))
 
     lossy_restore = copy.deepcopy(good)
-    lossy_restore["params"]["persistence"] = True
     lossy_restore["persistence"] = {
         "backend": "sqlite", "sync": "always", "entries": 40,
         "ingest_memory_sec": 0.1, "ingest_journaled_sec": 0.2,
@@ -142,11 +131,18 @@ def test_validate_rejects_broken_reports() -> None:
     }
     assert any("lost corpus objects" in p for p in validate_report(lossy_restore))
 
+    missing_resources = copy.deepcopy(good)
+    del missing_resources["resources"]["components"]["metrics"]
+    missing_resources["resources"]["within_2x"] = False
+    problems = validate_report(missing_resources)
+    assert any("resources.components.metrics" in p for p in problems)
+    assert any("within_2x" in p for p in problems)
 
-def test_check_regression_gates_on_steer_share() -> None:
-    baseline = run_linking_bench(_PARAMS)
+
+def test_check_regression_gates_on_steer_share(report, rerun) -> None:
+    baseline = report
     # A re-run of the same corpus on the same machine must pass.
-    assert check_regression(run_linking_bench(_PARAMS), baseline) == []
+    assert check_regression(rerun, baseline) == []
 
     # Losing the steering fast path (steer balloons to most of the cold
     # pass) must fail, with both limits quoted in the message.
@@ -174,8 +170,7 @@ def test_check_regression_gates_on_steer_share() -> None:
     assert any("baseline report" in p for p in check_regression(baseline, no_stages))
 
 
-def test_resources_section_reconciles_and_profiles() -> None:
-    report = run_linking_bench(_PARAMS)
+def test_resources_section_reconciles_and_profiles(report) -> None:
     resources = report["resources"]
     assert set(resources["components"]) == {
         "objects", "map_segments", "invalidation",
@@ -185,16 +180,12 @@ def test_resources_section_reconciles_and_profiles() -> None:
         assert component["bytes"] >= 0, name
         assert component["peak_bytes"] >= component["bytes"], name
     assert resources["within_2x"] is True
-    assert resources["profiler"]["samples"] > 0
-    assert resources["profiler"]["distinct_stacks"] > 0
+    # The profiler smoke is the overhead check's accounting pass alone.
+    assert "profiler" not in resources
 
 
 def test_profile_overhead_keeps_renderings_identical() -> None:
-    overhead = measure_overhead(
-        BenchParams(entries=40, seed=7, smoke=True, metrics=False,
-                    scaling=False, persistence=False,
-                    resources=False)
-    )
+    overhead = measure_overhead(_PARAMS)
     assert set(overhead["passes"]) == {"plain", "metrics", "tracing", "accounting"}
     for name, body in overhead["passes"].items():
         assert body["renderings_identical"] is True, name
@@ -220,11 +211,14 @@ def test_overhead_problems_name_each_failed_check() -> None:
     assert any("never reconciled" in problem for problem in problems)
 
 
-def test_resources_off_still_validates() -> None:
-    report = run_linking_bench(
-        BenchParams(entries=40, seed=7, smoke=True, metrics=True,
-                    scaling=False, persistence=False,
-                    resources=False)
-    )
-    assert report["resources"] == {}
-    assert validate_report(report) == []
+def test_bench_script_has_no_metrics_switch(capsys) -> None:
+    # Every report runs every section; there is nothing to switch off.
+    script = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_linking.py"
+    spec = importlib.util.spec_from_file_location("bench_linking_script", script)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as excinfo:
+        module.main(["--no-metrics"])
+    assert excinfo.value.code == 2
+    assert "--no-metrics" in capsys.readouterr().err

@@ -1,18 +1,17 @@
-"""Handler lifecycle in LogManager (REP103 regression).
+"""Handler fan-out replacement in LogManager.
 
-``set_handlers`` used to drop the previous fan-out list without
-closing it, so every ``configure_logging(jsonl_path=...)`` re-run
-leaked the previous JSONL file handle.
+``set_handlers`` and ``configure_logging`` replace the fan-out list:
+a dropped handler gets no further records, a carried-over one keeps
+getting them, and re-running ``configure_logging`` never stacks a
+second stream handler on the first.  The manager owns no resource of
+a handler, so it never closes one.
 """
 
 from __future__ import annotations
 
-from repro.obs.logging import (
-    LogManager,
-    configure_logging,
-    get_logger,
-    jsonl_file_handler,
-)
+import io
+
+from repro.obs.logging import LogManager, configure_logging, get_logger
 
 
 class _ClosableHandler:
@@ -28,45 +27,31 @@ class _ClosableHandler:
 
 
 class TestSetHandlersLifecycle:
-    def test_replaced_handlers_are_closed(self) -> None:
-        old = _ClosableHandler()
-        new = _ClosableHandler()
-        manager = LogManager(handlers=[old])
-        manager.set_handlers([new])
-        assert old.closed
-        assert not new.closed
-
     def test_carried_over_handlers_stay_open(self) -> None:
         keep = _ClosableHandler()
         extra = _ClosableHandler()
         manager = LogManager(handlers=[keep])
         manager.set_handlers([keep, extra])
+        get_logger("t", manager=manager).info("after")
         assert not keep.closed
+        assert [r["event"] for r in keep.records] == ["after"]
+        assert [r["event"] for r in extra.records] == ["after"]
 
     def test_handlers_without_close_are_tolerated(self) -> None:
         events: list[dict] = []
         manager = LogManager(handlers=[events.append])
+        get_logger("t", manager=manager).info("before")
         manager.set_handlers([])  # must not raise
+        get_logger("t", manager=manager).info("after")
+        assert [r["event"] for r in events] == ["before"]
 
-    def test_jsonl_handler_file_released_on_reconfigure(self, tmp_path) -> None:
-        first = tmp_path / "first.jsonl"
-        manager = LogManager(handlers=[jsonl_file_handler(first)])
-        get_logger("t", manager=manager).info("before", n=1)
-        manager.set_handlers([jsonl_file_handler(tmp_path / "second.jsonl")])
-        # The first handler's file object is closed: emit would raise on
-        # a closed file if the handler were still registered, and the
-        # handle itself no longer accepts writes.
-        get_logger("t", manager=manager).info("after", n=2)
-        assert "before" in first.read_text()
-        assert "after" not in first.read_text()
-
-    def test_configure_logging_reruns_do_not_leak(self, tmp_path) -> None:
+    def test_configure_logging_reruns_do_not_leak(self) -> None:
         manager = LogManager()
-        first = tmp_path / "a.jsonl"
-        configure_logging(jsonl_path=first, manager=manager)
+        first, second = io.StringIO(), io.StringIO()
+        configure_logging(fmt="json", stream=first, manager=manager)
         get_logger("t", manager=manager).info("one")
-        configure_logging(jsonl_path=tmp_path / "b.jsonl", manager=manager)
+        configure_logging(fmt="json", stream=second, manager=manager)
         get_logger("t", manager=manager).info("two")
-        text = first.read_text()
-        assert "one" in text
-        assert "two" not in text
+        assert "one" in first.getvalue()
+        assert "two" not in first.getvalue()
+        assert second.getvalue().count("\n") == 1

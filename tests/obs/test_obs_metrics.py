@@ -2,9 +2,8 @@
 
 import threading
 
-import pytest
-
 from repro.obs.metrics import (
+    DEFAULT_WINDOW,
     NULL_RECORDER,
     Histogram,
     MetricsRegistry,
@@ -19,11 +18,9 @@ class TestHistogramPercentiles:
         histogram = Histogram()
         for value in range(1, 101):
             histogram.observe(value)
-        assert histogram.percentile(50) == 50
-        assert histogram.percentile(95) == 95
-        assert histogram.percentile(99) == 99
-        assert histogram.percentile(100) == 100
-        assert histogram.percentile(0) == 1
+        summary = histogram.summary()
+        assert (summary.p50, summary.p95, summary.p99) == (50, 95, 99)
+        assert (summary.min, summary.max) == (1, 100)
 
     def test_single_sample_is_every_percentile(self) -> None:
         histogram = Histogram()
@@ -43,27 +40,22 @@ class TestHistogramPercentiles:
         histogram = Histogram()
         for value in (9, 1, 5, 3, 7):
             histogram.observe(value)
-        assert histogram.percentile(50) == 5
+        assert histogram.summary().p50 == 5
         assert histogram.summary().min == 1
         assert histogram.summary().max == 9
 
     def test_window_bounds_samples_but_not_totals(self) -> None:
-        histogram = Histogram(window=10)
-        for value in range(100):
+        histogram = Histogram()
+        total = DEFAULT_WINDOW + 100
+        for value in range(total):
             histogram.observe(value)
-        assert len(histogram) == 10
-        assert histogram.count == 100
-        assert histogram.sum == sum(range(100))
-        # Percentiles cover only the most recent window (90..99).
-        assert histogram.percentile(50) == 94
-
-    def test_percentile_out_of_range_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            Histogram().percentile(101)
-
-    def test_bad_window_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            Histogram(window=0)
+        assert len(histogram) == DEFAULT_WINDOW
+        assert histogram.count == total
+        assert histogram.sum == sum(range(total))
+        # Percentiles cover only the most recent window (100..total-1).
+        summary = histogram.summary()
+        assert summary.p50 == 100 + DEFAULT_WINDOW // 2 - 1
+        assert summary.min == 0
 
 
 class TestNullRecorder:
@@ -125,12 +117,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.observe("h", 0.5, stage="steer")
         assert json.loads(json.dumps(registry.snapshot()))["histograms"][0]["sum"] == 0.5
-
-    def test_reset_drops_series(self) -> None:
-        registry = MetricsRegistry()
-        registry.inc("x")
-        registry.reset()
-        assert registry.snapshot() == empty_snapshot()
 
     def test_concurrent_increments_do_not_lose_updates(self) -> None:
         registry = MetricsRegistry()

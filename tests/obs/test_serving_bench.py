@@ -31,7 +31,6 @@ _PARAMS = ServingParams(
     curve_duration_s=0.3,
     serial_concurrency=4,
     pipelined_concurrency=8,
-    pipeline_workers=8,
     overhead_samples=20,
 )
 
@@ -48,6 +47,11 @@ class TestLiveRun:
     def test_report_is_json_serializable(self, report: dict) -> None:
         decoded = json.loads(json.dumps(report))
         assert validate_serving_report(decoded) == []
+
+    def test_params_report_the_servers_pipeline_workers(self, report: dict) -> None:
+        # The bench server admits max(64, 2 * 8) = 64, so its executor
+        # runs min(32, 64) threads.
+        assert report["params"]["pipeline_workers"] == 32
 
     def test_correctness_is_perfect(self, report: dict) -> None:
         assert report["correctness"]["checked"] > 0

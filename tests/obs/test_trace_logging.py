@@ -14,7 +14,6 @@ from repro.obs.logging import (
     format_json,
     get_logger,
     json_handler,
-    jsonl_file_handler,
 )
 from repro.obs.trace import Tracer
 
@@ -127,30 +126,13 @@ class TestFormattersAndHandlers:
         assert "server.listening" in console_stream.getvalue()
         assert json.loads(json_stream.getvalue())["logger"] == "nnexus.server"
 
-    def test_jsonl_file_handler(self, tmp_path) -> None:
-        path = tmp_path / "log.jsonl"
-        handler = jsonl_file_handler(path)
-        handler(self._record())
-        handler(self._record(event="second"))
-        handler.close()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["event"] for line in lines] == ["server.listening", "second"]
-
-    def test_configure_logging_private_manager(self, tmp_path) -> None:
+    def test_configure_logging_private_manager(self) -> None:
         stream = io.StringIO()
         manager = LogManager(level="info", handlers=[])
-        configure_logging(
-            level="debug",
-            fmt="json",
-            stream=stream,
-            jsonl_path=tmp_path / "out.jsonl",
-            manager=manager,
-        )
+        configure_logging(level="debug", fmt="json", stream=stream, manager=manager)
         get_logger("t", manager).debug("visible")
         assert json.loads(stream.getvalue())["event"] == "visible"
-        assert (tmp_path / "out.jsonl").read_text().strip()
-        for handler in manager._handlers:
-            getattr(handler, "close", lambda: None)()
+        assert manager.level == "debug"
 
     def test_configure_logging_rejects_unknown_format(self) -> None:
         with pytest.raises(ValueError):

@@ -111,7 +111,7 @@ def test_link_entry_consistent_under_writes() -> None:
         requests = sum(
             c["value"]
             for c in snapshot["counters"]
-            if c["name"] == "nnexus_link_requests_total"
+            if c["name"] == "nnexus_entries_linked_total"
         )
         assert requests == len(bodies) + 1
         stages = {

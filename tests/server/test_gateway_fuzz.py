@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import socket
-import types
 from urllib.parse import urlsplit
 
 import pytest
@@ -75,14 +74,12 @@ def request_shaped(draw: st.DrawFn) -> bytes:
 
 raw_requests = st.one_of(http_texts, request_shaped(), st.binary(max_size=200))
 
-PARSER = types.SimpleNamespace(keepalive_timeout=5.0)
-
 
 async def _read(data: bytes):
     reader = asyncio.StreamReader()
     reader.feed_data(data)
     reader.feed_eof()
-    return await NNexusHttpGateway._read_request(PARSER, reader)  # type: ignore[arg-type]
+    return await NNexusHttpGateway._read_request(reader)
 
 
 @settings(

@@ -70,8 +70,8 @@ class TestWireGetMetrics:
             (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
             for c in snapshot["counters"]
         }
-        assert counters[("nnexus_link_requests_total", ())] >= 1
-        assert counters[("nnexus_links_created_total", ())] >= 1
+        assert counters[("nnexus_entries_linked_total", ())] >= 1
+        assert counters[("nnexus_links_total", ())] >= 1
         # The dispatch layer counts itself too.
         assert (
             counters[
@@ -161,3 +161,32 @@ class TestHttpMetricsEndpoint:
         finally:
             instance.shutdown()
             instance.server_close()
+
+
+class TestOneSeriesPerFact:
+    def test_linking_counts_are_one_series_each(self) -> None:
+        """The linker's own stats are the only link/match counters."""
+        linker = make_linker()
+        for text, classes in (
+            ("every planar graph is sparse", ["05C10"]),
+            ("the graph is connected", ["05C40"]),
+            ("nothing to link here", []),
+        ):
+            linker.link_text(text, source_classes=classes)
+        for object_id in list(linker.object_ids())[:5]:
+            linker.render_object(object_id)
+        counters = {
+            c["name"]: c["value"]
+            for c in linker.metrics_snapshot()["counters"]
+            if not c["labels"]
+        }
+        stats = linker.stats.snapshot()
+        assert counters["nnexus_entries_linked_total"] == stats["entries_linked"] == 8
+        assert counters["nnexus_matches_total"] == stats["matches_found"]
+        assert counters["nnexus_links_total"] == stats["links_created"]
+        for removed in (
+            "nnexus_link_requests_total",
+            "nnexus_matches_found_total",
+            "nnexus_links_created_total",
+        ):
+            assert removed not in counters

@@ -25,7 +25,7 @@ from repro.server import protocol
 from repro.server.client import NNexusClient
 from repro.server.faults import FaultInjector
 from repro.server.resilience import RetryPolicy
-from repro.server.server import serve_forever
+from repro.server.server import NNexusServer, serve_forever
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 
@@ -65,6 +65,15 @@ def read_response(sock):
 
 
 class TestServerPipelining:
+    @pytest.mark.parametrize("max_in_flight", [8, 64])
+    def test_executor_size_is_derived_from_admission(self, max_in_flight) -> None:
+        server = NNexusServer(make_linker(), max_in_flight=max_in_flight)
+        try:
+            assert server.pipeline_workers == min(32, max_in_flight)
+            assert server._executor._max_workers == server.pipeline_workers
+        finally:
+            server.server_close()
+
     def test_32_concurrent_in_flight_matched_by_reqid(self) -> None:
         """One connection sustains >= 32 simultaneous requests.
 
@@ -76,9 +85,7 @@ class TestServerPipelining:
         depth = 32
         barrier = threading.Barrier(depth)
         linker = make_linker(barrier=barrier)
-        server = serve_forever(
-            linker, max_in_flight=depth * 2, pipeline_workers=depth + 4
-        )
+        server = serve_forever(linker, max_in_flight=depth * 2)
         try:
             with socket.create_connection(server.address, timeout=30) as sock:
                 for i in range(depth):
@@ -167,9 +174,7 @@ class TestServerPipelining:
         retryably — and the shed response still carries the request's
         reqid."""
         gate = threading.Event()
-        server = serve_forever(
-            make_linker(gate=gate), max_in_flight=2, pipeline_workers=2
-        )
+        server = serve_forever(make_linker(gate=gate), max_in_flight=2)
         try:
             with socket.create_connection(server.address, timeout=30) as sock:
                 for name in ("a", "b"):
@@ -236,7 +241,6 @@ class TestPipelinedClient:
         server = serve_forever(
             make_linker(barrier=barrier),
             max_in_flight=depth * 2,
-            pipeline_workers=depth + 4,
         )
         client = NNexusClient(*server.address, timeout=30)
         try:

@@ -217,6 +217,7 @@ class TestDebugProfileEndpoint:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 fetch(gateway, "/debug/profile")
             assert excinfo.value.code == 404
+            excinfo.value.close()
         finally:
             gateway.shutdown()
             gateway.server_close()
@@ -255,6 +256,7 @@ class TestDebugProfileEndpoint:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     fetch(gateway, path)
                 assert excinfo.value.code == 400, path
+                excinfo.value.close()
         finally:
             gateway.shutdown()
             gateway.server_close()
@@ -299,7 +301,7 @@ class TestSaturationTelemetry:
         assert "nnexus_pipeline_queue_wait_seconds" in histograms
 
     def test_gateway_loop_lag_probe_feeds_metrics(self) -> None:
-        gateway = serve_http(make_linker(), loop_lag_interval=0.01)
+        gateway = serve_http(make_linker())
         try:
             deadline = time.monotonic() + 5.0
             text = ""

@@ -279,3 +279,12 @@ class TestDataDirTurnsDurabilityOn:
             assert [link["target"] for link in links] == ["7"]
         finally:
             self._stop(server, thread, exits)
+
+
+class TestRemovedFlags:
+    def test_pipeline_workers_flag_is_gone(self, capsys) -> None:
+        # The executor size is derived from --max-in-flight.
+        with pytest.raises(SystemExit) as excinfo:
+            server_main.main(["--pipeline-workers", "4"])
+        assert excinfo.value.code == 2
+        assert "--pipeline-workers" in capsys.readouterr().err
