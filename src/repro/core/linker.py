@@ -57,7 +57,7 @@ from repro.core.errors import (
 from repro.core.invalidation import InvalidationIndex
 from repro.core.matching import find_matches
 from repro.core.models import CorpusObject, Link, LinkedDocument, Match
-from repro.core.policies import LinkingPolicyTable, parse_policy
+from repro.core.policies import LinkingPolicyTable, SourceScope, parse_policy
 from repro.core.render import RENDERERS, renderer_for
 from repro.core.tokenizer import TokenizedText, Tokenizer
 from repro.obs.memory import (
@@ -134,20 +134,22 @@ class LinkerStats:
 
 
 class _TargetMemo:
-    """What linking derives from one stored version of a target entry.
+    """What linking derives from one stored version of an entry.
 
     ``signature`` is the interned class signature, filled on the first
     steering use.  ``url`` is the entry's URL, filled on the first link
     and valid only while the entry's domain is still the ``domain``
-    object it was built from.
+    object it was built from.  ``scope`` is the entry's classes as the
+    policy directives compare them when it is the linking source.
     """
 
-    __slots__ = ("signature", "domain", "url")
+    __slots__ = ("signature", "domain", "url", "scope")
 
     def __init__(self) -> None:
         self.signature: tuple[int, ...] | None = None
         self.domain: DomainConfig | None = None
         self.url: str | None = None
+        self.scope: SourceScope | None = None
 
 
 class NNexus:
@@ -427,20 +429,33 @@ class NNexus:
         through the invalidation index — after marking them dirty in the
         render cache.
         """
+        return self._add(obj, search=True)
+
+    def add_objects(self, objects: Iterable[CorpusObject]) -> None:
+        """Bulk-load entries (e.g. an initial corpus import).
+
+        Each entry is stored and journaled as by :meth:`add_object`.
+        While the render cache holds no rendering there is nothing for
+        an added entry to dirty, in the cache or in the store's
+        renderings, so the invalidation search is skipped for it; the
+        check is made per entry, and once anything is rendered the load
+        invalidates exactly as :meth:`add_object` does.
+        """
+        for obj in objects:
+            self._add(obj, search=bool(self._cache))
+
+    def _add(self, obj: CorpusObject, search: bool) -> set[int]:
+        """Store, invalidate (when ``search``) and journal one new entry."""
         self._check_writable()
         object_id = obj.object_id
         if object_id in self._objects:
             raise DuplicateObjectError(object_id)
         parse_policy(obj.linking_policy)  # a bad policy raises before any change
-        invalidated = self._invalidate(self._store(obj), object_id)
+        labels = self._store(obj)
+        invalidated = self._invalidate(labels, object_id) if search else set()
         stored = self._objects[object_id]
         self._journal(lambda: self.storage.record_add(stored, invalidated))
         return invalidated
-
-    def add_objects(self, objects: Iterable[CorpusObject]) -> None:
-        """Bulk-load entries (e.g. an initial corpus import)."""
-        for obj in objects:
-            self.add_object(obj)
 
     def remove_object(self, object_id: int) -> set[int]:
         """Unregister an entry; invalidate entries that linked to it.
@@ -703,6 +718,11 @@ class NNexus:
                 source_signature = self._steering.signature(source_classes)
             else:
                 source_signature = self._signature_of(source_id)
+        # Likewise the policy scope of ad-hoc text; a stored entry's is
+        # kept in its memo, made when a policy filter first needs it.
+        source_scope = (
+            self._policies.scope(source_classes) if isinstance(source, str) else None
+        )
         if timing:
             # Signature work is steering; the next stage starts here.
             stage_start = perf_counter()
@@ -748,7 +768,12 @@ class NNexus:
                 target_id = candidates[0]
             else:
                 target_id = self._resolve(
-                    match, source_classes, source_id, stage_acc, source_signature
+                    match,
+                    source_classes,
+                    source_scope,
+                    source_id,
+                    stage_acc,
+                    source_signature,
                 )
                 if target_id is None:
                     continue
@@ -781,6 +806,7 @@ class NNexus:
         self,
         match: Match,
         source_classes: Sequence[str],
+        source_scope: SourceScope | None,
         source_id: int | None = None,
         stage_acc: dict[str, float] | None = None,
         source_signature: tuple[int, ...] = (),
@@ -790,17 +816,20 @@ class NNexus:
         ``stage_acc`` is a per-call accumulator (local to one
         ``link_text`` invocation, hence thread-safe) collecting policy
         and steering wall time; ``link_text`` observes the totals once
-        per entry.  ``source_signature`` is the interned form of
-        ``source_classes``, computed once per document.  The link loop
-        calls this only for a match with two or more candidates or with
-        a candidate that carries a policy.
+        per entry.  ``source_scope`` and ``source_signature`` are the
+        policy and interned forms of ``source_classes``, taken once per
+        document; a ``None`` scope is the stored entry ``source_id``'s.
+        The link loop calls this only for a match with two or more
+        candidates or with a candidate that carries a policy.
         """
         candidates: tuple[int, ...] = match.candidates
         if self.enable_policies:
             if stage_acc is not None:
                 policy_start = perf_counter()
+            if source_scope is None:
+                source_scope = self._scope_of(source_id)
             filtered = self._policies.filter_candidates(
-                candidates, match.label.words, source_classes
+                candidates, match.label.words, source_scope
             )
             if stage_acc is not None:
                 stage_acc["policy"] += perf_counter() - policy_start
@@ -864,12 +893,13 @@ class NNexus:
             exclude_objects=exclude_objects,
         )
         explanations: list[MatchExplanation] = []
+        source_scope = self._policies.scope(source_classes)
         for match in matches:
             candidates = match.candidates
             rejected: tuple[int, ...] = ()
             if self.enable_policies:
                 kept = self._policies.filter_candidates(
-                    candidates, match.label.words, source_classes
+                    candidates, match.label.words, source_scope
                 )
                 rejected = tuple(oid for oid in candidates if oid not in kept)
                 candidates = kept
@@ -945,6 +975,14 @@ class NNexus:
             signature = self._steering.signature(self._objects[object_id].classes)
             memo.signature = signature
         return signature
+
+    def _scope_of(self, object_id: int) -> SourceScope:
+        """Policy scope of a stored entry as a linking source."""
+        memo = self._target_memo(object_id)
+        scope = memo.scope
+        if scope is None:
+            scope = memo.scope = self._policies.scope(self._objects[object_id].classes)
+        return scope
 
     def _url_of(
         self, object_id: int, target: CorpusObject, domain: DomainConfig | None

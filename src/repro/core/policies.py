@@ -35,7 +35,13 @@ from repro.core.errors import PolicyParseError
 from repro.core.morphology import canonicalize_phrase
 from repro.ontology.scheme import ClassificationScheme, normalize_code
 
-__all__ = ["PolicyDirective", "LinkingPolicy", "LinkingPolicyTable", "parse_policy"]
+__all__ = [
+    "PolicyDirective",
+    "LinkingPolicy",
+    "LinkingPolicyTable",
+    "SourceScope",
+    "parse_policy",
+]
 
 _ACTIONS = ("permit", "forbid")
 
@@ -58,39 +64,78 @@ class PolicyDirective:
     def is_wildcard(self) -> bool:
         return self.concept is None
 
-    def matches(
-        self,
-        concept: Sequence[str],
-        source_classes: Sequence[str],
-        scheme: ClassificationScheme | None,
-    ) -> bool:
+    def matches(self, concept: Sequence[str], source: SourceScope) -> bool:
         """Does this directive apply to the queried link?"""
         if self.concept is not None and tuple(concept) != self.concept:
             return False
         if not self.classes:
             return True
+        scheme = source.scheme
         return any(
-            _class_within(source_class, policy_class, scheme)
-            for source_class in source_classes
+            _class_within(code, path, policy_class, scheme)
+            for code, path in source.codes
             for policy_class in self.classes
         )
 
 
-def _class_within(
-    source_class: str, policy_class: str, scheme: ClassificationScheme | None
-) -> bool:
-    """Is ``source_class`` inside the subtree rooted at ``policy_class``?
+class SourceScope:
+    """A source's classes as the scoped directives compare them.
 
-    With a scheme we walk real parent pointers; without one we fall back
-    to code-prefix containment (``05C40`` is within ``05C`` and ``05``),
+    Each class code is normalized once, when the first scoped directive
+    is evaluated for the source, and paired with the codes on its path
+    to the scheme's root (``None`` when the scheme does not hold it).
+    The linker keeps one per stored entry, so an entry's codes are
+    normalized once per stored version, not once per directive.  The
+    classes are read, not copied: they must not change while the scope
+    is in use.
+    """
+
+    __slots__ = ("_classes", "scheme", "_codes")
+
+    def __init__(
+        self, source_classes: Sequence[str], scheme: ClassificationScheme | None
+    ) -> None:
+        self._classes = source_classes
+        self.scheme = scheme
+        self._codes: tuple[tuple[str, tuple[str, ...] | None], ...] | None = None
+
+    @property
+    def codes(self) -> tuple[tuple[str, tuple[str, ...] | None], ...]:
+        """``(normalized code, codes on its path to the root)`` per class."""
+        codes = self._codes
+        if codes is None:
+            scheme = self.scheme
+            codes = self._codes = tuple(
+                (
+                    code,
+                    tuple(scheme.path_to_root(code))
+                    if scheme is not None and code in scheme
+                    else None,
+                )
+                for code in map(normalize_code, self._classes)
+            )
+        return codes
+
+
+def _class_within(
+    source: str,
+    path: tuple[str, ...] | None,
+    policy_class: str,
+    scheme: ClassificationScheme | None,
+) -> bool:
+    """Is the normalized ``source`` code inside ``policy_class``'s subtree?
+
+    ``path`` holds the codes from ``source`` up to the scheme's root, or
+    is ``None`` when the scheme does not hold ``source``.  With a scheme
+    we follow real parent pointers; without one we fall back to
+    code-prefix containment (``05C40`` is within ``05C`` and ``05``),
     which matches MSC-style hierarchical codes.
     """
-    source = normalize_code(source_class)
     target = normalize_code(policy_class)
     if source == target:
         return True
-    if scheme is not None and source in scheme and target in scheme:
-        return target in scheme.path_to_root(source)
+    if path is not None and target in scheme:
+        return target in path
     return source.startswith(target)
 
 
@@ -161,9 +206,13 @@ class LinkingPolicy:
         scheme: ClassificationScheme | None = None,
     ) -> bool:
         """Evaluate the directives; last match wins; default permit."""
+        return self.permits(concept, SourceScope(source_classes, scheme))
+
+    def permits(self, concept: Sequence[str], source: SourceScope) -> bool:
+        """:meth:`allows` for a source whose scope is already built."""
         verdict = True
         for directive in self.directives:
-            if directive.matches(concept, source_classes, scheme):
+            if directive.matches(concept, source):
                 verdict = directive.action == "permit"
         return verdict
 
@@ -217,25 +266,31 @@ class LinkingPolicyTable:
             return True
         return policy.allows(concept, source_classes, self._scheme)
 
+    def scope(self, source_classes: Sequence[str]) -> SourceScope:
+        """The scope of a source with ``source_classes`` under this scheme."""
+        return SourceScope(source_classes, self._scheme)
+
     def filter_candidates(
         self,
         candidates: Iterable[int],
         concept: Sequence[str],
-        source_classes: Sequence[str],
+        source: SourceScope,
     ) -> tuple[int, ...]:
         """Drop candidates whose policies reject this link.
 
-        Only a target that carries a policy can be dropped, so when none
-        of the candidates has one they come back unchanged, without
-        evaluating a directive.
+        ``source`` is the linking entry's :meth:`scope`.  Only a target
+        that carries a policy can be dropped, so when none of the
+        candidates has one they come back unchanged, without evaluating
+        a directive.
         """
         candidates = tuple(candidates)
         if self.holders().isdisjoint(candidates):
             return candidates
+        policies = self._policies
         return tuple(
             target_id
             for target_id in candidates
-            if self.allows(target_id, concept, source_classes)
+            if (policy := policies.get(target_id)) is None or policy.permits(concept, source)
         )
 
     def __len__(self) -> int:

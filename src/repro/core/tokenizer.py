@@ -7,7 +7,10 @@ text into a word/token array to iterate through.
 
 The tokenizer keeps character offsets for every word so that the renderer
 can substitute winning link candidates back into the *original* text
-without a second scan.  One pass fills three parallel arrays (canonical
+without a second scan.  One capturing ``re.split`` cuts the text into
+alternating gaps and words; the offsets are the running sum of the piece
+lengths and the canonical words one ``map`` over the words, so no Python
+code runs per word.  The result is three parallel arrays (canonical
 words, start offsets, end offsets); no per-word object is built.  The
 linker keeps the scan of every stored entry, so the offsets are packed
 machine ints, not lists of boxed ones.
@@ -21,9 +24,10 @@ closer, and only openers with a closer after them are tried.
 from __future__ import annotations
 
 import re
-import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from typing import Iterator
 
 from repro.core.morphology import canonicalize_token
@@ -148,10 +152,9 @@ DEFAULT_ESCAPE_RULES: tuple[EscapeRule, ...] = (
 
 _WORD_RE = re.compile(r"[A-Za-zÀ-ɏ][A-Za-zÀ-ɏ0-9'’-]*")
 
-
-#: Stands in for the region after the last escaped one: it starts and
-#: ends past any text offset, so no word is inside it.
-_PAST_LAST_REGION = (sys.maxsize, sys.maxsize)
+#: Splits a text into gap, word, gap, ..., word, gap: the capturing group
+#: keeps the words, at the odd positions.
+_SPLIT_WORDS = re.compile(f"({_WORD_RE.pattern})").split
 
 
 def _offsets() -> "array[int]":
@@ -228,33 +231,40 @@ class Tokenizer:
     def tokenize(self, text: str) -> TokenizedText:
         """Scan ``text`` into the word arrays used by the matcher.
 
-        A word overlapping an escaped region is dropped.  Words and the
-        sorted, disjoint regions both advance left to right, so one
-        forward-only pointer into the regions tests every word.
+        A word overlapping an escaped region is dropped, as is a word
+        whose canonical form is empty.  The words of one region are a
+        run of the sorted, disjoint word spans: the words ending after
+        the region starts and starting before it ends, found by
+        bisecting the region's edges into ``ends`` and ``starts``.
         """
         escaped = self.escape_spans(text)
-        words: list[str] = []
-        starts = _offsets()
-        ends = _offsets()
-        add_word, add_start, add_end = words.append, starts.append, ends.append
-        canonicalize = canonicalize_token
-        regions = iter(escaped)
-        region_start, region_end = next(regions, _PAST_LAST_REGION)
-        for match in _WORD_RE.finditer(text):
-            start, end = match.span()
-            # A region ending at or before this word's start overlaps
-            # neither this word nor any later one.
-            while region_end <= start:
-                region_start, region_end = next(regions, _PAST_LAST_REGION)
-            if region_start < end:
-                continue
-            canonical = canonicalize(match.group())
-            if canonical:
-                add_word(canonical)
-                add_start(start)
-                add_end(end)
+        pieces = _SPLIT_WORDS(text)
+        # Piece i ends at bounds[i]: word k (piece 2k+1) spans
+        # bounds[2k]..bounds[2k+1].
+        bounds = list(accumulate(map(len, pieces)))
+        starts = bounds[0:-1:2]
+        ends = bounds[1::2]
+        words = list(map(canonicalize_token, pieces[1::2]))
+        empty = "" in words
+        if escaped or empty:
+            keep = bytearray(b"\x01") * len(words)
+            for region_start, region_end in escaped:
+                first = bisect_right(ends, region_start)
+                past = bisect_left(starts, region_end, first)
+                keep[first:past] = bytes(past - first)
+            if empty:
+                for index, word in enumerate(words):
+                    if not word:
+                        keep[index] = 0
+            words = list(compress(words, keep))
+            starts = compress(starts, keep)
+            ends = compress(ends, keep)
         return TokenizedText(
-            source=text, words=words, starts=starts, ends=ends, escaped_regions=escaped
+            source=text,
+            words=words,
+            starts=array("I", starts),
+            ends=array("I", ends),
+            escaped_regions=escaped,
         )
 
 

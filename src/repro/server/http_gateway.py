@@ -92,6 +92,25 @@ _POLL_INTERVAL = 0.05
 _ACCESS_LOG = get_logger("nnexus.http")
 
 
+class _HeaderLines:
+    """A connection's reader while the header lines are read from it.
+
+    Notes whether a line holds a CR anywhere but before its final LF.
+    """
+
+    __slots__ = ("_rfile", "bare_cr")
+
+    def __init__(self, rfile: Any) -> None:
+        self._rfile = rfile
+        self.bare_cr = False
+
+    def readline(self, limit: int = -1) -> bytes:
+        line = self._rfile.readline(limit)
+        if b"\r" in line.removesuffix(b"\n").removesuffix(b"\r"):
+            self.bare_cr = True
+        return line
+
+
 class _Handler(http.server.BaseHTTPRequestHandler):
     """One connection: read, route and answer its requests in turn.
 
@@ -114,6 +133,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     body = b""
     #: (status, message) of a request refused before routing.
     refusal: tuple[int, str] | None = None
+    #: True when a header line of the request holds a bare CR.
+    bare_cr = False
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -150,6 +171,21 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         except ConnectionError:
             self.close_connection = True
 
+    def parse_request(self) -> bool:
+        """The standard library's parse, noting a bare CR in a header line.
+
+        The email parser behind ``http.client.parse_headers`` splits
+        lines at a bare CR as well as at LF, so ``X: a\\rContent-Length:
+        5`` would read as two headers; the raw lines are seen only here.
+        """
+        rfile = self.rfile
+        lines = self.rfile = _HeaderLines(rfile)
+        try:
+            return super().parse_request()
+        finally:
+            self.rfile = rfile
+            self.bare_cr = lines.bare_cr
+
     def _refuse_request_line(self) -> None:
         self.send_error(400, f"bad request line {self.raw_requestline!r:.100}")
 
@@ -166,10 +202,11 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         # header line that is not ``name: value``: it ends the headers at
         # one without a colon (the rest, a Content-Length too, becomes a
         # payload), notes a defect for a leading continuation line,
-        # folds a later one into the previous value, and takes a leading
-        # "From " line as an envelope.
+        # folds a later one into the previous value, takes a leading
+        # "From " line as an envelope, and ends a line at a bare CR.
         if (
-            headers.defects
+            self.bare_cr
+            or headers.defects
             or headers.get_payload()
             or headers.get_unixfrom() is not None
             or any("\r" in value or "\n" in value for value in headers.values())

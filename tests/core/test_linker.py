@@ -766,3 +766,128 @@ class TestOneWritePath:
         assert linker.get_object(5) == stored
         assert 5 in linker.invalidation_index.invalidate("vertices")
         assert {oid: linker.render_object(oid) for oid in before} == before
+
+
+# ---------------------------------------------------------------------------
+# The bulk load.  ``add_objects`` skips the invalidation search for an entry
+# while nothing is rendered; both of its branches must leave the linker as
+# ``add_object`` called entry by entry does.
+# ---------------------------------------------------------------------------
+
+
+def bulk_corpus(name: str) -> tuple[object, list[CorpusObject]]:
+    """(scheme, entries) of the golden sample or of a generated corpus whose
+    entries carry the generator's recommended policies."""
+    from repro.corpus.generator import GeneratorParams, generate_corpus
+    from repro.corpus.planetmath_sample import sample_corpus
+
+    if name == "sample":
+        return build_small_msc(), list(sample_corpus())
+    corpus = generate_corpus(GeneratorParams(n_entries=120, seed=5))
+    recommended = corpus.recommended_policies()
+    objects = [
+        replace(obj, linking_policy=recommended.get(obj.object_id, ""))
+        for obj in corpus.objects
+    ]
+    return corpus.scheme, objects
+
+
+BULK_CORPORA = ("sample", "generated")
+BULK_FORMATS = ("html", "markdown")
+
+
+def linker_state(linker: NNexus) -> dict[str, object]:
+    """What storing entries builds, in comparable form: the kept scans,
+    the invalidation postings and sequences, the concept map, the
+    policies and the render cache with its valid flags."""
+    index = linker.invalidation_index
+    chains = linker.concept_map._chains
+    return {
+        "scans": {
+            object_id: (scan.source, list(scan.words), list(scan.starts),
+                        list(scan.ends), list(scan.escaped_regions))
+            for object_id, scan in linker._scans.items()
+        },
+        "postings": {word: set(ids) for word, ids in index._postings.items()},
+        "sequences": dict(index._sequences),
+        "concept_map": {
+            first: ({words: set(owners) for words, owners in chain.labels.items()},
+                    list(chain.by_length))
+            for first, chain in chains.items()
+        },
+        "object_labels": {
+            object_id: linker.concept_map.labels_for_object(object_id)
+            for object_id in linker.object_ids()
+        },
+        "policies": {
+            object_id: linker.policy_table.raw_policy(object_id)
+            for object_id in linker.policy_table.object_ids()
+        },
+        "cache": {key: (entry.rendered, entry.valid)
+                  for key, entry in linker.cache._entries.items()},
+    }
+
+
+def render_every(linker: NNexus, object_ids=None) -> dict[tuple[int, str], str]:
+    ids = linker.object_ids() if object_ids is None else object_ids
+    return {(oid, fmt): linker.render_object(oid, fmt) for oid in ids for fmt in BULK_FORMATS}
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("name", BULK_CORPORA)
+    def test_bulk_load_of_an_empty_linker_equals_adds_one_by_one(self, name) -> None:
+        scheme, objects = bulk_corpus(name)
+        bulk, single = NNexus(scheme=scheme), NNexus(scheme=scheme)
+        bulk.add_objects(objects)
+        for obj in objects:
+            single.add_object(obj)
+        assert linker_state(bulk) == linker_state(single)
+        assert render_every(bulk) == render_every(single)
+        assert linker_state(bulk) == linker_state(single)
+
+    @pytest.mark.parametrize("name", BULK_CORPORA)
+    def test_bulk_load_onto_renderings_dirties_what_add_object_would(self, name) -> None:
+        scheme, objects = bulk_corpus(name)
+        half = len(objects) // 2
+        bulk, single = NNexus(scheme=scheme), NNexus(scheme=scheme)
+        expected: set[int] = set()
+        for linker in (bulk, single):
+            linker.add_objects(objects[:half])
+            render_every(linker)
+        bulk.add_objects(objects[half:])
+        for obj in objects[half:]:
+            expected |= single.add_object(obj)
+        rendered = {obj.object_id for obj in objects[:half]}
+        assert expected & rendered, "the second half must dirty renderings of the first"
+        assert bulk.invalid_entries() == single.invalid_entries() == sorted(expected & rendered)
+        assert linker_state(bulk) == linker_state(single)
+
+    def test_bulk_load_checks_for_renderings_per_entry(self) -> None:
+        """A rendering made while the load runs is dirtied by later entries."""
+        scheme, objects = bulk_corpus("sample")
+        half = len(objects) // 2
+        bulk, single = NNexus(scheme=scheme), NNexus(scheme=scheme)
+        for obj in objects[:half]:
+            single.add_object(obj)
+        dirtied = set().union(*(single.add_object(obj) for obj in objects[half:]))
+        rendered = min(dirtied & {obj.object_id for obj in objects[:half]})
+        single = NNexus(scheme=scheme)
+
+        def rendering_midway():
+            yield from objects[:half]
+            render_every(bulk, [rendered])
+            yield from objects[half:]
+
+        bulk.add_objects(rendering_midway())
+        for obj in objects[:half]:
+            single.add_object(obj)
+        render_every(single, [rendered])
+        for obj in objects[half:]:
+            single.add_object(obj)
+        assert single.invalid_entries() == [rendered]
+        assert linker_state(bulk) == linker_state(single)
+
+    def test_add_object_still_returns_the_exact_set(self) -> None:
+        linker = fig1_linker()
+        vertex = CorpusObject(42, "vertex", defines=["vertices"], text="x")
+        assert linker.add_object(vertex) == {5}

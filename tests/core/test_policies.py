@@ -1,10 +1,13 @@
 """Tests for linking policies (Section 2.4, Fig. 5)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+import repro.core.policies as policies_module
 from repro.core.errors import PolicyParseError
-from repro.core.policies import LinkingPolicy, LinkingPolicyTable, parse_policy
+from repro.core.policies import LinkingPolicy, LinkingPolicyTable, SourceScope, parse_policy
 from repro.ontology.msc import build_small_msc
+from repro.ontology.scheme import normalize_code
 
 
 class TestParsing:
@@ -102,7 +105,7 @@ class TestPolicyTable:
     def test_filter_candidates(self) -> None:
         table = LinkingPolicyTable()
         table.set_policy(7, "forbid even\n")
-        assert table.filter_candidates([7, 8], ("even",), ["05C40"]) == (8,)
+        assert table.filter_candidates([7, 8], ("even",), table.scope(["05C40"])) == (8,)
 
     def test_empty_policy_removes(self) -> None:
         table = LinkingPolicyTable()
@@ -128,3 +131,76 @@ class TestPolicyTable:
         table = LinkingPolicyTable()
         with pytest.raises(PolicyParseError):
             table.set_policy(7, "frobnicate everything")
+
+
+# ---------------------------------------------------------------------------
+# Source scopes.  A source's codes are normalized once per scope; the
+# verdicts must equal the per-directive containment test they replaced,
+# which normalized both codes and walked the scheme for every directive.
+# ---------------------------------------------------------------------------
+
+SMALL_MSC = build_small_msc()
+
+
+def reference_within(source_class: str, policy_class: str, scheme) -> bool:
+    source = normalize_code(source_class)
+    target = normalize_code(policy_class)
+    if source == target:
+        return True
+    if scheme is not None and source in scheme and target in scheme:
+        return target in scheme.path_to_root(source)
+    return source.startswith(target)
+
+
+def reference_allows(policy: LinkingPolicy, concept, source_classes, scheme) -> bool:
+    verdict = True
+    for directive in policy.directives:
+        if directive.concept is not None and tuple(concept) != directive.concept:
+            continue
+        if directive.classes and not any(
+            reference_within(source, target, scheme)
+            for source in source_classes
+            for target in directive.classes
+        ):
+            continue
+        verdict = directive.action == "permit"
+    return verdict
+
+
+CLASS_CODES = st.sampled_from(
+    ["05", "05C", "05C40", "05cxx", "05-XX", "11", "11A", "11A41", "03E", "03E20",
+     "5", "05C4", "99Z99", " 11a05 ", "XX", "05XXXX"]
+)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(["permit", "forbid"]), st.lists(CLASS_CODES, max_size=3)),
+             max_size=5),
+    st.lists(CLASS_CODES, max_size=3),
+    st.booleans(),
+)
+def test_scoped_verdicts_match_per_directive_containment(directives, source_classes, with_scheme):
+    scheme = SMALL_MSC if with_scheme else None
+    text = "\n".join(f"{action} even {' '.join(codes)}" for action, codes in directives)
+    policy = LinkingPolicy.from_text(text)
+    expected = reference_allows(policy, ("even",), source_classes, scheme)
+    assert policy.allows(("even",), source_classes, scheme) == expected
+    assert policy.permits(("even",), SourceScope(source_classes, scheme)) == expected
+
+
+def test_scope_normalizes_each_source_code_once(monkeypatch) -> None:
+    seen: list[str] = []
+
+    def counting(code: str) -> str:
+        seen.append(code)
+        return normalize_code(code)
+
+    monkeypatch.setattr(policies_module, "normalize_code", counting)
+    table = LinkingPolicyTable(scheme=SMALL_MSC)
+    for target in range(5):
+        table.set_policy(target, "forbid even\npermit even 11\npermit even 05C\n")
+    scope = table.scope(["05c40", "11A05"])
+    for _ in range(3):
+        assert table.filter_candidates(range(5), ("even",), scope) == (0, 1, 2, 3, 4)
+    assert seen.count("05c40") == 1
+    assert seen.count("11A05") == 1

@@ -90,6 +90,42 @@ class TestTokens:
         assert result.escaped_regions == []
 
 
+class TestRegionEdges:
+    """A word is dropped when it overlaps a region, kept when it only
+    touches one: each region's words are found by bisecting its edges."""
+
+    @pytest.mark.parametrize(
+        "text, words, spans, regions",
+        [
+            ("see xhttps://a.b now", ["see", "now"], [(0, 3), (17, 20)], [(5, 16)]),
+            ("foo`x`bar", ["foo", "bar"], [(0, 3), (6, 9)], [(3, 6)]),
+            ("a$b$c", ["a", "c"], [(0, 1), (4, 5)], [(1, 4)]),
+            ("\\alpha2x y", ["y"], [(9, 10)], [(0, 6)]),
+            ("x$$a$$y", ["x", "y"], [(0, 1), (6, 7)], [(1, 6)]),
+        ],
+        ids=["straddles-start", "touches-both-edges", "between-words", "straddles-end",
+             "display-math"],
+    )
+    def test_words_at_region_edges(self, text, words, spans, regions) -> None:
+        result = tokenize(text)
+        assert result.canonical_words() == words
+        assert list(zip(result.starts, result.ends)) == spans
+        assert result.escaped_regions == regions
+
+    @pytest.mark.parametrize("text", ["$x + y$", "`graph`", "https://planetmath.org/graphs"])
+    def test_text_that_is_one_region(self, text) -> None:
+        result = tokenize(text)
+        assert result.canonical_words() == []
+        assert result.escaped_regions == [(0, len(text))]
+
+    @pytest.mark.parametrize("text", ["123 ... !! 4", "   ", "\n\t", "-- ' 7"])
+    def test_text_with_no_words(self, text) -> None:
+        result = tokenize(text)
+        assert len(result) == 0
+        assert list(result.starts) == list(result.ends) == []
+        assert result.escaped_regions == []
+
+
 @given(st.text(max_size=300))
 def test_token_spans_ordered_and_disjoint(text: str) -> None:
     result = tokenize(text)
@@ -129,10 +165,11 @@ class TestLinearEscapeScan:
 
 
 # ---------------------------------------------------------------------------
-# Differential property: the array scanner against the per-token scanner it
-# replaced.  ``reference_scan`` is that scanner, kept here as the oracle: it
-# claims spans rule by rule, skipping a match contained in a claimed span,
-# and tests each word against every escaped region.  It runs the live
+# Differential property: the split scanner against a per-word loop.
+# ``reference_scan`` is the per-token scanner the array scanner replaced,
+# kept here as the oracle: it claims spans rule by rule, skipping a match
+# contained in a claimed span, walks the words one ``finditer`` match at a
+# time and tests each against every escaped region.  It runs the live
 # escape rules and word pattern, so the property pins the scan, not the
 # patterns.
 # ---------------------------------------------------------------------------

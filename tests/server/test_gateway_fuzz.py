@@ -7,8 +7,8 @@ into the server's ``handle_error``; a request that reaches the routes
 carries the path and query ``urlsplit`` gives its raw target.  A live
 gateway fed batches of fuzzed requests, of well-formed posts whose JSON
 fields have the wrong types, and of posts with a header line that is
-not ``name: value`` (each of these two answered with one 400), must do
-the same and still answer ``GET /health`` with 200.
+not ``name: value`` or holds a bare CR (each of these two answered with
+one 400), must do the same and still answer ``GET /health`` with 200.
 
 Policy text reaches ``parse_policy`` from ``addObject`` requests and
 corpus files; on any text only ``PolicyParseError`` may escape.
@@ -120,8 +120,9 @@ _HEADER_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_
 
 @st.composite
 def bad_header_post(draw: st.DrawFn) -> bytes:
-    """A POST with one header line that is not ``name: value``, placed
-    among a Host and a Content-Length whose body is another request."""
+    """A POST with one header line that is not ``name: value`` or holds
+    a bare CR, placed among a Host and a Content-Length whose body is
+    another request."""
     bad = draw(
         st.one_of(
             st.text(  # no colon (a leading space makes it a continuation)
@@ -134,6 +135,11 @@ def bad_header_post(draw: st.DrawFn) -> bytes:
             _HEADER_NAMES.map(lambda name: f"{name} : 1"),
             _HEADER_NAMES.map(lambda name: f" {name}: 1"),
             _HEADER_NAMES.map(lambda name: f"From {name}"),
+            st.builds(  # a bare CR, inside a value or before a second header
+                lambda name, after: f"{name}: a\r{after}",
+                _HEADER_NAMES,
+                st.sampled_from(["", "b", " ", "Content-Length: 0", "X-Pad: 1"]),
+            ),
         )
     )
     lines = ["Host: a", f"Content-Length: {len(SMUGGLED)}"]

@@ -267,9 +267,11 @@ class TestMalformedRequests:
             b"Host: a\r\n folded\r\n",
             b" X-Pad: 1\r\nHost: a\r\n",
             b"From a\r\nHost: a\r\n",
+            b"Host: a\r\nX-Pad: a\rContent-Length: 0\r\n",
+            b"Host: a\r\nX-Pad: a\r\r\n",
         ],
         ids=["no-colon", "no-colon-first", "space-before-colon", "folded",
-             "leading-continuation", "envelope"],
+             "leading-continuation", "envelope", "bare-cr", "bare-cr-before-crlf"],
     )
     def test_header_line_not_name_colon_value(self, gateway, headers) -> None:
         reply = _exchange(gateway, b"GET /health HTTP/1.1\r\n" + headers + b"\r\n")
@@ -289,6 +291,20 @@ class TestMalformedRequests:
         )
         assert reply.count(b"HTTP/1.1 ") == 1
         assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_content_length_behind_a_bare_cr_is_not_read(self, gateway) -> None:
+        """A proxy that keeps the CR inside the ``X-Pad`` value frames no
+        body; the gateway must not read one either."""
+        smuggled = b"GET /health HTTP/1.1\r\nHost: a\r\n\r\n"
+        reply = _exchange(
+            gateway,
+            b"POST /link HTTP/1.1\r\nHost: a\r\n"
+            + f"X-Pad: a\rContent-Length: {len(smuggled)}\r\n\r\n".encode()
+            + smuggled,
+        )
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) == {"error": "bad header line"}
 
     def test_blank_line_before_the_request_line(self, gateway) -> None:
         reply = _exchange(gateway, b"\r\nGET /health HTTP/1.1\r\nHost: a\r\n\r\n")
