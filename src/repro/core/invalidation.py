@@ -20,8 +20,9 @@ containing the label: never larger than the paper's superset, and never
 missing an entry whose rendering can change, because the sequence is the
 same canonical word array the matcher scans.  The index does not scan
 text itself: the linker tokenizes each entry version once and hands the
-index that scan's words.  Each linker mutation removes and (re-)indexes
-an entry at most once and then calls :meth:`~InvalidationIndex.invalidate_many`
+index that scan's words.  Each linker mutation removes or (re-)indexes
+an entry at most once (an update re-indexes by the entry's word
+difference) and then calls :meth:`~InvalidationIndex.invalidate_many`
 once: an add over the entry's labels, a remove over the labels it
 defined, and an update over the labels it changed.  An update that keeps
 the entry's target fields (title, classes, domain, linking policy: the
@@ -90,35 +91,52 @@ class InvalidationIndex:
 
         ``words`` is the entry's scanned word array
         (:meth:`~repro.core.tokenizer.TokenizedText.canonical_words`).
+        Re-indexing an indexed entry touches only the postings of the
+        words it lost or gained, and nothing when its sequence is
+        unchanged.
         """
-        if object_id in self._sequences:
-            self.remove_object(object_id)
         sequence = _frame(words)
+        old = self._sequences.get(object_id)
+        if old == sequence:
+            return
         self._sequences[object_id] = sequence
         distinct = set(words)
-        added = _sequence_cost(sequence) + len(distinct) * estimate_set_entry()
-        for word in distinct:
+        delta = _sequence_cost(sequence)
+        if old is None:
+            gained = distinct
+        else:
+            kept = set(old.split())
+            gained = distinct - kept
+            delta -= _sequence_cost(old) + self._unpost(object_id, kept - distinct)
+        delta += len(gained) * estimate_set_entry()
+        for word in gained:
             posting = self._postings.get(word)
             if posting is None:
                 posting = self._postings[word] = set()
-                added += _word_key_cost(word)
+                delta += _word_key_cost(word)
             posting.add(object_id)
-        self.estimated_bytes += added
+        self.estimated_bytes += delta
 
     def remove_object(self, object_id: int) -> None:
         """Drop ``object_id`` from every postings list it appears in."""
         sequence = self._sequences.pop(object_id, None)
         if sequence is None:
             return
-        distinct = set(sequence.split())
-        removed = _sequence_cost(sequence) + len(distinct) * estimate_set_entry()
-        for word in distinct:
+        self.estimated_bytes -= _sequence_cost(sequence) + self._unpost(
+            object_id, set(sequence.split())
+        )
+
+    def _unpost(self, object_id: int, words: set[str]) -> int:
+        """Drop ``object_id`` from the postings of ``words``; returns the
+        bytes that frees."""
+        freed = len(words) * estimate_set_entry()
+        for word in words:
             posting = self._postings[word]
             posting.discard(object_id)
             if not posting:
                 del self._postings[word]
-                removed += _word_key_cost(word)
-        self.estimated_bytes -= removed
+                freed += _word_key_cost(word)
+        return freed
 
     # ------------------------------------------------------------------
     # Lookup

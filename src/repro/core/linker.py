@@ -313,10 +313,12 @@ class NNexus:
     def _cold_start(self) -> None:
         """Restore corpus + render cache from storage, then spot-verify.
 
-        Up to :data:`VERIFY_SAMPLE` restored *valid* renderings are
-        re-rendered from scratch and compared byte-for-byte; a mismatch
-        (stale disk state, changed config) evicts the cached copy so it
-        is recomputed on demand rather than served wrong.
+        Up to :data:`VERIFY_SAMPLE` stored *valid* renderings are
+        re-rendered from scratch and compared byte-for-byte.  A mismatch
+        (stale disk state, changed config) means the sample cannot vouch
+        for the rows it did not check: every row is then restored dirty,
+        and journaled dirty in one transaction, so each is recomputed on
+        demand rather than served wrong, now or after the next restart.
         """
         started = perf_counter()
         snapshot = self.storage.load()
@@ -324,27 +326,30 @@ class NNexus:
         # nothing to invalidate, and the journal already holds them.
         for obj in snapshot.objects:
             self._store(obj)
-        for rendering in snapshot.renderings:
-            if rendering.object_id in self._objects and rendering.fmt in RENDERERS:
-                self._cache.restore(
-                    rendering.object_id,
-                    rendering.body,
-                    rendering.fmt,
-                    valid=rendering.valid,
-                )
+        restorable = [
+            rendering
+            for rendering in snapshot.renderings
+            if rendering.object_id in self._objects and rendering.fmt in RENDERERS
+        ]
         verified = mismatches = 0
-        for rendering in snapshot.renderings:
+        for rendering in restorable:
             if verified >= VERIFY_SAMPLE:
                 break
-            if not rendering.valid or rendering.object_id not in self._objects:
-                continue
-            renderer = RENDERERS.get(rendering.fmt)
-            if renderer is None:
+            if not rendering.valid:
                 continue
             verified += 1
-            if renderer(self.link_object(rendering.object_id)) != rendering.body:
+            rendered = RENDERERS[rendering.fmt](self.link_object(rendering.object_id))
+            if rendered != rendering.body:
                 mismatches += 1
-                self._cache.drop(rendering.object_id)
+        for rendering in restorable:
+            self._cache.restore(
+                rendering.object_id,
+                rendering.body,
+                rendering.fmt,
+                valid=rendering.valid and not mismatches,
+            )
+        if mismatches:
+            self._journal(lambda: self.storage.record_invalidate_all())
         self.last_restore = {
             "objects": len(snapshot.objects),
             "renderings": len(snapshot.renderings),
@@ -429,33 +434,43 @@ class NNexus:
         through the invalidation index — after marking them dirty in the
         render cache.
         """
-        return self._add(obj, search=True)
+        invalidated = self._add(obj, search=True)
+        stored = self._objects[obj.object_id]
+        self._journal(lambda: self.storage.record_add(stored, invalidated))
+        return invalidated
 
     def add_objects(self, objects: Iterable[CorpusObject]) -> None:
         """Bulk-load entries (e.g. an initial corpus import).
 
-        Each entry is stored and journaled as by :meth:`add_object`.
-        While the render cache holds no rendering there is nothing for
-        an added entry to dirty, in the cache or in the store's
-        renderings, so the invalidation search is skipped for it; the
-        check is made per entry, and once anything is rendered the load
-        invalidates exactly as :meth:`add_object` does.
+        Each entry is stored as by :meth:`add_object`, and the whole load
+        is journaled as ONE storage record, so a crash leaves all of it
+        or none of it.  When an entry fails (a duplicate id, a bad
+        policy), the entries stored before it are journaled and the
+        error is raised.  While the render cache holds no rendering there
+        is nothing for an added entry to dirty, in the cache or in the
+        store's renderings, so the invalidation search is skipped for
+        it; the check is made per entry, and once anything is rendered
+        the load invalidates exactly as :meth:`add_object` does.
         """
-        for obj in objects:
-            self._add(obj, search=bool(self._cache))
+        stored: list[CorpusObject] = []
+        invalidated: set[int] = set()
+        try:
+            for obj in objects:
+                invalidated |= self._add(obj, search=bool(self._cache))
+                stored.append(self._objects[obj.object_id])
+        finally:
+            if stored:
+                self._journal(lambda: self.storage.record_bulk_add(stored, invalidated))
 
     def _add(self, obj: CorpusObject, search: bool) -> set[int]:
-        """Store, invalidate (when ``search``) and journal one new entry."""
+        """Store and invalidate (when ``search``) one new entry; no journal."""
         self._check_writable()
         object_id = obj.object_id
         if object_id in self._objects:
             raise DuplicateObjectError(object_id)
         parse_policy(obj.linking_policy)  # a bad policy raises before any change
         labels = self._store(obj)
-        invalidated = self._invalidate(labels, object_id) if search else set()
-        stored = self._objects[object_id]
-        self._journal(lambda: self.storage.record_add(stored, invalidated))
-        return invalidated
+        return self._invalidate(labels, object_id) if search else set()
 
     def remove_object(self, object_id: int) -> set[int]:
         """Unregister an entry; invalidate entries that linked to it.
@@ -467,7 +482,9 @@ class NNexus:
         cached renderings keep hyperlinking a deleted target.
         """
         self._check_writable()
-        invalidated = self._invalidate(self._unstore(object_id), object_id)
+        labels = self._unstore(object_id)
+        self._invalidation.remove_object(object_id)
+        invalidated = self._invalidate(labels, object_id)
         self._journal(lambda: self.storage.record_remove(object_id, invalidated))
         return invalidated
 
@@ -550,10 +567,13 @@ class NNexus:
         return labels
 
     def _unstore(self, object_id: int) -> frozenset[tuple[str, ...]]:
-        """Undo :meth:`_store` and drop the cached renderings.
+        """Undo :meth:`_store`, but for the invalidation index, and drop
+        the cached renderings.
 
-        Returns the labels the entry defined; raises UnknownObjectError
-        when it is not stored.
+        The index keeps the entry: an update re-indexes it by its word
+        difference in :meth:`_store`, and a removal removes it.  Returns
+        the labels the entry defined; raises UnknownObjectError when it
+        is not stored.
         """
         obj = self._objects.pop(object_id, None)
         if obj is None:
@@ -562,7 +582,6 @@ class NNexus:
         defined = self._concept_map.labels_for_object(object_id)
         self._concept_map.remove_object(object_id)
         self._policies.remove(object_id)
-        self._invalidation.remove_object(object_id)
         self._cache.drop(object_id)
         self._targets.pop(object_id, None)
         return defined
@@ -1045,8 +1064,9 @@ class NNexus:
 
         The cache is keyed by ``(object_id, fmt)``: every format is
         cached, and the invalidation machinery dirties and drops all of
-        an entry's formats together.  A miss links, renders, caches and
-        journals the rendering.
+        an entry's formats together.  A miss links, renders and caches
+        the rendering and hands it to the store, which buffers it until
+        the next checkpoint or close.
         """
         renderer_for(fmt)  # an unknown format fails before the lookup
         trc = self.tracer
@@ -1071,7 +1091,7 @@ class NNexus:
             return self._render_miss(object_id, fmt)
 
     def _render_miss(self, object_id: int, fmt: str) -> str:
-        """Link, render, cache and journal one rendering."""
+        """Link, render and cache one rendering; the store buffers it."""
         rendered = self.render_document(self.link_object(object_id), fmt)
         self._cache.put(object_id, rendered, fmt)
         self._journal(lambda: self.storage.record_rendering(object_id, fmt, rendered))

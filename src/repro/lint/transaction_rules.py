@@ -25,8 +25,8 @@ machine-visible at the definition site and this rule checks its
 *callers* instead.
 
 **Caller half** (``core`` modules): direct calls to
-``storage.record_add/record_update/record_remove/record_rendering/
-record_cache_clear`` must sit inside a lambda passed to
+``storage.record_add/record_bulk_add/record_update/record_remove/
+record_rendering/record_invalidate_all/record_cache_clear`` must sit inside a lambda passed to
 ``*._journal(...)`` (the linker's degradation wrapper), or in a
 function whose docstring declares the contract.
 """
@@ -45,9 +45,11 @@ _SQLITE_EXEC = (".execute", ".executemany", ".executescript")
 _SQL_MUTATING = ("insert", "update", "delete", "replace", "drop")
 _JOURNAL_METHODS = (
     "record_add",
+    "record_bulk_add",
     "record_update",
     "record_remove",
     "record_rendering",
+    "record_invalidate_all",
     "record_cache_clear",
 )
 

@@ -1,11 +1,14 @@
 """The records a durable store reads back.
 
 :class:`~repro.persistence.sqlite_backend.SqliteBackend` journals linker
-mutations (object add/update/remove, policy changes, cache
+mutations (object add/update/remove, a bulk load, policy changes, cache
 invalidation) and can rebuild the full linker state on a cold start.
-Each ``record_*`` call covers ONE linker operation and is atomic on
-disk: either the object change *and* its invalidation side-effects land
-together, or neither does.
+Each ``record_*`` call that journals a mutation covers ONE linker
+operation and is atomic on disk: either the object change *and* its
+invalidation side-effects land together, or neither does.
+``record_rendering`` is not such a call: a fresh rendering is derived
+data, buffered in memory and written at the next ``checkpoint()`` or
+``close()``, so a crash loses only unflushed rows, one re-render each.
 
 The persisted rendering rows double as the invalidation dirty-set: a
 rendering stored with ``valid=False`` is exactly a cache entry awaiting

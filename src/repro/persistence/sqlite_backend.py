@@ -3,10 +3,24 @@
 Two tables: ``objects`` holds one JSON payload per corpus object, and
 ``renderings`` holds one row per ``(object, format)`` cached rendering
 whose ``valid`` flag is the invalidation dirty-set.  Every ``record_*``
-call is one sqlite transaction, so a crash never persists an object
-change without its invalidation side-effects.  Durability is delegated
-to sqlite: ``journal_mode=WAL`` plus a ``synchronous`` level mapped
-from the sync policy (``always``→FULL, ``batch``→NORMAL, ``off``→OFF).
+call that journals a mutation (an add, a bulk load, an update, a
+removal, a cache wipe, a mark of every row) is one sqlite transaction,
+so a crash never persists an object change without its invalidation
+side-effects.
+
+``record_rendering`` is the exception: a fresh rendering is derived
+data, so it only enters an in-memory write-back buffer and costs the
+request path no statement.  :meth:`SqliteBackend.checkpoint` and
+:meth:`SqliteBackend.close` write the buffer with one ``executemany``
+in one transaction.  Each mutation flips the buffered rows of the ids
+it invalidates to ``valid=0`` and drops those of the entry it updates
+or removes, so a buffered row can never land as valid after a mutation
+invalidated it; a crash loses only the unflushed rows, one re-render
+each.
+
+Durability is delegated to sqlite: ``journal_mode=WAL`` plus a
+``synchronous`` level mapped from the sync policy (``always``→FULL,
+``batch``→NORMAL, ``off``→OFF).
 A failed integrity ``quick_check`` on open raises
 :class:`StorageCorruptionError`, and so does a directory that holds the
 files of the removed engine backend (``wal.jsonl``/``snapshot.json``)
@@ -107,6 +121,9 @@ class SqliteBackend:
                 "and no corpus.sqlite3; reload the corpus into a fresh directory",
             )
         self._lock = threading.RLock()
+        #: Fresh renderings not yet written: object id -> format ->
+        #: ``[body, valid]``.  Guarded by ``_lock``.
+        self._fresh: dict[int, dict[str, list[Any]]] = {}
         conn = sqlite3.connect(self._path, check_same_thread=False)
         try:
             conn.execute("PRAGMA journal_mode=WAL")
@@ -153,52 +170,78 @@ class SqliteBackend:
     # ------------------------------------------------------------------
     def record_add(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         """Journal an object registration plus its invalidation fallout."""
-        payload = json.dumps(object_to_payload(obj))
-        with self._lock, _storage_errors(), self._conn:
-            self._conn.execute(
-                "INSERT INTO objects(object_id, payload) VALUES(?, ?) "
-                "ON CONFLICT(object_id) DO UPDATE SET payload=excluded.payload",
-                (obj.object_id, payload),
-            )
-            self._mark_invalid(invalidated)
+        self.record_bulk_add([obj], invalidated)
+
+    def record_bulk_add(
+        self, objects: Iterable[CorpusObject], invalidated: Iterable[int]
+    ) -> None:
+        """Journal a bulk load and the union of its fallout, all or nothing."""
+        rows = [
+            (obj.object_id, json.dumps(object_to_payload(obj))) for obj in objects
+        ]
+        with self._lock, _storage_errors():
+            with self._conn:
+                self._conn.executemany(
+                    "INSERT INTO objects(object_id, payload) VALUES(?, ?) "
+                    "ON CONFLICT(object_id) DO UPDATE SET payload=excluded.payload",
+                    rows,
+                )
+                ids = self._mark_invalid(invalidated)
+            self._flip_fresh(ids)
 
     def record_update(self, obj: CorpusObject, invalidated: Iterable[int]) -> None:
         """Journal an in-place object replacement (also policy changes)."""
         payload = json.dumps(object_to_payload(obj))
-        with self._lock, _storage_errors(), self._conn:
-            self._conn.execute(
-                "INSERT INTO objects(object_id, payload) VALUES(?, ?) "
-                "ON CONFLICT(object_id) DO UPDATE SET payload=excluded.payload",
-                (obj.object_id, payload),
-            )
-            self._conn.execute(
-                "DELETE FROM renderings WHERE object_id=?", (obj.object_id,)
-            )
-            self._mark_invalid(invalidated)
+        with self._lock, _storage_errors():
+            with self._conn:
+                self._conn.execute(
+                    "INSERT INTO objects(object_id, payload) VALUES(?, ?) "
+                    "ON CONFLICT(object_id) DO UPDATE SET payload=excluded.payload",
+                    (obj.object_id, payload),
+                )
+                self._conn.execute(
+                    "DELETE FROM renderings WHERE object_id=?", (obj.object_id,)
+                )
+                ids = self._mark_invalid(invalidated)
+            self._fresh.pop(obj.object_id, None)
+            self._flip_fresh(ids)
 
     def record_remove(self, object_id: int, invalidated: Iterable[int]) -> None:
         """Journal an object removal; drops its renderings too."""
-        with self._lock, _storage_errors(), self._conn:
-            self._conn.execute("DELETE FROM objects WHERE object_id=?", (object_id,))
-            self._conn.execute("DELETE FROM renderings WHERE object_id=?", (object_id,))
-            self._mark_invalid(invalidated)
+        with self._lock, _storage_errors():
+            with self._conn:
+                self._conn.execute("DELETE FROM objects WHERE object_id=?", (object_id,))
+                self._conn.execute(
+                    "DELETE FROM renderings WHERE object_id=?", (object_id,)
+                )
+                ids = self._mark_invalid(invalidated)
+            self._fresh.pop(object_id, None)
+            self._flip_fresh(ids)
 
     def record_rendering(self, object_id: int, fmt: str, body: str) -> None:
-        """Journal a fresh (valid) rendering for one object/format."""
-        with self._lock, _storage_errors(), self._conn:
-            self._conn.execute(
-                "INSERT INTO renderings(key, object_id, fmt, body, valid) "
-                "VALUES(?, ?, ?, ?, 1) ON CONFLICT(key) DO UPDATE SET "
-                "body=excluded.body, valid=1",
-                (f"{object_id}:{fmt}", object_id, fmt, body),
-            )
+        """Buffer a fresh (valid) rendering; the next flush writes it."""
+        with self._lock:
+            self._fresh.setdefault(object_id, {})[fmt] = [body, 1]
+
+    def record_invalidate_all(self) -> None:
+        """Journal every stored and buffered rendering as dirty."""
+        with self._lock, _storage_errors():
+            with self._conn:
+                self._conn.execute("UPDATE renderings SET valid=0")
+            self._flip_fresh(list(self._fresh))
 
     def record_cache_clear(self) -> None:
         """Journal a full render-cache wipe (ranker/weight changes)."""
-        with self._lock, _storage_errors(), self._conn:
-            self._conn.execute("DELETE FROM renderings")
+        with self._lock, _storage_errors():
+            with self._conn:
+                self._conn.execute("DELETE FROM renderings")
+            self._fresh.clear()
 
-    def _mark_invalid(self, invalidated: Iterable[int]) -> None:
+    def _mark_invalid(self, invalidated: Iterable[int]) -> list[int]:
+        """Mark stored rows dirty inside the caller's transaction.
+
+        Returns the ids, for :meth:`_flip_fresh`.
+        """
         ids = sorted(set(invalidated))
         for start in range(0, len(ids), _SQLITE_MAX_VARS):
             chunk = ids[start : start + _SQLITE_MAX_VARS]
@@ -206,19 +249,60 @@ class SqliteBackend:
             self._conn.execute(
                 f"UPDATE renderings SET valid=0 WHERE object_id IN ({marks})", chunk
             )
+        return ids
+
+    def _flip_fresh(self, ids: Iterable[int]) -> None:
+        """Mark the buffered renderings of ``ids`` dirty (caller holds the lock)."""
+        fresh = self._fresh
+        for object_id in ids:
+            for row in fresh.get(object_id, {}).values():
+                row[1] = 0
+
+    def _flush(self) -> None:
+        """Write the buffered renderings in one transaction (caller holds the lock).
+
+        The buffer is emptied only once the transaction commits, so a
+        failed flush keeps every row for the next attempt.
+        """
+        if not self._fresh:
+            return
+        rows = [
+            (f"{object_id}:{fmt}", object_id, fmt, body, valid)
+            for object_id, formats in self._fresh.items()
+            for fmt, (body, valid) in formats.items()
+        ]
+        with self._conn:
+            self._conn.executemany(
+                "INSERT INTO renderings(key, object_id, fmt, body, valid) "
+                "VALUES(?, ?, ?, ?, ?) ON CONFLICT(key) DO UPDATE SET "
+                "body=excluded.body, valid=excluded.valid",
+                rows,
+            )
+        self._fresh.clear()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Fold the write-ahead log back into the database file."""
+        """Write the buffered renderings, then fold the log into the file."""
         with self._lock, _storage_errors():
+            self._flush()
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:
-        """Release the database handle; further journaling is an error."""
+        """Write the buffered renderings and release the database handle.
+
+        The handle is released even when the write fails; the failure
+        is then raised as :class:`StorageError`.  Further journaling is
+        an error.
+        """
         with self._lock:
-            self._conn.close()
+            try:
+                with _storage_errors():
+                    self._flush()
+            finally:
+                self._fresh.clear()
+                self._conn.close()
 
     def recovery_stats(self) -> dict[str, Any]:
         """What the last cold start read from, for ``last_restore``."""

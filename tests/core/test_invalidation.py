@@ -167,6 +167,25 @@ class TestMaintenance:
         assert index.invalidate("hidden") == set()
         assert index.invalidate("outside") == {1}
 
+    def test_reindex_touches_only_the_word_difference(self) -> None:
+        index = _index({1: "alpha beta gamma", 2: "beta delta"})
+        postings = _RecordingPostings(index._postings)
+        index._postings = postings
+        index.index_object(1, _words("beta gamma epsilon gamma"))
+        assert postings.touched == {"alpha", "epsilon"}
+        assert index.invalidate("alpha") == set()
+        assert index.invalidate("epsilon") == {1}
+        assert index.invalidate("beta gamma") == {1}
+
+    def test_reindex_of_the_same_sequence_does_nothing(self) -> None:
+        index = _index({1: "alpha beta alpha"})
+        before = index.estimated_bytes
+        postings = _RecordingPostings(index._postings)
+        index._postings = postings
+        index.index_object(1, _words("alpha beta alpha"))
+        assert postings.touched == set()
+        assert index.estimated_bytes == before
+
     def test_estimate_returns_to_zero(self) -> None:
         index = _index({1: "alpha beta", 2: "beta gamma"})
         assert index.estimated_bytes > 0
@@ -195,6 +214,30 @@ class TestStats:
         stats = AdaptivePhraseIndexModel([]).stats()
         assert stats.total_keys == 0
         assert stats.size_ratio_vs_word_index == 0.0
+
+
+class _RecordingPostings(dict):
+    """A postings table that records every word key it is asked for."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.touched: set[str] = set()
+
+    def __getitem__(self, word):
+        self.touched.add(word)
+        return super().__getitem__(word)
+
+    def get(self, word, default=None):
+        self.touched.add(word)
+        return super().get(word, default)
+
+    def __setitem__(self, word, value) -> None:
+        self.touched.add(word)
+        super().__setitem__(word, value)
+
+    def __delitem__(self, word) -> None:
+        self.touched.add(word)
+        super().__delitem__(word)
 
 
 VOCABULARY = "alpha beta gamma delta epsilon".split()
@@ -285,3 +328,17 @@ def test_generated_corpus_labels_between_scan_and_paper_superset() -> None:
         result = live.invalidate(label)
         assert expected <= result, label
         assert result <= model.superset(label), label
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), words, min_size=1, max_size=6), words)
+def test_reindex_equals_a_fresh_index(texts: dict[int, list[str]], new: list[str]) -> None:
+    """Re-indexing by the word difference leaves the index, and its byte
+    estimate, as indexing the new words from scratch would."""
+    target = min(texts)
+    index = _index({oid: " ".join(tokens) for oid, tokens in texts.items()})
+    index.index_object(target, _words(" ".join(new)))
+    fresh = _index({**{oid: " ".join(t) for oid, t in texts.items()}, target: " ".join(new)})
+    assert index._postings == fresh._postings
+    assert index._sequences == fresh._sequences
+    assert index.estimated_bytes == fresh.estimated_bytes

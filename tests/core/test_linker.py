@@ -707,6 +707,21 @@ class TestOneWritePath:
         linker.set_linking_policy(5, "forbid graph\n")
         assert calls == [2]
 
+    def test_update_reindexes_without_removing(self, monkeypatch) -> None:
+        linker = fig1_linker()
+        index = linker.invalidation_index
+        removes = self._count(index, "remove_object", monkeypatch)
+        indexes = self._count(index, "index_object", monkeypatch)
+        linker.update_object(
+            CorpusObject(2, "planar graph", defines=["planar graph"],
+                         classes=["05C10"], text="Embeds in the plane, a graph.")
+        )
+        assert (removes, indexes) == ([0], [1])
+        assert index.invalidate("graph") >= {2}
+        linker.remove_object(2)
+        assert (removes, indexes) == ([1], [1])
+        assert 2 not in index.invalidate("graph")
+
     def test_cold_start_neither_invalidates_nor_journals(self, tmp_path, monkeypatch) -> None:
         from repro.core.invalidation import InvalidationIndex
         from repro.persistence.sqlite_backend import SqliteBackend
@@ -719,15 +734,16 @@ class TestOneWritePath:
         invalidations = self._count(InvalidationIndex, "invalidate_many", monkeypatch)
         journal = [
             self._count(SqliteBackend, method, monkeypatch)
-            for method in ("record_add", "record_update", "record_remove",
-                           "record_rendering", "record_cache_clear")
+            for method in ("record_add", "record_bulk_add", "record_update",
+                           "record_remove", "record_rendering",
+                           "record_invalidate_all", "record_cache_clear")
         ]
         restarted = NNexus(
             scheme=build_small_msc(), storage=SqliteBackend(tmp_path / "data")
         )
         try:
             assert invalidations == [0]
-            assert journal == [[0]] * 5
+            assert journal == [[0]] * 7
             assert {oid: restarted.render_object(oid) for oid in expected} == expected
         finally:
             restarted.storage.close()

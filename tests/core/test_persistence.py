@@ -280,6 +280,46 @@ class TestRestoreVerification:
         restarted.storage.close()
 
 
+    def test_mismatch_journals_every_row_dirty(self, tmp_path) -> None:
+        data_dir = tmp_path / "data"
+        linker = build_durable_linker("sqlite", data_dir)
+        linker.add_objects(sample_corpus())
+        render_all(linker)
+        key = f"{linker.object_ids()[0]}:html"
+        linker.storage.close()
+        conn = sqlite3.connect(data_dir / "corpus.sqlite3")
+        try:
+            with conn:
+                conn.execute("UPDATE renderings SET body='stale' WHERE key=?", (key,))
+        finally:
+            conn.close()
+
+        restarted = build_durable_linker("sqlite", data_dir)
+        assert restarted.last_restore["mismatches"] == 1
+        # The sample cannot vouch for the rows it did not check: none is
+        # restored valid, and the file holds every row dirty.
+        assert len(restarted.cache.invalid_keys()) == len(restarted.cache) > 0
+        conn = sqlite3.connect(data_dir / "corpus.sqlite3")
+        try:
+            flags = conn.execute("SELECT key, valid FROM renderings").fetchall()
+            assert (key, 0) in flags
+            assert {valid for _, valid in flags} == {0}
+        finally:
+            conn.close()
+        restarted.storage.close()
+
+        again = build_durable_linker("sqlite", data_dir)
+        try:
+            assert again.last_restore["mismatches"] == 0
+            served = render_all(again)
+            assert all(
+                body != "stale" for formats in served.values() for body in formats.values()
+            )
+            assert corpus_digest(served) == GOLDEN_SHA256
+        finally:
+            again.storage.close()
+
+
 class TestKillPointsThroughTheLinker:
     def test_sampled_wal_truncations_recover_renderable_prefixes(self, tmp_path) -> None:
         """Cut sqlite's write-ahead log of a linked corpus at sampled
@@ -315,7 +355,9 @@ class TestKillPointsThroughTheLinker:
             recovered_ids = recovered.object_ids()
             size = len(recovered_ids)
             seen_sizes.add(size)
-            # Committed prefix: add_objects journals in id order.
+            # add_objects journals the load as one transaction: every
+            # cut recovers all of it or none of it.
+            assert size in (0, len(corpus))
             assert recovered_ids == [obj.object_id for obj in corpus[:size]]
             if size not in reference_digests:
                 reference = NNexus(scheme=build_small_msc())

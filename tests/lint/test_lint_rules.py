@@ -76,8 +76,9 @@ class TestJournalDisciplineREP102:
         findings, _ = _run(
             JournalDisciplineRule(), "core/rep102_caller_bad.py"
         )
-        assert len(findings) == 1
-        assert "record_add" in findings[0].message
+        assert len(findings) == 2
+        assert "record_add(" in findings[0].message
+        assert "record_bulk_add(" in findings[1].message
 
     def test_journal_lambda_contract_and_waiver_pass(self) -> None:
         findings, suppressed = _run(

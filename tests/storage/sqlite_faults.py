@@ -1,8 +1,9 @@
 """Fault and crash helpers for tests of ``SqliteBackend``.
 
 ``FailingConnection.install(backend, fail_on=N)`` swaps the backend's
-connection for a proxy whose Nth ``execute`` (counted from
-installation) raises ``sqlite3.OperationalError``.  Everything else,
+connection for a proxy whose Nth ``execute`` or ``executemany``
+(counted together from installation) raises
+``sqlite3.OperationalError``.  Everything else,
 including ``__enter__``/``__exit__``, goes to the real connection, so
 sqlite still rolls back the transaction the failing statement ran in.
 
@@ -33,11 +34,18 @@ class FailingConnection:
         backend._conn = proxy
         return proxy
 
-    def execute(self, *args):
+    def _count(self) -> None:
         self.calls += 1
         if self.calls == self.fail_on:
             raise sqlite3.OperationalError("injected fault: disk I/O error")
+
+    def execute(self, *args):
+        self._count()
         return self._conn.execute(*args)
+
+    def executemany(self, *args):
+        self._count()
+        return self._conn.executemany(*args)
 
     def __enter__(self):
         return self._conn.__enter__()

@@ -1,10 +1,10 @@
 """The bulk load on the sqlite store.
 
 ``add_objects`` skips the invalidation search for an entry while nothing
-is rendered.  Each entry is still journaled as ``add_object`` journals
-it, so the store must hold the same rows either way: the same objects,
-and the same renderings with the same ``valid`` flags, before and after
-a reopen.
+is rendered, and journals the whole load as one record.  The store must
+hold the same rows as after ``add_object`` entry by entry: the same
+objects, and the same renderings with the same ``valid`` flags, before
+and after a reopen.
 """
 
 import sqlite3

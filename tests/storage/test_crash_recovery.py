@@ -238,6 +238,7 @@ class TestTornCommit:
         backend.record_add(entry(1, "before"), ())
         backend.record_add(entry(2, "other"), ())
         backend.record_rendering(2, "html", "<p>other</p>")
+        backend.checkpoint()  # the flush writes the buffered rendering
         # Statement 1 rewrites the object row, statement 2 (dropping its
         # renderings) fails before the invalidation of entry 2 runs.
         FailingConnection.install(backend, fail_on=2)

@@ -146,6 +146,7 @@ class TestTransactions:
         backend = SqliteBackend(tmp_path)
         backend.record_add(entry(1, "ada"), ())
         backend.record_rendering(1, "html", "<p>ada</p>")
+        backend.checkpoint()  # the flush writes the buffered rendering
         real_conn = backend._conn
         # Statement 1 inserts entry 2; statement 2 (invalidating 1) fails.
         FailingConnection.install(backend, fail_on=2)

@@ -1,9 +1,11 @@
 """Journal atomicity of the durable backend (REP102 regression).
 
 ``record_rendering`` once wrote outside any transaction.  Every journal
-method must commit as exactly one sqlite transaction, so a crash can
-never tear it.  A trace callback on the connection shows the statements
-each call sends.
+method that records a mutation must commit as exactly one sqlite
+transaction, so a crash can never tear it.  ``record_rendering`` only
+buffers its row and sends nothing; the flush at ``checkpoint()`` is
+then the one transaction that writes it.  A trace callback on the
+connection shows the statements each call sends.
 """
 
 from __future__ import annotations
@@ -31,23 +33,32 @@ def _obj(object_id: int = 1) -> CorpusObject:
     )
 
 
+def _rendering_then_flush(storage, object_id: int) -> None:
+    storage.record_rendering(object_id, "html", f"<p>{object_id}</p>")
+    storage.checkpoint()
+
+
 class TestJournalAtomicity:
     def test_record_rendering_commits_one_txn_record(self, tmp_path) -> None:
         storage = SqliteBackend(tmp_path)
         try:
-            verbs = _traced(
+            buffered = _traced(
                 storage, lambda: storage.record_rendering(7, "html", "<p>x</p>")
             )
+            flushed = _traced(storage, storage.checkpoint)
         finally:
             storage.close()
-        assert verbs == ["BEGIN", "INSERT", "COMMIT"]
+        assert buffered == []
+        assert flushed == ["BEGIN", "INSERT", "COMMIT", "PRAGMA"]
 
     def test_every_journal_method_appends_only_txn_records(self, tmp_path) -> None:
         storage = SqliteBackend(tmp_path)
         calls = [
             lambda: storage.record_add(_obj(1), invalidated=(2,)),
+            lambda: storage.record_bulk_add([_obj(2), _obj(3)], invalidated=(1,)),
             lambda: storage.record_update(_obj(1), invalidated=(1,)),
-            lambda: storage.record_rendering(1, "html", "<p>1</p>"),
+            lambda: _rendering_then_flush(storage, 1),
+            storage.record_invalidate_all,
             lambda: storage.record_remove(1, invalidated=(2, 3)),
             storage.record_cache_clear,
         ]
@@ -55,6 +66,9 @@ class TestJournalAtomicity:
             traces = [_traced(storage, call) for call in calls]
         finally:
             storage.close()
+        # The checkpoint after the flush folds the log outside any
+        # transaction; it writes no journal record.
+        traces = [[verb for verb in verbs if verb != "PRAGMA"] for verbs in traces]
         for verbs in traces:
             assert len(verbs) >= 3, "journal methods must write"
             assert verbs[0] == "BEGIN" and verbs[-1] == "COMMIT"

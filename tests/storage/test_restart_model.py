@@ -2,10 +2,12 @@
 
 :class:`RestartLinkerModel` runs the incremental-vs-rebuild state
 machine of ``tests/core/test_incremental_model.py`` on a linker that
-journals to a sqlite data directory, and adds two rules:
+journals to a sqlite data directory, and adds three rules:
 
 * ``reopen`` closes the storage and cold-starts a new linker, with the
   same configuration, from the same data directory;
+* ``checkpoint`` writes the buffered renderings without a reopen, so
+  later mutations must mark rows already on file;
 * ``save`` saves an entry through :class:`RevisionedCorpus`.  The drawn
   edits include whitespace-padded titles, duplicated labels and
   unchanged entries, which differ from the stored entry without
@@ -19,11 +21,12 @@ On top of the inherited invariants (every served rendering equals a
 from-scratch rebuild, invalidated covers changed, kept scans match the
 text), after every step:
 
-* every rendering row the sqlite file holds as valid equals a
-  from-scratch rebuild's rendering in its format.  The rows are read
-  straight from the file before anything renders in that step: a render
-  rewrites its entry's row, and a cold start re-renders a sample of the
-  restored rows, so either would repair a stale row before it is seen;
+* every rendering row the sqlite file holds as valid, and every valid
+  row buffered for the next flush, equals a from-scratch rebuild's
+  rendering in its format.  The rows are read before anything renders
+  in that step: a render rewrites its entry's row, and a cold start
+  re-renders a sample of the restored rows, so either would repair a
+  stale row before it is seen;
 * the corpus a reopen restores equals the live corpus field for field.
 
 The example budget is small by default.  Set ``NNEXUS_MODEL_PROFILE=ci``
@@ -97,6 +100,13 @@ class RestartLinkerModel(IncrementalLinkerModel):
         # A restart must change no rendering; there is no set to check.
         self.last_mutation = None
 
+    @rule()
+    def checkpoint(self) -> None:
+        # Writes the buffered renderings while the linker keeps going.
+        self.linker.checkpoint_storage()
+        assert not self.linker.read_only, self.linker.storage_error
+        self.last_mutation = None
+
     @rule(data=st.data())
     def save(self, data: st.DataObject) -> None:
         object_id = data.draw(st.sampled_from([*self._ids(), self.next_id]))
@@ -125,13 +135,23 @@ class RestartLinkerModel(IncrementalLinkerModel):
         # renders: each render rewrites that entry's row.
         storage = SqliteBackend(self.data_dir, sync="off")
         try:
-            rows = [row for row in storage.load().renderings if row.valid]
+            rows = [
+                (row.object_id, row.fmt, row.body)
+                for row in storage.load().renderings
+                if row.valid
+            ]
         finally:
             storage.close()
+        # The rows the next flush would write count too.
+        rows += [
+            (object_id, fmt, body)
+            for object_id, formats in self.linker.storage._fresh.items()
+            for fmt, (body, valid) in formats.items()
+            if valid
+        ]
         fresh = self._rebuilt()
-        for row in rows:
-            expected = fresh.render_object(row.object_id, row.fmt)
-            assert row.body == expected, (row.object_id, row.fmt)
+        for object_id, fmt, body in rows:
+            assert body == fresh.render_object(object_id, fmt), (object_id, fmt)
         super().matches_rebuild()
 
     @invariant()

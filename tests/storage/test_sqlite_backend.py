@@ -41,6 +41,7 @@ class TestMarkInvalidChunking:
         for object_id in range(total):
             backend.record_add(make_object(object_id), ())
             backend.record_rendering(object_id, "html", f"<p>{object_id}</p>")
+        backend.checkpoint()  # the flush writes every buffered rendering
         backend.record_add(make_object(total), ())
         # One journal record invalidates every other entry at once —
         # the homonym-heavy-removal shape that used to overflow.
@@ -121,6 +122,7 @@ class TestErrorTranslation:
         backend = SqliteBackend(tmp_path)
         backend.record_add(make_object(1), ())
         backend.record_rendering(1, "html", "<p>1</p>")
+        backend.checkpoint()  # the flush writes the buffered rendering
         real_conn = backend._conn
         # Statement 1 deletes the object row, statement 2 its renderings.
         FailingConnection.install(backend, fail_on=2)

@@ -75,6 +75,7 @@ class TestSaveLoad:
                          linking_policy="forbid alpha\n")
         )
         linker.render_object(1, fmt="html")
+        linker.checkpoint_storage()  # the flush writes the buffered rendering
         assert rows(tmp_path, "SELECT count(*) FROM renderings") == [(1,)]
         linker.remove_object(1)
         linker = restarted(linker, tmp_path)
