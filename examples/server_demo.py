@@ -49,6 +49,7 @@ def main() -> None:
             print("\nsame post, after the corpus grew:\n" + body)
     finally:
         server.shutdown()
+        server.server_close()
         print("\nserver stopped")
 
 

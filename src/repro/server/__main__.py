@@ -7,9 +7,10 @@
 
 The server runs hardened by default: bounded admission (load past
 ``--max-in-flight`` is shed with a retryable ``overloaded`` error),
-idle/request socket deadlines, and a graceful drain on SIGINT.  With
-``--http-port`` the HTTP gateway shares the socket server's
-readers-writer lock and flips ``/ready`` to 503 while draining.
+idle/request connection deadlines, and a graceful drain on SIGINT.
+With ``--http-port`` the HTTP gateway serves the same linker under the
+same readers-writer lock, and drains too: ``/ready`` and every route
+but the probes answer 503 while its admitted requests finish.
 
 Observability switches: ``--metrics`` records per-stage timings and
 server counters; ``--trace`` records request-scoped span trees
@@ -74,8 +75,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="admission bound; excess requests are shed "
                              "with a retryable 'overloaded' error")
     parser.add_argument("--request-timeout", type=float, default=30.0,
-                        help="seconds a started request may take per socket "
-                             "read before the connection is closed")
+                        help="seconds a started request frame may take to "
+                             "arrive, and a response to be taken, before the "
+                             "connection is closed")
     parser.add_argument("--idle-timeout", type=float, default=300.0,
                         help="seconds a quiet connection is kept open")
     parser.add_argument("--drain-timeout", type=float, default=10.0,
@@ -226,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
                 host=args.host,
                 port=args.http_port,
                 max_in_flight=args.max_in_flight,
-                rwlock=server.rwlock,
                 profiler=profiler,
             )
             log.info(
@@ -252,12 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         log.info("server.draining")
     finally:
-        if gateway is not None:
-            gateway.set_ready(False)
-        drained = server.shutdown_gracefully(drain_timeout=args.drain_timeout)
-        if gateway is not None:
-            gateway.shutdown()
-            gateway.server_close()
+        fronts = [server] if gateway is None else [gateway, server]
+        drained = all([f.shutdown_gracefully(args.drain_timeout) for f in fronts])
         if profiler is not None:
             profiler.stop()
         if exporter is not None:

@@ -19,16 +19,16 @@ Endpoints
 ``POST /annotations`` {"text", "classes": [...], "source"} -> W3C Web Annotations
 ``GET  /entry/<id>``                   -> entry metadata + rendered HTML
 
-Architecture: the gateway runs on the same core as the XML socket
-server, a ``socketserver.ThreadingTCPServer`` with one thread per
+Architecture: the gateway runs on the connection core it shares with
+the XML socket server (:mod:`repro.server.core`), one thread per
 connection.  That thread parses each request with the standard
 library's ``http.server.BaseHTTPRequestHandler``, runs the route, and
-keeps the connection alive across requests (HTTP/1.1 keep-alive, so a
-busy caller pays the TCP setup once, not per request).  Each response
-leaves in one ``sendall``.  Probes (``/health``, ``/ready``,
-``/metrics``, ``/debug/traces``, ``/debug/profile``) answer outside
-admission control and take no locks; with a thread per connection
-there is no shared pool for them to starve behind.
+keeps the connection alive across requests (a busy caller pays the TCP
+setup once).  Each response leaves in one ``sendall``.  Probes
+(``/health``, ``/ready``, ``/metrics``, ``/debug/traces``,
+``/debug/profile``) answer outside admission control and take no
+locks; with a thread per connection no shared pool exists for them to
+starve behind.
 
 With a :class:`~repro.obs.trace.Tracer` installed, every non-probe
 request runs inside a root span continuing the inbound W3C
@@ -36,26 +36,22 @@ request runs inside a root span continuing the inbound W3C
 ``x-request-id`` (the trace id) and ``traceparent`` headers.
 
 Errors come back as ``{"error": ...}`` with a 4xx status.  When more
-than ``max_in_flight`` requests are in flight, or the gateway has been
-marked not-ready (e.g. while draining for shutdown), work is shed with
-**503** and a ``Retry-After`` header instead of queueing unboundedly.
+than ``max_in_flight`` requests are in flight, or the gateway is
+draining for shutdown (``/ready`` then answers 503 too), work is shed
+with **503** and a ``Retry-After`` header instead of queueing
+unboundedly.
 
 The gateway shares the linker with whatever else holds it; mutations
 stay on the XML socket API (the write path), keeping this surface
-read-only.  Reads run concurrently under a readers-writer lock — pass
-the socket server's ``rwlock`` to coordinate with its write path.
+read-only.  Reads run concurrently under the linker's readers-writer
+lock, the one a socket server on the same linker writes under.
 """
 
 from __future__ import annotations
 
-import contextlib
 import http.server
 import json
 import re
-import socket
-import socketserver
-import threading
-import time
 from http.client import responses as _HTTP_REASONS
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -65,11 +61,11 @@ from repro.core.errors import NNexusError, OverloadedError, UnknownObjectError
 from repro.core.linker import NNexus
 from repro.core.render import renderer_for
 from repro.obs.logging import get_logger
-from repro.obs.profile import NULL_PROFILER, NullProfiler, parse_profile_params
+from repro.obs.profile import parse_profile_params
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
-from repro.obs.trace import NULL_SPAN, NullTracer, current_span, parse_trace_limit
-from repro.server.resilience import AdmissionController, ReadersWriterLock
+from repro.obs.trace import NULL_SPAN, current_span, parse_trace_limit
+from repro.server.core import ServingCore
 
 __all__ = ["NNexusHttpGateway", "serve_http"]
 
@@ -85,9 +81,6 @@ _BODY_TIMEOUT = 30.0
 _KEEPALIVE_TIMEOUT = 75.0
 #: Seconds advertised in the ``Retry-After`` header when shedding.
 _RETRY_AFTER = 1
-#: Seconds between the accept loop's checks for ``shutdown()`` and for
-#: connections past their deadline.
-_POLL_INTERVAL = 0.05
 
 _ACCESS_LOG = get_logger("nnexus.http")
 
@@ -151,22 +144,22 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         self.requestline = ""
         server, sock = self.server, self.connection
         try:
-            server._arm(sock, _KEEPALIVE_TIMEOUT)
+            server.arm_read(sock, _KEEPALIVE_TIMEOUT)
             self.raw_requestline = self.rfile.readline(_MAX_LINE + 1)
-            if not self.raw_requestline or server._expired(sock):
+            if not self.raw_requestline or server.read_expired(sock):
                 return
-            server._arm(sock, _HEADER_TIMEOUT)
+            server.arm_read(sock, _HEADER_TIMEOUT)
             if len(self.raw_requestline) > _MAX_LINE:
                 self.send_error(400, "request line too long")
                 return
             parsed = self.parse_request()
-            if server._expired(sock):
+            if server.read_expired(sock):
                 return
             if not parsed:
                 if self.refusal is None:  # a blank request line
                     self._refuse_request_line()
             elif self._read_target_and_body():
-                server._arm(sock, None)
+                server.arm_read(sock, None)
                 server._respond(self)
         except ConnectionError:
             self.close_connection = True
@@ -230,9 +223,10 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         if length < 0 or length > _MAX_BODY:
             self.send_error(400, "request body must be under 8 MiB")
             return False
-        self.server._arm(self.connection, _BODY_TIMEOUT)
+        server, sock = self.server, self.connection
+        server.arm_read(sock, _BODY_TIMEOUT)
         self.body = self.rfile.read(length) if length else b""
-        return len(self.body) == length and not self.server._expired(self.connection)
+        return len(self.body) == length and not server.read_expired(sock)
 
     def send_error(
         self, code: int, message: str | None = None, explain: str | None = None
@@ -259,8 +253,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         head.append(f"Content-Length: {len(body)}")
         if self.close_connection:
             head.append("Connection: close")
-        self.server._arm(self.connection, _BODY_TIMEOUT)
-        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+        server, sock = self.server, self.connection
+        server.arm_write(sock, _BODY_TIMEOUT)
+        try:
+            self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+        finally:
+            server.arm_write(sock, None)
         self.log_request(status, len(body))
 
     def _send_json(
@@ -323,7 +321,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             self._send_json({"status": "ok"})
             return
         if path == "/ready":
-            if self.server.ready:
+            if not self.server.draining:
                 # ``mode`` surfaces storage degradation: a linker that
                 # lost its journal keeps serving reads but probes (and
                 # load balancers doing write routing) must see it.
@@ -335,7 +333,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                         payload["reason"] = linker.storage_error
                 self._send_json(payload)
             else:
-                self._send_unavailable("not ready")
+                self._send_unavailable("draining for shutdown")
             return
         if path == "/metrics":
             body = render_prometheus(self.server.metrics_snapshot()).encode("utf-8")
@@ -350,7 +348,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             return
         with self._request_span("http.GET", path):
             try:
-                with self.server.admission.admit():
+                with self.server.admit():
                     if path == "/describe":
                         self._send_json(self.server.describe())
                     else:
@@ -370,7 +368,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         path = self.path
         with self._request_span("http.POST", path):
             try:
-                with self.server.admission.admit():
+                with self.server.admit():
                     payload = self._read_json()
                     if path == "/link":
                         self._send_json(self.server.link(payload))
@@ -441,148 +439,21 @@ def _classes_field(payload: dict[str, Any]) -> list[str]:
     return classes
 
 
-class NNexusHttpGateway(socketserver.ThreadingTCPServer):
+class NNexusHttpGateway(ServingCore):
     """Read-only HTTP facade over a shared linker (thread per connection).
 
-    The same core as :class:`~repro.server.server.NNexusServer`: the
-    constructor binds the listening socket (so an occupied port fails
-    loudly, before any thread starts), ``serve_forever`` accepts until
-    ``shutdown()``, and :meth:`server_close` closes the listener and
-    every open connection and waits for their threads.  As in
-    ``socketserver``, ``shutdown()`` waits for ``serve_forever`` to
-    return, so call it only on a gateway that serves (or is about to);
-    one that never served needs only :meth:`server_close`.  It subclasses
-    ``ThreadingTCPServer`` rather than ``http.server.HTTPServer``, whose
+    Takes :class:`~repro.server.core.ServingCore`'s parameters: requests
+    past ``max_in_flight`` get 503 + ``Retry-After: 1``, and the
+    profiler is served at ``/debug/profile`` (404 while inert).  The
+    core, not ``http.server.HTTPServer``, because the latter's
     ``server_bind`` does a reverse-DNS lookup.
-
-    Parameters
-    ----------
-    linker:
-        The shared NNexus instance.
-    max_in_flight:
-        Admission bound; excess requests get 503 + ``Retry-After: 1``.
-    rwlock:
-        Readers-writer lock guarding linker access.  Pass the socket
-        server's ``rwlock`` when both serve one linker so HTTP reads
-        interleave safely with socket-side mutations; defaults to a
-        private lock.
-    profiler:
-        A sampling profiler (see :mod:`repro.obs.profile`) served at
-        ``/debug/profile``.  Defaults to the inert
-        :data:`~repro.obs.profile.NULL_PROFILER` (the route answers
-        404).
 
     An idle keep-alive connection closes after 75 s without a request
     line; after it, a request has 10 s for its headers and then 30 s
-    for its body, and a response has 30 s to be taken.  Sockets stay
-    blocking: each connection's current deadline sits in
-    ``_connections``, and the accept loop cuts the connections past it
-    (:meth:`service_actions`).
+    for its body, and a response has 30 s to be taken.
     """
 
-    allow_reuse_address = True
-    # socketserver's default backlog of 5 would refuse a burst of
-    # clients connecting at once.
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        linker: NNexus,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_in_flight: int = 64,
-        rwlock: ReadersWriterLock | None = None,
-        profiler: NullProfiler | None = None,
-    ) -> None:
-        self.linker = linker
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.admission = AdmissionController(max_in_flight, metrics=linker.metrics)
-        self._rwlock = (
-            rwlock if rwlock is not None else ReadersWriterLock(metrics=linker.metrics)
-        )
-        self._ready = threading.Event()
-        self._ready.set()
-        #: Open connections and the deadline (monotonic seconds) of each
-        #: one's current phase; None while its route runs.
-        self._connections: dict[socket.socket, float | None] = {}
-        self._connections_lock = threading.Lock()
-        # Bind last: a failed bind calls server_close(), which must find
-        # the connection table above already in place.
-        super().__init__((host, port), _Handler)
-
-    @property
-    def tracer(self) -> NullTracer:
-        """The linker's tracer: one ``NNexus(tracer=...)`` traces the stack."""
-        return self.linker.tracer
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self.server_address[:2]
-        return str(host), int(port)
-
-    # ------------------------------------------------------------------
-    # Readiness
-    # ------------------------------------------------------------------
-    @property
-    def ready(self) -> bool:
-        return self._ready.is_set()
-
-    def set_ready(self, ready: bool) -> None:
-        """Flip the readiness probe (e.g. False while draining)."""
-        if ready:
-            self._ready.set()
-        else:
-            self._ready.clear()
-
-    # ------------------------------------------------------------------
-    # Connections
-    # ------------------------------------------------------------------
-    def process_request(self, request: Any, client_address: Any) -> None:
-        with self._connections_lock:
-            self._connections[request] = None
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request: Any) -> None:
-        with self._connections_lock:
-            self._connections.pop(request, None)
-        super().shutdown_request(request)
-
-    def _arm(self, sock: socket.socket, seconds: float | None) -> None:
-        """Give ``sock``'s next phase ``seconds`` from now (None: no limit)."""
-        deadline = None if seconds is None else time.monotonic() + seconds
-        with self._connections_lock:
-            self._connections[sock] = deadline
-
-    def _expired(self, sock: socket.socket) -> bool:
-        """Whether ``sock``'s phase ran past its deadline (it may be cut)."""
-        deadline = self._connections.get(sock)
-        return deadline is not None and time.monotonic() >= deadline
-
-    def service_actions(self) -> None:
-        """Cut each connection past its deadline (run by the accept loop).
-
-        Shutting a socket down ends its thread's blocking read or write;
-        the handler then sees :meth:`_expired` and closes quietly.
-        """
-        now = time.monotonic()
-        with self._connections_lock:
-            for sock, deadline in self._connections.items():
-                if deadline is not None and deadline <= now:
-                    with contextlib.suppress(OSError):
-                        sock.shutdown(socket.SHUT_RDWR)
-
-    def server_close(self) -> None:
-        """Close the listener and every connection; wait for their threads.
-
-        Shutting the sockets down wakes threads idling between
-        keep-alive requests, which would otherwise hold on for 75 s.
-        """
-        with self._connections_lock:
-            for sock in self._connections:
-                with contextlib.suppress(OSError):
-                    sock.shutdown(socket.SHUT_RDWR)
-        super().server_close()
+    handler = _Handler
 
     def _respond(self, handler: _Handler) -> None:
         """Answer one request: its refusal, its route, or 405."""
@@ -609,14 +480,14 @@ class NNexusHttpGateway(socketserver.ThreadingTCPServer):
             for name, value in (
                 ("nnexus_http_in_flight", self.admission.in_flight),
                 ("nnexus_http_max_in_flight", self.admission.max_in_flight),
-                ("nnexus_rwlock_writers_waiting", self._rwlock.writers_waiting),
+                ("nnexus_rwlock_writers_waiting", self.rwlock.writers_waiting),
             )
         ]
         return snapshot
 
     def describe(self) -> dict[str, Any]:
         """Corpus statistics payload."""
-        with self._rwlock.read_lock():
+        with self.rwlock.read_lock():
             info = self.linker.describe()
         return {
             "objects": info["objects"],
@@ -630,7 +501,7 @@ class NNexusHttpGateway(socketserver.ThreadingTCPServer):
         classes = _classes_field(payload)
         fmt = _text_field(payload, "format", "html")
         renderer_for(fmt)  # a bad format fails before linking
-        with self._rwlock.read_lock():
+        with self.rwlock.read_lock():
             document = self.linker.link_text(text, source_classes=classes)
         body = self.linker.render_document(document, fmt)
         return {
@@ -654,7 +525,7 @@ class NNexusHttpGateway(socketserver.ThreadingTCPServer):
         text = _text_field(payload, "text", "")
         classes = _classes_field(payload)
         source_iri = _text_field(payload, "source", "urn:nnexus:document")
-        with self._rwlock.read_lock():
+        with self.rwlock.read_lock():
             document = self.linker.link_text(text, source_classes=classes)
         items = document_to_annotations(document, source_iri=source_iri)
         return {
@@ -666,7 +537,7 @@ class NNexusHttpGateway(socketserver.ThreadingTCPServer):
 
     def entry(self, object_id: int) -> dict[str, Any]:
         """Entry metadata plus its linked HTML rendering."""
-        with self._rwlock.read_lock():
+        with self.rwlock.read_lock():
             obj = self.linker.get_object(object_id)
             html = self.linker.render_object(object_id)
         return {
@@ -683,18 +554,8 @@ class NNexusHttpGateway(socketserver.ThreadingTCPServer):
 def serve_http(
     linker: NNexus, host: str = "127.0.0.1", port: int = 0, **kwargs: Any
 ) -> NNexusHttpGateway:
-    """Start the gateway on a daemon thread; returns the bound server.
+    """Start an :class:`NNexusHttpGateway` on a daemon thread; returns it.
 
-    The listening socket is bound (and listening) before this returns,
-    so ``gateway.address`` is immediately connectable — early requests
-    queue in the accept backlog until the accept loop picks them up.
-    Keyword arguments are forwarded to :class:`NNexusHttpGateway`
-    (``max_in_flight``, ``rwlock``, ``profiler``).  The gateway traces
-    with the linker's own tracer.
+    Keyword arguments are forwarded to the constructor.
     """
-    gateway = NNexusHttpGateway(linker, host=host, port=port, **kwargs)
-    thread = threading.Thread(
-        target=gateway.serve_forever, args=(_POLL_INTERVAL,), daemon=True
-    )
-    thread.start()
-    return gateway
+    return NNexusHttpGateway(linker, host=host, port=port, **kwargs).start()

@@ -8,15 +8,11 @@ software written in any programming language".
 
 Operational hardening (see ``docs/architecture.md``):
 
-* read-mostly concurrency — ``ping``/``describe``/``linkEntry`` share a
-  readers-writer lock while mutations run exclusively;
-* bounded admission — past ``max_in_flight`` concurrent requests the
-  server sheds load with a retryable ``overloaded`` error;
-* per-connection deadlines — an idle connection is closed after
-  ``idle_timeout``, and once a request starts arriving each socket read
-  must complete within ``request_timeout`` (slow-loris defense);
-* graceful shutdown — :meth:`NNexusServer.shutdown_gracefully` stops
-  accepting, sheds new requests and drains in-flight ones;
+* the connection core shared with the HTTP gateway
+  (:mod:`repro.server.core`) — the linker's readers-writer lock,
+  bounded admission shedding with a retryable ``overloaded`` error,
+  deadlines over a quiet connection, a whole frame and a response
+  write (slow-loris and slow-reader defense), and a graceful drain;
 * fault injection — an optional :class:`~repro.server.faults.FaultInjector`
   lets tests drop connections, corrupt frames or force error codes;
 * request tracing — with a :class:`~repro.obs.trace.Tracer` installed,
@@ -53,11 +49,11 @@ from repro.core.errors import (
 from repro.core.linker import NNexus
 from repro.core.render import renderer_for
 from repro.obs.logging import get_logger
-from repro.obs.profile import NULL_PROFILER, NullProfiler, parse_profile_params
-from repro.obs.trace import NULL_SPAN, NullTracer, parse_trace_limit
+from repro.obs.profile import NullProfiler, parse_profile_params
+from repro.obs.trace import NULL_SPAN, parse_trace_limit
 from repro.server import protocol
+from repro.server.core import ServingCore
 from repro.server.faults import FaultInjector
-from repro.server.resilience import AdmissionController, ReadersWriterLock
 
 __all__ = [
     "NNexusServer",
@@ -105,36 +101,6 @@ def _classify(exc: BaseException) -> tuple[str, bool]:
     return "internal", False
 
 
-class _DeadlineRecv:
-    """``recv`` wrapper enforcing the idle/request socket deadlines.
-
-    Between requests the socket may sit quiet for ``idle_timeout``; as
-    soon as the first byte of a frame arrives, every subsequent read
-    must complete within ``request_timeout`` so a trickling writer
-    cannot pin a handler thread forever.
-    """
-
-    def __init__(self, sock: socket.socket, idle: float | None, request: float | None):
-        self._sock = sock
-        self._idle = idle
-        self._request = request
-        self._mid_frame = False
-
-    def reset(self) -> None:
-        self._mid_frame = False
-
-    @property
-    def mid_frame(self) -> bool:
-        return self._mid_frame
-
-    def __call__(self, count: int) -> bytes:
-        self._sock.settimeout(self._request if self._mid_frame else self._idle)
-        chunk = self._sock.recv(count)
-        if chunk:
-            self._mid_frame = True
-        return chunk
-
-
 class _ResponseWriter:
     """Serializes frame writes to one socket.
 
@@ -144,21 +110,28 @@ class _ResponseWriter:
     per-connection mutex.
     """
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, server: "NNexusServer", sock: socket.socket) -> None:
+        self._server = server
         self._sock = sock
         self._lock = threading.Lock()
 
     def send(self, payload: bytes) -> bool:
-        """Write one framed response; False when the peer is gone."""
+        """Write one framed response within ``request_timeout``; False
+        when the peer is gone or did not take it in time (the core then
+        cuts the socket, freeing every worker queued on this lock)."""
+        server, sock = self._server, self._sock
         with self._lock:
+            server.arm_write(sock, server.request_timeout)
             try:
                 # This lock exists precisely to serialize this send: it
                 # guards only the socket (never linker state), so one
                 # slow peer stalls its own connection, nothing else.
-                self._sock.sendall(payload)  # lint: disable=REP101
+                sock.sendall(payload)  # lint: disable=REP101
                 return True
             except OSError:
                 return False
+            finally:
+                server.arm_write(sock, None)
 
     def send_response(self, response: protocol.Response) -> bool:
         return self.send(protocol.frame(protocol.encode_response(response)))
@@ -186,7 +159,7 @@ class _InFlight:
             return self._cond.wait_for(lambda: self._count == 0, timeout=timeout)
 
 
-class _Handler(socketserver.BaseRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
     """One connection; a reader loop demuxing a stream of framed requests.
 
     Untagged or mutating requests execute inline (FIFO, exactly the
@@ -195,37 +168,41 @@ class _Handler(socketserver.BaseRequestHandler):
     """
 
     server: "NNexusServer"
+    # Frames are small and latency-bound; Nagle + delayed ACK can
+    # stall a pipelined connection for tens of milliseconds.
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        sock: socket.socket = self.request
-        # Frames are small and latency-bound; Nagle + delayed ACK can
-        # stall a pipelined connection for tens of milliseconds.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        recv = _DeadlineRecv(
-            sock, self.server.idle_timeout, self.server.request_timeout
-        )
-        writer = _ResponseWriter(sock)
+        writer = _ResponseWriter(self.server, self.connection)
         inflight = _InFlight()
         try:
-            self._reader_loop(sock, recv, writer, inflight)
+            self._reader_loop(writer, inflight)
         finally:
             # Never close the socket under a worker still writing: wait
             # for in-flight pipelined responses to flush (bounded).
             inflight.drain(PIPELINE_DRAIN_TIMEOUT)
 
-    def _reader_loop(
-        self,
-        sock: socket.socket,
-        recv: _DeadlineRecv,
-        writer: _ResponseWriter,
-        inflight: _InFlight,
-    ) -> None:
+    def _read_frame(self) -> str | None:
+        """The next frame, or None at EOF between frames.
+
+        The connection may sit quiet for ``idle_timeout``; from the
+        frame's first byte the whole frame has ``request_timeout``.
+        """
+        server, sock = self.server, self.connection
+        server.arm_read(sock, server.idle_timeout)
+        if not self.rfile.peek(1):
+            return None
+        server.arm_read(sock, server.request_timeout)
+        message = protocol.read_frame(self.rfile.read)
+        server.arm_read(sock, None)  # an inline request runs unbounded
+        return message
+
+    def _reader_loop(self, writer: _ResponseWriter, inflight: _InFlight) -> None:
         while True:
-            recv.reset()
             try:
-                message = protocol.read_frame(recv)
-            except TimeoutError:
-                if recv.mid_frame:
+                message = self._read_frame()
+            except (ProtocolError, OSError):
+                if self.server.read_expired(self.connection):
                     # The request started but never finished.  Requests
                     # already dispatched are unaffected: let their
                     # tagged responses flush first, then tell the
@@ -243,8 +220,6 @@ class _Handler(socketserver.BaseRequestHandler):
                             retryable=True,
                         )
                     )
-                return
-            except (ProtocolError, ConnectionError, OSError):
                 return
             if message is None:
                 return
@@ -299,46 +274,33 @@ class _Handler(socketserver.BaseRequestHandler):
             reply = self.server.dispatch_message(message, request=request)
             payload = protocol.frame(reply)
             if fault is not None:  # truncate / corrupt, then sever
-                try:
-                    sock.sendall(self.server.faults.mutate_response(fault, payload))
-                except OSError:
-                    pass
+                writer.send(self.server.faults.mutate_response(fault, payload))
                 return
             if not writer.send(payload):
                 return
 
 
-class NNexusServer(socketserver.ThreadingTCPServer):
+class NNexusServer(ServingCore):
     """Serve a linker instance over XML/TCP.
 
-    Parameters
-    ----------
-    linker:
-        The shared NNexus instance.  Read-only methods run concurrently
-        under a readers-writer lock; mutations are exclusive.
-    host / port:
-        Bind address; port 0 picks a free port (see :attr:`address`).
-    max_in_flight:
-        Admission bound — requests beyond this are shed with a
-        retryable ``overloaded`` error instead of queueing.  It also
-        bounds the pipelined requests submitted-but-unfinished across
-        the server (:attr:`pipeline_depth`): beyond it the reader loop
-        sheds a tagged read instead of queueing it unboundedly behind
-        the executor.
+    Read-only methods run concurrently under the linker's readers-writer
+    lock; mutations are exclusive.  The parameters the socket server
+    adds to :class:`~repro.server.core.ServingCore`'s:
+
     request_timeout / idle_timeout:
-        Socket deadlines in seconds (``None`` disables): a read that is
-        mid-frame must progress within ``request_timeout``; a quiet
-        connection is dropped after ``idle_timeout``.
+        Connection deadlines in seconds (``None`` disables): a frame
+        must arrive whole within ``request_timeout`` of its first byte,
+        and a response must be taken within it; a quiet connection is
+        dropped after ``idle_timeout``.
     faults:
         Optional :class:`~repro.server.faults.FaultInjector` consulted
         once per request (tests only; the default injector is inert).
-    profiler:
-        A sampling profiler (see :mod:`repro.obs.profile`) the
-        ``getProfile`` debug method reads from.  Defaults to the inert
-        :data:`~repro.obs.profile.NULL_PROFILER` (``getProfile``
-        answers ``bad-request``); pass a started
-        :class:`~repro.obs.profile.SamplingProfiler` to serve
-        aggregated stack profiles during overload forensics.
+
+    ``max_in_flight`` also bounds the pipelined requests
+    submitted-but-unfinished across the server (:attr:`pipeline_depth`):
+    beyond it the reader loop sheds a tagged read instead of queueing
+    it unboundedly behind the executor.  The profiler is served by the
+    ``getProfile`` debug method.
 
     Every connection's ``reqid``-tagged read requests share one executor
     of :attr:`pipeline_workers` = ``min(32, max_in_flight)`` threads.
@@ -346,8 +308,7 @@ class NNexusServer(socketserver.ThreadingTCPServer):
     flight; untagged and mutating requests never use it.
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
+    handler = _Handler
 
     def __init__(
         self,
@@ -361,14 +322,9 @@ class NNexusServer(socketserver.ThreadingTCPServer):
         faults: FaultInjector | None = None,
         profiler: NullProfiler | None = None,
     ) -> None:
-        self.linker = linker
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.rwlock = ReadersWriterLock(metrics=linker.metrics)
-        self.admission = AdmissionController(max_in_flight, metrics=linker.metrics)
         self.request_timeout = request_timeout
         self.idle_timeout = idle_timeout
         self.faults = faults if faults is not None else FaultInjector()
-        self._draining = threading.Event()
         self.pipeline_workers = min(32, max_in_flight)
         # Pipelined requests submitted but not finished (executor queue
         # plus running workers) — the backlog bounded by pipeline_depth
@@ -381,54 +337,19 @@ class NNexusServer(socketserver.ThreadingTCPServer):
             max_workers=self.pipeline_workers,
             thread_name_prefix="nnexus-pipeline",
         )
-        self._executor_lock = threading.Lock()
-        self._executor_closed = False
         # Bind last: a failed bind calls server_close(), which must find
-        # the executor attributes above already in place to reap them.
-        super().__init__((host, port), _Handler)
+        # the executor above already in place to reap it.
+        super().__init__(linker, host, port, max_in_flight=max_in_flight, profiler=profiler)
 
     @property
     def pipeline_depth(self) -> int:
         """Bound on the pipelined backlog: the admission bound."""
         return self.admission.max_in_flight
 
-    @property
-    def tracer(self) -> NullTracer:
-        """The linker's tracer: one ``NNexus(tracer=...)`` traces the stack."""
-        return self.linker.tracer
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def shutdown_gracefully(self, drain_timeout: float = 10.0) -> bool:
-        """Stop accepting, shed new requests, drain in-flight ones.
-
-        Returns True when every in-flight request finished within
-        ``drain_timeout``.  The listener is closed either way.
-        """
-        self._draining.set()
-        self.shutdown()
-        drained = self.admission.wait_idle(timeout=drain_timeout)
-        self.server_close()
-        return drained
-
     def server_close(self) -> None:
         super().server_close()
-        # Idempotent (shutdown_gracefully and test fixtures may both
-        # call it); waits so no worker outlives its socket.
-        with self._executor_lock:
-            if self._executor_closed:
-                return
-            self._executor_closed = True
+        # Waits, so no worker outlives its socket; a second call (both
+        # shutdown_gracefully and a test fixture may close) is a no-op.
         self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
@@ -600,9 +521,7 @@ class NNexusServer(socketserver.ThreadingTCPServer):
             # serve them even while draining or shedding, so a slow or
             # overloaded server can still be diagnosed.
             return handler(request)
-        if self._draining.is_set():
-            raise OverloadedError("server is draining for shutdown")
-        with self.admission.admit():
+        with self.admit():
             lock = (
                 self.rwlock.read_lock()
                 if request.method in READ_METHODS
@@ -775,14 +694,8 @@ def serve_forever(
     port: int = 0,
     **kwargs: object,
 ) -> NNexusServer:
-    """Start a server on a background thread; returns it (bound, running).
+    """Start an :class:`NNexusServer` on a daemon thread; returns it.
 
-    Keyword arguments are forwarded to :class:`NNexusServer`
-    (``max_in_flight``, ``request_timeout``, ``idle_timeout``,
-    ``faults``, ``profiler``).
-    The server traces with the linker's own tracer.
+    Keyword arguments are forwarded to the constructor.
     """
-    server = NNexusServer(linker, host=host, port=port, **kwargs)  # type: ignore[arg-type]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    return NNexusServer(linker, host=host, port=port, **kwargs).start()  # type: ignore[arg-type]

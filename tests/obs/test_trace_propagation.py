@@ -267,12 +267,12 @@ class TestGatewayPropagation:
         excinfo.value.close()
 
     def test_debug_traces_available_while_not_ready(self, gateway) -> None:
-        gateway.set_ready(False)
+        gateway._draining.set()
         try:
             status, __, __ = self._request(gateway, "/debug/traces")
             assert status == 200
         finally:
-            gateway.set_ready(True)
+            gateway._draining.clear()
 
     def test_debug_traces_404_when_tracing_disabled(self) -> None:
         instance = serve_http(make_linker())

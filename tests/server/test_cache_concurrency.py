@@ -19,8 +19,8 @@ from repro.core.render import render_html
 from repro.obs.metrics import MetricsRegistry
 from repro.ontology.msc import build_small_msc
 from repro.server.client import NNexusClient
+from repro.server.core import linker_rwlock
 from repro.server.http_gateway import serve_http
-from repro.server.resilience import ReadersWriterLock
 from repro.server.server import serve_forever
 
 READER_ENTRY = CorpusObject(
@@ -130,8 +130,7 @@ def test_cached_entry_consistent_under_writes() -> None:
     assert len(set(expected)) == len(expected)
 
     linker = build_linker([])
-    rwlock = ReadersWriterLock()
-    gateway = serve_http(linker, rwlock=rwlock)
+    gateway = serve_http(linker)
     try:
         host, port = gateway.address
         bodies: list[str] = []
@@ -161,11 +160,12 @@ def test_cached_entry_consistent_under_writes() -> None:
             thread.start()
 
         # The gateway is read-only; mutations come from "the site" under
-        # the same readers-writer lock the gateway reads with.  Reading
+        # the linker's readers-writer lock, the one the gateway reads
+        # with.  Reading
         # the entry after each write re-renders it, so the next write
         # invalidates a clean cache slot.
         for obj in WRITES:
-            with rwlock.write_lock():
+            with linker_rwlock(linker).write_lock():
                 linker.add_object(obj)
             fetch_entry()
         stop.set()

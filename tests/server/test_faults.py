@@ -7,6 +7,7 @@ immediate surfacing of permanent ones, structured shedding under load,
 and connections that survive bad requests.
 """
 
+import select
 import socket
 import threading
 import time
@@ -302,6 +303,43 @@ class TestDeadlines:
                     )
                     assert reply.code == "deadline"
                     assert reply.retryable
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize(
+        "head, drip",
+        [(b"", b"0000000100"), (b"0000000100", b"<" * 100)],
+        ids=["header-drip", "payload-drip"],
+    )
+    def test_drip_is_cut_at_the_request_deadline(self, head, drip) -> None:
+        """The deadline bounds the whole frame, not each read: one byte
+        per 0.1 s is cut like a stall."""
+        server = make_server(request_timeout=0.3, idle_timeout=5.0)
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(head)
+                started = time.monotonic()
+                for byte in drip:  # one byte every 0.1 s until the server answers
+                    readable, __, __ = select.select([sock], [], [], 0.1)
+                    if readable:
+                        break
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:
+                        break
+                data = b""
+                try:
+                    while chunk := sock.recv(4096):
+                        data += chunk
+                except ConnectionResetError:  # closed with our drip unread
+                    pass
+                assert time.monotonic() - started < 1.0
+                if data:  # best-effort deadline reply before the close
+                    reply = protocol.decode_response(
+                        protocol.read_frame(_BufferedRecv(data))
+                    )
+                    assert reply.code == "deadline"
         finally:
             server.shutdown()
             server.server_close()

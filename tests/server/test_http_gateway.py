@@ -15,6 +15,8 @@ import pytest
 from repro.core.linker import NNexus
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.obs.logging import DEFAULT_MANAGER
+from repro.obs.profile import SamplingProfiler
+from repro.obs.trace import Tracer
 from repro.ontology.msc import build_small_msc
 from repro.server import http_gateway
 from repro.server.http_gateway import serve_http
@@ -106,7 +108,7 @@ class TestReadiness:
         linker = NNexus(scheme=build_small_msc())
         instance = serve_http(linker)
         try:
-            instance.set_ready(False)
+            instance._draining.set()
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 get(instance, "/ready")
             assert excinfo.value.code == 503
@@ -115,12 +117,40 @@ class TestReadiness:
             # Liveness stays green: the process is up, just not serving.
             status, __ = get(instance, "/health")
             assert status == 200
-            instance.set_ready(True)
-            status, __ = get(instance, "/ready")
-            assert status == 200
         finally:
             instance.shutdown()
             instance.server_close()
+
+    def test_draining_gateway_sheds_work_and_answers_probes(self) -> None:
+        linker = NNexus(scheme=build_small_msc(), tracer=Tracer())
+        linker.add_objects(sample_corpus())
+        profiler = SamplingProfiler(interval_sec=0.01)
+        profiler.start()
+        instance = serve_http(linker, profiler=profiler)
+        try:
+            instance._draining.set()
+            shed = [
+                lambda: post(instance, "/link", {"text": "a tree"}),
+                lambda: post(instance, "/annotations", {"text": "a tree"}),
+                lambda: get(instance, "/describe"),
+                lambda: get(instance, "/entry/2"),
+            ]
+            for call in shed:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    call()
+                assert excinfo.value.code == 503
+                assert excinfo.value.headers["Retry-After"] == "1"
+                assert json.loads(excinfo.value.read())["retryable"] is True
+                excinfo.value.close()
+            for path in ("/health", "/metrics", "/debug/traces", "/debug/profile"):
+                host, port = instance.address
+                url = f"http://{host}:{port}{path}"
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    assert response.status == 200
+        finally:
+            instance.shutdown()
+            instance.server_close()
+            profiler.stop()
 
 
 class TestOverload:

@@ -9,6 +9,8 @@ closed them.  ``--data-dir`` alone turns durability on.
 
 from __future__ import annotations
 
+import http.client
+import json
 import socket
 import threading
 import time
@@ -279,6 +281,62 @@ class TestDataDirTurnsDurabilityOn:
             assert [link["target"] for link in links] == ["7"]
         finally:
             self._stop(server, thread, exits)
+
+
+class TestGracefulDrain:
+    def test_gateway_request_in_flight_finishes_during_the_drain(
+        self, monkeypatch
+    ) -> None:
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        http_port = probe.getsockname()[1]
+        probe.close()
+        argv = ["--host", "127.0.0.1", "--port", "0", "--sample",
+                "--http-port", str(http_port)]
+        server, thread, exits = TestDataDirTurnsDurabilityOn._run_main(monkeypatch, argv)
+        entered = threading.Event()
+        release = threading.Event()
+        original = server.linker.link_text
+
+        def held_link_text(text, source_classes=()):
+            entered.set()
+            release.wait(10)
+            return original(text, source_classes=source_classes)
+
+        server.linker.link_text = held_link_text
+        result: dict = {}
+
+        def link() -> None:
+            deadline = time.monotonic() + 10
+            while True:  # the gateway starts listening just after the server
+                try:
+                    conn = http.client.HTTPConnection("127.0.0.1", http_port, timeout=10)
+                    conn.request("POST", "/link", body=json.dumps({"text": "a tree"}))
+                    break
+                except ConnectionRefusedError:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            try:
+                response = conn.getresponse()
+                result["status"] = response.status
+                result["body"] = json.loads(response.read())
+            finally:
+                conn.close()
+
+        client = threading.Thread(target=link)
+        client.start()
+        try:
+            assert entered.wait(10)
+            server.shutdown()  # as Ctrl-C does: the serve loop returns
+            time.sleep(0.2)  # main() is draining the gateway now
+            assert thread.is_alive()
+        finally:
+            release.set()
+            client.join(timeout=10)
+            thread.join(timeout=30)
+        assert result.get("status") == 200
+        assert "body" in result["body"]
+        assert not thread.is_alive() and exits == [0]
 
 
 class TestRemovedFlags:
