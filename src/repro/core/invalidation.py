@@ -10,11 +10,22 @@ frequent enough, phrases, and answers a label with the postings of its
 longest indexed prefix — a superset of the entries containing the label.
 This module keeps two smaller structures and answers exactly:
 
-* ``word -> set of object ids`` postings;
+* ``word -> bitmap`` postings: one Python ``int`` per word whose bit *s*
+  is set when the entry in slot *s* contains the word;
 * each entry's canonical word sequence, stored once as one string.
 
-:meth:`InvalidationIndex.invalidate` intersects the label words'
-postings, rarest first, then keeps the candidates whose sequence holds
+Bits are dense **slots**, not object ids.  Indexing a new entry gives it
+a slot (a freed one if any, else the next one) and records
+``object id -> slot`` and ``slot -> object id``; removing it frees the
+slot.  A bitmap is therefore only as wide as the peak number of live
+entries, whatever the id values are (an id of ``10**12`` costs what an
+id of 3 does).  A re-index XORs the entry's bit into the postings of the
+words its old and new sequences do not share, so it touches only the
+word difference, and nothing when the sequence is unchanged; a posting
+that reaches 0 is deleted.
+
+:meth:`InvalidationIndex.invalidate` ANDs the label words' bitmaps,
+walks the set bits to ids, then keeps the candidates whose sequence holds
 the label contiguously.  The result is exactly the set of entries
 containing the label: never larger than the paper's superset, and never
 missing an entry whose rendering can change, because the sequence is the
@@ -37,13 +48,14 @@ ablation (:class:`repro.eval.experiments.AdaptivePhraseIndexModel`).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 from repro.core.morphology import canonicalize_phrase
 from repro.obs.memory import (
+    estimate_container,
     estimate_dict_entry,
     estimate_int,
-    estimate_set_entry,
     estimate_str,
 )
 
@@ -56,13 +68,40 @@ __all__ = ["InvalidationIndex", "canonical_words"]
 #: space-framed sequence.
 _SEPARATOR = " "
 
-#: Shell of an empty postings set, charged with each new word key.
-_EMPTY_SET_BYTES = 216
+#: A bitmap with more than one set bit per this many bits of width is
+#: decoded in one C pass over its binary digits; a sparser one bit by
+#: bit, each step costing time in proportion to the width.
+_DENSE_WIDTH_PER_BIT = 40
+#: Maps a bitmap's binary digits to the selector bytes of ``compress``.
+_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+#: A positive int is a 24-byte header plus one 4-byte digit per 30 bits
+#: (64-bit CPython 3.10-3.12, what ``sys.getsizeof`` reports).
+_INT_HEADER = 24
+_DIGIT_BYTES = 4
+_DIGIT_BITS = 30
+
+#: A slot: its ``_ids`` reference and its boxed slot number.
+_SLOT_BYTES = estimate_container(1, base=0) + estimate_int()
+#: A live entry's ``_slot_of`` item (the id is charged with its sequence).
+_SLOT_OF_BYTES = estimate_dict_entry()
+#: A freed slot's ``_free`` reference.
+_FREE_BYTES = estimate_container(1, base=0)
+
+
+def _digits(bits: int) -> int:
+    """The 30-bit digits a positive int is stored in."""
+    return (bits.bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS
+
+
+def _bitmap_cost(bits: int) -> int:
+    """``sys.getsizeof`` of a positive bitmap, from its width alone."""
+    return _INT_HEADER + _DIGIT_BYTES * _digits(bits)
 
 
 def _word_key_cost(word: str) -> int:
-    """A word key: its ``_postings`` slot, the key string, a set shell."""
-    return estimate_dict_entry(estimate_str(word) + _EMPTY_SET_BYTES)
+    """A word key: its ``_postings`` slot and the key string."""
+    return estimate_dict_entry(estimate_str(word))
 
 
 def _sequence_cost(sequence: str) -> int:
@@ -74,10 +113,15 @@ class InvalidationIndex:
     """Exact word index over the canonical words of entry text."""
 
     def __init__(self) -> None:
-        # postings: canonical word -> object ids containing it.
-        self._postings: dict[str, set[int]] = {}
+        # postings: canonical word -> bitmap over the slots containing it.
+        self._postings: dict[str, int] = {}
         # object id -> " w1 w2 ... wn " (its canonical words, space-framed).
         self._sequences: dict[int, str] = {}
+        # object id -> slot, and slot -> object id (None while free).
+        self._slot_of: dict[int, int] = {}
+        self._ids: list[int | None] = []
+        # Freed slots, reused before the slot table grows.
+        self._free: list[int] = []
         # Incremental byte estimate, updated only in index_object /
         # remove_object (symmetric add/subtract, so it cannot drift);
         # reconciled against a deep sample by the memory accountant.
@@ -100,43 +144,82 @@ class InvalidationIndex:
         if old == sequence:
             return
         self._sequences[object_id] = sequence
-        distinct = set(words)
         delta = _sequence_cost(sequence)
         if old is None:
-            gained = distinct
+            slot, delta_slot = self._take_slot(object_id)
+            delta += delta_slot
+            changed = set(words)
         else:
-            kept = set(old.split())
-            gained = distinct - kept
-            delta -= _sequence_cost(old) + self._unpost(object_id, kept - distinct)
-        delta += len(gained) * estimate_set_entry()
-        for word in gained:
-            posting = self._postings.get(word)
-            if posting is None:
-                posting = self._postings[word] = set()
-                delta += _word_key_cost(word)
-            posting.add(object_id)
-        self.estimated_bytes += delta
+            slot = self._slot_of[object_id]
+            delta -= _sequence_cost(old)
+            changed = set(words).symmetric_difference(old.split())
+        self.estimated_bytes += delta + self._toggle(changed, 1 << slot)
 
     def remove_object(self, object_id: int) -> None:
         """Drop ``object_id`` from every postings list it appears in."""
         sequence = self._sequences.pop(object_id, None)
         if sequence is None:
             return
-        self.estimated_bytes -= _sequence_cost(sequence) + self._unpost(
-            object_id, set(sequence.split())
-        )
+        slot = self._slot_of.pop(object_id)
+        delta = self._toggle(set(sequence.split()), 1 << slot)
+        delta -= _sequence_cost(sequence) + _SLOT_OF_BYTES
+        if self._sequences:
+            self._ids[slot] = None
+            self._free.append(slot)
+            delta += _FREE_BYTES
+        else:
+            # The last entry left: every slot is free, so start over.
+            delta -= len(self._ids) * _SLOT_BYTES + len(self._free) * _FREE_BYTES
+            self._ids.clear()
+            self._free.clear()
+        self.estimated_bytes += delta
 
-    def _unpost(self, object_id: int, words: set[str]) -> int:
-        """Drop ``object_id`` from the postings of ``words``; returns the
-        bytes that frees."""
-        freed = len(words) * estimate_set_entry()
+    def _take_slot(self, object_id: int) -> tuple[int, int]:
+        """A slot for a new entry, and the bytes it adds."""
+        delta = _SLOT_OF_BYTES
+        if self._free:
+            slot = self._free.pop()
+            self._ids[slot] = object_id
+            delta -= _FREE_BYTES
+        else:
+            slot = len(self._ids)
+            self._ids.append(object_id)
+            delta += _SLOT_BYTES
+        self._slot_of[object_id] = slot
+        return slot, delta
+
+    def _toggle(self, words: Iterable[str], bit: int) -> int:
+        """XOR ``bit`` into the postings of ``words``, deleting a posting
+        that reaches 0; returns the bytes that adds (negative if freed).
+
+        A bitmap changes size only when it crosses ``floor``, the least
+        int as many digits wide as ``bit``, so only then is its width
+        read.
+        """
+        postings = self._postings
+        delta = 0
+        top = _digits(bit)
+        floor = 1 << (_DIGIT_BITS * (top - 1))
+        grown = 0  # digits gained by the bitmaps that crossed ``floor``
         for word in words:
-            posting = self._postings[word]
-            posting.discard(object_id)
-            if not posting:
-                del self._postings[word]
-                freed += _word_key_cost(word)
-        return freed
+            old = postings.get(word)
+            if old is None:
+                postings[word] = bit
+                delta += _word_key_cost(word) + _bitmap_cost(bit)
+            elif old < bit:
+                postings[word] = old | bit
+                if old < floor:
+                    grown += top - _digits(old)
+            else:
+                new = old ^ bit
+                if not new:
+                    del postings[word]
+                    delta -= _word_key_cost(word) + _bitmap_cost(old)
+                    continue
+                postings[word] = new
+                if new < floor:
+                    grown -= top - _digits(new)
+        return delta + _DIGIT_BYTES * grown
 
     # ------------------------------------------------------------------
     # Lookup
@@ -144,21 +227,20 @@ class InvalidationIndex:
     def invalidate(self, phrase: str | Sequence[str]) -> set[int]:
         """Objects whose text contains ``phrase`` — the exact set.
 
-        Intersects the phrase words' postings starting from the rarest
-        word, then keeps the candidates whose stored word sequence holds
-        the phrase contiguously.
+        ANDs the phrase words' bitmaps, then keeps the candidates whose
+        stored word sequence holds the phrase contiguously.
         """
         words = canonical_words(phrase)
         if not words:
             return set()
-        postings: list[set[int]] = []
+        postings = self._postings
+        bits = -1
         for word in set(words):
-            posting = self._postings.get(word)
+            posting = postings.get(word)
             if posting is None:
                 return set()
-            postings.append(posting)
-        postings.sort(key=len)
-        candidates = postings[0].intersection(*postings[1:])
+            bits &= posting
+        candidates = self._decode(bits)
         if len(words) == 1:
             return candidates
         needle = _frame(words)
@@ -172,6 +254,19 @@ class InvalidationIndex:
             invalidated |= self.invalidate(phrase)
         return invalidated
 
+    def _decode(self, bits: int) -> set[int]:
+        """The object ids of the slots set in ``bits``."""
+        ids = self._ids
+        if bits.bit_count() * _DENSE_WIDTH_PER_BIT > bits.bit_length():
+            digits = format(bits, "b")[::-1].encode().translate(_DIGIT_SELECTORS)
+            return set(compress(ids, digits))
+        found: set[int] = set()
+        while bits:
+            low = bits & -bits
+            found.add(ids[low.bit_length() - 1])
+            bits ^= low
+        return found
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -179,9 +274,20 @@ class InvalidationIndex:
     def object_count(self) -> int:
         return len(self._sequences)
 
+    @property
+    def slot_count(self) -> int:
+        """Width of the slot table: the peak number of live entries since
+        the index was last empty."""
+        return len(self._ids)
+
+    def postings(self) -> dict[str, set[int]]:
+        """Every word's postings decoded to object ids (for checks; it
+        walks every bitmap)."""
+        return {word: self._decode(bits) for word, bits in self._postings.items()}
+
     def memory_roots(self) -> tuple[object, ...]:
         """Live structures for the memory accountant's deep sampler."""
-        return (self._postings, self._sequences)
+        return (self._postings, self._sequences, self._slot_of, self._ids, self._free)
 
 
 def canonical_words(phrase: str | Sequence[str]) -> tuple[str, ...]:

@@ -48,11 +48,15 @@ from repro.persistence.sqlite_backend import _SYNC_LEVELS, SqliteBackend
 from repro.server.server import NNexusServer
 
 
-def _close_startup(gateway, exporter, storage, profiler=None) -> None:
+def _close_startup(server, gateway, exporter, storage, profiler=None) -> None:
     """Release everything a failed startup opened, tolerating None."""
     if gateway is not None:
         gateway.shutdown()
         gateway.server_close()
+    if server is not None:
+        # Bound but never served: closing releases its listening socket
+        # and pipeline executor.
+        server.server_close()
     if exporter is not None:
         exporter.close()
     if profiler is not None:
@@ -167,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     # Everything between opening the storage and entering the serve
     # loop can raise (corpus load, port binding); close what we opened
     # on every such path or the WAL handle and trace file leak.
-    gateway = None
+    server = gateway = None
     try:
         linker = NNexus(
             scheme=build_small_msc(),
@@ -239,14 +243,14 @@ def main(argv: list[str] | None = None) -> int:
         # Typically an occupied port: a clean operator error, not a
         # traceback.
         log.error("server.startup_failed", error=str(exc))
-        _close_startup(gateway, exporter, storage, profiler)
+        _close_startup(server, gateway, exporter, storage, profiler)
         return 1
     except CorpusFormatError as exc:
         log.error("server.corpus_invalid", path=args.corpus, error=str(exc))
-        _close_startup(gateway, exporter, storage, profiler)
+        _close_startup(server, gateway, exporter, storage, profiler)
         return 1
     except BaseException:
-        _close_startup(gateway, exporter, storage, profiler)
+        _close_startup(server, gateway, exporter, storage, profiler)
         raise
     try:
         server.serve_forever()

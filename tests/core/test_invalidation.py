@@ -6,9 +6,12 @@ with a superset, is checked through its offline model
 (:class:`repro.eval.experiments.AdaptivePhraseIndexModel`).
 """
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import invalidation
 from repro.core.invalidation import InvalidationIndex
 from repro.core.tokenizer import Tokenizer
 from repro.corpus.generator import GeneratorParams, generate_corpus
@@ -173,6 +176,9 @@ class TestMaintenance:
         index._postings = postings
         index.index_object(1, _words("beta gamma epsilon gamma"))
         assert postings.touched == {"alpha", "epsilon"}
+        assert index.postings() == {
+            "beta": {1, 2}, "gamma": {1}, "delta": {2}, "epsilon": {1},
+        }
         assert index.invalidate("alpha") == set()
         assert index.invalidate("epsilon") == {1}
         assert index.invalidate("beta gamma") == {1}
@@ -184,6 +190,7 @@ class TestMaintenance:
         index._postings = postings
         index.index_object(1, _words("alpha beta alpha"))
         assert postings.touched == set()
+        assert index.postings() == {"alpha": {1}, "beta": {1}}
         assert index.estimated_bytes == before
 
     def test_estimate_returns_to_zero(self) -> None:
@@ -193,6 +200,51 @@ class TestMaintenance:
         index.remove_object(1)
         index.remove_object(2)
         assert index.estimated_bytes == 0
+        assert index.slot_count == 0
+
+    def test_sparse_and_dense_bitmaps_decode_alike(self) -> None:
+        texts = {
+            oid * 10**9: ["every", f"mod{oid % 3}"] + (["rare"] if oid in (7, 150) else [])
+            for oid in range(-100, 200)
+        }
+        index = InvalidationIndex()
+        for object_id, tokens in texts.items():
+            index.index_object(object_id, tokens)
+        for word in ("every", "mod1", "rare"):
+            expected = {oid for oid, tokens in texts.items() if word in tokens}
+            assert index.invalidate((word,)) == expected
+        # "rare" takes the bit-by-bit walk, the others the one-pass decode.
+        dense = {
+            word: bits.bit_count() * invalidation._DENSE_WIDTH_PER_BIT > bits.bit_length()
+            for word, bits in index._postings.items()
+        }
+        assert dense == {"every": True, "mod0": True, "mod1": True, "mod2": True, "rare": False}
+
+    def test_estimate_follows_a_bitmap_across_digits(self) -> None:
+        # An int holds 30 bits per digit: slot 41 makes "alpha" two
+        # digits wide, and clearing it again makes it one.
+        index = _index({1: "alpha"})
+        for filler in range(40):
+            index.index_object(100 + filler, ["zeta"])
+        index.index_object(2, ["alpha", "beta"])
+        wide = index.estimated_bytes
+        assert wide == recounted_bytes(index)
+        index.index_object(2, ["beta"])
+        assert index.estimated_bytes == recounted_bytes(index) < wide
+        index.index_object(2, ["alpha", "beta"])
+        assert index.estimated_bytes == wide
+        index.remove_object(2)
+        assert index.estimated_bytes == recounted_bytes(index)
+
+    def test_removed_slot_is_reused(self) -> None:
+        index = _index({10**12: "alpha beta", -5: "beta gamma", 7: "gamma"})
+        index.remove_object(-5)
+        index.index_object(3, _words("beta delta"))
+        assert index.slot_count == 3
+        assert index.postings() == {
+            "alpha": {10**12}, "beta": {10**12, 3}, "gamma": {7}, "delta": {3},
+        }
+        assert index.estimated_bytes == recounted_bytes(index)
 
 
 class TestStats:
@@ -214,6 +266,19 @@ class TestStats:
         stats = AdaptivePhraseIndexModel([]).stats()
         assert stats.total_keys == 0
         assert stats.size_ratio_vs_word_index == 0.0
+
+
+def recounted_bytes(index: InvalidationIndex) -> int:
+    """The index's byte estimate recomputed from its live state: the
+    incrementally kept ``estimated_bytes`` must always equal it."""
+    return (
+        sum(invalidation._word_key_cost(word) + invalidation._bitmap_cost(bits)
+            for word, bits in index._postings.items())
+        + sum(invalidation._sequence_cost(seq) for seq in index._sequences.values())
+        + len(index._slot_of) * invalidation._SLOT_OF_BYTES
+        + index.slot_count * invalidation._SLOT_BYTES
+        + len(index._free) * invalidation._FREE_BYTES
+    )
 
 
 class _RecordingPostings(dict):
@@ -339,6 +404,71 @@ def test_reindex_equals_a_fresh_index(texts: dict[int, list[str]], new: list[str
     index = _index({oid: " ".join(tokens) for oid, tokens in texts.items()})
     index.index_object(target, _words(" ".join(new)))
     fresh = _index({**{oid: " ".join(t) for oid, t in texts.items()}, target: " ".join(new)})
-    assert index._postings == fresh._postings
+    assert index.postings() == fresh.postings()
     assert index._sequences == fresh._sequences
     assert index.estimated_bytes == fresh.estimated_bytes
+
+
+#: The large-budget CI step sets ``NNEXUS_MODEL_PROFILE=ci``.
+CHURN_EXAMPLES = 2_000 if os.environ.get("NNEXUS_MODEL_PROFILE") == "ci" else 60
+#: Ids whose values must not matter to the slot layout.
+CHURN_IDS = (0, 1, 2, 3, -5, 10**12, 2**40 + 1)
+churn_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("index"), st.sampled_from(CHURN_IDS), words),
+        st.tuples(st.just("remove"), st.sampled_from(CHURN_IDS), st.just([])),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=CHURN_EXAMPLES, deadline=None)
+@given(
+    churn_ops,
+    st.lists(phrases, min_size=1, max_size=6),
+    st.integers(0, 80),
+    st.integers(0, 8),
+)
+def test_churn_matches_a_brute_force_search(
+    ops: list[tuple[str, int, list[str]]],
+    probes: list[list[str]],
+    fillers: int,
+    filler_at: int,
+) -> None:
+    """Adds, updates and removes (removed ids re-added, huge and negative
+    ids among them): every lookup equals a contiguous search over the live
+    entries' words, the slot table never outgrows the peak number of live
+    entries, and the byte estimate never drifts from the live state.
+
+    Before op ``filler_at``, ``fillers`` entries of another word take the
+    next slots, so the churned words' bitmaps get wide and sparse as well
+    as narrow and dense, and lose whole digits when their top bit goes."""
+    index = InvalidationIndex()
+    live: dict[int, list[str]] = {}
+    peak = 0
+    for step, (op, object_id, tokens) in enumerate(ops):
+        if step == filler_at:
+            for filler in range(fillers):
+                index.index_object(100 + filler, ["zeta"])
+                live[100 + filler] = ["zeta"]
+            peak = max(peak, len(live))
+        if op == "index":
+            index.index_object(object_id, tokens)
+            live[object_id] = tokens
+        else:
+            index.remove_object(object_id)
+            live.pop(object_id, None)
+        peak = max(peak, len(live))
+        assert index.slot_count <= peak
+        assert index.object_count == len(live)
+        assert index.estimated_bytes == recounted_bytes(index)
+        for probe in probes:
+            expected = {oid for oid, t in live.items() if _contains(t, probe)}
+            assert index.invalidate(tuple(probe)) == expected
+        if not live:
+            peak = 0
+    assert index.postings() == {
+        word: {oid for oid, t in live.items() if word in t}
+        for word in {word for t in live.values() for word in t}
+    }

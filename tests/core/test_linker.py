@@ -824,7 +824,7 @@ def linker_state(linker: NNexus) -> dict[str, object]:
                         list(scan.ends), list(scan.escaped_regions))
             for object_id, scan in linker._scans.items()
         },
-        "postings": {word: set(ids) for word, ids in index._postings.items()},
+        "postings": index.postings(),
         "sequences": dict(index._sequences),
         "concept_map": {
             first: ({words: set(owners) for words, owners in chain.labels.items()},

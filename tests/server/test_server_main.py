@@ -9,11 +9,13 @@ closed them.  ``--data-dir`` alone turns durability on.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -91,6 +93,24 @@ class TestStartupFailureHygiene:
         assert rc == 1
         assert "storage" in recorder.closed
         assert "exporter" in recorder.closed
+
+    def test_taken_gateway_port_closes_the_bound_socket_server(self) -> None:
+        """The socket server binds before the gateway: a taken
+        ``--http-port`` must not leak its listening socket."""
+        blocker, http_port = _occupied_port()
+        gc.collect()  # earlier tests' garbage is not this test's leak
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                rc = server_main.main(
+                    ["--port", "0", "--http-port", str(http_port), "--sample"]
+                )
+                gc.collect()
+        finally:
+            blocker.close()
+        assert rc == 1
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_storage_reopens_cleanly_after_bind_failure(self, tmp_path) -> None:
         """The database handle must actually be released, not just flagged."""
