@@ -29,6 +29,7 @@ from repro.core.suggest import PolicySuggester
 from repro.corpus.loader import load_corpus, save_corpus
 from repro.corpus.mediawiki import pages_to_corpus, parse_dump
 from repro.corpus.planetmath_sample import sample_corpus
+from repro.obs.logging import configure_logging
 from repro.ontology.msc import build_small_msc
 
 
@@ -95,7 +96,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if done % 500 == 0 or done == total:
             print(f"linked {done}/{total}", file=sys.stderr)
 
-    report = batch.run(progress=progress, output_dir=args.out)
+    report = batch.run(progress=progress, output_dir=args.out or None)
     if exporter is not None:
         exporter.close()
     print(json.dumps(report.summary(), indent=2))
@@ -227,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     suggest.set_defaults(handler=_cmd_suggest_policies)
 
     args = parser.parse_args(argv)
+    configure_logging()  # slow_request records, INFO and up, to stderr
     return args.handler(args)
 
 

@@ -112,6 +112,11 @@ def _process_worker_init(
     global _WORKER_LINKER, _WORKER_FMT
     _WORKER_LINKER = linker
     _WORKER_FMT = fmt
+    # slow_request records go to stderr as in the parent; a spawned
+    # worker inherits no handler.
+    from repro.obs.logging import configure_logging
+
+    configure_logging()
     if tracing or trace_jsonl:
         # The parent's tracer does not travel through pickle (its ring
         # and lock belong to the parent process); each worker gets its

@@ -108,7 +108,7 @@ class NNexusConfig:
         return self.domain(name).priority
 
     # ------------------------------------------------------------------
-    # XML round trip (paper-compatible configuration files)
+    # Paper-compatible XML configuration files
     # ------------------------------------------------------------------
     @classmethod
     def from_xml(cls, xml_text: str) -> "NNexusConfig":
@@ -157,29 +157,3 @@ class NNexusConfig:
             allow_self_links=root.get("selflinks", "0") == "1",
             extra_escape_patterns=escapes,
         )
-
-    def to_xml(self) -> str:
-        """Serialize the configuration as the paper-style XML document."""
-        root = ET.Element(
-            "nnexus",
-            {
-                "defaultdomain": self.default_domain,
-                "baseweight": repr(self.base_weight),
-                "firstoccurrence": "1" if self.link_first_occurrence_only else "0",
-                "selflinks": "1" if self.allow_self_links else "0",
-            },
-        )
-        for name, pattern in self.extra_escape_patterns:
-            ET.SubElement(root, "escape", {"name": name, "pattern": pattern})
-        for domain in self.domains.values():
-            ET.SubElement(
-                root,
-                "domain",
-                {
-                    "name": domain.name,
-                    "urltemplate": domain.url_template,
-                    "scheme": domain.scheme,
-                    "priority": str(domain.priority),
-                },
-            )
-        return ET.tostring(root, encoding="unicode")

@@ -4,10 +4,9 @@ Four invariants, each one a lesson from the tracing/metrics PRs:
 
 * **No ``print()``** in library code (``server``/``core``/
   ``persistence``/``obs`` modules).  Operational output goes through
-  :mod:`repro.obs.logging` so it carries trace ids and survives JSONL
-  redirection; the only sanctioned prints are the logging formatters
-  themselves (suppressed inline) and CLI entry points, which carry no
-  role tag and are out of scope.
+  a ``logging.getLogger("nnexus.<component>")`` logger so it carries trace ids
+  (:class:`repro.obs.logging.TraceFilter`) and honours ``--log-json``;
+  CLI entry points carry no role tag and are out of scope.
 * **Wire handlers open a span.**  ``dispatch_message`` and the
   gateway's ``do_GET``/``do_POST`` are the only doors into the server;
   a request that enters without a span is invisible to the slow-request
@@ -59,7 +58,7 @@ _OBS_SUFFIXES = ("_tracer", "_metrics", "_recorder")
 class PrintBanRule(Rule):
     code = "REP104"
     name = "print-ban"
-    description = "library code logs via repro.obs.logging, not print()"
+    description = 'library code logs via logging.getLogger("nnexus.<component>"), not print()'
     roles = frozenset({"server", "core", "persistence", "obs"})
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
@@ -73,8 +72,8 @@ class PrintBanRule(Rule):
                     self.code,
                     node,
                     "print() in library code bypasses structured logging; "
-                    "use repro.obs.logging.get_logger(...) so the line "
-                    "carries a trace id and honours JSONL redirection",
+                    'use logging.getLogger("nnexus.<component>") so the line '
+                    "carries a trace id and honours --log-json",
                 )
 
 

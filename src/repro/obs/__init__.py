@@ -15,17 +15,13 @@ Both default to inert null implementations (zero hot-path overhead):
   through ``getTrace``/``getRecentTraces`` and ``GET /debug/traces``,
   with slow requests flushed as structured forensics records.
 
-Structured logging (:mod:`repro.obs.logging`) correlates every log
-line emitted inside a span with that span's trace automatically.
+Components log on stdlib ``logging`` loggers under ``nnexus``;
+:mod:`repro.obs.logging` supplies the filter that correlates every
+record emitted inside a span with that span's trace, and the console
+and JSON line formats.
 """
 
-from repro.obs.logging import (
-    DEFAULT_MANAGER,
-    LogManager,
-    StructuredLogger,
-    configure_logging,
-    get_logger,
-)
+from repro.obs.logging import TraceFilter, configure_logging
 from repro.obs.memory import MemoryAccountant, deep_sizeof
 from repro.obs.metrics import (
     NULL_RECORDER,
@@ -76,9 +72,6 @@ __all__ = [
     "current_span",
     "format_traceparent",
     "parse_traceparent",
-    "DEFAULT_MANAGER",
-    "LogManager",
-    "StructuredLogger",
+    "TraceFilter",
     "configure_logging",
-    "get_logger",
 ]

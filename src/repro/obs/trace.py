@@ -15,7 +15,7 @@ request slow".  The design mirrors the metrics recorder pattern:
 Ids are W3C trace-context shaped (32-hex trace id, 16-hex span id) and
 are drawn from a **seeded** generator so tests get reproducible ids.
 The current span travels in a :mod:`contextvars` context variable —
-structured log records (:mod:`repro.obs.logging`) read it to stamp
+the log filter (:class:`repro.obs.logging.TraceFilter`) reads it to stamp
 ``trace_id``/``span_id`` on every line emitted inside a span, and
 nested ``tracer.span(...)`` calls parent themselves automatically.
 
@@ -39,7 +39,9 @@ Propagation across processes uses the W3C ``traceparent`` format
 from __future__ import annotations
 
 import json
+import logging
 import random
+import re
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -65,6 +67,9 @@ __all__ = [
     "MAX_SPAN_EVENTS",
     "MAX_SPANS_PER_TRACE",
 ]
+
+#: Slow-request forensics records go out on this logger.
+_LOG = logging.getLogger("nnexus.trace")
 
 #: Per-span event bound; extra events are dropped and counted.
 MAX_SPAN_EVENTS = 32
@@ -132,12 +137,9 @@ def format_traceparent(trace_id: str, span_id: str) -> str:
     return f"00-{trace_id}-{span_id}-01"
 
 
-def _is_hex(text: str) -> bool:
-    try:
-        int(text, 16)
-        return True
-    except ValueError:
-        return False
+#: ``version-trace_id-parent_id-flags``, lowercase hex; versions after
+#: ``00`` may append fields, ``00`` itself has exactly four.
+_TRACEPARENT = re.compile(r"([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}(-.*)?")
 
 
 def parse_traceparent(header: str | None) -> tuple[str, str] | None:
@@ -149,15 +151,13 @@ def parse_traceparent(header: str | None) -> tuple[str, str] | None:
     """
     if not header:
         return None
-    parts = header.strip().lower().split("-")
-    if len(parts) < 4:
+    match = _TRACEPARENT.fullmatch(header.strip().lower())
+    if match is None:
         return None
-    version, trace_id, span_id = parts[0], parts[1], parts[2]
-    if len(version) != 2 or not _is_hex(version) or version == "ff":
+    version, trace_id, span_id, rest = match.groups()
+    if version == "ff" or (version == "00" and rest is not None):
         return None
-    if len(trace_id) != 32 or not _is_hex(trace_id) or set(trace_id) == {"0"}:
-        return None
-    if len(span_id) != 16 or not _is_hex(span_id) or set(span_id) == {"0"}:
+    if set(trace_id) == {"0"} or set(span_id) == {"0"}:
         return None
     return trace_id, span_id
 
@@ -439,7 +439,6 @@ class Tracer(NullTracer):
         self.slow_threshold = slow_threshold
         self._metrics = metrics if metrics is not None else NULL_RECORDER
         self._sinks: list[Callable[[dict[str, Any]], None]] = []
-        self._logger = None  # lazy: repro.obs.logging imports this module
         # Incremental byte estimate of the trace ring: per-trace costs
         # accumulate as spans land, leave with their trace on eviction.
         self._trace_bytes: dict[str, int] = {}
@@ -603,19 +602,18 @@ class Tracer(NullTracer):
                         rec.set_gauge(
                             "nnexus_pipeline_stage_max_seconds", duration, stage=stage
                         )
-        logger = self._logger
-        if logger is None:
-            from repro.obs.logging import get_logger
-
-            logger = self._logger = get_logger("nnexus.trace")
         root = trace["root"]
-        logger.warning(
+        _LOG.warning(
             "slow_request",
-            trace_id=trace["trace_id"],
-            root=root["name"],
-            duration_s=root["duration"],
-            span_count=len(trace["spans"]),
-            spans=trace["spans"],
+            extra={
+                "attrs": {
+                    "trace_id": trace["trace_id"],
+                    "root": root["name"],
+                    "duration_s": root["duration"],
+                    "span_count": len(trace["spans"]),
+                    "spans": trace["spans"],
+                }
+            },
         )
 
     # -- export and retrieval --------------------------------------------

@@ -34,13 +34,14 @@ mutation to it.  Without ``--data-dir`` the corpus lives in memory only.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from repro.core.errors import CorpusFormatError, StorageCorruptionError
 from repro.core.linker import NNexus
 from repro.corpus.loader import load_corpus
 from repro.corpus.planetmath_sample import sample_corpus
-from repro.obs.logging import configure_logging, get_logger
+from repro.obs.logging import configure_logging
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import JsonlExporter, Tracer
 from repro.ontology.msc import build_small_msc
@@ -129,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(
         level=args.log_level, fmt="json" if args.log_json else "console"
     )
-    log = get_logger("nnexus.server")
+    log = logging.getLogger("nnexus.server")
 
     metrics = MetricsRegistry() if args.metrics else None
     profiler = None
@@ -162,7 +163,10 @@ def main(argv: list[str] | None = None) -> int:
         except StorageCorruptionError as exc:
             # Unreadable persistent state: refuse to guess.  The operator
             # decides between restoring a backup and wiping the directory.
-            log.error("server.storage_corrupt", path=exc.path, reason=exc.reason)
+            log.error(
+                "server.storage_corrupt",
+                extra={"attrs": {"path": exc.path, "reason": exc.reason}},
+            )
             if exporter is not None:
                 exporter.close()
             if profiler is not None:
@@ -184,10 +188,14 @@ def main(argv: list[str] | None = None) -> int:
             restore = linker.last_restore or {}
             log.info(
                 "server.storage_restored",
-                backend="sqlite",
-                objects=restore.get("objects"),
-                renderings=restore.get("renderings"),
-                cold_start_s=round(restore.get("elapsed_sec", 0.0), 4),
+                extra={
+                    "attrs": {
+                        "backend": "sqlite",
+                        "objects": restore.get("objects"),
+                        "renderings": restore.get("renderings"),
+                        "cold_start_s": round(restore.get("elapsed_sec", 0.0), 4),
+                    }
+                },
             )
         elif args.corpus:
             linker.add_objects(load_corpus(args.corpus))
@@ -205,24 +213,39 @@ def main(argv: list[str] | None = None) -> int:
         host, port = server.address
         log.info(
             "server.listening",
-            host=host,
-            port=port,
-            objects=len(linker),
-            concepts=linker.concept_count(),
+            extra={
+                "attrs": {
+                    "host": host,
+                    "port": port,
+                    "objects": len(linker),
+                    "concepts": linker.concept_count(),
+                }
+            },
         )
         if args.metrics:
-            log.info("server.metrics_enabled", endpoints="getMetrics, http /metrics")
+            log.info(
+                "server.metrics_enabled",
+                extra={"attrs": {"endpoints": "getMetrics, http /metrics"}},
+            )
         if profiler is not None:
             log.info(
                 "server.profiler_enabled",
-                interval_ms=args.profile_interval_ms,
-                endpoints="getProfile, http /debug/profile",
+                extra={
+                    "attrs": {
+                        "interval_ms": args.profile_interval_ms,
+                        "endpoints": "getProfile, http /debug/profile",
+                    }
+                },
             )
         if tracing:
             log.info(
                 "server.tracing_enabled",
-                jsonl=args.trace_jsonl or None,
-                slow_ms=args.slow_ms or None,
+                extra={
+                    "attrs": {
+                        "jsonl": args.trace_jsonl or None,
+                        "slow_ms": args.slow_ms or None,
+                    }
+                },
             )
         if args.http_port:
             from repro.server.http_gateway import serve_http
@@ -236,17 +259,19 @@ def main(argv: list[str] | None = None) -> int:
             )
             log.info(
                 "server.gateway_listening",
-                host=gateway.address[0],
-                port=gateway.address[1],
+                extra={"attrs": {"host": gateway.address[0], "port": gateway.address[1]}},
             )
     except OSError as exc:
         # Typically an occupied port: a clean operator error, not a
         # traceback.
-        log.error("server.startup_failed", error=str(exc))
+        log.error("server.startup_failed", extra={"attrs": {"error": str(exc)}})
         _close_startup(server, gateway, exporter, storage, profiler)
         return 1
     except CorpusFormatError as exc:
-        log.error("server.corpus_invalid", path=args.corpus, error=str(exc))
+        log.error(
+            "server.corpus_invalid",
+            extra={"attrs": {"path": args.corpus, "error": str(exc)}},
+        )
         _close_startup(server, gateway, exporter, storage, profiler)
         return 1
     except BaseException:
@@ -267,7 +292,9 @@ def main(argv: list[str] | None = None) -> int:
             linker.checkpoint_storage()
             storage.close()
         if not drained:
-            log.warning("server.drain_timeout", timeout_s=args.drain_timeout)
+            log.warning(
+                "server.drain_timeout", extra={"attrs": {"timeout_s": args.drain_timeout}}
+            )
     return 0
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import logging
 import re
 from http.client import responses as _HTTP_REASONS
 from typing import Any
@@ -60,7 +61,6 @@ from repro.core.annotations import document_to_annotations
 from repro.core.errors import NNexusError, OverloadedError, UnknownObjectError
 from repro.core.linker import NNexus
 from repro.core.render import renderer_for
-from repro.obs.logging import get_logger
 from repro.obs.profile import parse_profile_params
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
@@ -82,7 +82,7 @@ _KEEPALIVE_TIMEOUT = 75.0
 #: Seconds advertised in the ``Retry-After`` header when shedding.
 _RETRY_AFTER = 1
 
-_ACCESS_LOG = get_logger("nnexus.http")
+_ACCESS_LOG = logging.getLogger("nnexus.http")
 
 
 class _HeaderLines:
@@ -241,9 +241,10 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         self.server._respond(self)
 
     def log_message(self, format: str, *args: Any) -> None:
-        if _ACCESS_LOG.enabled_for("debug"):
+        if _ACCESS_LOG.isEnabledFor(logging.DEBUG):
             _ACCESS_LOG.debug(
-                "http.access", client=self.address_string(), message=format % args
+                "http.access",
+                extra={"attrs": {"client": self.address_string(), "message": format % args}},
             )
 
     def _write(self, status: int, headers: dict[str, str], body: bytes) -> None:

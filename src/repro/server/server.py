@@ -33,6 +33,7 @@ Operational hardening (see ``docs/architecture.md``):
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import socketserver
 import threading
@@ -48,7 +49,6 @@ from repro.core.errors import (
 )
 from repro.core.linker import NNexus
 from repro.core.render import renderer_for
-from repro.obs.logging import get_logger
 from repro.obs.profile import NullProfiler, parse_profile_params
 from repro.obs.trace import NULL_SPAN, parse_trace_limit
 from repro.server import protocol
@@ -81,7 +81,7 @@ PIPELINED_METHODS = READ_METHODS | DEBUG_METHODS
 #: to flush before closing the socket under them.
 PIPELINE_DRAIN_TIMEOUT = 10.0
 
-_LOG = get_logger("nnexus.server")
+_LOG = logging.getLogger("nnexus.server")
 
 
 def _classify(exc: BaseException) -> tuple[str, bool]:
@@ -493,8 +493,11 @@ class NNexusServer(ServingCore):
             # the caller most wants to retrieve.
             response.fields.setdefault("traceid", span.trace_id)
             span.set_attribute("status", response.status)
-            if _LOG.enabled_for("debug"):
-                _LOG.debug("server.request", method=method, status=response.status)
+            if _LOG.isEnabledFor(logging.DEBUG):
+                _LOG.debug(
+                    "server.request",
+                    extra={"attrs": {"method": method, "status": response.status}},
+                )
             span.__exit__(None, None, None)
         return protocol.encode_response(response)
 

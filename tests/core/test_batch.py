@@ -1,7 +1,11 @@
 """Tests for offline batch linking."""
 
+import logging
+import re
+
 import pytest
 
+from repro.core import batch
 from repro.core.batch import BatchLinker
 from repro.core.linker import NNexus
 from repro.corpus.planetmath_sample import sample_corpus
@@ -85,6 +89,22 @@ class TestProcessMode:
         )
         assert report.files_written == 2
         assert (out / "object-2.md").exists()
+
+    def test_worker_logs_to_stderr_in_console_format(
+        self, linker, capfd, monkeypatch
+    ) -> None:
+        # A spawned worker starts with no handler on the nnexus logger;
+        # its initializer installs the console one on stderr.
+        monkeypatch.setattr(batch, "_WORKER_LINKER", None)
+        monkeypatch.setattr(batch, "_WORKER_FMT", None)
+        batch._process_worker_init(linker, None)
+        logging.getLogger("nnexus.trace").warning(
+            "slow_request", extra={"attrs": {"root": "batch.entry"}}
+        )
+        assert re.fullmatch(
+            r"\d\d:\d\d:\d\d\.\d{3} WARNING nnexus\.trace slow_request root=batch\.entry\n",
+            capfd.readouterr().err,
+        )
 
     def test_empty_selection(self, linker) -> None:
         report = BatchLinker(linker, fmt=None, mode="process").run(object_ids=[])

@@ -10,12 +10,34 @@ from repro.core.classification import (
     UNKNOWN_CLASS_ID,
     ClassificationGraph,
     ClassificationSteering,
-    brute_force_all_pairs,
     default_steering,
 )
 from repro.core.errors import UnknownClassError
 from repro.ontology.msc import build_small_msc
 from repro.ontology.scheme import ClassificationScheme
+
+
+def brute_force_all_pairs(graph: ClassificationGraph) -> dict[str, dict[str, float]]:
+    """Floyd–Warshall reference implementation for testing Johnson."""
+    nodes = graph.nodes()
+    dist: dict[str, dict[str, float]] = {
+        a: {b: (0.0 if a == b else INFINITE_DISTANCE) for b in nodes} for a in nodes
+    }
+    for a in nodes:
+        for b, weight in graph.neighbors(a).items():
+            dist[a][b] = min(dist[a][b], weight)
+    for k in nodes:
+        row_k = dist[k]
+        for i in nodes:
+            via = dist[i][k]
+            if via == INFINITE_DISTANCE:
+                continue
+            row_i = dist[i]
+            for j in nodes:
+                candidate = via + row_k[j]
+                if candidate < row_i[j]:
+                    row_i[j] = candidate
+    return dist
 
 
 def small_scheme() -> ClassificationScheme:

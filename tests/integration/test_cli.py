@@ -1,6 +1,7 @@
 """Tests for the top-level CLI (python -m repro ...)."""
 
 import json
+import re
 
 import pytest
 
@@ -54,6 +55,27 @@ class TestBatchCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["entries"] == 30
         assert (out_dir / "object-1.md").exists()
+
+    def test_slow_documents_reach_stderr_in_console_format(
+        self, corpus_file, tmp_path, capfd, monkeypatch
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        argv = ["batch", "--corpus", str(corpus_file), "--slow-ms", "0.000001"]
+        assert main(argv) == 0
+        # Without --out nothing is written, not even to the working directory.
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+        slow = [
+            line
+            for line in capfd.readouterr().err.splitlines()
+            if " slow_request " in line
+        ]
+        assert slow
+        assert re.fullmatch(
+            r"\d\d:\d\d:\d\d\.\d{3} WARNING nnexus\.trace slow_request "
+            r"duration_s=\S+ root=batch\.run span_count=\d+ spans=\[\{.*\}\] "
+            r"trace_id=[0-9a-f]{32}",
+            slow[0],
+        ), slow[0]
 
     def test_batch_workers_run_the_process_pool(
         self, corpus_file, tmp_path, capsys

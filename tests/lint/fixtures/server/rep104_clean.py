@@ -1,6 +1,7 @@
 """REP104 clean fixture: spans opened, null-object pattern, logger used,
 monotonic durations."""
 
+import logging
 from time import monotonic, time
 
 NULL_TRACER = object()
@@ -19,11 +20,7 @@ class Span:
         return (monotonic() - self._started) + (loop.time() - loop.time())
 
 
-def get_logger(name):
-    return name
-
-
-_LOG = get_logger("fixture")
+_LOG = logging.getLogger("nnexus.fixture")
 
 
 class Handler:

@@ -1,57 +1,51 @@
-"""Handler fan-out replacement in LogManager.
+"""The handlers on the ``nnexus`` logger across ``configure_logging`` runs.
 
-``set_handlers`` and ``configure_logging`` replace the fan-out list:
-a dropped handler gets no further records, a carried-over one keeps
-getting them, and re-running ``configure_logging`` never stacks a
-second stream handler on the first.  The manager owns no resource of
-a handler, so it never closes one.
+Re-running ``configure_logging`` replaces the one stream handler it
+owns: the old stream gets no further records, no second handler stacks
+on the first, and the old stream is left open for its owner.  A handler
+an embedding application attached itself is left alone.
 """
 
 from __future__ import annotations
 
 import io
+import logging
 
-from repro.obs.logging import LogManager, configure_logging, get_logger
-
-
-class _ClosableHandler:
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-        self.closed = False
-
-    def __call__(self, record: dict) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        self.closed = True
+from repro.obs.logging import configure_logging
+from repro.obs.trace import Tracer
 
 
 class TestSetHandlersLifecycle:
-    def test_carried_over_handlers_stay_open(self) -> None:
-        keep = _ClosableHandler()
-        extra = _ClosableHandler()
-        manager = LogManager(handlers=[keep])
-        manager.set_handlers([keep, extra])
-        get_logger("t", manager=manager).info("after")
-        assert not keep.closed
-        assert [r["event"] for r in keep.records] == ["after"]
-        assert [r["event"] for r in extra.records] == ["after"]
+    def test_carried_over_handlers_stay_open(self, log_records) -> None:
+        configure_logging(stream=io.StringIO())
+        configure_logging(stream=io.StringIO())
+        logging.getLogger("nnexus.t").info("after")
+        assert [r["event"] for r in log_records] == ["after"]
 
-    def test_handlers_without_close_are_tolerated(self) -> None:
-        events: list[dict] = []
-        manager = LogManager(handlers=[events.append])
-        get_logger("t", manager=manager).info("before")
-        manager.set_handlers([])  # must not raise
-        get_logger("t", manager=manager).info("after")
-        assert [r["event"] for r in events] == ["before"]
+    def test_replaced_handler_leaves_its_stream_open(self) -> None:
+        first = io.StringIO()
+        configure_logging(stream=first)
+        configure_logging(stream=io.StringIO())
+        assert not first.closed
 
     def test_configure_logging_reruns_do_not_leak(self) -> None:
-        manager = LogManager()
+        root = logging.getLogger("nnexus")
+        before = len(root.handlers)
         first, second = io.StringIO(), io.StringIO()
-        configure_logging(fmt="json", stream=first, manager=manager)
-        get_logger("t", manager=manager).info("one")
-        configure_logging(fmt="json", stream=second, manager=manager)
-        get_logger("t", manager=manager).info("two")
+        configure_logging(fmt="json", stream=first)
+        logging.getLogger("nnexus.t").info("one")
+        configure_logging(fmt="json", stream=second)
+        logging.getLogger("nnexus.t").info("two")
+        assert len(root.handlers) == before + 1
         assert "one" in first.getvalue()
         assert "two" not in first.getvalue()
         assert second.getvalue().count("\n") == 1
+
+    def test_two_filtered_handlers_add_one_span_event(self, log_records) -> None:
+        configure_logging(stream=io.StringIO())
+        tracer = Tracer(seed=5)
+        with tracer.span("request") as span:
+            logging.getLogger("nnexus.t").info("once")
+        events = tracer.get_trace(span.trace_id)["spans"][0]["events"]
+        assert [e["name"] for e in events] == ["once"]
+        assert log_records[0]["trace_id"] == span.trace_id

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.logging import LogManager, get_logger
 from repro.obs.trace import (
     MAX_SPAN_EVENTS,
     MAX_SPANS_PER_TRACE,
@@ -38,6 +37,10 @@ class TestTraceparent:
             "ff-" + "ab" * 16 + "-" + "cd" * 8 + "-01",  # forbidden version
             "zz-" + "ab" * 16 + "-" + "cd" * 8 + "-01",
             "00-" + "gg" * 16 + "-" + "cd" * 8 + "-01",  # non-hex
+            "00-0x" + "0" * 29 + "1-" + "cd" * 8 + "-01",  # int() prefix
+            "00-" + "ab" * 14 + "a_bc-" + "cd" * 8 + "-01",  # int() separator
+            "00-" + "ab" * 16 + "-" + "cd" * 8 + "-zz",  # non-hex flags
+            "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01-extra",  # 00 has four fields
         ],
     )
     def test_malformed_is_treated_as_absent(self, header) -> None:
@@ -166,12 +169,9 @@ class TestRingBounds:
 
 
 class TestSlowRequests:
-    def test_slow_root_flushes_metrics_and_log(self) -> None:
-        captured = []
-        manager = LogManager(level="debug", handlers=[captured.append])
+    def test_slow_root_flushes_metrics_and_log(self, log_records) -> None:
         metrics = MetricsRegistry()
         tracer = Tracer(seed=11, slow_threshold=0.5, metrics=metrics)
-        tracer._logger = get_logger("nnexus.trace", manager)
         with tracer.span("server.linkEntry"):
             tracer.record_span("stage.match", 0.4)
             tracer.record_span("stage.steer", 0.9)
@@ -183,27 +183,24 @@ class TestSlowRequests:
         assert metrics.gauge_value(
             "nnexus_pipeline_stage_max_seconds", stage="match"
         ) == pytest.approx(0.4, abs=0.05)
-        slow = [record for record in captured if record["event"] == "slow_request"]
+        slow = [record for record in log_records if record["event"] == "slow_request"]
         assert len(slow) == 1
         assert slow[0]["level"] == "warning"
+        assert slow[0]["logger"] == "nnexus.trace"
         names = {span["name"] for span in slow[0]["attrs"]["spans"]}
         assert {"server.linkEntry", "stage.match", "stage.steer"} <= names
 
-    def test_fast_root_does_not_flush(self) -> None:
-        captured = []
-        manager = LogManager(level="debug", handlers=[captured.append])
+    def test_fast_root_does_not_flush(self, log_records) -> None:
         metrics = MetricsRegistry()
         tracer = Tracer(seed=12, slow_threshold=10.0, metrics=metrics)
-        tracer._logger = get_logger("nnexus.trace", manager)
         with tracer.span("fast"):
             pass
         assert metrics.counter_value("nnexus_slow_requests_total") == 0.0
-        assert not captured
+        assert not log_records
 
     def test_stage_max_gauge_keeps_maximum(self) -> None:
         metrics = MetricsRegistry()
         tracer = Tracer(seed=13, slow_threshold=0.0, metrics=metrics)
-        tracer._logger = get_logger("nnexus.trace", LogManager(handlers=[]))
         for duration in (0.8, 0.3):
             with tracer.span("req"):
                 tracer.record_span("stage.render", duration)

@@ -18,7 +18,6 @@ import pytest
 from repro.core.batch import BatchLinker
 from repro.core.linker import NNexus
 from repro.corpus.planetmath_sample import sample_corpus
-from repro.obs.logging import DEFAULT_MANAGER
 from repro.obs.trace import Tracer, format_traceparent, parse_traceparent
 from repro.ontology.msc import build_small_msc
 from repro.server import protocol
@@ -53,17 +52,6 @@ def server(tracer, faults):
     yield instance
     instance.shutdown()
     instance.server_close()
-
-
-@pytest.fixture()
-def capture_logs():
-    """Capture DEFAULT_MANAGER records at debug level, then restore."""
-    records = []
-    DEFAULT_MANAGER.add_handler(records.append)
-    DEFAULT_MANAGER.set_level("debug")
-    yield records
-    DEFAULT_MANAGER.set_level("info")
-    DEFAULT_MANAGER.remove_handler(records.append)
 
 
 class TestClientRetryTracing:
@@ -113,7 +101,7 @@ class TestClientRetryTracing:
 
 
 class TestEndToEndTrace:
-    def test_link_entry_yields_one_full_trace(self, server, tracer, capture_logs) -> None:
+    def test_link_entry_yields_one_full_trace(self, server, tracer, log_records) -> None:
         with NNexusClient(*server.address, tracer=tracer) as client:
             body, links = client.link_entry(
                 "every planar graph is sparse", classes=["05C10"]
@@ -151,7 +139,7 @@ class TestEndToEndTrace:
 
         # Structured log records emitted during handling carry the id.
         handled = [
-            record for record in capture_logs if record["event"] == "server.request"
+            record for record in log_records if record["event"] == "server.request"
         ]
         assert any(record["trace_id"] == trace["trace_id"] for record in handled)
         assert all(record["trace_id"] for record in handled)

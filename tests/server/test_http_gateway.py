@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.linker import NNexus
 from repro.corpus.planetmath_sample import sample_corpus
-from repro.obs.logging import DEFAULT_MANAGER
 from repro.obs.profile import SamplingProfiler
 from repro.obs.trace import Tracer
 from repro.ontology.msc import build_small_msc
@@ -389,36 +388,26 @@ class TestDeadlines:
 
 class TestShutdown:
     def test_idle_keep_alive_connection_does_not_hold_shutdown(self, caplog) -> None:
-        errors: list[dict] = []
-
-        def on_record(record: dict) -> None:
-            if record["level"] == "error":
-                errors.append(record)
-
         linker = NNexus(scheme=build_small_msc())
         instance = serve_http(linker)
         unhandled: list = []
         instance.handle_error = lambda request, address: unhandled.append(address)
-        DEFAULT_MANAGER.add_handler(on_record)
+        # The nnexus.* loggers propagate to the root, where caplog sits.
         caplog.set_level(logging.ERROR)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ResourceWarning)
-                with socket.create_connection(instance.address, timeout=5) as sock:
-                    sock.sendall(b"GET /health HTTP/1.1\r\nHost: a\r\n\r\n")
-                    reply = sock.recv(65536)
-                    assert reply.startswith(b"HTTP/1.1 200 ")
-                    assert b"Connection: close" not in reply
-                    started = time.monotonic()
-                    instance.shutdown()
-                    instance.server_close()
-                    assert time.monotonic() - started < 2.0
-                    # The gateway closed its side of the idle connection.
-                    assert _read_until_closed(sock) == b""
-                gc.collect()
-        finally:
-            DEFAULT_MANAGER.remove_handler(on_record)
-        assert errors == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with socket.create_connection(instance.address, timeout=5) as sock:
+                sock.sendall(b"GET /health HTTP/1.1\r\nHost: a\r\n\r\n")
+                reply = sock.recv(65536)
+                assert reply.startswith(b"HTTP/1.1 200 ")
+                assert b"Connection: close" not in reply
+                started = time.monotonic()
+                instance.shutdown()
+                instance.server_close()
+                assert time.monotonic() - started < 2.0
+                # The gateway closed its side of the idle connection.
+                assert _read_until_closed(sock) == b""
+            gc.collect()
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
         assert unhandled == []
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

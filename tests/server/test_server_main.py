@@ -366,3 +366,25 @@ class TestRemovedFlags:
             server_main.main(["--pipeline-workers", "4"])
         assert excinfo.value.code == 2
         assert "--pipeline-workers" in capsys.readouterr().err
+
+
+class TestLogOutput:
+    def test_log_json_startup_records_have_the_seven_keys(
+        self, monkeypatch, capfd
+    ) -> None:
+        argv = ["--host", "127.0.0.1", "--port", "0", "--sample", "--metrics",
+                "--log-json"]
+        server, thread, exits = TestDataDirTurnsDurabilityOn._run_main(monkeypatch, argv)
+        TestDataDirTurnsDurabilityOn._stop(server, thread, exits)
+        records = [json.loads(line) for line in capfd.readouterr().err.splitlines()]
+        assert [r["event"] for r in records] == [
+            "server.listening",
+            "server.metrics_enabled",
+        ]
+        for record in records:
+            assert set(record) == {
+                "ts", "level", "logger", "trace_id", "span_id", "event", "attrs"
+            }
+            assert record["level"] == "info"
+            assert record["logger"] == "nnexus.server"
+        assert records[0]["attrs"]["port"] == server.address[1]
