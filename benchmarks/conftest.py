@@ -5,6 +5,10 @@ The corpus size defaults to 1,500 entries so ``pytest benchmarks/
 ``REPRO_BENCH_ENTRIES=7132`` to run at the paper's PlanetMath scale
 (Section 3: 7,145 entries / 12,171 concepts — our generator's default
 7,132 matches the largest subset of Table 3).
+
+Without the pytest-benchmark plugin (not installed, or disabled with
+``-p no:benchmark``) a stand-in ``benchmark`` fixture runs each target
+once, so the suite's assertions still run and nothing is timed.
 """
 
 from __future__ import annotations
@@ -17,6 +21,34 @@ from repro.corpus.generator import GeneratorParams, load_or_generate
 
 BENCH_ENTRIES = int(os.environ.get("REPRO_BENCH_ENTRIES", "1500"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "20090612"))
+
+
+class OneShotBenchmark:
+    """The part of pytest-benchmark's fixture the suite uses.
+
+    Runs the target once; ``rounds`` and ``iterations`` are ignored.
+    """
+
+    def __call__(self, target, *args, **kwargs):
+        return target(*args, **kwargs)
+
+    def pedantic(self, target, args=(), kwargs=None, setup=None, **_):
+        if setup is not None:
+            prepared = setup()
+            if prepared is not None:
+                args, kwargs = prepared
+        return target(*args, **(kwargs or {}))
+
+
+class OneShotBenchmarkPlugin:
+    @pytest.fixture()
+    def benchmark(self):
+        return OneShotBenchmark()
+
+
+def pytest_configure(config):
+    if not config.pluginmanager.hasplugin("benchmark"):
+        config.pluginmanager.register(OneShotBenchmarkPlugin(), "one-shot-benchmark")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,15 @@
-"""Collaborative editing: revisions, diffs, rollback, standoff export.
+"""Collaborative editing: edits, vandalism rollback, standoff export.
 
-Walks a small editing session on top of the sample corpus:
+Walks a small editing session on top of the sample corpus.  Every save
+is an ``update_object``, which re-indexes the entry and returns the
+other entries whose renderings it invalidated:
 
-1. a contributor improves the 'tree' entry (re-linked automatically);
-2. a vandal blanks it (also a revision!);
-3. a moderator inspects the word diff and restores revision 1;
+1. a contributor improves the text of the 'tree' entry, which changes
+   no concept label and so invalidates no other entry;
+2. a vandal blanks the entry, its concept labels included, so every
+   entry that links 'tree' loses its target;
+3. a moderator restores it by saving the earlier version again, which
+   gives those entries their target back;
 4. the final linked entry is exported as W3C Web Annotations so
    third-party tools can consume the links without re-running NNexus.
 
@@ -15,51 +20,35 @@ from dataclasses import replace
 
 from repro import NNexus
 from repro.core.annotations import annotations_to_json
-from repro.core.revisions import RevisionedCorpus
 from repro.corpus.planetmath_sample import sample_corpus
 from repro.ontology.msc import build_small_msc
 
 
 def main() -> None:
     linker = NNexus(scheme=build_small_msc())
-    wiki = RevisionedCorpus(linker)
-    for obj in sample_corpus():
-        wiki.save(obj, author="importer", comment="initial import")
-    print(f"imported {len(linker)} entries as revision history\n")
+    linker.add_objects(sample_corpus())
+    print(f"imported {len(linker)} entries\n")
 
     tree = linker.get_object(11)
     improved = replace(
         tree,
-        defines=list(tree.defines),
-        synonyms=list(tree.synonyms),
-        classes=list(tree.classes),
-        text=tree.text + " A spanning tree of a connected graph touches "
-                          "every vertex.",
+        text=tree.text + " A spanning tree of a connected graph touches every vertex.",
     )
-    revision = wiki.save(improved, author="alice", comment="add spanning trees")
-    print(f"alice's edit -> revision {revision.number}, "
-          f"re-linked: {revision.relinked}")
+    invalidated = linker.update_object(improved)
+    print(f"alice's edit invalidated {sorted(invalidated)}")
 
-    vandalized = replace(improved, text="deleted lol")
-    revision = wiki.save(vandalized, author="vandal", comment="")
-    print(f"vandal's edit -> revision {revision.number}")
+    vandalized = replace(
+        improved, title="deleted lol", defines=[], synonyms=[], text="deleted lol"
+    )
+    invalidated = linker.update_object(vandalized)
+    print(f"vandal's edit invalidated {sorted(invalidated)}")
 
-    print("\nmoderator reviews the diff (last good vs vandalized):")
-    good_number = wiki.history(11)[-2].number
-    for op, words in wiki.diff(11, good_number, revision.number):
-        if op != "=":
-            print(f"  {op} {words[:60]}")
-
-    restored = wiki.restore(11, good_number, author="moderator")
-    print(f"\nrestored -> revision {restored.number} "
-          f"({restored.comment}); contributors: {wiki.authors(11)}")
-    print(f"editing churn: {wiki.relink_churn([11])}")
+    invalidated = linker.update_object(improved)
+    print(f"moderator's restore invalidated {sorted(invalidated)}")
 
     document = linker.link_object(11)
-    print(f"\nfinal entry carries {document.link_count} links; "
-          "as Web Annotations:")
-    print(annotations_to_json(document, source_iri="urn:planetsample:tree")[:400]
-          + " ...")
+    print(f"\nfinal entry carries {document.link_count} links; as Web Annotations:")
+    print(annotations_to_json(document, source_iri="urn:planetsample:tree")[:400] + " ...")
 
 
 if __name__ == "__main__":

@@ -22,19 +22,12 @@ from repro.core.errors import (
 from repro.core.invalidation import InvalidationIndex
 from repro.core.keywords import KeywordCandidate, KeywordExtractor, extract_keywords
 from repro.core.linker import NNexus
-from repro.core.ranking import (
-    CompositeRanker,
-    LinkMatrix,
-    RankedCandidate,
-    ReputationTable,
-)
 from repro.core.annotations import (
     annotations_to_json,
     document_to_annotations,
     links_from_annotations,
 )
 from repro.core.batch import BatchLinker, BatchReport
-from repro.core.revisions import Revision, RevisionedCorpus, diff_words
 from repro.core.suggest import PolicySuggester, PolicySuggestion
 from repro.core.models import (
     Candidate,
@@ -78,17 +71,10 @@ __all__ = [
     "KeywordExtractor",
     "KeywordCandidate",
     "extract_keywords",
-    "LinkMatrix",
-    "ReputationTable",
-    "CompositeRanker",
-    "RankedCandidate",
     "PolicySuggester",
     "PolicySuggestion",
     "BatchLinker",
     "BatchReport",
-    "Revision",
-    "RevisionedCorpus",
-    "diff_words",
     "document_to_annotations",
     "annotations_to_json",
     "links_from_annotations",

@@ -112,6 +112,10 @@ def _process_worker_init(
     global _WORKER_LINKER, _WORKER_FMT
     _WORKER_LINKER = linker
     _WORKER_FMT = fmt
+    # A forked worker starts inside the parent's ``batch.run`` span.
+    from repro.obs.trace import clear_current_span
+
+    clear_current_span()
     # slow_request records go to stderr as in the parent; a spawned
     # worker inherits no handler.
     from repro.obs.logging import configure_logging

@@ -208,10 +208,6 @@ class NNexus:
         #: Tracer shared with the server stack; the default null tracer
         #: makes every span site a single attribute check.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Optional composite ranker (see :mod:`repro.core.ranking`);
-        #: when set, it replaces steering + tie-breaks for ambiguous
-        #: matches.  Attach with :meth:`set_ranker`.
-        self.ranker = None
 
         #: Durable journal + cold-start source; ``None`` (in memory)
         #: makes every journal site a no-op attribute check.
@@ -614,18 +610,6 @@ class NNexus:
     # ------------------------------------------------------------------
     # Linking
     # ------------------------------------------------------------------
-    def set_ranker(self, ranker: object | None) -> None:
-        """Attach (or detach) a composite candidate ranker.
-
-        The ranker must expose ``best(source_id, source_classes,
-        candidates) -> int | None`` — see
-        :class:`repro.core.ranking.CompositeRanker`.  Rendering caches
-        are cleared since linking decisions may change.
-        """
-        self.ranker = ranker
-        self._cache.clear()
-        self._journal(lambda: self.storage.record_cache_clear())
-
     def link_object(self, object_id: int) -> LinkedDocument:
         """Link a stored entry (self-links excluded unless configured).
 
@@ -641,17 +625,14 @@ class NNexus:
         text: str,
         source_classes: Sequence[str] = (),
         exclude_objects: Iterable[int] = (),
-        source_id: int | None = None,
     ) -> LinkedDocument:
         """Link arbitrary text against the corpus (lecture notes, blogs).
 
         ``source_classes`` carries the document's subject classification
         when known; without it, steering falls back to tie-breaking by
-        collection priority and object id.  ``source_id`` identifies a
-        stored entry so an attached composite ranker can use its
-        collaborative-filtering profile.
+        collection priority and object id.
         """
-        return self._link(text, source_classes, exclude_objects, source_id)
+        return self._link(text, source_classes, exclude_objects, None)
 
     def _link(
         self,
@@ -788,7 +769,6 @@ class NNexus:
             else:
                 target_id = self._resolve(
                     match,
-                    source_classes,
                     source_scope,
                     source_id,
                     stage_acc,
@@ -824,11 +804,10 @@ class NNexus:
     def _resolve(
         self,
         match: Match,
-        source_classes: Sequence[str],
         source_scope: SourceScope | None,
-        source_id: int | None = None,
-        stage_acc: dict[str, float] | None = None,
-        source_signature: tuple[int, ...] = (),
+        source_id: int | None,
+        stage_acc: dict[str, float] | None,
+        source_signature: tuple[int, ...],
     ) -> int | None:
         """Candidate filtering + steering + tie-breaking for one match.
 
@@ -836,7 +815,7 @@ class NNexus:
         ``link_text`` invocation, hence thread-safe) collecting policy
         and steering wall time; ``link_text`` observes the totals once
         per entry.  ``source_scope`` and ``source_signature`` are the
-        policy and interned forms of ``source_classes``, taken once per
+        policy and interned forms of the source's classes, taken once per
         document; a ``None`` scope is the stored entry ``source_id``'s.
         The link loop calls this only for a match with two or more
         candidates or with a candidate that carries a policy.
@@ -860,14 +839,6 @@ class NNexus:
             # Over one candidate Algorithm 1 and the tie-break return it
             # unchanged; explain_text still runs them.
             return candidates[0]
-        if self.ranker is not None:
-            # Composite ranking (Section 5 extensions) replaces plain
-            # steering when a ranker is attached.
-            return self.ranker.best(
-                source_id,
-                source_classes,
-                {oid: self._objects[oid].classes for oid in candidates},
-            )
         if self.enable_steering and self._steering is not None:
             if stage_acc is not None:
                 steer_start = perf_counter()
@@ -893,16 +864,12 @@ class NNexus:
         text: str,
         source_classes: Sequence[str] = (),
         exclude_objects: Iterable[int] = (),
-        source_id: int | None = None,
     ) -> list[MatchExplanation]:
         """Trace every stage of the pipeline for each match in ``text``.
 
         Runs the same decisions as :meth:`link_text` but records why each
         candidate survived or fell: policy verdicts, class distances,
-        steering winners, and the final tie-break — or, when a composite
-        ranker is attached and two or more candidates survive, the
-        ranker's pick.  ``source_id`` is passed to the ranker as in
-        :meth:`link_text`.
+        steering winners, and the final tie-break.
         """
         tokenized = self._tokenizer.tokenize(text)
         matches = find_matches(
@@ -933,13 +900,6 @@ class NNexus:
                 winners = result.winners
             if not candidates:
                 chosen, reason = None, "all candidates rejected by policy"
-            elif self.ranker is not None and len(candidates) > 1:
-                chosen = self.ranker.best(
-                    source_id,
-                    source_classes,
-                    {oid: self._objects[oid].classes for oid in candidates},
-                )
-                reason = "composite ranker"
             elif len(winners) == 1:
                 chosen = winners[0]
                 reason = (
@@ -1264,8 +1224,8 @@ def _target_fields(obj: CorpusObject) -> tuple[object, ...]:
 
     * ``title``: the slug in the entry's URL (a domain template may
       name ``{title}``);
-    * ``classes``: classification steering (Algorithm 1) and the
-      composite ranker compare them with the linking entry's classes;
+    * ``classes``: classification steering (Algorithm 1) compares them
+      with the linking entry's classes;
     * ``domain``: picks the URL template and the collection priority
       that breaks steering ties;
     * ``linking_policy``: the policy filter may reject the entry as a

@@ -61,6 +61,7 @@ __all__ = [
     "NULL_TRACER",
     "JsonlExporter",
     "current_span",
+    "clear_current_span",
     "format_traceparent",
     "parse_traceparent",
     "parse_trace_limit",
@@ -125,6 +126,16 @@ def _span_cost(data: dict[str, Any]) -> int:
 def current_span() -> "Span | None":
     """The span the calling context is inside of, or ``None``."""
     return _CURRENT_SPAN.get()
+
+
+def clear_current_span() -> None:
+    """Put the calling context outside every span.
+
+    A process forked inside a span inherits it as the current span, so
+    its own spans would become children of one it never finishes and
+    their traces would never complete.
+    """
+    _CURRENT_SPAN.set(None)
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ class SqliteBackend:
             self._flip_fresh(list(self._fresh))
 
     def record_cache_clear(self) -> None:
-        """Journal a full render-cache wipe (ranker/weight changes)."""
+        """Journal a full render-cache wipe (a steering weight change)."""
         with self._lock, _storage_errors():
             with self._conn:
                 self._conn.execute("DELETE FROM renderings")

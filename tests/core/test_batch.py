@@ -106,6 +106,19 @@ class TestProcessMode:
             capfd.readouterr().err,
         )
 
+    def test_forked_workers_flush_their_slow_entries(self, linker, capfd) -> None:
+        # Each worker is forked inside the parent's batch.run span; its
+        # batch.entry spans must still be roots that finish and flush.
+        from repro.obs.trace import Tracer
+
+        linker.tracer = Tracer(slow_threshold=0.0)
+        BatchLinker(linker, fmt="html", mode="process", workers=2).run([1, 2, 3, 4])
+        lines = capfd.readouterr().err.splitlines()
+        flushed = [
+            line for line in lines if "slow_request" in line and "root=batch.entry " in line
+        ]
+        assert len(flushed) == 4, lines
+
     def test_empty_selection(self, linker) -> None:
         report = BatchLinker(linker, fmt=None, mode="process").run(object_ids=[])
         assert report.entries == 0

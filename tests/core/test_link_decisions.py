@@ -12,10 +12,7 @@ candidate's policy, runs :meth:`ClassificationSteering.steer` even over
 one candidate, applies the collection-priority tie-break and formats the
 URL afresh.  Every match and every link of every stored entry must equal
 the oracle's, and every link target the choice ``explain_text``
-reports, before and after a domain is replaced.  With a
-:class:`CompositeRanker` attached, which replaces steering and the
-tie-break for two or more survivors, every link target must still equal
-the choice ``explain_text`` reports.
+reports, before and after a domain is replaced.
 
 Corpora mix homonym labels with one to three owners, class-scoped
 ``forbid``/``permit`` policies on some targets, and three domains with
@@ -35,7 +32,6 @@ from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
 from repro.core.morphology import canonicalize_phrase
 from repro.core.policies import LinkingPolicy
-from repro.core.ranking import CompositeRanker, LinkMatrix, ReputationTable
 from repro.core.tokenizer import Tokenizer
 from repro.ontology.msc import build_small_msc
 
@@ -201,7 +197,6 @@ def check_explained(linker: NNexus, object_id: int) -> None:
             source.text,
             source.classes,
             exclude_objects=(object_id,),
-            source_id=object_id,
         )
         if explanation.chosen is not None
     ]
@@ -230,42 +225,3 @@ def test_links_equal_full_path_oracle(
         )
     )
     check_every_entry(linker)
-
-
-@settings(
-    max_examples=EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    corpus=corpora(),
-    votes=st.lists(st.tuples(st.integers(1, 7), st.booleans()), max_size=12),
-    links=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=12),
-)
-def test_explain_reports_the_ranker_choice(
-    corpus: tuple[NNexusConfig, list[CorpusObject]],
-    votes: list[tuple[int, bool]],
-    links: list[tuple[int, int]],
-) -> None:
-    config, objects = corpus
-    linker = NNexus(scheme=SCHEME, config=config)
-    linker.add_objects(objects)
-    reputation = ReputationTable()
-    for target_id, helpful in votes:
-        reputation.record_feedback(target_id, helpful=helpful)
-    matrix = LinkMatrix()
-    for source_id, target_id in links:
-        matrix.record_link(source_id, target_id)
-    # Reputation and co-linking outweigh classification, so the ranker
-    # often overrules steering.
-    linker.set_ranker(
-        CompositeRanker(
-            steering=linker.steering,
-            link_matrix=matrix,
-            reputation=reputation,
-            reputation_weight=4.0,
-            cf_weight=2.0,
-        )
-    )
-    for object_id in linker.object_ids():
-        check_explained(linker, object_id)

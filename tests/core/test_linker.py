@@ -225,61 +225,6 @@ class TestTieBreaking:
         assert [l.target_id for l in doc.links] == [10]
 
 
-class TestRankerIntegration:
-    def test_ranker_overrides_steering(self) -> None:
-        from repro.core.ranking import CompositeRanker, ReputationTable
-
-        linker = fig1_linker()
-        reputation = ReputationTable()
-        for __ in range(50):
-            reputation.record_feedback(6, helpful=True)
-            reputation.record_feedback(5, helpful=False)
-        # Heavy reputation weight flips the homonym away from steering.
-        linker.set_ranker(
-            CompositeRanker(
-                steering=linker.steering,
-                reputation=reputation,
-                class_weight=0.0,
-                reputation_weight=10.0,
-            )
-        )
-        doc = linker.link_text("the graph", source_classes=["05C40"])
-        assert [l.target_id for l in doc.links] == [6]
-
-    def test_detaching_ranker_restores_steering(self) -> None:
-        from repro.core.ranking import CompositeRanker
-
-        linker = fig1_linker()
-        linker.set_ranker(CompositeRanker(steering=linker.steering))
-        linker.set_ranker(None)
-        doc = linker.link_text("the graph", source_classes=["05C40"])
-        assert [l.target_id for l in doc.links] == [5]
-
-    def test_default_composite_ranker_agrees_with_steering(self) -> None:
-        from repro.core.ranking import CompositeRanker
-
-        plain = fig1_linker()
-        ranked = fig1_linker()
-        ranked.set_ranker(CompositeRanker(steering=ranked.steering))
-        for classes in (["05C40"], ["03E20"], ["11A41"]):
-            text = "the graph and a planar graph"
-            a = plain.link_text(text, source_classes=classes)
-            b = ranked.link_text(text, source_classes=classes)
-            assert [l.target_id for l in a.links] == [l.target_id for l in b.links]
-
-    def test_policies_still_apply_with_ranker(self) -> None:
-        from repro.core.ranking import CompositeRanker
-
-        linker = fig1_linker()
-        linker.add_object(
-            CorpusObject(7, "even number", defines=["even"], classes=["11A05"],
-                         text="", linking_policy="forbid even\n")
-        )
-        linker.set_ranker(CompositeRanker(steering=linker.steering))
-        doc = linker.link_text("even now", source_classes=["05C99"])
-        assert doc.link_count == 0
-
-
 class TestInvalidationFlow:
     def test_new_concept_invalidates_probable_invokers(self) -> None:
         linker = fig1_linker()
@@ -420,7 +365,7 @@ class TestStoredScans:
         for object_id in linker.object_ids():
             obj = linker.get_object(object_id)
             assert linker.link_object(object_id) == linker.link_text(
-                obj.text, obj.classes, (object_id,), object_id
+                obj.text, obj.classes, (object_id,)
             )
 
     def test_pickled_snapshot_links_without_tokenizing(self, monkeypatch) -> None:
@@ -480,7 +425,7 @@ class TestStoredScans:
         for object_id in linker.object_ids():
             obj = linker.get_object(object_id)
             assert linker.link_object(object_id) == linker.link_text(
-                obj.text, obj.classes, (object_id,), object_id
+                obj.text, obj.classes, (object_id,)
             )
 
 

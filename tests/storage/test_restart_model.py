@@ -8,14 +8,15 @@ journals to a sqlite data directory, and adds three rules:
   same configuration, from the same data directory;
 * ``checkpoint`` writes the buffered renderings without a reopen, so
   later mutations must mark rows already on file;
-* ``save`` saves an entry through :class:`RevisionedCorpus`.  The drawn
-  edits include whitespace-padded titles, duplicated labels and
-  unchanged entries, which differ from the stored entry without
-  changing any label.
+* ``save`` saves an entry with ``add_object`` when it is new and with
+  ``update_object`` otherwise.  The drawn edits include
+  whitespace-padded titles, duplicated labels and unchanged entries,
+  which differ from the stored entry (or equal it) without changing any
+  label.
 
-It also makes ``edit_text`` save through :class:`RevisionedCorpus`: a
-text-only update journals one record that invalidates no other entry,
-and the saved text must reach the linker and the journal.
+Its ``edit_text`` saves a text-only update with ``update_object``: it
+journals one record that invalidates no other entry, and the saved text
+must reach the linker and the journal.
 
 On top of the inherited invariants (every served rendering equals a
 from-scratch rebuild, invalidated covers changed, kept scans match the
@@ -46,7 +47,6 @@ from hypothesis.stateful import invariant, rule
 from repro.core.config import NNexusConfig
 from repro.core.linker import NNexus
 from repro.core.models import CorpusObject
-from repro.core.revisions import RevisionedCorpus
 from repro.persistence.sqlite_backend import SqliteBackend
 from tests.core.test_incremental_model import (
     PROFILE,
@@ -79,11 +79,9 @@ class RestartLinkerModel(IncrementalLinkerModel):
         self.data_dir = Path(tempfile.mkdtemp(prefix="nnexus-restart-"))
 
     def _open(self, config: NNexusConfig | None = None) -> NNexus:
-        linker = NNexus(
+        return NNexus(
             scheme=SCHEME, config=config, storage=SqliteBackend(self.data_dir, sync="off")
         )
-        self.revisions = RevisionedCorpus(linker)
-        return linker
 
     def teardown(self) -> None:
         if hasattr(self, "linker"):
@@ -116,17 +114,20 @@ class RestartLinkerModel(IncrementalLinkerModel):
             edited = data.draw(cosmetic_edits(self.linker.get_object(object_id)))
         else:
             edited = data.draw(entries(object_id))
-        revision = self.revisions.save(edited, author="model")
+        if self.linker.has_object(object_id):
+            invalidated = self.linker.update_object(edited)
+        else:
+            invalidated = self.linker.add_object(edited)
         assert self.linker.get_object(object_id) == edited
-        self.last_mutation = ({object_id}, set(revision.invalidated))
+        self.last_mutation = ({object_id}, set(invalidated))
 
     @rule(data=st.data(), text=texts)
     def edit_text(self, data: st.DataObject, text: str) -> None:
         object_id = data.draw(st.sampled_from(self._ids()))
         edited = replace(self.linker.get_object(object_id), text=text)
-        revision = self.revisions.save(edited, author="model")
+        invalidated = self.linker.update_object(edited)
         assert self.linker.get_object(object_id) == edited
-        self.last_mutation = ({object_id}, set(revision.invalidated))
+        self.last_mutation = ({object_id}, set(invalidated))
 
     # -- invariants ------------------------------------------------------
     @invariant()
