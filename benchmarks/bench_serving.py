@@ -15,10 +15,8 @@ Usage::
     python benchmarks/bench_serving.py --validate BENCH_serving.json
     python benchmarks/bench_serving.py --smoke --gate BENCH_serving.json
 
-The gate is machine-independent: correctness mismatches must be zero,
-loopback ping p50 must stay under an absolute bound, and pipelined
-max-sustained throughput must be strictly above the serial baseline.
-Multicore scaling is reported but never gated (CI runs on one core).
+The gate (``repro.obs.bench.check_serving_regression``) is
+machine-independent; multicore scaling is reported but never gated.
 
 Not a pytest file on purpose: the shape-asserted serving tests live in
 ``tests/server`` and ``tests/obs``; this is the JSON-emitting
@@ -27,8 +25,6 @@ trajectory harness CI uploads as an artifact.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -37,85 +33,35 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.obs.serving import (  # noqa: E402
-    ServingParams,
-    check_serving_regression,
-    run_serving_bench,
-    validate_serving_report,
-)
+from repro.obs.bench import ServingParams, bench_main, bench_parser, run_serving_bench  # noqa: E402
+
+
+def _summary(report: dict) -> str:
+    throughput = report["throughput"]
+    return (
+        f"serial {throughput['serial_max_sustained_rps']:,.0f} rps, pipelined "
+        f"{throughput['pipelined_max_sustained_rps']:,.0f} rps "
+        f"({throughput['pipelined_speedup']:.2f}x), ping p50 "
+        f"{report['protocol_overhead']['ping_p50_ms']:.3f} ms, "
+        f"{report['correctness']['mismatches']} mismatches in "
+        f"{report['correctness']['checked']} checked responses"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="python benchmarks/bench_serving.py")
-    parser.add_argument("--seed", type=int, default=20090612)
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (smaller bursts, shorter curves)")
-    parser.add_argument("--out", type=str, default="BENCH_serving.json",
-                        help="report path ('-' for stdout)")
-    parser.add_argument("--validate", type=str, metavar="PATH", default="",
-                        help="validate an existing report instead of running")
-    parser.add_argument("--gate", type=str, metavar="PATH", default="",
-                        help="fail unless correctness is perfect, ping p50 is "
-                             "within bound, and pipelining strictly beats the "
-                             "serial baseline; PATH is schema-checked as the "
-                             "comparison baseline")
+    parser = bench_parser(
+        "serving",
+        smoke_help="CI-sized run (smaller bursts, shorter curves)",
+        gate_help="fail unless correctness is perfect, ping p50 is within bound, "
+                  "and pipelining strictly beats the serial baseline; PATH is "
+                  "schema-checked as the comparison baseline",
+    )
     args = parser.parse_args(argv)
-
-    if args.validate:
-        report = json.loads(Path(args.validate).read_text(encoding="utf-8"))
-        problems = validate_serving_report(report)
-        if problems:
-            for problem in problems:
-                print(f"schema error: {problem}", file=sys.stderr)
-            return 1
-        print(f"{args.validate}: valid (schema_version {report['schema_version']})")
-        return 0
-
     if args.smoke:
         params = ServingParams.smoke_params(seed=args.seed)
     else:
         params = ServingParams(seed=args.seed)
-
-    # Load the gate baseline up front: --out may overwrite the same file.
-    gate_baseline = None
-    if args.gate:
-        gate_baseline = json.loads(Path(args.gate).read_text(encoding="utf-8"))
-
-    report = run_serving_bench(params)
-    problems = validate_serving_report(report)
-    if problems:  # the harness must never emit an invalid artifact
-        for problem in problems:
-            print(f"internal schema error: {problem}", file=sys.stderr)
-        return 1
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out == "-":
-        print(text)
-    else:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-        throughput = report["throughput"]
-        overhead = report["protocol_overhead"]
-        print(
-            f"wrote {args.out}: serial "
-            f"{throughput['serial_max_sustained_rps']:,.0f} rps, pipelined "
-            f"{throughput['pipelined_max_sustained_rps']:,.0f} rps "
-            f"({throughput['pipelined_speedup']:.2f}x), ping p50 "
-            f"{overhead['ping_p50_ms']:.3f} ms, "
-            f"{report['correctness']['mismatches']} mismatches in "
-            f"{report['correctness']['checked']} checked responses"
-        )
-
-    if args.gate:
-        failures = check_serving_regression(report, gate_baseline)
-        if failures:
-            for failure in failures:
-                print(f"serving gate: {failure}", file=sys.stderr)
-            return 1
-        print(
-            "serving gate: pass (pipelined "
-            f"{report['throughput']['pipelined_speedup']:.2f}x over serial, "
-            "0 mismatches)"
-        )
-    return 0
+    return bench_main("serving", args, lambda: run_serving_bench(params), _summary)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-The corpus size defaults to 1,500 entries so ``pytest benchmarks/
---benchmark-only`` completes in a few minutes; set
+The corpus size defaults to 1,500 entries so ``pytest benchmarks/``
+completes in a few minutes; set
 ``REPRO_BENCH_ENTRIES=7132`` to run at the paper's PlanetMath scale
 (Section 3: 7,145 entries / 12,171 concepts — our generator's default
 7,132 matches the largest subset of Table 3).
@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.corpus.generator import GeneratorParams, load_or_generate
+from repro.eval.experiments import run_table3
 
 BENCH_ENTRIES = int(os.environ.get("REPRO_BENCH_ENTRIES", "1500"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "20090612"))
@@ -61,6 +62,14 @@ def bench_corpus():
 def small_corpus():
     """A small corpus for micro-benchmarks that rebuild linkers per round."""
     return load_or_generate(GeneratorParams(n_entries=300, seed=BENCH_SEED))
+
+
+@pytest.fixture(scope="session")
+def table3_sweep(bench_corpus):
+    """The one Table 3 sweep that Table 3 and Fig. 8 both read."""
+    default = (200, 500, 1000, 2000, 3000, 5000, 7132)
+    sizes = tuple(size for size in default if size <= BENCH_ENTRIES) or (BENCH_ENTRIES,)
+    return run_table3(bench_corpus, sizes=sizes)
 
 
 def emit(title: str, text: str) -> None:

@@ -9,22 +9,11 @@ final point is below a small multiple of the series minimum, and far
 below a linear extrapolation from the first point.
 """
 
-from conftest import BENCH_ENTRIES, emit
-
-from repro.eval.experiments import run_fig8
+from conftest import emit
 
 
-def _sizes() -> tuple[int, ...]:
-    default = (200, 500, 1000, 2000, 3000, 5000, 7132)
-    capped = tuple(size for size in default if size <= BENCH_ENTRIES)
-    return capped or (BENCH_ENTRIES,)
-
-
-def test_fig8_time_per_link_curve(bench_corpus, benchmark):
-    result = benchmark.pedantic(
-        run_fig8, args=(bench_corpus,), kwargs={"sizes": _sizes()},
-        rounds=1, iterations=1,
-    )
+def test_fig8_time_per_link_curve(table3_sweep):
+    result = table3_sweep
     emit("Fig. 8 (paper: sublinear time complexity)", result.format_fig8())
 
     series = result.fig8_series()

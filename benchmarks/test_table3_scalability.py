@@ -11,25 +11,11 @@ once amortized — absolute numbers differ (Python vs Perl, 2026 container
 vs 2006 laptop).
 """
 
-from conftest import BENCH_ENTRIES, emit
-
-from repro.eval.experiments import run_table3
+from conftest import emit
 
 
-def _sizes() -> tuple[int, ...]:
-    default = (200, 500, 1000, 2000, 3000, 5000, 7132)
-    capped = tuple(size for size in default if size <= BENCH_ENTRIES)
-    return capped or (BENCH_ENTRIES,)
-
-
-def test_table3_scalability_sweep(bench_corpus, benchmark):
-    result = benchmark.pedantic(
-        run_table3,
-        args=(bench_corpus,),
-        kwargs={"sizes": _sizes()},
-        rounds=1,
-        iterations=1,
-    )
+def test_table3_scalability_sweep(table3_sweep):
+    result = table3_sweep
     emit("Table 3 (paper: time/link falls then flattens)", result.format())
 
     rows = result.rows

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.models import CorpusObject
 from repro.core.morphology import canonicalize_phrase
@@ -646,18 +645,12 @@ def corpus_statistics(corpus: SyntheticCorpus) -> dict[str, float]:
     }
 
 
-def load_or_generate(
-    params: GeneratorParams | None = None,
-    cache: dict[tuple[int, int], SyntheticCorpus] | None = None,
-) -> SyntheticCorpus:
-    """Memoized generation keyed by (n_entries, seed) — experiments share it."""
+def load_or_generate(params: GeneratorParams | None = None) -> SyntheticCorpus:
+    """Memoized generation keyed by the whole params — experiments share it."""
     params = params or GeneratorParams()
-    if cache is None:
-        cache = _CORPUS_CACHE
-    key = (params.n_entries, params.seed)
-    if key not in cache:
-        cache[key] = generate_corpus(params)
-    return cache[key]
+    if params not in _CORPUS_CACHE:
+        _CORPUS_CACHE[params] = generate_corpus(params)
+    return _CORPUS_CACHE[params]
 
 
-_CORPUS_CACHE: dict[tuple[int, int], SyntheticCorpus] = {}
+_CORPUS_CACHE: dict[GeneratorParams, SyntheticCorpus] = {}

@@ -14,8 +14,10 @@ paper's PlanetMath snapshot size); smaller values make quick runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
+from typing import Callable
 
 from repro.corpus.generator import GeneratorParams, corpus_statistics, load_or_generate
 from repro.eval import experiments
@@ -64,22 +66,26 @@ def main(argv: list[str] | None = None) -> int:
         f"(generated in {time.perf_counter() - start:.1f}s)\n"
     )
 
+    # Table 3 and Fig. 8 print one sweep, run at most once per invocation.
+    sweep = functools.cache(
+        lambda: experiments.run_table3(corpus, sizes=_sizes(args, corpus))
+    )
     chosen = list(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in chosen:
-        print(_run_one(name, corpus, args))
+        print(_run_one(name, corpus, sweep))
         print()
     return 0
 
 
-def _run_one(name: str, corpus, args: argparse.Namespace) -> str:
+def _run_one(name: str, corpus, sweep: Callable[[], experiments.Table3Result]) -> str:
     if name == "table1":
         return experiments.run_table1(corpus).format()
     if name == "table2":
         return experiments.run_table2(corpus).format()
-    if name in ("table3", "fig8"):
-        sizes = _sizes(args, corpus)
-        result = experiments.run_table3(corpus, sizes=sizes)
-        return result.format() if name == "table3" else result.format_fig8()
+    if name == "table3":
+        return sweep().format()
+    if name == "fig8":
+        return sweep().format_fig8()
     if name == "mislink":
         return experiments.run_mislink_study(corpus).format()
     if name == "baselines":

@@ -11,8 +11,8 @@ Index (see DESIGN.md for the full mapping):
   20-entry sample, fixing the overlink culprits of 5 random entries.
 * :func:`run_table2` — full-corpus precision for lexical vs. +steering
   vs. +steering+policies, with the paper's 50-entry sample estimator.
-* :func:`run_table3` / :func:`run_fig8` — link-the-whole-corpus timing
-  for growing random subsets; time-per-link series.
+* :func:`run_table3` — link-the-whole-corpus timing for growing random
+  subsets; its result also renders the Fig. 8 time-per-link series.
 * :func:`run_mislink_study` — the Section 3.2 prose numbers (~12%
   mislinks, ~7.9% overlinks, >60% of mislinks being overlinks).
 * :func:`run_baseline_comparison` — NNexus vs. TF-IDF / random /
@@ -63,7 +63,6 @@ __all__ = [
     "run_table1",
     "run_table2",
     "run_table3",
-    "run_fig8",
     "run_mislink_study",
     "run_baseline_comparison",
     "run_ablation_weighting",
@@ -343,11 +342,6 @@ def run_table3(
         if len(subset.objects) >= len(corpus.objects):
             break
     return Table3Result(rows=rows)
-
-
-def run_fig8(corpus: SyntheticCorpus, **kwargs: object) -> Table3Result:
-    """Fig. 8 shares Table 3's sweep; kept separate for the CLI."""
-    return run_table3(corpus, **kwargs)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

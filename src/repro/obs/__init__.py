@@ -19,6 +19,12 @@ Components log on stdlib ``logging`` loggers under ``nnexus``;
 :mod:`repro.obs.logging` supplies the filter that correlates every
 record emitted inside a span with that span's trace, and the console
 and JSON line formats.
+
+:mod:`repro.obs.bench` is the harness behind both benchmark scripts:
+it emits ``BENCH_linking.json`` and ``BENCH_serving.json``, checks each
+against its schema, gates them, and gives ``benchmarks/bench_linking.py``
+and ``benchmarks/bench_serving.py`` one CLI front.  It is imported by
+those scripts and the tests, not by this package.
 """
 
 from repro.obs.logging import TraceFilter, configure_logging

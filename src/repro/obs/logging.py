@@ -19,7 +19,10 @@ two NNexus-specific parts:
 :func:`configure_logging` installs one stderr (or ``stream``) handler
 with the filter and the chosen formatter on the ``nnexus`` logger.  An
 application that embeds the linker can attach its own handler instead:
-add a :class:`TraceFilter` and either formatter to it.
+add a :class:`TraceFilter` and either formatter to it.  Until one of
+the two happens, the ``nnexus`` logger's ``NullHandler`` keeps records
+off stderr (the stdlib's advice for libraries), so they reach only
+handlers the application put on the root logger.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ class ConsoleFormatter(logging.Formatter):
 
 
 _FORMATTERS = {"console": ConsoleFormatter, "json": JsonFormatter}
+
+logging.getLogger("nnexus").addHandler(logging.NullHandler())
 
 #: Names the one handler :func:`configure_logging` owns on ``nnexus``.
 _HANDLER_NAME = "nnexus.configure_logging"

@@ -9,6 +9,7 @@ from repro.corpus.generator import (
     GeneratorParams,
     corpus_statistics,
     generate_corpus,
+    load_or_generate,
 )
 
 
@@ -61,6 +62,15 @@ class TestDeterminism:
         a = generate_corpus(GeneratorParams(n_entries=50, seed=1))
         b = generate_corpus(GeneratorParams(n_entries=50, seed=2))
         assert [o.text for o in a.objects] != [o.text for o in b.objects]
+
+    def test_memo_tells_params_beyond_size_and_seed_apart(self) -> None:
+        default = load_or_generate(GeneratorParams(n_entries=200, seed=1))
+        flatter = GeneratorParams(n_entries=200, seed=1, zipf_exponent=0.5)
+        memoized = load_or_generate(flatter)
+        assert memoized is not default
+        assert memoized.ground_truth == generate_corpus(flatter).ground_truth
+        assert memoized.ground_truth != default.ground_truth
+        assert load_or_generate(flatter) is memoized
 
 
 class TestGroundTruthAlignment:

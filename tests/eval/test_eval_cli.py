@@ -1,7 +1,10 @@
 """The eval CLI: every experiment target runs end to end (tiny corpus)."""
 
+import re
+
 import pytest
 
+from repro.eval import experiments
 from repro.eval.__main__ import main
 
 
@@ -39,3 +42,22 @@ def test_corpus_banner_printed(capsys) -> None:
     main(["table1", "--entries", "150"])
     out = capsys.readouterr().out
     assert "150 entries" in out
+
+
+def test_all_prints_table3_and_fig8_from_one_sweep(capsys, monkeypatch) -> None:
+    calls = []
+    real = experiments.run_table3
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("sizes"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_table3", counted)
+    assert main(["all", "--entries", "150", "--sizes", "50,100,150"]) == 0
+    assert calls == [(50, 100, 150)]
+
+    out = capsys.readouterr().out
+    table3 = re.findall(r"^\| (\d+) +\|[^|]+\|[^|]+\| ([\d.]+ms) +\|", out, re.MULTILINE)
+    fig8 = re.findall(r"^ +(\d+) \| #+ ([\d.]+ms)$", out, re.MULTILINE)
+    assert [size for size, __ in table3] == ["50", "100", "150"]
+    assert fig8 == table3

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import io
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.obs.logging import configure_logging
 from repro.obs.trace import Tracer
@@ -49,3 +53,23 @@ class TestSetHandlersLifecycle:
         events = tracer.get_trace(span.trace_id)["spans"][0]["events"]
         assert [e["name"] for e in events] == ["once"]
         assert log_records[0]["trace_id"] == span.trace_id
+
+
+def test_embedding_app_without_logging_config_gets_a_quiet_stderr() -> None:
+    # No configure_logging() and no handler of the app's own: the slow
+    # request is counted and traced, but nothing reaches stderr through
+    # the stdlib's last-resort handler.
+    script = (
+        "from repro.obs.trace import Tracer\n"
+        "tracer = Tracer(slow_threshold=0.0)\n"
+        "with tracer.span('linkEntry'):\n"
+        "    pass\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""

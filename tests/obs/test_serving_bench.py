@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.obs.serving import (
+from repro.obs.bench import (
     PING_P50_GATE_MS,
     SERVING_SCHEMA_VERSION,
     ServingParams,
